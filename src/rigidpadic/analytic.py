@@ -81,18 +81,11 @@ def _check_level(f: TateSeries, m: int) -> None:
 def orbit_translation(f: TateSeries, m: int) -> OrbitExpansion:
     _check_level(f, m)
     ctx = f.ctx
-    deg = f.degree
     comps = []
     for v in range(ctx.D + 1):
-        sign = 1 if v % 2 == 0 else -1
-        cs = []
-        for l in range(v, deg + 1):
-            a = f.coeffs[l]
-            b = ctx.binom(l, v)
-            term = a * b
-            cs.append(term if sign > 0 else -term)
+        cs = [a * ctx.binom(l, v) for l, a in enumerate(f.coeffs[v:], v)]
         tail = INF if f.tail_bound is INF else f.tail_bound - m * v
-        comps.append(TateSeries(ctx, m, cs, tail))
+        comps.append(TateSeries(ctx, m, cs if v % 2 == 0 else [-c for c in cs], tail))
     return OrbitExpansion("translation", m, f, tuple(comps))
 
 
@@ -103,24 +96,15 @@ def orbit_mobius(f: TateSeries, m: int, k: int) -> OrbitExpansion:
         raise ParameterError(f"weight k must be >= 2, got {k}")
     _check_level(f, m)
     ctx = f.ctx
-    deg = f.degree
     vc = f.val_c()
     comps = []
     for q in range(ctx.D + 1):
-        cs = [ctx.zero() for _ in range(min(ctx.D, deg + q) + 1)] if deg >= 0 else []
-        dropped = False
-        for l in range(0, deg + 1):
-            a = f.coeffs[l]
-            if a.is_zero:
-                continue
-            j = l + q
-            if j > ctx.D:
-                dropped = True
-                continue
-            b = ctx.binom(l + q - 1, q)
-            if not b.is_zero:
-                cs[j] = a * b
-        exact = f.tail_bound is INF and not dropped
+        # a_l lands on z^(l+q); the terms past z^D are dropped
+        kept, cut = f.coeffs[: ctx.D + 1 - q], f.coeffs[ctx.D + 1 - q :]
+        cs = [ctx.zero()] * q + [
+            a if a.is_zero else a * ctx.binom(l + q - 1, q) for l, a in enumerate(kept)
+        ]
+        exact = f.tail_bound is INF and all(a.is_zero for a in cut)
         tail = INF if exact else (vc + m * q if vc is not INF else INF)
         comps.append(TateSeries(ctx, m, cs, tail))
     return OrbitExpansion("mobius", m, f, tuple(comps))
@@ -129,32 +113,20 @@ def orbit_mobius(f: TateSeries, m: int, k: int) -> OrbitExpansion:
 def orbit_dilation(f: TateSeries, m: int) -> OrbitExpansion:
     _check_level(f, m)
     ctx = f.ctx
-    deg = f.degree
     comps = []
     for q in range(ctx.D + 1):
-        cs = [ctx.zero() for _ in range(deg + 1)] if deg >= q else []
-        for l in range(q, deg + 1):
-            a = f.coeffs[l]
-            if not a.is_zero:
-                cs[l] = a * ctx.binom(l, q)
-        comps.append(TateSeries(ctx, m, cs, f.tail_bound))
+        high = [a if a.is_zero else a * ctx.binom(l, q) for l, a in enumerate(f.coeffs[q:], q)]
+        comps.append(TateSeries(ctx, m, [ctx.zero()] * q + high if high else [], f.tail_bound))
     return OrbitExpansion("dilation", m, f, tuple(comps))
 
 
 def orbit_inv_torus(f: TateSeries, m: int) -> OrbitExpansion:
     _check_level(f, m)
     ctx = f.ctx
-    deg = f.degree
     comps = []
     for q in range(ctx.D + 1):
-        sign = 1 if q % 2 == 0 else -1
-        cs = []
-        for l in range(0, deg + 1):
-            a = f.coeffs[l]
-            b = ctx.binom(l + q - 1, q)
-            term = a * b
-            cs.append(term if sign > 0 else -term)
-        comps.append(TateSeries(ctx, m, cs, f.tail_bound))
+        cs = [a * ctx.binom(l + q - 1, q) for l, a in enumerate(f.coeffs)]
+        comps.append(TateSeries(ctx, m, cs if q % 2 == 0 else [-c for c in cs], f.tail_bound))
     return OrbitExpansion("inv_torus", m, f, tuple(comps))
 
 
@@ -219,11 +191,7 @@ class BoundReport:
 
 
 def _margin(lhs: float, rhs: float) -> float:
-    if rhs is INF:
-        return INF
-    if lhs is INF:
-        return INF
-    return lhs - rhs
+    return INF if lhs is INF or rhs is INF else lhs - rhs
 
 
 def bound_report(f: TateSeries, m: int, tamper: Optional[Tuple[str, int]] = None) -> BoundReport:
@@ -236,7 +204,13 @@ def bound_report(f: TateSeries, m: int, tamper: Optional[Tuple[str, int]] = None
     expansions = expand_all(f, m)
     if tamper is not None:
         fam, idx = tamper
+        if fam not in FAMILIES:
+            raise ParameterError(f"unknown orbit family {fam!r}")
         exp = expansions[fam]
+        if not 0 <= idx < len(exp.components):
+            raise ParameterError(
+                f"tamper index {idx} outside [0, {len(exp.components)}) for {fam}"
+            )
         entry_lhs, entry_rhs = _family_bounds(exp, f, m)
         margin = _margin(entry_lhs[idx], entry_rhs[idx])
         if margin is INF:
@@ -309,16 +283,7 @@ def is_analytic_vector(f: PiecewiseFunction, m: int) -> Verdict:
     res = is_member_Can(f, m)
     if res.status is not Verdict.YES:
         return res.status
-    w = res.witness
-    base = w.val_c()
-    for fam, exp in expand_all(w, m).items():
-        for v, comp in enumerate(exp.components):
-            c = comp.stored_val_c()
-            lhs = INF if c is INF else c + m * v
-            if lhs < base:
-                raise InvariantViolation(
-                    f"witness orbit tail bound failed at {fam}[{v}]"
-                )
+    _orbit_tail_guard(res.witness, m, "witness")
     return Verdict.YES
 
 
@@ -329,7 +294,9 @@ def orbit_membership(f: PiecewiseFunction, m: int) -> Verdict:
     leaf with the largest center), its orbit expansions are required to
     satisfy the uniform tail bound, and the candidate is then compared
     against every other in-ball leaf at three sample points per leaf
-    with starvation-aware comparisons.
+    with starvation-aware comparisons.  The candidate's value at z is
+    trusted only below every coefficient's re-expansion ceiling plus
+    l * valp(z), as well as below its own evaluation ceiling.
     """
     if m < 0:
         raise ParameterError(f"ball level m must be >= 0, got {m}")
@@ -337,14 +304,14 @@ def orbit_membership(f: PiecewiseFunction, m: int) -> Verdict:
     cover = f.covering_leaf(m)
     if cover is not None:
         candidate = cover.series.recenter(ctx.zero(), m)
-        _orbit_tail_guard(candidate, m)
+        _orbit_tail_guard(candidate, m, "candidate")
         return Verdict.YES
     inball = f.leaves_in_ball(m)
     if not inball:
         raise InvariantViolation("partition leaves no cover of the ball")
     source = max(inball, key=lambda lf: (lf.center, lf.level))
-    candidate, _ = _re_expand(ctx, source, m)
-    _orbit_tail_guard(candidate, m)
+    candidate, ceilings = _re_expand(ctx, source, m)
+    _orbit_tail_guard(candidate, m, "candidate")
     verdict = Verdict.YES
     for lf in inball:
         if lf is source:
@@ -353,6 +320,7 @@ def orbit_membership(f: PiecewiseFunction, m: int) -> Verdict:
         for j in range(3):
             z = ctx.from_int(lf.center + j * step)
             got, got_ceil = candidate.evaluate_tracked(z)
+            got_ceil = min(got_ceil, _shifted_window(ceilings, z))
             want, want_ceil = lf.series.evaluate_tracked(z - ctx.from_int(lf.center))
             verdict = verdict & compare_tracked(ctx, got, got_ceil, want, want_ceil)
             if verdict is Verdict.NO:
@@ -360,14 +328,22 @@ def orbit_membership(f: PiecewiseFunction, m: int) -> Verdict:
     return verdict
 
 
-def _orbit_tail_guard(w: TateSeries, m: int) -> None:
+def _shifted_window(ceilings: List[float], z: PadicNumber) -> float:
+    """min_l ceilings[l] + l * valp(z): how deep sum_l b_l z^l is known."""
+    if z.is_zero:
+        return ceilings[0] if ceilings else INF
+    return min((c + l * z.val for l, c in enumerate(ceilings)), default=INF)
+
+
+def _orbit_tail_guard(w: TateSeries, m: int, role: str) -> None:
+    """Every orbit component of w obeys val_C(f_v) + m v >= val_C(w)."""
     base = w.val_c()
     for fam, exp in expand_all(w, m).items():
         for v, comp in enumerate(exp.components):
             c = comp.stored_val_c()
             lhs = INF if c is INF else c + m * v
             if lhs < base:
-                raise InvariantViolation(f"candidate orbit tail bound failed at {fam}[{v}]")
+                raise InvariantViolation(f"{role} orbit tail bound failed at {fam}[{v}]")
 
 
 # -- the cokernel model -------------------------------------------------------

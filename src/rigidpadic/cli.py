@@ -260,7 +260,7 @@ def _global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     # subparser with SUPPRESS, so the flags work on either side of the
     # subcommand without the subparser wiping out values parsed earlier
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
-    parser.add_argument("--p", type=int, default=d(5), help="odd prime (default 5)")
+    parser.add_argument("--p", type=int, default=d(5), help="odd prime below 3.3e24 (default 5)")
     parser.add_argument(
         "--precision", type=int, default=d(40), metavar="N",
         help="relative precision in digits (default 40)",

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, ParameterError
-from .padic import INF, Coercible, PadicContext, PadicNumber, sum_tracked
-from .series import TateSeries
+from .padic import INF, Coercible, PadicContext, PadicNumber
+from .series import TateSeries, _taylor_shift
 from .verdict import Verdict
 
 #: hard cap on leaf levels; partitions beyond this depth are pathological
@@ -135,13 +135,8 @@ class PiecewiseFunction:
             step = ctx.p ** lf.level
             for r in range(ctx.p ** (level - lf.level)):
                 delta = r * step
-                leaves.append(
-                    Leaf(
-                        lf.center + delta,
-                        level,
-                        lf.series.recenter(ctx.from_int(delta), level),
-                    )
-                )
+                shifted = lf.series.recenter(ctx.from_int(delta), level)
+                leaves.append(Leaf(lf.center + delta, level, shifted))
         return PiecewiseFunction(ctx, leaves)
 
     def common_refinement(self, other: "PiecewiseFunction") -> Tuple["PiecewiseFunction", "PiecewiseFunction"]:
@@ -290,7 +285,6 @@ def is_member_C_m(f: StepFunction, m: int) -> bool:
     """Is the restriction of the step function to p**m Z_p one constant?"""
     if not isinstance(f, StepFunction):
         raise ParameterError("is_member_C_m expects a StepFunction")
-    ctx = f.ctx
     cover = f.covering_leaf(m)
     if cover is not None:
         return True
@@ -359,33 +353,19 @@ def _re_expand(ctx: PadicContext, lf: Leaf, m: int) -> Tuple[TateSeries, List[fl
 
         b_v = sum_{l >= v} s_l binom(l, v) (-c)^(l-v).
 
-    The ceiling of b_v is the reliability limit of the defining sum.  A
-    polynomial leaf re-expands exactly (tail certificate +inf); for a
-    truncated leaf the certificate of the source level does not transfer
-    to the coarser ball, so the candidate claims only its stored minimum.
+    The ceiling of b_v is the reliability limit of the defining sum: its
+    least summand valuation plus N.  A polynomial leaf re-expands exactly
+    (tail certificate +inf); for a truncated leaf the certificate of the
+    source level does not transfer to the coarser ball, so the candidate
+    claims only its stored minimum.
     """
     s = lf.series
     c = ctx.from_int(lf.center)
-    deg = s.degree
     if c.is_zero:
-        coeffs = list(s.coeffs)
-        ceilings = [INF if a.is_zero else a.val + ctx.N for a in coeffs]
-        tail = s.tail_bound
-        return TateSeries(ctx, m, coeffs, tail), ceilings
-    neg_c_pow = [ctx.one()]
-    for _ in range(max(deg, 0)):
-        neg_c_pow.append(neg_c_pow[-1] * (-c))
-    coeffs: List[PadicNumber] = []
-    ceilings: List[float] = []
-    for v in range(deg + 1):
-        terms = []
-        for l in range(v, deg + 1):
-            a = s.coeffs[l]
-            if not a.is_zero:
-                terms.append(a * ctx.binom(l, v) * neg_c_pow[l - v])
-        b, ceiling = sum_tracked(ctx, terms)
-        coeffs.append(b)
-        ceilings.append(ceiling)
+        ceilings = [INF if a.is_zero else a.val + ctx.N for a in s.coeffs]
+        return TateSeries(ctx, m, s.coeffs, s.tail_bound), ceilings
+    coeffs, floors = _taylor_shift(s.coeffs, -c)
+    ceilings = [f + ctx.N for f in floors]
     cand = TateSeries(ctx, m, coeffs)
     if s.tail_bound is not INF:
         cand = TateSeries(ctx, m, coeffs, cand.stored_val_c())

@@ -299,8 +299,10 @@ def load(
     expected_kind: Optional[str] = None,
     ctx: Optional[PadicContext] = None,
 ) -> Tuple[str, PadicContext, object]:
-    """Parse an envelope.  A caller-supplied context must match the file
-    header exactly; without one the header context is used."""
+    """Parse an envelope.  A caller-supplied context must agree with the
+    header on p, N and D (PadicContext.same) and is then used as is: its
+    kappa wins, since the comparison slack is a run-time setting, not a
+    property of the stored digits.  Otherwise the header context is used."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Tuple, Union
 
 from .errors import DivisionError, DomainError, ParameterError, PrecisionError
 
@@ -26,16 +26,33 @@ INF = math.inf
 Coercible = Union["PadicNumber", int, Fraction, str]
 
 
+#: the first 13 primes: as Miller-Rabin bases they decide primality
+#: exactly for every n below _PRIME_LIMIT (Sorenson and Webster, 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+#: largest relative precision N: a context keeps p**0 .. p**(N-1), size ~ N**2
+MAX_PRECISION = 1000
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
+    if n >= _PRIME_LIMIT:
+        raise ParameterError(f"cannot certify primality of p >= {_PRIME_LIMIT}")
+    if n < 2 or any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -57,15 +74,16 @@ class PadicContext:
     Two stored values are considered equal at precision when they share
     at least N - kappa relative digits; kappa is the budget that covers
     the precision loss of composite operations (default 4 digits).
+    ``ppow[d]`` is p**d for 0 <= d < N.
     """
 
-    __slots__ = ("p", "N", "D", "kappa", "pN", "_binom_cache")
+    __slots__ = ("p", "N", "D", "kappa", "pN", "ppow", "_binom_cache", "_binom_rows")
 
     def __init__(self, p: int = 5, N: int = 40, D: int = 64, kappa: int = 4):
         if not _is_prime(p) or p == 2:
             raise ParameterError(f"p must be an odd prime, got {p}")
-        if N < 1:
-            raise ParameterError(f"precision N must be >= 1, got {N}")
+        if not 1 <= N <= MAX_PRECISION:
+            raise ParameterError(f"precision N must lie in [1, {MAX_PRECISION}], got {N}")
         if D < 0:
             raise ParameterError(f"truncation degree D must be >= 0, got {D}")
         if not 0 <= kappa <= N:
@@ -75,7 +93,9 @@ class PadicContext:
         self.D = D
         self.kappa = kappa
         self.pN = p ** N
+        self.ppow = tuple(p ** d for d in range(N))
         self._binom_cache = {}
+        self._binom_rows = {}
 
     # -- identity -----------------------------------------------------
 
@@ -129,7 +149,11 @@ class PadicContext:
         if isinstance(x, Fraction):
             return self.from_fraction(x)
         if isinstance(x, str):
-            return self.from_fraction(Fraction(x))
+            try:
+                q = Fraction(x)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParameterError(f"not a rational number: {x!r}") from exc
+            return self.from_fraction(q)
         raise ParameterError(f"cannot coerce {type(x).__name__} to Q_p")
 
     def binom(self, n: int, k: int) -> "PadicNumber":
@@ -151,6 +175,14 @@ class PadicContext:
             value = self.from_int(math.comb(n, k))
         self._binom_cache[key] = value
         return value
+
+    def binom_row(self, n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """(vals, units) of binom(n, k), k = 0 .. n, as two cached flat tuples."""
+        row = self._binom_rows.get(n)
+        if row is None:
+            bs = [self.binom(n, k) for k in range(n + 1)]
+            row = self._binom_rows[n] = (tuple(b.val for b in bs), tuple(b.unit for b in bs))
+        return row
 
 
 class PadicNumber:
@@ -198,7 +230,7 @@ class PadicNumber:
         d = b.val - a.val
         if d >= a.ctx.N:
             return a
-        return PadicNumber(a.ctx, a.val, a.unit + b.unit * a.ctx.p ** d)
+        return PadicNumber(a.ctx, a.val, a.unit + b.unit * a.ctx.ppow[d])
 
     def __neg__(self) -> "PadicNumber":
         if self.is_zero:
@@ -357,20 +389,3 @@ def padic_log(u: PadicNumber) -> PadicNumber:
         total = total + term if n % 2 == 1 else total - term
         n += 1
     return ctx.from_fraction(total)
-
-
-def sum_tracked(ctx: PadicContext, terms: Iterable[PadicNumber]) -> Tuple[PadicNumber, float]:
-    """Sum with an honest absolute reliability ceiling.
-
-    Returns (sum, ceiling) where digits of the sum at or beyond p**ceiling
-    are not trustworthy: each contributing term is only known modulo
-    p**(val + N), so the sum is known modulo p**(min val + N).  An empty
-    or all-zero sum is exact (ceiling +inf).
-    """
-    total = ctx.zero()
-    floor = INF
-    for t in terms:
-        total = total + t
-        if not t.is_zero and t.val < floor:
-            floor = t.val
-    return total, (INF if floor is INF else floor + ctx.N)

@@ -21,14 +21,22 @@ translate f(z - y), dilate f(s z), mobius f(z/(1 - x z)) (1 - x z)^(k-2)
 and the inverse-torus twist f(z/t) t^(k-2).  Each records a new tail
 certificate derived from the input's certificate; every one of them
 preserves val_C exactly (they are invertible isometries of the ball).
+
+Bit-identity contract: the Taylor shift b_v = sum_{l>=v} a_l binom(l, v)
+c^(l-v) behind translate, recenter and functions._re_expand, and the sums
+inside raw_mobius and evaluate_tracked, run on (val, unit) integer pairs.
+Products are exact and summands are added in the order of the PadicNumber
+loops they replace, each partial sum rounded exactly as PadicNumber.__add__
+rounds it, so the stored digits are those loops' digits (tests/test_series.py
+keeps the loops as the oracle and asserts exact equality).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DomainError, ParameterError
-from .padic import INF, Coercible, PadicContext, PadicNumber, sum_tracked
+from .padic import INF, Coercible, PadicContext, PadicNumber
 
 
 class TateSeries:
@@ -139,13 +147,10 @@ class TateSeries:
 
     def stored_val_c(self):
         """min over stored coefficients of valp(a_l) + m*l; +inf if none."""
-        best = INF
-        for l, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                v = c.val + self.m * l
-                if v < best:
-                    best = v
-        return best
+        return min(
+            (c.val + self.m * l for l, c in enumerate(self.coeffs) if not c.is_zero),
+            default=INF,
+        )
 
     def val_c(self):
         """Banach valuation: stored minimum capped by the tail certificate."""
@@ -159,8 +164,7 @@ class TateSeries:
         out = [INF] * (len(self.coeffs) + 1)
         for l in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[l]
-            here = INF if c.is_zero else c.val + self.m * l
-            out[l] = min(here, out[l + 1])
+            out[l] = min(INF if c.is_zero else c.val + self.m * l, out[l + 1])
         return out
 
     # -- ring operations --------------------------------------------------
@@ -225,18 +229,7 @@ class TateSeries:
             return self
         if y.val < self.m:
             raise DomainError(f"translation step needs valp(y) >= {self.m}, got {y.val}")
-        deg = self.degree
-        neg_y_pow = [ctx.one()]
-        for _ in range(deg):
-            neg_y_pow.append(neg_y_pow[-1] * (-y))
-        cs = []
-        for v in range(deg + 1):
-            acc = ctx.zero()
-            for l in range(v, deg + 1):
-                a = self.coeffs[l]
-                if not a.is_zero:
-                    acc = acc + a * ctx.binom(l, v) * neg_y_pow[l - v]
-            cs.append(acc)
+        cs, _ = _taylor_shift(self.coeffs, -y)
         # omitted b_v, v > D, draw only on omitted a_l, so the input
         # certificate carries over unchanged
         return TateSeries(ctx, self.m, cs, self.tail_bound)
@@ -247,12 +240,7 @@ class TateSeries:
         s = ctx.num(s)
         if not s.is_unit:
             raise DomainError("variable scaling needs a unit factor")
-        cs = []
-        pw = ctx.one()
-        for l, a in enumerate(self.coeffs):
-            if l:
-                pw = pw * s
-            cs.append(a * pw)
+        cs = [a * s ** l for l, a in enumerate(self.coeffs)]
         return TateSeries(ctx, self.m, cs, self.tail_bound)
 
     def dilate(self, s: Coercible) -> "TateSeries":
@@ -278,19 +266,19 @@ class TateSeries:
         deg = self.degree
         if deg < 0:
             return self
-        x_pow = [ctx.one()]
-        for _ in range(ctx.D):
-            x_pow.append(x_pow[-1] * x)
-        cs = []
-        for j in range(ctx.D + 1):
-            acc = ctx.zero()
-            for q in range(max(0, j - deg), j + 1):
-                a = self.coeffs[j - q]
-                if not a.is_zero:
+        # c_0 = a_0; for j >= 1 the q = j term has binom(j - 1, j) = 0, and
+        # q runs up from max(0, j - deg) while l = j - q runs down from min(j, deg)
+        pN = ctx.pN
+        src = [(c.val, c.unit) for c in self.coeffs]
+        x_units = [pow(x.unit, q, pN) for q in range(ctx.D + 1)]
+        cs = [self.coeffs[0]]
+        for j in range(1, ctx.D + 1):
+            terms = []
+            for q, (av, au) in zip(range(max(0, j - deg), j), src[min(j, deg)::-1]):
+                if au:
                     b = ctx.binom(j - 1, q)
-                    if not b.is_zero:
-                        acc = acc + a * b * x_pow[q]
-            cs.append(acc)
+                    terms.append((av + b.val + q * x.val, au * b.unit * x_units[q] % pN))
+            cs.append(_sum_pairs(ctx, terms)[0])
         return TateSeries(ctx, self.m, cs, self.val_c())
 
     def mobius_twist(self, x: Coercible, k: int) -> "TateSeries":
@@ -316,9 +304,7 @@ class TateSeries:
         _check_weight(ctx, k)
         if (t - ctx.one()).val < self.m:
             raise DomainError(f"inverse torus needs valp(t - 1) >= {self.m}")
-        cs = []
-        for l, a in enumerate(self.coeffs):
-            cs.append(a * t ** (k - 2 - l))
+        cs = [a * t ** (k - 2 - l) for l, a in enumerate(self.coeffs)]
         return TateSeries(ctx, self.m, cs, self.tail_bound)
 
     def recenter(self, a: Coercible, new_m: int) -> "TateSeries":
@@ -335,18 +321,7 @@ class TateSeries:
             raise DomainError(f"recenter offset needs valp(a) >= {self.m}, got {a.val}")
         if a.is_zero:
             return TateSeries(ctx, new_m, self.coeffs, self.tail_bound)
-        deg = self.degree
-        a_pow = [ctx.one()]
-        for _ in range(max(deg, 0)):
-            a_pow.append(a_pow[-1] * a)
-        cs = []
-        for v in range(deg + 1):
-            acc = ctx.zero()
-            for l in range(v, deg + 1):
-                c = self.coeffs[l]
-                if not c.is_zero:
-                    acc = acc + c * ctx.binom(l, v) * a_pow[l - v]
-            cs.append(acc)
+        cs, _ = _taylor_shift(self.coeffs, a)
         return TateSeries(ctx, new_m, cs, self.tail_bound)
 
     def evaluate(self, z: Coercible) -> PadicNumber:
@@ -364,19 +339,23 @@ class TateSeries:
         return acc
 
     def evaluate_tracked(self, z: Coercible) -> Tuple[PadicNumber, float]:
-        """Evaluation plus the absolute reliability ceiling of the sum."""
+        """Evaluation plus its absolute reliability ceiling: each term a_l z^l
+        is known modulo p**(val + N), so the sum is known below its least term
+        valuation plus N (+inf when no term is nonzero)."""
         ctx = self.ctx
         z = ctx.num(z)
         if not z.is_zero and z.val < self.m:
             raise DomainError(f"evaluation point needs valp(z) >= {self.m}")
         terms = []
-        pw = ctx.one()
-        for l, c in enumerate(self.coeffs):
+        pw = 1  # unit of z**l, 0 for l >= 1 when z = 0
+        for l, a in enumerate(self.coeffs):
             if l:
-                pw = pw * z
-            if not c.is_zero:
-                terms.append(c * pw)
-        return sum_tracked(ctx, terms)
+                pw = pw * z.unit % ctx.pN
+            if a.unit and pw:
+                # (l and ...) keeps 0 * valp(0) = nan out of the l = 0 term
+                terms.append((a.val + (l and l * z.val), a.unit * pw % ctx.pN))
+        total, floor = _sum_pairs(ctx, terms)
+        return total, floor + ctx.N
 
 
 def one_minus_cz_pow(ctx: PadicContext, m: int, c: PadicNumber, e: int) -> TateSeries:
@@ -385,13 +364,7 @@ def one_minus_cz_pow(ctx: PadicContext, m: int, c: PadicNumber, e: int) -> TateS
         raise ParameterError(f"twist exponent must be >= 0, got {e}")
     if e > ctx.D:
         raise ParameterError(f"twist exponent {e} exceeds truncation degree D={ctx.D}")
-    cs = []
-    pw = ctx.one()
-    for i in range(e + 1):
-        if i:
-            pw = pw * (-c)
-        cs.append(ctx.binom(e, i) * pw)
-    return TateSeries(ctx, m, cs)
+    return TateSeries(ctx, m, [ctx.binom(e, i) * (-c) ** i for i in range(e + 1)])
 
 
 def _check_weight(ctx: PadicContext, k: int) -> None:
@@ -399,3 +372,56 @@ def _check_weight(ctx: PadicContext, k: int) -> None:
         raise ParameterError(f"weight k must be >= 2, got {k}")
     if k - 2 > ctx.D:
         raise ParameterError(f"weight k={k} needs twist degree k-2 <= D={ctx.D}")
+
+
+def _taylor_shift(
+    coeffs: Sequence[PadicNumber], c: PadicNumber
+) -> Tuple[List[PadicNumber], List[float]]:
+    """The Taylor shift b_v = sum_{l >= v} a_l binom(l, v) c^(l-v), c != 0.
+
+    Returns (b, floors) where floors[v] is the least valuation of the
+    nonzero summands of b_v (+inf when there are none).
+    """
+    ctx = c.ctx
+    pN = ctx.pN
+    src = [(a.val, a.unit) for a in coeffs]
+    rows = [ctx.binom_row(l) for l in range(len(src))]
+    c_units = [pow(c.unit, k, pN) for k in range(len(src))]
+    sums = [
+        _sum_pairs(ctx, [
+            (av + rows[l][0][v] + (l - v) * c.val, au * rows[l][1][v] * c_units[l - v] % pN)
+            for l, (av, au) in enumerate(src[v:], v)
+            if au
+        ])
+        for v in range(len(src))
+    ]
+    return [b for b, _ in sums], [floor for _, floor in sums]
+
+
+def _sum_pairs(ctx: PadicContext, terms: Iterable[Tuple[int, int]]) -> Tuple[PadicNumber, float]:
+    """Sum nonzero (val, unit) terms left to right, rounding every partial
+    sum exactly as PadicNumber.__add__ does.  Returns the sum and the least
+    term valuation (+inf for no terms)."""
+    N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
+    val = floor = INF
+    unit = 0  # 0: the partial sum is zero at working precision
+    for tv, tu in terms:
+        if tv < floor:
+            floor = tv
+        if not unit:
+            val, unit = tv, tu
+            continue
+        if val <= tv:
+            d, lo, hi = tv - val, unit, tu
+        else:
+            d, lo, hi, val = val - tv, tu, unit, tv
+        if d >= N:
+            unit = lo
+            continue
+        unit = (lo + hi * ppow[d]) % pN
+        while unit and not unit % p:
+            unit //= p
+            val += 1
+    if not unit:
+        return ctx.zero(), floor
+    return PadicNumber(ctx, val, unit, _checked=True), floor

@@ -28,6 +28,7 @@ from rigidpadic.errors import (
     ParameterMismatch,
 )
 from rigidpadic.functions import Leaf, PiecewiseFunction, StepFunction
+from rigidpadic.padic import PadicContext
 from rigidpadic.series import TateSeries
 from rigidpadic.verdict import Verdict
 
@@ -262,6 +263,31 @@ class TestAnalyticMembership:
         f = _split_ball(ctx, 5, 2)
         assert is_analytic_vector(f, 1) is Verdict.NO
         assert orbit_membership(f, 1) is Verdict.NO
+
+    def test_orbit_route_counts_re_expansion_ceilings(self):
+        # re-expanding this level-2 refinement around 0 cancels digits of
+        # the candidate's coefficients; evaluating the candidate without
+        # their ceilings read rounding as a disagreement (a wrong NO)
+        ctx = PadicContext(5, 40, 64, 4)
+        g = TateSeries(
+            ctx,
+            0,
+            [
+                776380830486270838372490366375,
+                44760593792847777683296493110,
+                22331107755394813929902068460,
+            ],
+            0,
+        )
+        f = PiecewiseFunction.from_global_series(g).refine(2)
+        assert is_analytic_vector(f, 1) is Verdict.YES
+        assert orbit_membership(f, 1) is not Verdict.NO
+
+    def test_tamper_index_out_of_range(self, ctx):
+        f = TateSeries.monomial(ctx, 1, 2)
+        for tamper in (("mobius", ctx.D + 1), ("translation", -1), ("rotation", 0)):
+            with pytest.raises(ParameterError):
+                bound_report(f, 1, tamper=tamper)
 
 
 class TestGAElement:

@@ -245,6 +245,20 @@ class TestVerifyBounds:
         )
         assert code == 2
 
+    def test_out_of_range_tamper_index_is_usage_error(self, files, capsys):
+        code, out, err = run(
+            capsys,
+            "verify-bounds",
+            files["square.series.json"],
+            "-m",
+            "1",
+            "--tamper",
+            "mobius:999",
+        )
+        assert code == 2
+        assert out == ""
+        assert "tamper index 999" in err
+
 
 class TestWitnessAndCokernelEq:
     def test_witness_roundtrip_equal_to_itself(self, files, capsys, tmp_path):
@@ -271,6 +285,15 @@ class TestWitnessAndCokernelEq:
         )
         assert code == 2
         assert "valp" in err
+
+    @pytest.mark.parametrize("alpha", ["abc", "1/0"])
+    def test_unparsable_alpha_is_usage_error(self, capsys, alpha):
+        code, out, err = run(
+            capsys, "witness", "--alpha", alpha, "--beta", "5", "--k", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a rational number" in err
 
     def test_unknown_embedding_rejected_by_parser(self, files, capsys, tmp_path):
         first = tmp_path / "w1.json"
@@ -325,6 +348,22 @@ class TestExitCodes:
         )
         assert code == 3
         assert "level" in err
+
+    def test_huge_prime_is_decided_without_trial_division(self, files, capsys):
+        # 10**18 + 3 is prime; trial division up to its square root would
+        # not finish, so reaching the context check proves the fast test
+        code, _, err = run(
+            capsys, "--p", "1000000000000000003", "classify", files["cris.param.json"]
+        )
+        assert code == 4
+        assert "p=1000000000000000003" in err
+
+    def test_prime_beyond_certified_range_is_usage_error(self, files, capsys):
+        code, _, err = run(
+            capsys, "--p", str(10 ** 25 + 13), "classify", files["cris.param.json"]
+        )
+        assert code == 2
+        assert "cannot certify primality" in err
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as ei:

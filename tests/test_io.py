@@ -157,6 +157,16 @@ class TestEnvelopeValidation:
         with pytest.raises(ParameterMismatch):
             io.load(text, "series", other)
 
+    def test_caller_kappa_overrides_the_header(self, ctx):
+        # p, N and D must match; kappa is the caller's run-time slack
+        tight = PadicContext(p=5, N=40, D=64, kappa=2)
+        text = io.wrap("series", tight, TateSeries.zero(tight, 0))
+        loose = PadicContext(p=5, N=40, D=64, kappa=7)
+        _, got_ctx, value = io.load(text, "series", loose)
+        assert got_ctx is loose and value.ctx is loose
+        _, header_ctx, _ = io.load(text, "series")
+        assert header_ctx.kappa == 2
+
     def test_malformed_json(self):
         with pytest.raises(ParameterError):
             io.load("{not json")

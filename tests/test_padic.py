@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpadic.errors import DivisionError, DomainError, ParameterError
-from rigidpadic.padic import INF, PadicContext, binom, invert, padic_log, valp
+from rigidpadic.padic import (
+    INF,
+    MAX_PRECISION,
+    PadicContext,
+    _is_prime,
+    binom,
+    invert,
+    padic_log,
+    valp,
+)
 
 
 class TestValuation:
@@ -191,3 +200,32 @@ class TestComparison:
             PadicContext(p=2)
         with pytest.raises(ParameterError):
             PadicContext(N=0)
+        with pytest.raises(ParameterError):
+            PadicContext(N=MAX_PRECISION + 1)
+        with pytest.raises(ParameterError):
+            PadicContext(p=10 ** 25 + 13)
+
+    def test_unparsable_strings_are_parameter_errors(self, ctx):
+        for text in ("abc", "1/0", ""):
+            with pytest.raises(ParameterError):
+                ctx.num(text)
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        def by_division(n):
+            return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(5000) if _is_prime(n)] == [
+            n for n in range(5000) if by_division(n)
+        ]
+
+    def test_strong_pseudoprimes_rejected(self):
+        # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases
+        for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not _is_prime(n)
+        assert _is_prime(10 ** 18 + 3) and _is_prime(2 ** 61 - 1)
+
+    def test_refuses_what_it_cannot_certify(self):
+        with pytest.raises(ParameterError):
+            _is_prime(3317044064679887385961981)

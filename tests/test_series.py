@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpadic.errors import DomainError, ParameterError
-from rigidpadic.padic import INF, PadicContext
+from rigidpadic.functions import Leaf, _re_expand
+from rigidpadic.padic import INF, PadicContext, PadicNumber
 from rigidpadic.series import TateSeries, one_minus_cz_pow
 
 
@@ -366,3 +367,154 @@ class TestConstruction:
         g = f + poly(ctx, 1, 5 ** 35)
         assert f.agrees_mod(g, 35)
         assert not f.agrees_mod(g, 36)
+
+
+# -- the integer Taylor-shift kernel against the PadicNumber loops ------------
+#
+# The oracles below are the PadicNumber loops the kernel replaced.  The
+# kernel promises bit-identical stored digits, so every comparison is exact
+# equality of (val, unit), never agreement at precision.
+
+
+def _oracle_shift(f, c):
+    """b_v = sum_{l >= v} a_l binom(l, v) c^(l-v), summed left to right."""
+    ctx = f.ctx
+    c_pow = [ctx.one()]
+    for _ in range(max(f.degree, 0)):
+        c_pow.append(c_pow[-1] * c)
+    out = []
+    for v in range(f.degree + 1):
+        acc, floor = ctx.zero(), INF
+        for l in range(v, f.degree + 1):
+            a = f.coeffs[l]
+            if not a.is_zero:
+                term = a * ctx.binom(l, v) * c_pow[l - v]
+                acc = acc + term
+                floor = min(floor, term.val)
+        out.append((acc, floor + ctx.N))
+    return out
+
+
+def _oracle_translate(f, y):
+    return TateSeries(f.ctx, f.m, [b for b, _ in _oracle_shift(f, -y)], f.tail_bound)
+
+
+def _oracle_recenter(f, a, new_m):
+    return TateSeries(f.ctx, new_m, [b for b, _ in _oracle_shift(f, a)], f.tail_bound)
+
+
+def _oracle_re_expand(ctx, lf, m):
+    sums = _oracle_shift(lf.series, -ctx.from_int(lf.center))
+    coeffs = [b for b, _ in sums]
+    cand = TateSeries(ctx, m, coeffs)
+    if lf.series.tail_bound is not INF:
+        cand = TateSeries(ctx, m, coeffs, cand.stored_val_c())
+    return cand, [ceiling for _, ceiling in sums]
+
+
+def _oracle_raw_mobius(f, x):
+    ctx = f.ctx
+    x_pow = [ctx.one()]
+    for _ in range(ctx.D):
+        x_pow.append(x_pow[-1] * x)
+    cs = []
+    for j in range(ctx.D + 1):
+        acc = ctx.zero()
+        for q in range(max(0, j - f.degree), j + 1):
+            a = f.coeffs[j - q]
+            if not a.is_zero:
+                b = ctx.binom(j - 1, q)
+                if not b.is_zero:
+                    acc = acc + a * b * x_pow[q]
+        cs.append(acc)
+    return TateSeries(ctx, f.m, cs, f.val_c())
+
+
+def _oracle_evaluate_tracked(f, z):
+    ctx = f.ctx
+    acc, floor, pw = ctx.zero(), INF, ctx.one()
+    for l, a in enumerate(f.coeffs):
+        if l:
+            pw = pw * z
+        term = a * pw
+        acc = acc + term
+        if not term.is_zero:
+            floor = min(floor, term.val)
+    return acc, floor + ctx.N
+
+
+def _kernel_series(ctx, rng, m, degree, lo=-2, spread=6):
+    """Degree-exact series with zero coefficients and valuations from lo."""
+    cs = []
+    for l in range(degree + 1):
+        if l < degree and rng.random() < 0.2:
+            cs.append(ctx.zero())
+            continue
+        unit = rng.randrange(1, ctx.pN)
+        while unit % ctx.p == 0:
+            unit = rng.randrange(1, ctx.pN)
+        cs.append(PadicNumber(ctx, rng.randint(lo, lo + spread), unit, _checked=True))
+    return TateSeries(ctx, m, cs, rng.choice([INF, lo]))
+
+
+class TestTaylorShiftKernel:
+    """translate, recenter, raw_mobius, _re_expand and evaluate_tracked give
+    exactly the digits (and, for _re_expand and evaluate_tracked, the
+    ceilings) of the PadicNumber loops."""
+
+    CONTEXTS = [PadicContext(5, 40, 64), PadicContext(3, 4, 64), PadicContext(7, 6, 64)]
+
+    def _check_all(self, f, rng):
+        ctx = f.ctx
+        p = ctx.p
+        y = ctx.from_int(p ** (f.m + rng.randrange(3)) * rng.randrange(1, p ** 4))
+        assert f.translate(y) == _oracle_translate(f, y)
+        assert f.recenter(y, f.m + 1) == _oracle_recenter(f, y, f.m + 1)
+        x = ctx.from_int(p ** max(1, f.m) * rng.randrange(1, p ** 4))
+        assert f.raw_mobius(x) == _oracle_raw_mobius(f, x)
+        level = f.m + 1
+        center = rng.randrange(1, p ** level)
+        leaf = Leaf(center, level, TateSeries(ctx, level, f.coeffs, f.tail_bound))
+        assert _re_expand(ctx, leaf, f.m) == _oracle_re_expand(ctx, leaf, f.m)
+        for z in (y, ctx.zero()):
+            assert f.evaluate_tracked(z) == _oracle_evaluate_tracked(f, z)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5, 64])
+    @pytest.mark.parametrize("lo", [0, -2])
+    def test_random_series_all_routes(self, degree, lo):
+        rng = random.Random(1000 * degree + lo)
+        for ctx in self.CONTEXTS:
+            for m in (0, 1, 2):
+                self._check_all(_kernel_series(ctx, rng, m, degree, lo), rng)
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 64])
+    def test_far_apart_valuations_take_the_d_ge_n_branch(self, degree):
+        # N = 4 with valuations spread over 20 digits: most partial sums
+        # absorb a summand N or more digits below them unchanged
+        rng = random.Random(degree)
+        ctx = PadicContext(3, 4, 64)
+        for m in (0, 1):
+            self._check_all(_kernel_series(ctx, rng, m, degree, lo=-2, spread=20), rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_full_cancellation(self, ctx, n):
+        # (z - c)^n recentred by c is z^n: every lower coefficient cancels
+        c = ctx.from_int(5 * 7)
+        f = TateSeries.monomial(ctx, 1, n).recenter(-c, 1)
+        assert f.degree == n
+        g = f.recenter(c, 1)
+        assert g == _oracle_recenter(f, c, 1)
+        assert g.coeffs[:n] == tuple(ctx.zero() for _ in range(n))
+        assert g.translate(c) == _oracle_translate(g, c)
+        # the leaf at centre 7 carries (z' + 7)^n, which re-expands to z^n
+        s = TateSeries.monomial(ctx, 0, n).recenter(ctx.from_int(7), 0)
+        leaf = Leaf(7, 2, TateSeries(ctx, 2, s.coeffs))
+        cand, ceilings = _re_expand(ctx, leaf, 0)
+        assert (cand, ceilings) == _oracle_re_expand(ctx, leaf, 0)
+        assert cand.coeffs[:n] == tuple(ctx.zero() for _ in range(n))
+        assert INF not in ceilings
+
+    def test_zero_and_constant_series(self, ctx):
+        rng = random.Random(7)
+        for coeffs in ((), (0, 0, 3), (2,)):
+            self._check_all(TateSeries(ctx, 1, coeffs), rng)

@@ -21,9 +21,11 @@ stored coefficients:
                f_q = sum_l a_l binom(l+q-1, q) (-1)^q z^l,
                val_C(f_q) >= val_C(f)
 
-verify_bounds materialises all four families and asserts every
-inequality with its margin; a violation is a hard failure carrying the
-index, because these bounds are theorems about the construction.
+bound_report and the membership tail guard read the stored val_C of
+every component from an integer table (_orbit_levels) built from digit-sum
+binomial valuations, without materialising the families; verify_bounds
+asserts every inequality with its margin, and a violation is a hard
+failure carrying the index (these bounds are theorems about the construction).
 
 The cokernel model represents classes of pairs (F_alpha, F_beta) of
 G(n)-analytic vectors modulo the embedded beta-side locally algebraic
@@ -35,7 +37,6 @@ space at the test level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .actions import InductionCharacter, WeylCellVector
@@ -54,7 +55,7 @@ from .functions import (
     is_member_pi_an,
     _re_expand,
 )
-from .padic import INF, PadicContext, PadicNumber
+from .padic import INF, PadicContext, PadicNumber, binom_val, factorial_vals
 from .series import TateSeries
 from .verdict import Verdict
 
@@ -139,6 +140,30 @@ def expand_all(f: TateSeries, m: int, k: int = 2) -> Dict[str, OrbitExpansion]:
     }
 
 
+def _orbit_levels(f: TateSeries, m: int) -> Dict[str, List[float]]:
+    """[c.stored_val_c() for c in expand_all(f, m)[family].components] for
+    each family, from integers: every stored component coefficient is one
+    product +-a_l binom(n, j), and capped-relative products add valuations
+    exactly, so each level is a minimum over the nonzero a_l."""
+    _check_level(f, m)
+    D = f.ctx.D
+    fv = factorial_vals(f.ctx.p, 2 * D)
+    terms = [(l, a.val + m * l) for l, a in enumerate(f.coeffs) if not a.is_zero]
+    out: Dict[str, List[float]] = {fam: [] for fam in FAMILIES}
+    for q in range(D + 1):
+        # dilation keeps a_l binom(l, q) on z^l; translation puts it on z^(l-q)
+        dil = min((x + binom_val(fv, l, q) for l, x in terms if l >= q), default=INF)
+        # inv_torus keeps a_l binom(l+q-1, q) on z^l (binom(q-1, q) = 0 drops
+        # a_0 for q >= 1); mobius puts it on z^(l+q) and drops l > D - q
+        row = [(l, x + binom_val(fv, l + q - 1, q)) for l, x in terms if l or not q]
+        mob = min((x for l, x in row if l <= D - q), default=INF)
+        out["translation"].append(dil if dil is INF else dil - m * q)
+        out["mobius"].append(mob if mob is INF else mob + m * q)
+        out["dilation"].append(dil)
+        out["inv_torus"].append(min((x for _, x in row), default=INF))
+    return out
+
+
 # -- bound verification -------------------------------------------------------
 
 
@@ -197,64 +222,40 @@ def _margin(lhs: float, rhs: float) -> float:
 def bound_report(f: TateSeries, m: int, tamper: Optional[Tuple[str, int]] = None) -> BoundReport:
     """Per-index margins of all four orbit inequalities on stored data.
 
-    `tamper` deliberately corrupts one component (test hook for the
-    failure path): the named component is scaled down past its margin.
+    The certified quantities come from the valuation table _orbit_levels.
+    `tamper` deliberately corrupts one entry (test hook for the failure
+    path): its certified quantity drops by margin + 1, which is what
+    scaling that component by p**-(margin + 1) does to its stored_val_c.
     """
-    ctx = f.ctx
-    expansions = expand_all(f, m)
+    levels = _orbit_levels(f, m)
+    suffix = f.suffix_levels()
+    stored = f.stored_val_c()
+    span = range(f.ctx.D + 1)
+    floors = [suffix[v] if v < len(suffix) else INF for v in span]
+    shifted = [c if c is INF else c + m * v for v, c in enumerate(levels["translation"])]
+    lhs = dict(levels, translation=shifted)
+    rhs = {
+        "translation": floors,
+        "mobius": [stored if stored is INF else stored + m * q for q in span],
+        "dilation": floors,
+        "inv_torus": [stored] * len(span),
+    }
     if tamper is not None:
         fam, idx = tamper
         if fam not in FAMILIES:
             raise ParameterError(f"unknown orbit family {fam!r}")
-        exp = expansions[fam]
-        if not 0 <= idx < len(exp.components):
-            raise ParameterError(
-                f"tamper index {idx} outside [0, {len(exp.components)}) for {fam}"
-            )
-        entry_lhs, entry_rhs = _family_bounds(exp, f, m)
-        margin = _margin(entry_lhs[idx], entry_rhs[idx])
+        if idx not in span:
+            raise ParameterError(f"tamper index {idx} outside [0, {len(span)}) for {fam}")
+        margin = _margin(lhs[fam][idx], rhs[fam][idx])
         if margin is INF:
             raise ParameterError(f"component {fam}[{idx}] has no finite margin to break")
-        bad = exp.components[idx].scale(Fraction(1, ctx.p ** (int(margin) + 1)))
-        comps = list(exp.components)
-        comps[idx] = bad
-        expansions[fam] = OrbitExpansion(fam, m, f, tuple(comps))
-    entries: List[BoundEntry] = []
-    for fam in FAMILIES:
-        exp = expansions[fam]
-        lhs, rhs = _family_bounds(exp, f, m)
-        for idx in range(len(exp.components)):
-            entries.append(
-                BoundEntry(fam, idx, lhs[idx], rhs[idx], _margin(lhs[idx], rhs[idx]))
-            )
+        lhs[fam][idx] -= margin + 1
+    entries = (
+        BoundEntry(fam, v, lhs[fam][v], rhs[fam][v], _margin(lhs[fam][v], rhs[fam][v]))
+        for fam in FAMILIES
+        for v in span
+    )
     return BoundReport(m, tuple(entries))
-
-
-def _family_bounds(exp: OrbitExpansion, f: TateSeries, m: int):
-    """(lhs, rhs) arrays: the certified quantity and its lower bound."""
-    suffix = f.suffix_levels()
-
-    def suf(v: int) -> float:
-        return suffix[v] if v < len(suffix) else INF
-
-    stored = f.stored_val_c()
-    lhs = []
-    rhs = []
-    for idx, comp in enumerate(exp.components):
-        c = comp.stored_val_c()
-        if exp.family == "translation":
-            lhs.append(c + m * idx if c is not INF else INF)
-            rhs.append(suf(idx))
-        elif exp.family == "mobius":
-            lhs.append(c)
-            rhs.append(stored + m * idx if stored is not INF else INF)
-        elif exp.family == "dilation":
-            lhs.append(c)
-            rhs.append(suf(idx))
-        else:  # inv_torus
-            lhs.append(c)
-            rhs.append(stored)
-    return lhs, rhs
 
 
 def verify_bounds(f: TateSeries, m: int, tamper: Optional[Tuple[str, int]] = None) -> BoundReport:
@@ -338,11 +339,9 @@ def _shifted_window(ceilings: List[float], z: PadicNumber) -> float:
 def _orbit_tail_guard(w: TateSeries, m: int, role: str) -> None:
     """Every orbit component of w obeys val_C(f_v) + m v >= val_C(w)."""
     base = w.val_c()
-    for fam, exp in expand_all(w, m).items():
-        for v, comp in enumerate(exp.components):
-            c = comp.stored_val_c()
-            lhs = INF if c is INF else c + m * v
-            if lhs < base:
+    for fam, levels in _orbit_levels(w, m).items():
+        for v, c in enumerate(levels):
+            if c is not INF and c + m * v < base:
                 raise InvariantViolation(f"{role} orbit tail bound failed at {fam}[{v}]")
 
 

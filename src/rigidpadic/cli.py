@@ -181,6 +181,8 @@ def cmd_act(cfg: RunConfig, args) -> int:
 
 
 def cmd_analytic_level(cfg: RunConfig, args) -> int:
+    if args.max_level is not None and args.max_level < 0:
+        raise ParameterError(f"--max-level must be >= 0, got {args.max_level}")
     kind, _, f = io.load(_read(args.function_file), None, cfg.ctx)
     if kind == "series":
         f = PiecewiseFunction.from_global_series(f)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple, Union
 
 from .errors import DivisionError, DomainError, ParameterError, PrecisionError
@@ -33,6 +34,9 @@ _PRIME_LIMIT = 3317044064679887385961981
 
 #: largest relative precision N: a context keeps p**0 .. p**(N-1), size ~ N**2
 MAX_PRECISION = 1000
+
+#: largest truncation degree D: orbit expansions and raw_mobius cost O(D) to O(D**2)
+MAX_DEGREE = 1000
 
 
 def _is_prime(n: int) -> bool:
@@ -68,6 +72,23 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
+@lru_cache(maxsize=16)
+def factorial_vals(p: int, top: int) -> Tuple[int, ...]:
+    """v_p(n!) = (n - s_p(n)) / (p - 1) for n = 0 .. top, s_p the base-p digit sum."""
+    s = [0] * (top + 1)
+    for n in range(1, top + 1):
+        s[n] = s[n // p] + n % p
+    return tuple((n - s[n]) // (p - 1) for n in range(top + 1))
+
+
+def binom_val(fv: Tuple[int, ...], n: int, k: int):
+    """valp(binom(n, k)) from fv = factorial_vals(p, top), n <= top, with the
+    corners of PadicContext.binom: 0 for k = 0 (n = -1 too), INF for k > n."""
+    if k == 0:
+        return 0
+    return INF if k > n else fv[n] - fv[k] - fv[n - k]
+
+
 class PadicContext:
     """Shared arithmetic parameters (p, N, D) plus the slack kappa.
 
@@ -84,8 +105,8 @@ class PadicContext:
             raise ParameterError(f"p must be an odd prime, got {p}")
         if not 1 <= N <= MAX_PRECISION:
             raise ParameterError(f"precision N must lie in [1, {MAX_PRECISION}], got {N}")
-        if D < 0:
-            raise ParameterError(f"truncation degree D must be >= 0, got {D}")
+        if not 0 <= D <= MAX_DEGREE:
+            raise ParameterError(f"truncation degree D must lie in [0, {MAX_DEGREE}], got {D}")
         if not 0 <= kappa <= N:
             raise ParameterError(f"slack kappa must lie in [0, N], got {kappa}")
         self.p = p

@@ -2,13 +2,21 @@
 routes, and the cokernel model with its nonzero witness."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from rigidpadic import analytic
 from rigidpadic.actions import WeylCellVector
 from rigidpadic.analytic import (
+    FAMILIES,
+    BoundEntry,
+    BoundReport,
     CokernelElement,
     GAElement,
+    OrbitExpansion,
+    _margin,
+    _orbit_levels,
     bound_report,
     cokernel_equal,
     expand_all,
@@ -24,11 +32,12 @@ from rigidpadic.analytic import (
 from rigidpadic.errors import (
     BoundViolation,
     DomainError,
+    InvariantViolation,
     ParameterError,
     ParameterMismatch,
 )
 from rigidpadic.functions import Leaf, PiecewiseFunction, StepFunction
-from rigidpadic.padic import PadicContext
+from rigidpadic.padic import INF, PadicContext, PadicNumber
 from rigidpadic.series import TateSeries
 from rigidpadic.verdict import Verdict
 
@@ -213,6 +222,167 @@ class TestBoundReports:
         f = TateSeries.monomial(ctx, 0, 1)
         with pytest.raises(DomainError):
             verify_bounds(f, 1)
+
+
+def _random_series(ctx, rng, m, degree, lo, tail):
+    """Degree-exact series with zero coefficients and valuations from lo."""
+    cs = []
+    for l in range(degree + 1):
+        if l < degree and rng.random() < 0.25:
+            cs.append(ctx.zero())
+            continue
+        unit = rng.randrange(1, ctx.pN)
+        while unit % ctx.p == 0:
+            unit = rng.randrange(1, ctx.pN)
+        cs.append(PadicNumber(ctx, rng.randint(lo, lo + 6), unit, _checked=True))
+    return TateSeries(ctx, m, cs, tail)
+
+
+def _level_cases(ctx, seed):
+    """Series at m = 0..3: degrees 0, 1, 3, 10 and D with zero coefficients,
+    valuations from 0 or -2, finite or infinite tails, and the zero series."""
+    rng = random.Random(seed)
+    for m in range(4):
+        yield TateSeries.zero(ctx, m)
+        yield TateSeries(ctx, m, (), 0)
+        for degree in sorted({0, 1, 3, min(10, ctx.D), ctx.D}):
+            for lo in (0, -2):
+                yield _random_series(ctx, rng, m, degree, lo, rng.choice([INF, lo]))
+        yield TateSeries(ctx, m, [1] + [0] * (ctx.D - 1) + [ctx.p ** 3], INF)
+
+
+LEVEL_CONTEXTS = [PadicContext(3, 20, 16), PadicContext(5, 40, 64), PadicContext(7, 12, 10)]
+
+
+class TestOrbitLevels:
+    """The integer valuation table equals the stored val_C of every
+    materialised orbit component."""
+
+    @pytest.mark.parametrize("lctx", LEVEL_CONTEXTS, ids=lambda c: f"p{c.p}-D{c.D}")
+    def test_table_equals_materialised(self, lctx):
+        for f in _level_cases(lctx, lctx.p):
+            table = _orbit_levels(f, f.m)
+            assert list(table) == list(FAMILIES)
+            for fam, exp in expand_all(f, f.m).items():
+                want = [c.stored_val_c() for c in exp.components]
+                assert table[fam] == want, (fam, f)
+                assert [c is INF for c in table[fam]] == [c is INF for c in want]
+
+    def test_level_guard(self, ctx):
+        with pytest.raises(DomainError):
+            _orbit_levels(TateSeries.monomial(ctx, 0, 1), 1)
+
+    def test_tail_guard_reads_the_table(self, ctx, monkeypatch):
+        # the bound is a theorem, so lower one table entry by hand: the
+        # guard must name that entry
+        w = TateSeries(ctx, 1, [5, 1, 7])
+        analytic._orbit_tail_guard(w, 1, "candidate")
+        real = analytic._orbit_levels
+
+        def lowered(f, m):
+            table = real(f, m)
+            table["mobius"][3] = f.val_c() - 3 * m - 1
+            return table
+
+        monkeypatch.setattr(analytic, "_orbit_levels", lowered)
+        with pytest.raises(InvariantViolation, match=r"candidate orbit tail bound failed at mobius\[3\]"):
+            analytic._orbit_tail_guard(w, 1, "candidate")
+
+
+def _oracle_family_bounds(exp, f, m):
+    """(lhs, rhs) read from the materialised components of one family."""
+    suffix = f.suffix_levels()
+
+    def suf(v):
+        return suffix[v] if v < len(suffix) else INF
+
+    stored = f.stored_val_c()
+    lhs, rhs = [], []
+    for idx, comp in enumerate(exp.components):
+        c = comp.stored_val_c()
+        if exp.family == "translation":
+            lhs.append(c + m * idx if c is not INF else INF)
+            rhs.append(suf(idx))
+        elif exp.family == "mobius":
+            lhs.append(c)
+            rhs.append(stored + m * idx if stored is not INF else INF)
+        elif exp.family == "dilation":
+            lhs.append(c)
+            rhs.append(suf(idx))
+        else:
+            lhs.append(c)
+            rhs.append(stored)
+    return lhs, rhs
+
+
+def _oracle_bound_report(f, m, tamper=None):
+    """bound_report over materialised expansions; a tamper scales the
+    named component by p**-(margin + 1)."""
+    expansions = expand_all(f, m)
+    if tamper is not None:
+        fam, idx = tamper
+        if fam not in FAMILIES:
+            raise ParameterError(f"unknown orbit family {fam!r}")
+        exp = expansions[fam]
+        if not 0 <= idx < len(exp.components):
+            raise ParameterError(
+                f"tamper index {idx} outside [0, {len(exp.components)}) for {fam}"
+            )
+        lhs, rhs = _oracle_family_bounds(exp, f, m)
+        margin = _margin(lhs[idx], rhs[idx])
+        if margin is INF:
+            raise ParameterError(f"component {fam}[{idx}] has no finite margin to break")
+        comps = list(exp.components)
+        comps[idx] = comps[idx].scale(Fraction(1, f.ctx.p ** (int(margin) + 1)))
+        expansions[fam] = OrbitExpansion(fam, m, f, tuple(comps))
+    entries = []
+    for fam in FAMILIES:
+        lhs, rhs = _oracle_family_bounds(expansions[fam], f, m)
+        for idx in range(len(lhs)):
+            entries.append(BoundEntry(fam, idx, lhs[idx], rhs[idx], _margin(lhs[idx], rhs[idx])))
+    return BoundReport(m, tuple(entries))
+
+
+def _outcome(report_fn, f, m, tamper=None):
+    try:
+        return report_fn(f, m, tamper).to_dict()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestBoundReportOracle:
+    """bound_report on the valuation table matches the materialised route,
+    tampers and refusals included."""
+
+    @pytest.mark.parametrize("lctx", LEVEL_CONTEXTS, ids=lambda c: f"p{c.p}-D{c.D}")
+    def test_reports_and_tampers_match(self, lctx):
+        rng = random.Random(lctx.D)
+        cases = [TateSeries.zero(lctx, 1), TateSeries.monomial(lctx, 2, 2)]
+        for m in range(4):
+            for degree in (0, 3, lctx.D):
+                cases.append(_random_series(lctx, rng, m, degree, rng.choice([0, -2]), INF))
+        tampers = [None] + [(fam, i) for fam in FAMILIES for i in (0, 1, lctx.D)]
+        for f in cases:
+            for tamper in tampers:
+                got = _outcome(bound_report, f, f.m, tamper)
+                assert got == _outcome(_oracle_bound_report, f, f.m, tamper), (f, tamper)
+
+    def test_refusals_match(self, ctx):
+        f = TateSeries.monomial(ctx, 1, 2)
+        refusals = [
+            (f, 1, ("rotation", 0)),
+            (f, 1, ("mobius", -1)),
+            (f, 1, ("translation", ctx.D + 1)),
+            (f, 1, ("dilation", 5)),  # past the degree: infinite margin
+            (f, 2, None),
+            (f, 2, ("translation", 1)),
+        ]
+        for g, m, tamper in refusals:
+            got = _outcome(bound_report, g, m, tamper)
+            assert isinstance(got, tuple), (m, tamper)
+            assert got == _outcome(_oracle_bound_report, g, m, tamper)
+        assert _outcome(bound_report, f, 2)[0] is DomainError
+        assert "no finite margin" in _outcome(bound_report, f, 1, ("dilation", 5))[1]
 
 
 def _split_ball(ctx, hot_center: int, level: int):

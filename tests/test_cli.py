@@ -2,6 +2,7 @@
 byte-stable output."""
 
 import json
+import time
 
 import pytest
 
@@ -197,6 +198,18 @@ class TestAnalyticLevel:
         assert code == 0
         assert len(json.loads(out)["verdicts"]) == 4
 
+    def test_negative_max_level_is_usage_error(self, files, capsys):
+        code, out, err = run(
+            capsys,
+            "analytic-level",
+            files["indicator.function.json"],
+            "--max-level",
+            "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-level" in err
+
 
 class TestVerifyBounds:
     def test_certified_series_passes(self, files, capsys):
@@ -364,6 +377,25 @@ class TestExitCodes:
         )
         assert code == 2
         assert "cannot certify primality" in err
+
+    def test_huge_degree_is_refused_early(self, capsys):
+        # D = 10**8 would make every orbit routine allocate O(D) to O(D**2)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--degree", "100000000", "selftest")
+        assert code == 2
+        assert out == ""
+        assert "truncation degree" in err
+        assert time.perf_counter() - start < 5
+
+    def test_huge_degree_in_file_header_is_usage_error(self, files, capsys, tmp_path):
+        doc = json.loads(open(files["square.series.json"], encoding="utf-8").read())
+        doc["context"]["D"] = 100000000
+        path = tmp_path / "huge.series.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "verify-bounds", str(path), "-m", "1")
+        assert code == 2
+        assert out == ""
+        assert "truncation degree" in err
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as ei:

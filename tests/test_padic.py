@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from rigidpadic.errors import DivisionError, DomainError, ParameterError
 from rigidpadic.padic import (
     INF,
+    MAX_DEGREE,
     MAX_PRECISION,
     PadicContext,
     _is_prime,
     binom,
+    binom_val,
+    factorial_vals,
     invert,
     padic_log,
     valp,
@@ -78,6 +81,20 @@ class TestBinom:
         for n in range(12):
             for k in range(n + 1):
                 assert binom(ctx, n, k) == binom(ctx, n, n - k)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_digit_sum_valuation_matches_binom(self, p):
+        ctx = PadicContext(p, 20, 64)
+        top = 2 * ctx.D
+        fv = factorial_vals(p, top)
+        for n in range(top + 1):
+            for k in range(n + 1):
+                assert binom_val(fv, n, k) == ctx.binom(n, k).val, (n, k)
+        # the orbit corners: binom(-1, 0) = 1 and binom(q - 1, q) = 0
+        assert binom_val(fv, -1, 0) == ctx.binom(-1, 0).val == 0
+        for q in range(1, ctx.D + 1):
+            assert binom_val(fv, q - 1, q) is INF
+            assert ctx.binom(q - 1, q).val is INF
 
 
 class TestLog:
@@ -202,6 +219,11 @@ class TestComparison:
             PadicContext(N=0)
         with pytest.raises(ParameterError):
             PadicContext(N=MAX_PRECISION + 1)
+        with pytest.raises(ParameterError):
+            PadicContext(D=-1)
+        with pytest.raises(ParameterError):
+            PadicContext(D=MAX_DEGREE + 1)
+        assert PadicContext(p=3, N=4, D=MAX_DEGREE).D == MAX_DEGREE
         with pytest.raises(ParameterError):
             PadicContext(p=10 ** 25 + 13)
 

@@ -16,16 +16,25 @@ first (mobius substitution with the k - 2 twist), then the torus
 (dilation by s, inverse torus by t carrying t^(k-2)), then the lower
 factor (translation by y).
 
-Piecewise inputs are handled leafwise: each generator is an isometry of
-Z_p sending cosets onto cosets, so a leaf at center c maps to a leaf at
-the image center with an explicitly composed local series; no partition
-refinement is ever needed.  For the mobius generator the image of the
-leaf at c is centered at b = c / (1 + x c) and the local substitution
-collapses to a scaled mobius map,
+Piecewise inputs are handled leafwise in one pass: each generator is an
+isometry of Z_p sending cosets onto cosets, so a leaf at center c maps to
+a leaf at the image center with an explicitly composed local series, and
+no partition refinement is ever needed.  Every leaf goes through the four
+generator steps in turn (mobius, dilation, inverse torus, translation);
+each step moves its image center onto the canonical residue of the image
+coset by an exact recenter, and the one PiecewiseFunction is built from
+the final leaves.  A generator that acts trivially (x = 0, s = 1, t = 1
+with t^(k-2) = 1, y = 0) is skipped for every leaf.  For the mobius
+generator the image of the leaf at c is centered at b = c / (1 + x c)
+and the local substitution collapses to a scaled mobius map,
 
     z' -> (1 + x c)^2 z' / (1 - mu z'),   mu = x (1 + x c),
 
-with twist factor (1 + x c)^(-(k-2)) (1 - mu z')^(k-2).
+with twist factor (1 + x c)^(-(k-2)) (1 - mu z')^(k-2); a leaf holding
+an exact polynomial of degree <= k - 2 is expanded exactly by
+_mobius_poly.  The dilation image of c is c / s with local series
+f(s z'), the inverse torus image is c t with f(z' / t) t^(k-2), and the
+translation image is c + y with the series unchanged.
 
 The w0 Weyl cell carries the action of the w0-conjugate matrix (swap
 a <-> d and b <-> c); when the conjugate leaves the actionable range
@@ -275,43 +284,6 @@ def _shift_to_residue(series: TateSeries, center: PadicNumber, level: int) -> Le
     return Leaf(r, level, series.recenter(delta, level))
 
 
-def _translate_pw(f: PiecewiseFunction, y: PadicNumber) -> PiecewiseFunction:
-    if y.is_zero:
-        return f
-    ctx = f.ctx
-    leaves = []
-    for lf in f.leaves:
-        b = ctx.from_int(lf.center) + y
-        leaves.append(_shift_to_residue(lf.series, b, lf.level))
-    return PiecewiseFunction(ctx, leaves)
-
-
-def _dilate_pw(f: PiecewiseFunction, s: PadicNumber) -> PiecewiseFunction:
-    ctx = f.ctx
-    one = ctx.one()
-    if (s - one).is_zero:
-        return f
-    leaves = []
-    for lf in f.leaves:
-        b = ctx.from_int(lf.center) / s
-        leaves.append(_shift_to_residue(lf.series.raw_scale(s), b, lf.level))
-    return PiecewiseFunction(ctx, leaves)
-
-
-def _inv_torus_pw(f: PiecewiseFunction, t: PadicNumber, e: int) -> PiecewiseFunction:
-    ctx = f.ctx
-    one = ctx.one()
-    factor = t ** e
-    if (t - one).is_zero and factor == one:
-        return f
-    leaves = []
-    for lf in f.leaves:
-        b = ctx.from_int(lf.center) * t
-        g = lf.series.raw_scale(t.invert()).scale(factor)
-        leaves.append(_shift_to_residue(g, b, lf.level))
-    return PiecewiseFunction(ctx, leaves)
-
-
 def _mobius_poly(
     ctx: PadicContext,
     m: int,
@@ -342,39 +314,44 @@ def _mobius_poly(
     return TateSeries(ctx, m, cs)
 
 
-def _mobius_pw(f: PiecewiseFunction, x: PadicNumber, e: int) -> PiecewiseFunction:
-    if x.is_zero:
-        return f
-    if x.val < 1:
-        raise DomainError(f"mobius parameter needs valp(x) >= 1, got {x.val}")
-    ctx = f.ctx
-    one = ctx.one()
-    leaves = []
-    for lf in f.leaves:
-        c = ctx.from_int(lf.center)
-        one_plus = one + x * c  # a unit: valp(x c) >= 1
-        b = c / one_plus
-        lam = one_plus * one_plus
-        mu = x * one_plus
-        if lf.series.tail_bound is INF and lf.series.degree <= e:
-            g = _mobius_poly(ctx, lf.level, lf.series.coeffs, lam, mu, e)
-        else:
-            g = lf.series.raw_scale(lam).raw_mobius(mu)
-            if e:
-                g = g * one_minus_cz_pow(ctx, lf.level, mu, e)
-        if e:
-            g = g.scale(one_plus ** (-e))
-        leaves.append(_shift_to_residue(g, b, lf.level))
-    return PiecewiseFunction(ctx, leaves)
-
-
 def _act_piecewise(
     f: PiecewiseFunction, fac: Factorization, e: int
 ) -> PiecewiseFunction:
-    g = _mobius_pw(f, fac.x, e)
-    g = _dilate_pw(g, fac.s)
-    g = _inv_torus_pw(g, fac.t, e)
-    return _translate_pw(g, fac.y)
+    y, s, t, x = fac
+    if not x.is_zero and x.val < 1:
+        raise DomainError(f"mobius parameter needs valp(x) >= 1, got {x.val}")
+    ctx = f.ctx
+    one = ctx.one()
+    factor = t ** e
+    dilate = not (s - one).is_zero
+    torus = not ((t - one).is_zero and factor == one)
+    t_inv = t.invert()
+    leaves = []
+    for lf in f.leaves:
+        if not x.is_zero:
+            c = ctx.from_int(lf.center)
+            one_plus = one + x * c  # a unit: valp(x c) >= 1
+            lam = one_plus * one_plus
+            mu = x * one_plus
+            if lf.series.tail_bound is INF and lf.series.degree <= e:
+                g = _mobius_poly(ctx, lf.level, lf.series.coeffs, lam, mu, e)
+            else:
+                g = lf.series.raw_scale(lam).raw_mobius(mu)
+                if e:
+                    g = g * one_minus_cz_pow(ctx, lf.level, mu, e)
+            if e:
+                g = g.scale(one_plus ** (-e))
+            lf = _shift_to_residue(g, c / one_plus, lf.level)
+        if dilate:
+            b = ctx.from_int(lf.center) / s
+            lf = _shift_to_residue(lf.series.raw_scale(s), b, lf.level)
+        if torus:
+            b = ctx.from_int(lf.center) * t
+            lf = _shift_to_residue(lf.series.raw_scale(t_inv).scale(factor), b, lf.level)
+        if not y.is_zero:
+            lf = _shift_to_residue(lf.series, ctx.from_int(lf.center) + y, lf.level)
+        leaves.append(lf)
+    return PiecewiseFunction(ctx, leaves)
 
 
 # -- public actions -----------------------------------------------------------

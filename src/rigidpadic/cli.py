@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _stringio
 import sys
 from dataclasses import dataclass
@@ -345,9 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # parsing never mutates the parser, so one instance serves every call
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         ctx = PadicContext(p=args.p, N=args.precision, D=args.degree, kappa=args.slack)
         cfg = RunConfig(ctx, args.seed, args.format)

@@ -329,18 +329,32 @@ def mahler_coefficients(f: PiecewiseFunction, count: int) -> List[PadicNumber]:
 
 
 def _check_partition(ctx: PadicContext, leaves: Sequence[Leaf]) -> None:
-    """Exact cover check: pairwise disjoint cosets of total measure 1."""
+    """Exact cover check: pairwise disjoint cosets of total measure 1.
+
+    Leaves arrive sorted by (level, center).  The measure is summed in
+    units of p**-H, H the deepest level; a coset overlaps an earlier one
+    exactly when one of its ancestors (or itself) is already a leaf.
+    """
     if not leaves:
         raise ParameterError("a partition needs at least one leaf")
-    total = Fraction(0)
-    for lf in leaves:
-        total += Fraction(1, ctx.p ** lf.level)
-    if total != 1:
+    p = ctx.p
+    top = leaves[-1].level
+    if sum(p ** (top - lf.level) for lf in leaves) != p ** top:
+        total = sum((Fraction(1, p ** lf.level) for lf in leaves), Fraction(0))
         raise ParameterError(f"leaf measures sum to {total}, expected 1")
+    moduli = [(h, p ** h) for h in sorted({lf.level for lf in leaves})]
+    seen = set()
+    for lf in leaves:
+        if any((h, lf.center % q) in seen for h, q in moduli if h <= lf.level):
+            break
+        seen.add((lf.level, lf.center))
+    else:
+        return
+    # name the first overlapping pair in leaf order
     for i, a in enumerate(leaves):
         for b in leaves[i + 1 :]:
             h = min(a.level, b.level)
-            if (a.center - b.center) % ctx.p ** h == 0:
+            if (a.center - b.center) % p ** h == 0:
                 raise ParameterError(
                     f"cosets overlap: centers {a.center}@{a.level} and {b.center}@{b.level}"
                 )

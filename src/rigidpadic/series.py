@@ -28,7 +28,13 @@ inside raw_mobius and evaluate_tracked, run on (val, unit) integer pairs.
 Products are exact and summands are added in the order of the PadicNumber
 loops they replace, each partial sum rounded exactly as PadicNumber.__add__
 rounds it, so the stored digits are those loops' digits (tests/test_series.py
-keeps the loops as the oracle and asserts exact equality).
+keeps the loops as the oracle and asserts exact equality).  The rounding
+rule is written out in two places: _sum_pairs, used by raw_mobius and
+evaluate_tracked, and the loop inlined in _taylor_shift.  The inlined copy
+skips a summand lying N or more digits above a nonzero partial sum before
+computing its unit, since the rounding leaves such a sum unchanged (the
+d >= N branch of _sum_pairs); its valuation still enters the floor.  A
+change to the rule must be made in both places.
 """
 
 from __future__ import annotations
@@ -383,19 +389,46 @@ def _taylor_shift(
     nonzero summands of b_v (+inf when there are none).
     """
     ctx = c.ctx
-    pN = ctx.pN
-    src = [(a.val, a.unit) for a in coeffs]
-    rows = [ctx.binom_row(l) for l in range(len(src))]
-    c_units = [pow(c.unit, k, pN) for k in range(len(src))]
-    sums = [
-        _sum_pairs(ctx, [
-            (av + rows[l][0][v] + (l - v) * c.val, au * rows[l][1][v] * c_units[l - v] % pN)
-            for l, (av, au) in enumerate(src[v:], v)
-            if au
-        ])
-        for v in range(len(src))
-    ]
-    return [b for b, _ in sums], [floor for _, floor in sums]
+    N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
+    cv = c.val
+    c_units = [pow(c.unit, k, pN) for k in range(len(coeffs))]
+    # nonzero a_l as (l, val(a_l) + l val(c), unit, binom(l, .) row)
+    src = [(l, a.val + l * cv, a.unit, ctx.binom_row(l)) for l, a in enumerate(coeffs) if a.unit]
+    out: List[PadicNumber] = []
+    floors: List[float] = []
+    start = 0
+    for v in range(len(coeffs)):
+        # the _sum_pairs loop over l = v .. deg, inlined so that a summand the
+        # rounding drops is skipped before its unit is computed
+        if start < len(src) and src[start][0] < v:
+            start += 1
+        off = v * cv
+        val = floor = lim = INF  # lim = val + N while the partial sum is nonzero
+        unit = 0
+        for l, w, au, (bvals, bunits) in src[start:]:
+            tv = w + bvals[v] - off
+            if tv < floor:
+                floor = tv
+            if tv >= lim:
+                continue
+            tu = au * bunits[v] * c_units[l - v] % pN
+            if not unit:
+                val, unit, lim = tv, tu, tv + N
+                continue
+            if val <= tv:  # and tv - val < N, as tv < lim
+                unit = (unit + tu * ppow[tv - val]) % pN
+            elif val - tv >= N:
+                val, unit = tv, tu
+            else:
+                unit = (tu + unit * ppow[val - tv]) % pN
+                val = tv
+            while unit and not unit % p:
+                unit //= p
+                val += 1
+            lim = val + N if unit else INF
+        out.append(PadicNumber(ctx, val, unit, _checked=True) if unit else ctx.zero())
+        floors.append(floor)
+    return out, floors
 
 
 def _sum_pairs(ctx: PadicContext, terms: Iterable[Tuple[int, int]]) -> Tuple[PadicNumber, float]:

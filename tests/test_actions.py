@@ -10,6 +10,8 @@ from rigidpadic.actions import (
     InductionCharacter,
     IwahoriElement,
     WeylCellVector,
+    _mobius_poly,
+    _shift_to_residue,
     act,
     act_cell,
     act_locally_algebraic,
@@ -23,7 +25,8 @@ from rigidpadic.functions import (
     PiecewiseFunction,
     StepFunction,
 )
-from rigidpadic.series import TateSeries
+from rigidpadic.padic import INF, PadicContext
+from rigidpadic.series import TateSeries, one_minus_cz_pow
 
 
 def chi_for(ctx, k):
@@ -345,3 +348,218 @@ class TestInductionCharacter:
     def test_relaxed_mode_for_weight_two(self, ctx):
         chi = InductionCharacter(ctx.from_int(5), ctx.from_int(2), 2, strict=False)
         assert chi.violations()
+
+
+# -- the one-pass leafwise action against the four-pass composition ---------
+#
+# The oracle is the earlier implementation: one PiecewiseFunction per
+# generator, each pass re-centring every leaf.  The one-pass action keeps
+# every step's arithmetic and order, so leaves must be equal exactly.
+
+
+def _oracle_translate_pw(f, y):
+    if y.is_zero:
+        return f
+    ctx = f.ctx
+    leaves = []
+    for lf in f.leaves:
+        b = ctx.from_int(lf.center) + y
+        leaves.append(_shift_to_residue(lf.series, b, lf.level))
+    return PiecewiseFunction(ctx, leaves)
+
+
+def _oracle_dilate_pw(f, s):
+    ctx = f.ctx
+    if (s - ctx.one()).is_zero:
+        return f
+    leaves = []
+    for lf in f.leaves:
+        b = ctx.from_int(lf.center) / s
+        leaves.append(_shift_to_residue(lf.series.raw_scale(s), b, lf.level))
+    return PiecewiseFunction(ctx, leaves)
+
+
+def _oracle_inv_torus_pw(f, t, e):
+    ctx = f.ctx
+    one = ctx.one()
+    factor = t ** e
+    if (t - one).is_zero and factor == one:
+        return f
+    leaves = []
+    for lf in f.leaves:
+        b = ctx.from_int(lf.center) * t
+        g = lf.series.raw_scale(t.invert()).scale(factor)
+        leaves.append(_shift_to_residue(g, b, lf.level))
+    return PiecewiseFunction(ctx, leaves)
+
+
+def _oracle_mobius_pw(f, x, e):
+    if x.is_zero:
+        return f
+    ctx = f.ctx
+    one = ctx.one()
+    leaves = []
+    for lf in f.leaves:
+        c = ctx.from_int(lf.center)
+        one_plus = one + x * c
+        b = c / one_plus
+        lam = one_plus * one_plus
+        mu = x * one_plus
+        if lf.series.tail_bound is INF and lf.series.degree <= e:
+            g = _mobius_poly(ctx, lf.level, lf.series.coeffs, lam, mu, e)
+        else:
+            g = lf.series.raw_scale(lam).raw_mobius(mu)
+            if e:
+                g = g * one_minus_cz_pow(ctx, lf.level, mu, e)
+        if e:
+            g = g.scale(one_plus ** (-e))
+        leaves.append(_shift_to_residue(g, b, lf.level))
+    return PiecewiseFunction(ctx, leaves)
+
+
+def _oracle_act(g, f, e):
+    fac = iwahori_factorize(g)
+    h = _oracle_mobius_pw(f, fac.x, e)
+    h = _oracle_dilate_pw(h, fac.s)
+    h = _oracle_inv_torus_pw(h, fac.t, e)
+    return _oracle_translate_pw(h, fac.y)
+
+
+def _random_cosets(ctx, rng, max_level):
+    """A random coset partition; the branch through 0 reaches max_level."""
+    out = []
+
+    def grow(center, level):
+        if level < max_level and (center == 0 or rng.random() < 0.15):
+            for r in range(ctx.p):
+                grow(center + r * ctx.p ** level, level + 1)
+        else:
+            out.append((center, level))
+
+    grow(0, 0)
+    return out
+
+
+def _random_coeff(ctx, rng):
+    if rng.random() < 0.15:
+        return 0
+    return Fraction(rng.randrange(1, ctx.p ** 4), ctx.p ** rng.randint(0, 2))
+
+
+def _random_leaf_series(ctx, rng, level, e, kind):
+    if kind == "zero":
+        return TateSeries.zero(ctx, level)
+    if kind == "short exact":
+        # degree <= e: the exact polynomial route of the mobius step
+        return TateSeries(ctx, level, [_random_coeff(ctx, rng) for _ in range(e + 1)])
+    degree = rng.randint(e + 1, min(ctx.D, e + 4))
+    coeffs = [_random_coeff(ctx, rng) for _ in range(degree)] + [1]
+    tail = INF if kind == "long exact" else rng.randint(-2, 6)
+    return TateSeries(ctx, level, coeffs, tail)
+
+
+LEAF_KINDS = ("short exact", "truncated", "long exact", "truncated", "zero")
+
+
+def _random_function(ctx, rng, max_level, e):
+    """Random partition whose leaf kinds cycle, so any three leaves in a
+    row include an exact and a truncated series."""
+    shift = rng.randrange(len(LEAF_KINDS))
+    return PiecewiseFunction(ctx, [
+        Leaf(c, h, _random_leaf_series(ctx, rng, h, e, LEAF_KINDS[(i + shift) % 5]))
+        for i, (c, h) in enumerate(_random_cosets(ctx, rng, max_level))
+    ])
+
+
+class TestOnePassMatchesFourPasses:
+    CONTEXTS = [PadicContext(5, 40, 16), PadicContext(3, 12, 12), PadicContext(7, 20, 10)]
+
+    @staticmethod
+    def _chi(ctx, k):
+        return InductionCharacter(ctx.from_int(3 * ctx.p), ctx.from_int(ctx.p), k, strict=False)
+
+    @staticmethod
+    def _matrices(ctx, rng, c_val=0):
+        """Two random I(1) elements, one per skipped generator (x = 0,
+        s = 1, t = 1, y = 0) with the other three nontrivial, and the identity."""
+        p = ctx.p
+
+        def r():
+            return rng.randrange(1, p ** 3)
+
+        c = p ** c_val * r()
+        a, q = 1 + p * r(), p * r()
+        no_x = IwahoriElement(ctx, 1 + p * r(), 0, c, 1 + p * r(), I1)
+        no_s = IwahoriElement(ctx, 1, p * r(), c, 1 + p * r(), I1)
+        # b = a q makes c b / a = c q an exact integer, so t = d - c q = 1
+        no_t = IwahoriElement(ctx, a, a * q, c, 1 + c * q, I1)
+        no_y = IwahoriElement(ctx, 1 + p * r(), p * r(), 0, 1 + p * r(), I1)
+        assert iwahori_factorize(no_x).x.is_zero
+        assert iwahori_factorize(no_s).s == ctx.one()
+        fac = iwahori_factorize(no_t)
+        assert fac.t == ctx.one() and fac.s != ctx.one()
+        assert not fac.x.is_zero and not fac.y.is_zero
+        assert iwahori_factorize(no_y).y.is_zero
+        generic = [IwahoriElement(ctx, 1 + p * r(), p * r(), c, 1 + p * r(), I1) for _ in range(2)]
+        return generic + [no_x, no_s, no_t, no_y, IwahoriElement(ctx, 1, 0, 0, 1, I1)]
+
+    @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
+    @pytest.mark.parametrize("max_level", [1, 2, 3], ids=lambda h: f"level{h}")
+    def test_act(self, ci, max_level):
+        ctx = self.CONTEXTS[ci]
+        rng = random.Random(100 * ci + max_level)
+        for k in range(2, 7):
+            e = k - 2
+            f = _random_function(ctx, rng, max_level, e)
+            assert {lf.series.tail_bound is INF for lf in f.leaves} == {True, False}
+            assert max_level == f.max_level()
+            for g in self._matrices(ctx, rng):
+                out = act(g, f, self._chi(ctx, k))
+                assert type(out) is PiecewiseFunction
+                assert out.leaves == _oracle_act(g, f, e).leaves
+
+    @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
+    def test_act_smooth(self, ci):
+        ctx = self.CONTEXTS[ci]
+        rng = random.Random(ci)
+        for max_level in (1, 2, 3):
+            f = StepFunction(ctx, [
+                Leaf(c, h, TateSeries(ctx, h, [_random_coeff(ctx, rng)],
+                                      rng.choice([INF, rng.randint(0, 4)])))
+                for c, h in _random_cosets(ctx, rng, max_level)
+            ])
+            for g in self._matrices(ctx, rng):
+                out = act_smooth(g, f)
+                assert type(out) is StepFunction
+                assert out.leaves == _oracle_act(g, f, 0).leaves
+
+    @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
+    def test_act_locally_algebraic(self, ci):
+        ctx = self.CONTEXTS[ci]
+        rng = random.Random(10 + ci)
+        for k in range(2, 7):
+            for max_level in (1, 2, 3):
+                f = LocallyAlgebraicFunction(ctx, [
+                    Leaf(c, h, TateSeries(ctx, h, [_random_coeff(ctx, rng) for _ in range(k - 1)]))
+                    for c, h in _random_cosets(ctx, rng, max_level)
+                ], k)
+                for g in self._matrices(ctx, rng):
+                    out = act_locally_algebraic(g, f, self._chi(ctx, k))
+                    ref = _oracle_act(g, f, k - 2)
+                    assert out.leaves == tuple(
+                        Leaf(lf.center, lf.level, TateSeries(ctx, lf.level, lf.series.coeffs))
+                        for lf in ref.leaves
+                    )
+
+    @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
+    def test_act_cell(self, ci):
+        ctx = self.CONTEXTS[ci]
+        rng = random.Random(20 + ci)
+        for k in (2, 4, 6):
+            e = k - 2
+            vec = WeylCellVector(_random_function(ctx, rng, 2, e), _random_function(ctx, rng, 3, e))
+            # the w0 cell needs c in p Z_p
+            for g in self._matrices(ctx, rng, c_val=1):
+                out = act_cell(g, vec, self._chi(ctx, k))
+                assert out.identity.leaves == _oracle_act(g, vec.identity, e).leaves
+                assert out.w0.leaves == _oracle_act(g.conjugate_by_w0(), vec.w0, e).leaves

@@ -426,6 +426,28 @@ class TestGlobalFlags:
         assert code == 0
 
 
+    def test_consecutive_calls_share_no_state(self, files, capsys):
+        # main builds its parser once per process: flags given on either
+        # side of one subcommand must not carry over into the next call
+        classify = ("classify", files["cris.param.json"])
+        padic = ("selftest", "--only", "padic/", "--count", "1")
+        fresh_classify = run(capsys, *classify)
+        fresh_padic = run(capsys, *padic)
+        assert fresh_classify[0] == fresh_padic[0] == 0
+        code, out, _ = run(capsys, "--p", "7", "--format", "text", "--seed", "3", *padic)
+        assert code == 0 and "config.p: 7" in out and "config.seed: 3" in out
+        # a leaked --p 7 would refuse the p = 5 file with exit 4
+        assert run(capsys, *classify) == fresh_classify
+        code, out, _ = run(capsys, *padic, "--p", "7", "--format", "csv", "--seed", "3")
+        assert code == 0 and out.startswith("cases,")
+        assert run(capsys, *padic) == fresh_padic
+        code, out, _ = run(capsys, "selftest", "--only", "padic/valuation")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["config"] == {"D": 64, "N": 40, "count_override": None,
+                                 "kappa": 4, "p": 5, "seed": 0}
+
+
 class TestSelftest:
     def test_single_case_smoke(self, capsys):
         code, out, _ = run(capsys, "selftest", "--count", "1")

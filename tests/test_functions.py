@@ -1,10 +1,13 @@
 """Piecewise models on Z_p: partitions, gluing verdicts, Mahler checks."""
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from rigidpadic.errors import ParameterError
+from rigidpadic.padic import PadicContext
 from rigidpadic.functions import (
     Leaf,
     LocallyAlgebraicFunction,
@@ -74,6 +77,98 @@ class TestPartition:
         for lf in g.leaves:
             assert lf.series.coeff(0) == ctx.from_int(lf.center)
             assert lf.series.coeff(1) == ctx.one()
+
+
+def _pairwise_partition_error(ctx, leaves):
+    """The quadratic partition check, kept as the oracle for the messages:
+    the error text for leaves sorted by (level, center), or None."""
+    if not leaves:
+        return "a partition needs at least one leaf"
+    total = Fraction(0)
+    for lf in leaves:
+        total += Fraction(1, ctx.p ** lf.level)
+    if total != 1:
+        return f"leaf measures sum to {total}, expected 1"
+    for i, a in enumerate(leaves):
+        for b in leaves[i + 1 :]:
+            h = min(a.level, b.level)
+            if (a.center - b.center) % ctx.p ** h == 0:
+                return f"cosets overlap: centers {a.center}@{a.level} and {b.center}@{b.level}"
+    return None
+
+
+def _partition_error(ctx, leaves):
+    try:
+        PiecewiseFunction(ctx, leaves)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+class TestPartitionCheck:
+    """The linear check gives exactly the verdicts and messages of the
+    pairwise scan."""
+
+    def _leaves(self, ctx, *pairs):
+        return [Leaf(c, h, TateSeries.constant(ctx, h, 1)) for c, h in pairs]
+
+    def _check(self, ctx, leaves):
+        got = _partition_error(ctx, leaves)
+        ordered = sorted(leaves, key=lambda lf: (lf.level, lf.center))
+        assert got == _pairwise_partition_error(ctx, ordered)
+        return got
+
+    def test_gap_message(self, ctx):
+        leaves = self._leaves(ctx, (0, 1), (1, 1), (2, 1), (3, 1))
+        assert self._check(ctx, leaves) == "leaf measures sum to 4/5, expected 1"
+
+    def test_overlap_message(self, ctx):
+        # measure 4/5 + 5/25 = 1, but 0@2 lies inside 0@1 and residue 4 is bare
+        leaves = self._leaves(ctx, (0, 1), (1, 1), (2, 1), (3, 1),
+                              (0, 2), (5, 2), (10, 2), (15, 2), (20, 2))
+        assert self._check(ctx, leaves) == "cosets overlap: centers 0@1 and 0@2"
+
+    def test_duplicate_message(self, ctx):
+        leaves = self._leaves(ctx, (0, 1), (1, 1), (2, 1), (3, 1), (2, 1))
+        assert self._check(ctx, leaves) == "cosets overlap: centers 2@1 and 2@1"
+
+    def test_random_leaf_sets_match_the_pairwise_scan(self):
+        # valid partitions, and partitions with one coset dropped, duplicated,
+        # split into its children beside itself, or its parent added; a
+        # duplicate or split also drops a sibling coset when there is one,
+        # so the measure stays 1 and only the overlap scan can see it
+        rng = random.Random(5)
+        seen = set()
+        for p in (3, 5):
+            ctx = PadicContext(p, 10, 8)
+            for _ in range(80):
+                f = PiecewiseFunction.indicator_ball(ctx, rng.randint(0, 3))
+                f = f.refine(rng.randint(f.max_level(), 3)) if rng.random() < 0.3 else f
+                pairs = [(lf.center, lf.level) for lf in f.leaves]
+                c, h = pairs[rng.randrange(len(pairs))]
+                siblings = [q for q in pairs if q[1] == h and q != (c, h)]
+                edit = rng.choice(("none", "drop", "dup", "split", "parent"))
+                if edit == "drop":
+                    pairs.remove((c, h))
+                elif edit == "dup":
+                    pairs.append((c, h))
+                elif edit == "split":
+                    pairs += [(c + r * p ** h, h + 1) for r in range(p)]
+                elif edit == "parent" and h:
+                    pairs.append((c % p ** (h - 1), h - 1))
+                if edit in ("dup", "split") and siblings:
+                    pairs.remove(rng.choice(siblings))
+                got = self._check(ctx, self._leaves(ctx, *pairs))
+                seen.add(got and got.split()[0])
+        assert seen == {None, "a", "leaf", "cosets"}  # valid, empty, measure, overlap
+
+    def test_deep_partitions_are_checked_in_linear_time(self, ctx):
+        # 5**6 = 15,625 leaves per side after the common refinement; the
+        # pairwise scan took minutes here
+        start = time.perf_counter()
+        ball6 = PiecewiseFunction.indicator_ball(ctx, 6)
+        assert not ball6.agrees_with(PiecewiseFunction.indicator_ball(ctx, 1))
+        assert time.perf_counter() - start < 5
 
 
 class TestMembershipCan:

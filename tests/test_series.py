@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rigidpadic.errors import DomainError, ParameterError
 from rigidpadic.functions import Leaf, _re_expand
 from rigidpadic.padic import INF, PadicContext, PadicNumber
-from rigidpadic.series import TateSeries, one_minus_cz_pow
+from rigidpadic.series import TateSeries, _taylor_shift, one_minus_cz_pow
 
 
 def poly(ctx, m, *ints):
@@ -443,6 +443,26 @@ def _oracle_evaluate_tracked(f, z):
     return acc, floor + ctx.N
 
 
+def _dropped_summands(f, c):
+    """(summands N or more digits above their nonzero partial sum, those
+    exactly N above, all nonzero summands) over every b_v of the shift."""
+    ctx = f.ctx
+    dropped = at_edge = total = 0
+    for v in range(f.degree + 1):
+        acc = ctx.zero()
+        for l in range(v, f.degree + 1):
+            a = f.coeffs[l]
+            if a.is_zero:
+                continue
+            term = a * ctx.binom(l, v) * c ** (l - v)
+            total += 1
+            if not acc.is_zero and term.val - acc.val >= ctx.N:
+                dropped += 1
+                at_edge += term.val - acc.val == ctx.N
+            acc = acc + term
+    return dropped, at_edge, total
+
+
 def _kernel_series(ctx, rng, m, degree, lo=-2, spread=6):
     """Degree-exact series with zero coefficients and valuations from lo."""
     cs = []
@@ -518,3 +538,37 @@ class TestTaylorShiftKernel:
         rng = random.Random(7)
         for coeffs in ((), (0, 0, 3), (2,)):
             self._check_all(TateSeries(ctx, 1, coeffs), rng)
+
+    @pytest.mark.parametrize("p, D", [(5, 64), (3, 40)])
+    @pytest.mark.parametrize("cv", [3, 4])
+    def test_most_summands_fall_below_the_rounding(self, p, D, cv):
+        # val(c) >= 3 with N = 8: a summand three or more places past v lies
+        # at least 9 digits up, where the partial sum keeps none, so the kernel
+        # skips it without computing its unit; its valuation still counts
+        # towards the floor
+        ctx = PadicContext(p, 8, D)
+        rng = random.Random(10 * p + cv)
+        f = _kernel_series(ctx, rng, 0, D, lo=0, spread=2)
+        c = PadicNumber(ctx, cv, rng.randrange(1, ctx.pN, p), _checked=True)
+        dropped, at_edge, total = _dropped_summands(f, c)
+        assert dropped > total // 2 and at_edge
+        coeffs, floors = _taylor_shift(f.coeffs, c)
+        expected = _oracle_shift(f, c)
+        assert coeffs == [b for b, _ in expected]
+        assert [fl + ctx.N for fl in floors] == [ceiling for _, ceiling in expected]
+
+    @pytest.mark.parametrize("raised", [False, True])
+    def test_summand_after_cancellation_is_added(self, raised):
+        # b_0 = 1 + a_1 c + c^3 with c = p^3 and N = 8.  The first two summands
+        # cancel to 0, or to p^2; the third, p^9, lies 9 digits above the first
+        # summand but must still enter the sum: b_0 = p^9, or p^2 + p^9
+        p = 5
+        ctx = PadicContext(p, 8, 16)
+        c = ctx.from_int(p ** 3)
+        a1 = Fraction(p ** 2 - 1 if raised else -1, p ** 3)
+        f = TateSeries(ctx, 0, [1, a1, p ** 3])
+        coeffs, floors = _taylor_shift(f.coeffs, c)
+        expected = _oracle_shift(f, c)
+        assert coeffs == [b for b, _ in expected]
+        assert [fl + ctx.N for fl in floors] == [ceiling for _, ceiling in expected]
+        assert coeffs[0] == ctx.from_int((p ** 2 if raised else 0) + p ** 9)

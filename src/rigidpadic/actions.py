@@ -22,10 +22,10 @@ a leaf at the image center with an explicitly composed local series, and
 no partition refinement is ever needed.  Every leaf goes through the four
 generator steps in turn (mobius, dilation, inverse torus, translation);
 each step moves its image center onto the canonical residue of the image
-coset by an exact recenter, and the one PiecewiseFunction is built from
-the final leaves.  A generator that acts trivially (x = 0, s = 1, t = 1
-with t^(k-2) = 1, y = 0) is skipped for every leaf.  For the mobius
-generator the image of the leaf at c is centered at b = c / (1 + x c)
+coset by an exact recenter, and each public action builds its function
+class once from the final leaves.  A generator that acts trivially (x = 0,
+s = 1, t = 1 with t^(k-2) = 1, y = 0) is skipped for every leaf.  For the
+mobius generator the image of the leaf at c is centered at b = c / (1 + x c)
 and the local substitution collapses to a scaled mobius map,
 
     z' -> (1 + x c)^2 z' / (1 - mu z'),   mu = x (1 + x c),
@@ -44,7 +44,7 @@ a <-> d and b <-> c); when the conjugate leaves the actionable range
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import List, NamedTuple, Union
 
 from .errors import DomainError, FactorizationError, InvariantViolation, ParameterError
 from .functions import (
@@ -314,9 +314,8 @@ def _mobius_poly(
     return TateSeries(ctx, m, cs)
 
 
-def _act_piecewise(
-    f: PiecewiseFunction, fac: Factorization, e: int
-) -> PiecewiseFunction:
+def _act_piecewise(f: PiecewiseFunction, fac: Factorization, e: int) -> List[Leaf]:
+    """The image leaves of f, in f's leaf order; the caller builds the function."""
     y, s, t, x = fac
     if not x.is_zero and x.val < 1:
         raise DomainError(f"mobius parameter needs valp(x) >= 1, got {x.val}")
@@ -351,7 +350,7 @@ def _act_piecewise(
         if not y.is_zero:
             lf = _shift_to_residue(lf.series, ctx.from_int(lf.center) + y, lf.level)
         leaves.append(lf)
-    return PiecewiseFunction(ctx, leaves)
+    return leaves
 
 
 # -- public actions -----------------------------------------------------------
@@ -376,8 +375,7 @@ def act(g: IwahoriElement, f, chi: InductionCharacter):
         h = h.inv_torus(t, k)
         return h.translate(y)
     if isinstance(f, PiecewiseFunction):
-        fac = iwahori_factorize(g)
-        return _act_piecewise(f, fac, k - 2)
+        return PiecewiseFunction(f.ctx, _act_piecewise(f, iwahori_factorize(g), k - 2))
     raise ParameterError(f"cannot act on {type(f).__name__}")
 
 
@@ -399,9 +397,7 @@ def act_smooth(g: IwahoriElement, f: StepFunction) -> StepFunction:
     """Smooth-vector action: the same formulas with twist exponent 0."""
     if not isinstance(f, StepFunction):
         raise ParameterError("act_smooth expects a StepFunction")
-    fac = iwahori_factorize(g)
-    out = _act_piecewise(f, fac, 0)
-    return StepFunction(out.ctx, out.leaves)
+    return StepFunction(f.ctx, _act_piecewise(f, iwahori_factorize(g), 0))
 
 
 def act_locally_algebraic(
@@ -416,13 +412,12 @@ def act_locally_algebraic(
     """
     if chi.k != f.k:
         raise ParameterError(f"character weight {chi.k} differs from function weight {f.k}")
-    out = act(g, f, chi)
     leaves = []
-    for lf in out.leaves:
+    for lf in _act_piecewise(f, iwahori_factorize(g), f.k - 2):
         if lf.series.degree > f.k - 2:
             raise InvariantViolation(
                 f"degree {lf.series.degree} > k-2 after locally algebraic action"
             )
-        exact = TateSeries(out.ctx, lf.level, lf.series.coeffs, INF)
+        exact = TateSeries(f.ctx, lf.level, lf.series.coeffs, INF)
         leaves.append(Leaf(lf.center, lf.level, exact))
-    return LocallyAlgebraicFunction(out.ctx, leaves, f.k)
+    return LocallyAlgebraicFunction(f.ctx, leaves, f.k)

@@ -21,11 +21,11 @@ stored coefficients:
                f_q = sum_l a_l binom(l+q-1, q) (-1)^q z^l,
                val_C(f_q) >= val_C(f)
 
-bound_report and the membership tail guard read the stored val_C of
-every component from an integer table (_orbit_levels) built from digit-sum
-binomial valuations, without materialising the families; verify_bounds
-asserts every inequality with its margin, and a violation is a hard
-failure carrying the index (these bounds are theorems about the construction).
+bound_report and the membership tail guard read the stored val_C of every
+component from an integer table (_orbit_levels) of binomial valuations
+from the context's factorial table, without materialising the families;
+verify_bounds asserts every inequality with its margin, and a violation is
+a hard failure carrying the index (these bounds are theorems).
 
 The cokernel model represents classes of pairs (F_alpha, F_beta) of
 G(n)-analytic vectors modulo the embedded beta-side locally algebraic
@@ -55,7 +55,7 @@ from .functions import (
     is_member_pi_an,
     _re_expand,
 )
-from .padic import INF, PadicContext, PadicNumber, binom_val, factorial_vals
+from .padic import INF, PadicContext, PadicNumber, binom_val
 from .series import TateSeries
 from .verdict import Verdict
 
@@ -147,7 +147,7 @@ def _orbit_levels(f: TateSeries, m: int) -> Dict[str, List[float]]:
     exactly, so each level is a minimum over the nonzero a_l."""
     _check_level(f, m)
     D = f.ctx.D
-    fv = factorial_vals(f.ctx.p, 2 * D)
+    fv = f.ctx.factorials.vals
     terms = [(l, a.val + m * l) for l, a in enumerate(f.coeffs) if not a.is_zero]
     out: Dict[str, List[float]] = {fam: [] for fam in FAMILIES}
     for q in range(D + 1):

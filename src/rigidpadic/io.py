@@ -15,21 +15,10 @@ from typing import Optional, Tuple
 from .actions import InductionCharacter, IwahoriElement, I1, WeylCellVector
 from .analytic import CokernelElement, GAElement
 from .errors import ParameterError, ParameterMismatch
-from .functions import Leaf, PiecewiseFunction, StepFunction
+from .functions import Leaf, PiecewiseFunction
 from .galois import SCRIPT_L_INF, ContinuousCharacter, TriangulineParam
 from .padic import INF, PadicContext, PadicNumber
 from .series import TateSeries
-
-KINDS = (
-    "series",
-    "function",
-    "matrix",
-    "character",
-    "induction",
-    "param",
-    "weyl",
-    "cokernel",
-)
 
 
 def dumps_canonical(obj) -> str:
@@ -107,7 +96,7 @@ def encode_function(f: PiecewiseFunction) -> dict:
     }
 
 
-def decode_function(ctx: PadicContext, obj: dict, smooth: bool = False) -> PiecewiseFunction:
+def decode_function(ctx: PadicContext, obj: dict) -> PiecewiseFunction:
     try:
         raw = obj["leaves"]
         leaves = [
@@ -116,8 +105,7 @@ def decode_function(ctx: PadicContext, obj: dict, smooth: bool = False) -> Piece
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"bad function object: {exc}") from exc
-    cls = StepFunction if smooth else PiecewiseFunction
-    return cls(ctx, leaves)
+    return PiecewiseFunction(ctx, leaves)
 
 
 # -- group elements ------------------------------------------------------------

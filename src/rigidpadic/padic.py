@@ -9,6 +9,12 @@ the comparison slack kappa.
 
 Valuations are normalised so that valp(p) = 1.
 
+Every binomial coefficient is read from one table of p-adic factorials
+(FactorialTable): v_p(n!), the p-free part of n! mod p**N and its inverse
+for n = 0 .. 2D, so binom(n, k) = n! / (k! (n - k)!) costs two products.
+Contexts with the same (p, N, D) share one table; it grows past 2D on
+demand, under a lock, and entries already present never change.
+
 All values are immutable and every operation is pure, so objects can be
 shared freely between threads.
 """
@@ -16,9 +22,10 @@ shared freely between threads.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Union
 
 from .errors import DivisionError, DomainError, ParameterError, PrecisionError
 
@@ -35,7 +42,7 @@ _PRIME_LIMIT = 3317044064679887385961981
 #: largest relative precision N: a context keeps p**0 .. p**(N-1), size ~ N**2
 MAX_PRECISION = 1000
 
-#: largest truncation degree D: orbit expansions and raw_mobius cost O(D) to O(D**2)
+#: largest truncation degree D: shifts and orbit expansions cost O(D**2); factorials go to (2D)!
 MAX_DEGREE = 1000
 
 
@@ -72,18 +79,44 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=16)
-def factorial_vals(p: int, top: int) -> Tuple[int, ...]:
-    """v_p(n!) = (n - s_p(n)) / (p - 1) for n = 0 .. top, s_p the base-p digit sum."""
-    s = [0] * (top + 1)
-    for n in range(1, top + 1):
-        s[n] = s[n // p] + n % p
-    return tuple((n - s[n]) // (p - 1) for n in range(top + 1))
+class FactorialTable:
+    """v_p(n!), the p-free part of n! mod p**N and its inverse, n = 0 .. top.
+    The lists only grow, ``invs`` last: entry n is complete once n < len(invs)."""
+
+    __slots__ = ("p", "pN", "vals", "units", "invs", "_lock")
+
+    def __init__(self, p: int, N: int, top: int):
+        self.p, self.pN = p, p ** N
+        self.vals, self.units, self.invs = [0], [1], [1]
+        self._lock = threading.Lock()
+        self.extend(top)
+
+    def extend(self, top: int) -> None:
+        with self._lock:
+            p, pN = self.p, self.pN
+            v, u, parts = self.vals[-1], self.units[-1], []
+            for n in range(len(self.invs), top + 1):
+                while n % p == 0:
+                    n //= p
+                    v += 1
+                u = u * n % pN
+                self.vals.append(v)
+                self.units.append(u)
+                parts.append(n)
+            # one modular inverse, then 1/(n-1)! = n * (1/n!) downwards
+            invs = [pow(u, -1, pN)] if parts else []
+            for n in reversed(parts[1:]):
+                invs.append(invs[-1] * n % pN)
+            self.invs.extend(reversed(invs))
 
 
-def binom_val(fv: Tuple[int, ...], n: int, k: int):
-    """valp(binom(n, k)) from fv = factorial_vals(p, top), n <= top, with the
-    corners of PadicContext.binom: 0 for k = 0 (n = -1 too), INF for k > n."""
+#: one table per (p, N, 2D): contexts with the same (p, N, D) share it
+_factorial_table = lru_cache(maxsize=16)(FactorialTable)
+
+
+def binom_val(fv, n: int, k: int):
+    """valp(binom(n, k)) read from fv = FactorialTable.vals, n < len(fv), with
+    the corners of PadicContext.binom: 0 for k = 0 (n = -1 too), INF for k > n."""
     if k == 0:
         return 0
     return INF if k > n else fv[n] - fv[k] - fv[n - k]
@@ -95,10 +128,12 @@ class PadicContext:
     Two stored values are considered equal at precision when they share
     at least N - kappa relative digits; kappa is the budget that covers
     the precision loss of composite operations (default 4 digits).
-    ``ppow[d]`` is p**d for 0 <= d < N.
+    ``ppow[d]`` is p**d for 0 <= d < N, and ``factorials`` is the
+    FactorialTable for 0! .. (2D)! shared by every context with the same
+    (p, N, D); every binomial coefficient is read from it.
     """
 
-    __slots__ = ("p", "N", "D", "kappa", "pN", "ppow", "_binom_cache", "_binom_rows")
+    __slots__ = ("p", "N", "D", "kappa", "pN", "ppow", "factorials")
 
     def __init__(self, p: int = 5, N: int = 40, D: int = 64, kappa: int = 4):
         if not _is_prime(p) or p == 2:
@@ -115,8 +150,7 @@ class PadicContext:
         self.kappa = kappa
         self.pN = p ** N
         self.ppow = tuple(p ** d for d in range(N))
-        self._binom_cache = {}
-        self._binom_rows = {}
+        self.factorials = _factorial_table(p, N, 2 * D)
 
     # -- identity -----------------------------------------------------
 
@@ -178,32 +212,21 @@ class PadicContext:
         raise ParameterError(f"cannot coerce {type(x).__name__} to Q_p")
 
     def binom(self, n: int, k: int) -> "PadicNumber":
-        """binom(n, k) reduced into the context, cached.
+        """binom(n, k) reduced into the context, read from the factorial table.
 
         Only the combinatorially meaningful corner cases are special:
         k = 0 gives 1 for every n (including n = -1, the empty product),
         and k > n >= 0 gives 0.
         """
-        key = (n, k)
-        hit = self._binom_cache.get(key)
-        if hit is not None:
-            return hit
         if k == 0:
-            value = self.one()
-        elif n < 0 or k < 0 or k > n:
-            value = self.zero()
-        else:
-            value = self.from_int(math.comb(n, k))
-        self._binom_cache[key] = value
-        return value
-
-    def binom_row(self, n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """(vals, units) of binom(n, k), k = 0 .. n, as two cached flat tuples."""
-        row = self._binom_rows.get(n)
-        if row is None:
-            bs = [self.binom(n, k) for k in range(n + 1)]
-            row = self._binom_rows[n] = (tuple(b.val for b in bs), tuple(b.unit for b in bs))
-        return row
+            return self.one()
+        if n < 0 or k < 0 or k > n:
+            return self.zero()
+        t = self.factorials
+        if n >= len(t.invs):
+            t.extend(n)
+        v = t.vals[n] - t.vals[k] - t.vals[n - k]
+        return PadicNumber(self, v, t.units[n] * t.invs[k] * t.invs[n - k] % self.pN, _checked=True)
 
 
 class PadicNumber:

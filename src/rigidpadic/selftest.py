@@ -67,10 +67,6 @@ def _rand_unit_int(ctx: PadicContext, rng: random.Random) -> int:
     return u
 
 
-def rand_unit(ctx: PadicContext, rng: random.Random) -> PadicNumber:
-    return PadicNumber(ctx, 0, _rand_unit_int(ctx, rng))
-
-
 def rand_in_ball(ctx: PadicContext, rng: random.Random, m: int) -> PadicNumber:
     """Random element of p^m Z_p, zero included."""
     r = rng.randrange(ctx.p ** min(8, ctx.N))
@@ -105,17 +101,12 @@ def rand_series(
 def rand_iwahori(ctx: PadicContext, rng: random.Random, level) -> IwahoriElement:
     p = ctx.p
     span = p ** 5
-    if level == I1:
-        a = ctx.from_int(1 + p * rng.randrange(span))
-        d = ctx.from_int(1 + p * rng.randrange(span))
-        b = ctx.from_int(p * rng.randrange(span))
-        c = ctx.from_int(rng.randrange(span))
-    else:
-        q = p ** level
-        a = ctx.from_int(1 + q * rng.randrange(span))
-        d = ctx.from_int(1 + q * rng.randrange(span))
-        b = ctx.from_int(q * rng.randrange(span))
-        c = ctx.from_int(q * rng.randrange(span))
+    # I(1) leaves c in Z_p; G(m) puts all four entries in p**m Z_p
+    q = p if level == I1 else p ** level
+    a = ctx.from_int(1 + q * rng.randrange(span))
+    d = ctx.from_int(1 + q * rng.randrange(span))
+    b = ctx.from_int(q * rng.randrange(span))
+    c = ctx.from_int((1 if level == I1 else q) * rng.randrange(span))
     return IwahoriElement(ctx, a, b, c, d, level)
 
 
@@ -602,11 +593,8 @@ def case_galois_ext1(ctx: PadicContext, rng: random.Random) -> Optional[str]:
 
 
 def case_galois_filtration(ctx: PadicContext, rng: random.Random) -> Optional[str]:
-    k = rng.randint(2, 6)
-    va = max(k - 2, 1)
-    vb = k - 1 - va
-    alpha = PadicNumber(ctx, va, _rand_unit_int(ctx, rng))
-    beta = PadicNumber(ctx, max(vb, 1), _rand_unit_int(ctx, rng))
+    chi = rand_chi(ctx, rng, rng.randint(2, 6))
+    alpha, beta, k = chi.alpha, chi.beta, chi.k
     if k >= 3 and alpha.val + beta.val != k - 1:
         return "generator produced inconsistent valuations"
     mod = galois.FilteredPhiModule(alpha, beta, k)

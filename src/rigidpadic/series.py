@@ -28,9 +28,13 @@ inside raw_mobius and evaluate_tracked, run on (val, unit) integer pairs.
 Products are exact and summands are added in the order of the PadicNumber
 loops they replace, each partial sum rounded exactly as PadicNumber.__add__
 rounds it, so the stored digits are those loops' digits (tests/test_series.py
-keeps the loops as the oracle and asserts exact equality).  The rounding
-rule is written out in two places: _sum_pairs, used by raw_mobius and
-evaluate_tracked, and the loop inlined in _taylor_shift.  The inlined copy
+keeps the loops as the oracle and asserts exact equality).  Binomials are
+split over the context's factorial table, and every factor, 1/v! included,
+multiplies each summand's unit before it is added, never the finished sum:
+after a cancellation the rounding fills the top digits with zeros, which a
+factor applied after the sum would change.  The rounding rule is written
+out in two places: _sum_pairs, used by raw_mobius and evaluate_tracked, and
+the loop inlined in _taylor_shift.  The inlined copy
 skips a summand lying N or more digits above a nonzero partial sum before
 computing its unit, since the rounding leaves such a sum unchanged (the
 d >= N branch of _sum_pairs); its valuation still enters the floor.  A
@@ -273,17 +277,22 @@ class TateSeries:
         if deg < 0:
             return self
         # c_0 = a_0; for j >= 1 the q = j term has binom(j - 1, j) = 0, and
-        # q runs up from max(0, j - deg) while l = j - q runs down from min(j, deg)
-        pN = ctx.pN
-        src = [(c.val, c.unit) for c in self.coeffs]
-        x_units = [pow(x.unit, q, pN) for q in range(ctx.D + 1)]
+        # q runs up from max(0, j - deg) while l = j - q runs down from min(j, deg).
+        # binom(j - 1, q) = (j - 1)! / (q! (l - 1)!): a_l / (l - 1)! for l >= 1
+        # (slot 0 is never read) times x^q / q! times (j - 1)!
+        pN, fac = ctx.pN, ctx.factorials
+        fvals, finvs = fac.vals, fac.invs
+        src = [(0, 0)] + [(a.val - fvals[l - 1], a.unit * finvs[l - 1] % pN)
+                          for l, a in enumerate(self.coeffs[1:], 1)]
+        xq = [(q * x.val - fvals[q], pow(x.unit, q, pN) * finvs[q] % pN) for q in range(ctx.D)]
         cs = [self.coeffs[0]]
         for j in range(1, ctx.D + 1):
-            terms = []
-            for q, (av, au) in zip(range(max(0, j - deg), j), src[min(j, deg)::-1]):
-                if au:
-                    b = ctx.binom(j - 1, q)
-                    terms.append((av + b.val + q * x.val, au * b.unit * x_units[q] % pN))
+            jv, ju = fvals[j - 1], fac.units[j - 1]
+            terms = [
+                (av + qv + jv, au * qu * ju % pN)
+                for (qv, qu), (av, au) in zip(xq[max(0, j - deg):j], src[min(j, deg)::-1])
+                if au
+            ]
             cs.append(_sum_pairs(ctx, terms)[0])
         return TateSeries(ctx, self.m, cs, self.val_c())
 
@@ -390,10 +399,14 @@ def _taylor_shift(
     """
     ctx = c.ctx
     N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
+    fac = ctx.factorials
+    fvals, finvs = fac.vals, fac.invs
+    # binom(l, v) c^(l-v) = l! (c^k / k!) (1 / v!), k = l - v: nonzero a_l as
+    # (l, a_l l!) and c^k / k! as (val, unit); 1 / v! is read per v
     cv = c.val
-    c_units = [pow(c.unit, k, pN) for k in range(len(coeffs))]
-    # nonzero a_l as (l, val(a_l) + l val(c), unit, binom(l, .) row)
-    src = [(l, a.val + l * cv, a.unit, ctx.binom_row(l)) for l, a in enumerate(coeffs) if a.unit]
+    ck = [(k * cv - fvals[k], pow(c.unit, k, pN) * finvs[k] % pN) for k in range(len(coeffs))]
+    src = [(l, a.val + fvals[l], a.unit * fac.units[l] % pN)
+           for l, a in enumerate(coeffs) if a.unit]
     out: List[PadicNumber] = []
     floors: List[float] = []
     start = 0
@@ -402,16 +415,17 @@ def _taylor_shift(
         # rounding drops is skipped before its unit is computed
         if start < len(src) and src[start][0] < v:
             start += 1
-        off = v * cv
+        vv, vu = fvals[v], finvs[v]
         val = floor = lim = INF  # lim = val + N while the partial sum is nonzero
         unit = 0
-        for l, w, au, (bvals, bunits) in src[start:]:
-            tv = w + bvals[v] - off
+        for l, w, au in src[start:]:
+            kv, ku = ck[l - v]
+            tv = w + kv - vv
             if tv < floor:
                 floor = tv
             if tv >= lim:
                 continue
-            tu = au * bunits[v] * c_units[l - v] % pN
+            tu = au * ku * vu % pN
             if not unit:
                 val, unit, lim = tv, tu, tv + N
                 continue

@@ -16,14 +16,6 @@ class Verdict(enum.Enum):
     NO = "no"
     INDETERMINATE = "indeterminate"
 
-    @property
-    def is_yes(self) -> bool:
-        return self is Verdict.YES
-
-    @property
-    def is_no(self) -> bool:
-        return self is Verdict.NO
-
     def __and__(self, other: "Verdict") -> "Verdict":
         """Combine componentwise: NO dominates, then INDETERMINATE."""
         if Verdict.NO in (self, other):

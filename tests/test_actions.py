@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rigidpadic import functions
 from rigidpadic.actions import (
     I1,
     InductionCharacter,
@@ -321,6 +322,32 @@ class TestLocallyAlgebraic:
             g = _random_i1(ctx, rng)
             out = act_locally_algebraic(g, f, chi_for(ctx, k))
             assert all(lf.series.degree <= k - 2 for lf in out.leaves)
+
+
+class TestOneBuildPerAction:
+    """Every public action on a piecewise function builds its result once:
+    one partition check, however many generators act."""
+
+    def _count_checks(self, monkeypatch):
+        calls = []
+        real = functions._check_partition
+        monkeypatch.setattr(
+            functions, "_check_partition", lambda *a: calls.append(1) or real(*a)
+        )
+        return calls
+
+    def test_each_action_checks_once(self, ctx, monkeypatch):
+        g = IwahoriElement(ctx, 1 + 5 * 3, 5 * 2, 7, 1 + 25, I1)
+        step = StepFunction.indicator_ball(ctx, 2)
+        z = PiecewiseFunction.from_global_series(TateSeries.monomial(ctx, 0, 1))
+        la = LocallyAlgebraicFunction(ctx, z.refine(1).leaves, 3)
+        calls = self._count_checks(monkeypatch)
+        assert type(act_smooth(g, step)) is StepFunction
+        assert len(calls) == 1
+        assert type(act(g, step, chi_for(ctx, 3))) is PiecewiseFunction
+        assert len(calls) == 2
+        assert type(act_locally_algebraic(g, la, chi_for(ctx, 3))) is LocallyAlgebraicFunction
+        assert len(calls) == 3
 
 
 class TestInductionCharacter:

@@ -1,5 +1,6 @@
 """Exact-valuation arithmetic: frozen oracles plus algebraic properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,11 @@ from rigidpadic.padic import (
     INF,
     MAX_DEGREE,
     MAX_PRECISION,
+    FactorialTable,
     PadicContext,
     _is_prime,
     binom,
     binom_val,
-    factorial_vals,
     invert,
     padic_log,
     valp,
@@ -82,19 +83,42 @@ class TestBinom:
             for k in range(n + 1):
                 assert binom(ctx, n, k) == binom(ctx, n, n - k)
 
+    @pytest.mark.parametrize("N", [1, 3, 20])
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_digit_sum_valuation_matches_binom(self, p):
-        ctx = PadicContext(p, 20, 64)
+    def test_table_matches_math_comb(self, p, N):
+        # the oracle reduces the exact integer binomial, never the table
+        ctx = PadicContext(p, N, 64, kappa=0)
         top = 2 * ctx.D
-        fv = factorial_vals(p, top)
+        fv = ctx.factorials.vals
+        assert len(fv) >= top + 1
         for n in range(top + 1):
             for k in range(n + 1):
-                assert binom_val(fv, n, k) == ctx.binom(n, k).val, (n, k)
-        # the orbit corners: binom(-1, 0) = 1 and binom(q - 1, q) = 0
-        assert binom_val(fv, -1, 0) == ctx.binom(-1, 0).val == 0
+                b = ctx.binom(n, k)
+                assert b == ctx.from_int(math.comb(n, k)), (n, k)
+                assert binom_val(fv, n, k) == b.val, (n, k)
+        # the corners: binom(n, 0) = 1 (n = -1 too), binom(q - 1, q) = 0,
+        # and zero for negative n or k
+        for n in (-1, -3, 0, 5):
+            assert ctx.binom(n, 0) == ctx.one()
+        assert binom_val(fv, -1, 0) == 0
         for q in range(1, ctx.D + 1):
             assert binom_val(fv, q - 1, q) is INF
-            assert ctx.binom(q - 1, q).val is INF
+            assert ctx.binom(q - 1, q).is_zero
+        assert ctx.binom(-1, 2).is_zero and ctx.binom(4, -1).is_zero
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_table_grows_past_2d(self, p):
+        ctx = PadicContext(p, 3, 4, kappa=0)
+        # contexts differing only in kappa share one table, built to 2D
+        assert PadicContext(p, 3, 4, kappa=2).factorials is ctx.factorials
+        assert len(FactorialTable(p, 3, 8).invs) == 9
+        for n in (9, 30, 100):
+            for k in (1, 2, n // 2, n - 1):
+                assert ctx.binom(n, k) == ctx.from_int(math.comb(n, k)), (n, k)
+        t = ctx.factorials
+        assert len(t.vals) == len(t.units) == len(t.invs) >= 101
+        for n in range(len(t.invs)):
+            assert t.units[n] * t.invs[n] % ctx.pN == 1
 
 
 class TestLog:

@@ -482,7 +482,12 @@ class TestTaylorShiftKernel:
     exactly the digits (and, for _re_expand and evaluate_tracked, the
     ceilings) of the PadicNumber loops."""
 
-    CONTEXTS = [PadicContext(5, 40, 64), PadicContext(3, 4, 64), PadicContext(7, 6, 64)]
+    CONTEXTS = [
+        PadicContext(5, 40, 64),
+        PadicContext(3, 4, 64),
+        PadicContext(7, 6, 64),
+        PadicContext(3, 2, 64, kappa=1),
+    ]
 
     def _check_all(self, f, rng):
         ctx = f.ctx

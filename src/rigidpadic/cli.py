@@ -35,7 +35,7 @@ from .errors import (
     PrecisionError,
     RigidPadicError,
 )
-from .functions import PiecewiseFunction
+from .functions import MAX_LEVEL, PiecewiseFunction
 from .padic import INF, PadicContext
 from .series import TateSeries
 from .verdict import Verdict
@@ -128,6 +128,14 @@ def _read(path: str) -> str:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -174,16 +182,15 @@ def cmd_act(cfg: RunConfig, args) -> int:
     print(f"val_C after:  {fmt_v(after)}", file=sys.stderr)
     text = io.wrap(kind, cfg.ctx, out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_analytic_level(cfg: RunConfig, args) -> int:
-    if args.max_level is not None and args.max_level < 0:
-        raise ParameterError(f"--max-level must be >= 0, got {args.max_level}")
+    if args.max_level is not None and not 0 <= args.max_level <= MAX_LEVEL:
+        raise ParameterError(f"--max-level must be in [0, {MAX_LEVEL}], got {args.max_level}")
     kind, _, f = io.load(_read(args.function_file), None, cfg.ctx)
     if kind == "series":
         f = PiecewiseFunction.from_global_series(f)
@@ -240,14 +247,15 @@ def cmd_witness(cfg: RunConfig, args) -> int:
         print(f"{key}: {proof[key]}", file=sys.stderr)
     text = io.wrap("cokernel", ctx, elem)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_selftest(cfg: RunConfig, args) -> int:
+    if args.count is not None and args.count < 1:
+        raise ParameterError(f"--count must be >= 1, got {args.count}")
     report = selftest.run_selftest(
         cfg.ctx, seed=cfg.seed, count_override=args.count, only=args.only
     )

@@ -29,13 +29,23 @@ def context_header(ctx: PadicContext) -> dict:
     return {"p": ctx.p, "N": ctx.N, "D": ctx.D, "kappa": ctx.kappa}
 
 
+def _field(obj: dict, key: str, kind: type = int):
+    """obj[key], which must be a JSON integer (not a bool) or, with
+    kind=list, a JSON array."""
+    value = obj[key]
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    what = "an integer" if kind is int else "an array"
+    raise ParameterError(f"{key!r} must be {what}, got {value!r}")
+
+
 def context_from_header(header: dict) -> PadicContext:
     try:
         return PadicContext(
-            p=int(header["p"]),
-            N=int(header["N"]),
-            D=int(header["D"]),
-            kappa=int(header.get("kappa", 4)),
+            p=_field(header, "p"),
+            N=_field(header, "N"),
+            D=_field(header, "D"),
+            kappa=_field(header, "kappa") if "kappa" in header else 4,
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"bad context header: {exc}") from exc
@@ -79,8 +89,8 @@ def encode_series(f: TateSeries) -> dict:
 
 def decode_series(ctx: PadicContext, obj: dict) -> TateSeries:
     try:
-        m = int(obj["m"])
-        coeffs = [decode_padic(ctx, c) for c in obj["coeffs"]]
+        m = _field(obj, "m")
+        coeffs = [decode_padic(ctx, c) for c in _field(obj, "coeffs", list)]
         tail = _decode_tail(obj["tail_bound"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"bad series object: {exc}") from exc
@@ -98,10 +108,9 @@ def encode_function(f: PiecewiseFunction) -> dict:
 
 def decode_function(ctx: PadicContext, obj: dict) -> PiecewiseFunction:
     try:
-        raw = obj["leaves"]
         leaves = [
-            Leaf(int(l["center"]), int(l["level"]), decode_series(ctx, l["series"]))
-            for l in raw
+            Leaf(_field(l, "center"), _field(l, "level"), decode_series(ctx, l["series"]))
+            for l in _field(obj, "leaves", list)
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"bad function object: {exc}") from exc
@@ -123,9 +132,7 @@ def encode_matrix(g: IwahoriElement) -> dict:
 
 def decode_matrix(ctx: PadicContext, obj: dict) -> IwahoriElement:
     try:
-        level = obj["level"]
-        if level != I1:
-            level = int(level)
+        level = I1 if obj["level"] == I1 else _field(obj, "level")
         return IwahoriElement(
             ctx,
             decode_padic(ctx, obj["a"]),
@@ -153,7 +160,7 @@ def decode_character(ctx: PadicContext, obj: dict) -> ContinuousCharacter:
     try:
         return ContinuousCharacter(
             decode_padic(ctx, obj["value_at_p"]),
-            int(obj["tame_exponent"]),
+            _field(obj, "tame_exponent"),
             decode_padic(ctx, obj["wild_value"]),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -174,7 +181,7 @@ def decode_induction(ctx: PadicContext, obj: dict) -> InductionCharacter:
         return InductionCharacter(
             decode_padic(ctx, obj["alpha"]),
             decode_padic(ctx, obj["beta"]),
-            int(obj["k"]),
+            _field(obj, "k"),
             which=obj.get("which", "alpha"),
             strict=False,
         )
@@ -236,12 +243,12 @@ def decode_cokernel(ctx: PadicContext, obj: dict) -> CokernelElement:
         chi = InductionCharacter(
             decode_padic(ctx, obj["alpha"]),
             decode_padic(ctx, obj["beta"]),
-            int(obj["k"]),
+            _field(obj, "k"),
             which=obj.get("which", "alpha"),
             strict=False,
         )
-        n = int(obj["n"])
-        m = int(obj["m"])
+        n = _field(obj, "n")
+        m = _field(obj, "m")
         fa = GAElement(decode_weyl(ctx, obj["F_alpha"]), n, m)
         fb = GAElement(decode_weyl(ctx, obj["F_beta"]), n, m)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

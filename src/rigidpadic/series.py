@@ -24,21 +24,18 @@ preserves val_C exactly (they are invertible isometries of the ball).
 
 Bit-identity contract: the Taylor shift b_v = sum_{l>=v} a_l binom(l, v)
 c^(l-v) behind translate, recenter and functions._re_expand, and the sums
-inside raw_mobius and evaluate_tracked, run on (val, unit) integer pairs.
-Products are exact and summands are added in the order of the PadicNumber
-loops they replace, each partial sum rounded exactly as PadicNumber.__add__
-rounds it, so the stored digits are those loops' digits (tests/test_series.py
-keeps the loops as the oracle and asserts exact equality).  Binomials are
-split over the context's factorial table, and every factor, 1/v! included,
-multiplies each summand's unit before it is added, never the finished sum:
-after a cancellation the rounding fills the top digits with zeros, which a
-factor applied after the sum would change.  The rounding rule is written
-out in two places: _sum_pairs, used by raw_mobius and evaluate_tracked, and
-the loop inlined in _taylor_shift.  The inlined copy
-skips a summand lying N or more digits above a nonzero partial sum before
-computing its unit, since the rounding leaves such a sum unchanged (the
-d >= N branch of _sum_pairs); its valuation still enters the floor.  A
-change to the rule must be made in both places.
+inside raw_mobius and evaluate_tracked, run on (val, unit) integer pairs
+through one kernel, _offset_sums.  Products are exact and summands are added
+in the order of the PadicNumber loops they replace, each partial sum rounded
+exactly as PadicNumber.__add__ rounds it, so the stored digits are those
+loops' digits (tests/test_series.py keeps the loops as the oracle and asserts
+exact equality).  Binomials are split over the context's factorial table,
+and every factor, 1/v! included, multiplies each summand's unit before it is
+added, never the finished sum: after a cancellation the rounding fills the
+top digits with zeros, which a factor applied after the sum would change.
+The kernel skips a summand lying N or more digits above a nonzero partial
+sum before computing its unit, since the rounding leaves such a sum
+unchanged; its valuation still enters the floor.
 """
 
 from __future__ import annotations
@@ -277,23 +274,18 @@ class TateSeries:
         if deg < 0:
             return self
         # c_0 = a_0; for j >= 1 the q = j term has binom(j - 1, j) = 0, and
-        # q runs up from max(0, j - deg) while l = j - q runs down from min(j, deg).
-        # binom(j - 1, q) = (j - 1)! / (q! (l - 1)!): a_l / (l - 1)! for l >= 1
-        # (slot 0 is never read) times x^q / q! times (j - 1)!
+        # binom(j - 1, q) = (j - 1)! / (q! (l - 1)!) with l = j - q >= 1.  The
+        # source is indexed from the top, l' = deg - l and v = deg - j, so that
+        # q = l' - v runs up from max(0, j - deg) as l runs down from
+        # min(j, deg): a_l / (l - 1)! times x^q / q! times (j - 1)!
         pN, fac = ctx.pN, ctx.factorials
         fvals, finvs = fac.vals, fac.invs
-        src = [(0, 0)] + [(a.val - fvals[l - 1], a.unit * finvs[l - 1] % pN)
-                          for l, a in enumerate(self.coeffs[1:], 1)]
+        src = [(deg - l, a.val - fvals[l - 1], a.unit * finvs[l - 1] % pN)
+               for l, a in reversed(list(enumerate(self.coeffs))) if l and a.unit]
         xq = [(q * x.val - fvals[q], pow(x.unit, q, pN) * finvs[q] % pN) for q in range(ctx.D)]
-        cs = [self.coeffs[0]]
-        for j in range(1, ctx.D + 1):
-            jv, ju = fvals[j - 1], fac.units[j - 1]
-            terms = [
-                (av + qv + jv, au * qu * ju % pN)
-                for (qv, qu), (av, au) in zip(xq[max(0, j - deg):j], src[min(j, deg)::-1])
-                if au
-            ]
-            cs.append(_sum_pairs(ctx, terms)[0])
+        outs = [(deg - j, fvals[j - 1], fac.units[j - 1]) for j in range(ctx.D, 0, -1)]
+        sums, _ = _offset_sums(ctx, src, xq, outs)
+        cs = [self.coeffs[0]] + sums[::-1]
         return TateSeries(ctx, self.m, cs, self.val_c())
 
     def mobius_twist(self, x: Coercible, k: int) -> "TateSeries":
@@ -361,15 +353,16 @@ class TateSeries:
         z = ctx.num(z)
         if not z.is_zero and z.val < self.m:
             raise DomainError(f"evaluation point needs valp(z) >= {self.m}")
-        terms = []
-        pw = 1  # unit of z**l, 0 for l >= 1 when z = 0
-        for l, a in enumerate(self.coeffs):
-            if l:
-                pw = pw * z.unit % ctx.pN
-            if a.unit and pw:
-                # (l and ...) keeps 0 * valp(0) = nan out of the l = 0 term
-                terms.append((a.val + (l and l * z.val), a.unit * pw % ctx.pN))
-        total, floor = _sum_pairs(ctx, terms)
+        if z.is_zero:
+            a = self.coeff(0)
+            return a, INF if a.is_zero else a.val + ctx.N
+        # the single output v = 0 of the kernel with ker[l] = z^l
+        pN, zu = ctx.pN, z.unit
+        zl = [(0, 1)]
+        for l in range(1, len(self.coeffs)):
+            zl.append((l * z.val, zl[-1][1] * zu % pN))
+        src = [(l, a.val, a.unit) for l, a in enumerate(self.coeffs) if a.unit]
+        (total,), (floor,) = _offset_sums(ctx, src, zl, [(0, 0, 1)])
         return total, floor + ctx.N
 
 
@@ -398,34 +391,49 @@ def _taylor_shift(
     nonzero summands of b_v (+inf when there are none).
     """
     ctx = c.ctx
-    N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
-    fac = ctx.factorials
+    pN, fac = ctx.pN, ctx.factorials
     fvals, finvs = fac.vals, fac.invs
-    # binom(l, v) c^(l-v) = l! (c^k / k!) (1 / v!), k = l - v: nonzero a_l as
-    # (l, a_l l!) and c^k / k! as (val, unit); 1 / v! is read per v
-    cv = c.val
-    ck = [(k * cv - fvals[k], pow(c.unit, k, pN) * finvs[k] % pN) for k in range(len(coeffs))]
+    # binom(l, v) c^(l-v) = l! (c^k / k!) (1 / v!), k = l - v
+    ck = [(k * c.val - fvals[k], pow(c.unit, k, pN) * finvs[k] % pN) for k in range(len(coeffs))]
     src = [(l, a.val + fvals[l], a.unit * fac.units[l] % pN)
            for l, a in enumerate(coeffs) if a.unit]
+    return _offset_sums(ctx, src, ck, [(v, -fvals[v], finvs[v]) for v in range(len(coeffs))])
+
+
+def _offset_sums(
+    ctx: PadicContext,
+    src: Sequence[Tuple[int, int, int]],
+    ker: Sequence[Tuple[int, int]],
+    outs: Iterable[Tuple[int, int, int]],
+) -> Tuple[List[PadicNumber], List[float]]:
+    """For each output (v, outer_val, outer_unit), the sum over source pairs
+    (l, w, u) with l >= v of the summands (w, u) * ker[l - v] * outer.
+
+    src holds the nonzero source pairs by ascending l, outs runs by ascending
+    v and ker[k] is a (val, unit) pair.  Summands are added in source order,
+    every partial sum rounded exactly as PadicNumber.__add__ rounds it.
+    Returns (sums, floors) where floors[i] is the least valuation of the
+    summands of output i (+inf when there are none).
+    """
+    N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
     out: List[PadicNumber] = []
     floors: List[float] = []
     start = 0
-    for v in range(len(coeffs)):
-        # the _sum_pairs loop over l = v .. deg, inlined so that a summand the
-        # rounding drops is skipped before its unit is computed
-        if start < len(src) and src[start][0] < v:
+    for v, ov, ou in outs:
+        while start < len(src) and src[start][0] < v:
             start += 1
-        vv, vu = fvals[v], finvs[v]
         val = floor = lim = INF  # lim = val + N while the partial sum is nonzero
         unit = 0
         for l, w, au in src[start:]:
-            kv, ku = ck[l - v]
-            tv = w + kv - vv
+            kv, ku = ker[l - v]
+            tv = w + kv + ov
             if tv < floor:
                 floor = tv
             if tv >= lim:
+                # N or more digits above a nonzero partial sum: the rounding
+                # leaves the sum unchanged, so the unit is never computed
                 continue
-            tu = au * ku * vu % pN
+            tu = au * ku * ou % pN
             if not unit:
                 val, unit, lim = tv, tu, tv + N
                 continue
@@ -443,32 +451,3 @@ def _taylor_shift(
         out.append(PadicNumber(ctx, val, unit, _checked=True) if unit else ctx.zero())
         floors.append(floor)
     return out, floors
-
-
-def _sum_pairs(ctx: PadicContext, terms: Iterable[Tuple[int, int]]) -> Tuple[PadicNumber, float]:
-    """Sum nonzero (val, unit) terms left to right, rounding every partial
-    sum exactly as PadicNumber.__add__ does.  Returns the sum and the least
-    term valuation (+inf for no terms)."""
-    N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
-    val = floor = INF
-    unit = 0  # 0: the partial sum is zero at working precision
-    for tv, tu in terms:
-        if tv < floor:
-            floor = tv
-        if not unit:
-            val, unit = tv, tu
-            continue
-        if val <= tv:
-            d, lo, hi = tv - val, unit, tu
-        else:
-            d, lo, hi, val = val - tv, tu, unit, tv
-        if d >= N:
-            unit = lo
-            continue
-        unit = (lo + hi * ppow[d]) % pN
-        while unit and not unit % p:
-            unit //= p
-            val += 1
-    if not unit:
-        return ctx.zero(), floor
-    return PadicNumber(ctx, val, unit, _checked=True), floor

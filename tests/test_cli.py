@@ -9,7 +9,7 @@ import pytest
 from rigidpadic import io
 from rigidpadic.actions import I1, InductionCharacter, IwahoriElement
 from rigidpadic.cli import main
-from rigidpadic.functions import StepFunction
+from rigidpadic.functions import MAX_LEVEL, StepFunction
 from rigidpadic.galois import TriangulineParam, abs_x_character, x_character
 from rigidpadic.galois import ContinuousCharacter
 from rigidpadic.padic import PadicContext
@@ -168,6 +168,21 @@ class TestAct:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["kind"] == "series"
 
+    def test_unwritable_out_is_usage_error(self, files, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "result.json"
+        code, out, err = run(
+            capsys,
+            "act",
+            files["lower.matrix.json"],
+            files["square.series.json"],
+            files["weight3.induction.json"],
+            "--out",
+            str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err
+
 
 class TestAnalyticLevel:
     def test_indicator_minimum_level(self, files, capsys):
@@ -209,6 +224,21 @@ class TestAnalyticLevel:
         assert code == 2
         assert out == ""
         assert "--max-level" in err
+
+    @pytest.mark.parametrize("level", [MAX_LEVEL + 1, 10 ** 9])
+    def test_max_level_above_the_deepest_leaf_level_is_usage_error(
+        self, files, capsys, level
+    ):
+        code, out, err = run(
+            capsys,
+            "analytic-level",
+            files["indicator.function.json"],
+            "--max-level",
+            str(level),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"[0, {MAX_LEVEL}]" in err
 
 
 class TestVerifyBounds:
@@ -299,6 +329,18 @@ class TestWitnessAndCokernelEq:
         assert code == 2
         assert "valp" in err
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "w.json"
+        code, out, err = run(
+            capsys,
+            "witness",
+            "--alpha", "25", "--beta", "5", "--k", "4",
+            "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err
+
     @pytest.mark.parametrize("alpha", ["abc", "1/0"])
     def test_unparsable_alpha_is_usage_error(self, capsys, alpha):
         code, out, err = run(
@@ -361,6 +403,16 @@ class TestExitCodes:
         )
         assert code == 3
         assert "level" in err
+
+    def test_float_leaf_center_is_usage_error(self, files, capsys, tmp_path):
+        # a float centre used to be truncated to an integer and accepted
+        text = open(files["indicator.function.json"], encoding="utf-8").read()
+        bad = tmp_path / "float.function.json"
+        bad.write_text(text.replace('"center": 1', '"center": 1.9'), encoding="utf-8")
+        code, out, err = run(capsys, "analytic-level", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "'center' must be an integer" in err
 
     def test_huge_prime_is_decided_without_trial_division(self, files, capsys):
         # 10**18 + 3 is prime; trial division up to its square root would
@@ -455,6 +507,13 @@ class TestSelftest:
         rep = json.loads(out)
         assert rep["ok"] is True
         assert rep["config"]["count_override"] == 1
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, capsys, count):
+        code, out, err = run(capsys, "selftest", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert "--count" in err
 
     def test_deterministic_at_same_seed(self, capsys):
         _, out1, _ = run(capsys, "--seed", "7", "selftest", "--count", "2")

@@ -1,6 +1,7 @@
 """Canonical JSON envelopes: byte-stable round trips and strict
 envelope validation."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -203,3 +204,63 @@ class TestEnvelopeValidation:
     def test_bad_context_header(self):
         with pytest.raises(ParameterError):
             io.load('{"context": {"p": 5}, "kind": "series", "payload": {}}')
+
+
+def _samples(ctx):
+    """One canonical value of each kind that carries integer fields."""
+    chi = InductionCharacter(ctx.from_int(5), ctx.from_int(10), 3)
+    cell = WeylCellVector(
+        PiecewiseFunction.constant(ctx, 1), PiecewiseFunction.constant(ctx, 0)
+    )
+    return {
+        "series": TateSeries(ctx, 1, [1, -2, Fraction(3, 7)], tail_bound=3),
+        "function": StepFunction.indicator_ball(ctx, 1),
+        "matrix": IwahoriElement(ctx, 26, 25, 25, 1, 2),
+        "character": ContinuousCharacter(ctx.from_int(15), 2, ctx.from_int(31)),
+        "induction": chi,
+        "cokernel": CokernelElement(
+            chi, 1, 2, GAElement(cell, 1, 2), GAElement.zero(ctx, 1, 2)
+        ),
+    }
+
+
+def _with(text, path, value):
+    obj = json.loads(text)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(obj)
+
+
+class TestStrictFields:
+    """Integer fields take JSON integers only and coeffs/leaves arrays only:
+    a float, bool or string is refused, never truncated or iterated."""
+
+    @pytest.mark.parametrize("kind", ["series", "function", "matrix", "character",
+                                      "induction", "cokernel"])
+    def test_canonical_bytes_roundtrip(self, ctx, kind):
+        text = io.wrap(kind, ctx, _samples(ctx)[kind])
+        _, _, back = io.load(text, kind)
+        assert io.wrap(kind, ctx, back) == text
+
+    @pytest.mark.parametrize("kind, path, value", [
+        ("function", ("payload", "leaves", 0, "center"), 0.9),
+        ("function", ("payload", "leaves", 0, "level"), True),
+        ("function", ("payload", "leaves", 0, "series", "m"), "1"),
+        ("function", ("payload", "leaves"), ""),
+        ("series", ("payload", "coeffs"), "123"),
+        ("series", ("payload", "m"), 1.5),
+        ("series", ("context", "N"), "40"),
+        ("series", ("context", "kappa"), True),
+        ("matrix", ("payload", "level"), 2.5),
+        ("character", ("payload", "tame_exponent"), "2"),
+        ("induction", ("payload", "k"), 3.0),
+        ("cokernel", ("payload", "n"), True),
+        ("cokernel", ("payload", "m"), "2"),
+        ("cokernel", ("payload", "F_alpha", "w0", "leaves", 0, "level"), False),
+    ])
+    def test_non_integer_or_non_array_is_refused(self, ctx, kind, path, value):
+        text = _with(io.wrap(kind, ctx, _samples(ctx)[kind]), path, value)
+        with pytest.raises(ParameterError, match="must be an"):
+            io.load(text, kind)

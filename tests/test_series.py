@@ -561,6 +561,12 @@ class TestTaylorShiftKernel:
         expected = _oracle_shift(f, c)
         assert coeffs == [b for b, _ in expected]
         assert [fl + ctx.N for fl in floors] == [ceiling for _, ceiling in expected]
+        # raw_mobius (x^q) and evaluate_tracked (z^l) sum through the same
+        # kernel and skip the same way; at val(z) = cv - 1 some summand of the
+        # evaluation lies just below the N-digit edge
+        assert f.raw_mobius(c) == _oracle_raw_mobius(f, c)
+        for z in (c, c / ctx.from_int(p)):
+            assert f.evaluate_tracked(z) == _oracle_evaluate_tracked(f, z)
 
     @pytest.mark.parametrize("raised", [False, True])
     def test_summand_after_cancellation_is_added(self, raised):

@@ -32,7 +32,7 @@ and the local substitution collapses to a scaled mobius map,
 
 with twist factor (1 + x c)^(-(k-2)) (1 - mu z')^(k-2); a leaf holding
 an exact polynomial of degree <= k - 2 is expanded exactly by
-_mobius_poly.  The dilation image of c is c / s with local series
+series._mobius_poly.  The dilation image of c is c / s with local series
 f(s z'), the inverse torus image is c t with f(z' / t) t^(k-2), and the
 translation image is c + y with the series unchanged.
 
@@ -54,7 +54,7 @@ from .functions import (
     StepFunction,
 )
 from .padic import INF, Coercible, PadicContext, PadicNumber
-from .series import TateSeries, one_minus_cz_pow
+from .series import TateSeries, _mobius_poly, one_minus_cz_pow
 
 I1 = "I1"
 
@@ -282,36 +282,6 @@ def _shift_to_residue(series: TateSeries, center: PadicNumber, level: int) -> Le
     r = center.residue(level)
     delta = series.ctx.from_int(r) - center
     return Leaf(r, level, series.recenter(delta, level))
-
-
-def _mobius_poly(
-    ctx: PadicContext,
-    m: int,
-    coeffs,
-    lam: PadicNumber,
-    mu: PadicNumber,
-    e: int,
-) -> TateSeries:
-    """Exact S(lam z / (1 - mu z)) (1 - mu z)^e for polynomial S, deg S <= e.
-
-    Expands sum_j b_j lam^j z^j (1 - mu z)^(e-j) term by term; the result
-    is a polynomial of degree <= e by construction, so the cancellation
-    of the infinite substitution series never has to happen numerically.
-    """
-    cs = [ctx.zero() for _ in range(e + 1)]
-    neg_mu_pow = [ctx.one()]
-    for _ in range(e):
-        neg_mu_pow.append(neg_mu_pow[-1] * (-mu))
-    lam_pow = ctx.one()
-    for j, b in enumerate(coeffs):
-        if j:
-            lam_pow = lam_pow * lam
-        if b.is_zero:
-            continue
-        w = b * lam_pow
-        for i in range(e - j + 1):
-            cs[j + i] = cs[j + i] + w * ctx.binom(e - j, i) * neg_mu_pow[i]
-    return TateSeries(ctx, m, cs)
 
 
 def _act_piecewise(f: PiecewiseFunction, fac: Factorization, e: int) -> List[Leaf]:

@@ -10,6 +10,7 @@ round-trip property (emit, re-parse, compare equal) hold byte for byte.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from .actions import InductionCharacter, IwahoriElement, I1, WeylCellVector
@@ -197,12 +198,25 @@ def encode_param(s: TriangulineParam) -> dict:
     }
 
 
+def _decode_script_l(s) -> str:
+    """"inf" or a rational string, kept as written."""
+    if s == SCRIPT_L_INF:
+        return s
+    if isinstance(s, str):
+        try:
+            Fraction(s)
+            return s
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParameterError(f'scriptL must be "inf" or a rational string, got {s!r}')
+
+
 def decode_param(ctx: PadicContext, obj: dict) -> TriangulineParam:
     try:
         return TriangulineParam(
             decode_character(ctx, obj["delta1"]),
             decode_character(ctx, obj["delta2"]),
-            obj.get("scriptL", SCRIPT_L_INF),
+            _decode_script_l(obj.get("scriptL", SCRIPT_L_INF)),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"bad parameter object: {exc}") from exc
@@ -227,10 +241,7 @@ def decode_weyl(ctx: PadicContext, obj: dict) -> WeylCellVector:
 
 def encode_cokernel(c: CokernelElement) -> dict:
     return {
-        "alpha": encode_padic(c.chi.alpha),
-        "beta": encode_padic(c.chi.beta),
-        "k": c.chi.k,
-        "which": c.chi.which,
+        **encode_induction(c.chi),
         "n": c.n,
         "m": c.m,
         "F_alpha": encode_weyl(c.F_alpha.vector),
@@ -240,13 +251,7 @@ def encode_cokernel(c: CokernelElement) -> dict:
 
 def decode_cokernel(ctx: PadicContext, obj: dict) -> CokernelElement:
     try:
-        chi = InductionCharacter(
-            decode_padic(ctx, obj["alpha"]),
-            decode_padic(ctx, obj["beta"]),
-            _field(obj, "k"),
-            which=obj.get("which", "alpha"),
-            strict=False,
-        )
+        chi = decode_induction(ctx, obj)
         n = _field(obj, "n")
         m = _field(obj, "m")
         fa = GAElement(decode_weyl(ctx, obj["F_alpha"]), n, m)

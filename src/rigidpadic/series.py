@@ -22,20 +22,24 @@ and the inverse-torus twist f(z/t) t^(k-2).  Each records a new tail
 certificate derived from the input's certificate; every one of them
 preserves val_C exactly (they are invertible isometries of the ball).
 
-Bit-identity contract: the Taylor shift b_v = sum_{l>=v} a_l binom(l, v)
-c^(l-v) behind translate, recenter and functions._re_expand, and the sums
-inside raw_mobius and evaluate_tracked, run on (val, unit) integer pairs
-through one kernel, _offset_sums.  Products are exact and summands are added
-in the order of the PadicNumber loops they replace, each partial sum rounded
-exactly as PadicNumber.__add__ rounds it, so the stored digits are those
-loops' digits (tests/test_series.py keeps the loops as the oracle and asserts
-exact equality).  Binomials are split over the context's factorial table,
-and every factor, 1/v! included, multiplies each summand's unit before it is
-added, never the finished sum: after a cancellation the rounding fills the
-top digits with zeros, which a factor applied after the sum would change.
-The kernel skips a summand lying N or more digits above a nonzero partial
-sum before computing its unit, since the rounding leaves such a sum
-unchanged; its valuation still enters the floor.
+Bit-identity contract: every sum of products in series algebra runs on
+(val, unit) integer pairs through one kernel, _offset_sums: the Taylor shift
+b_v = sum_{l>=v} a_l binom(l, v) c^(l-v) behind translate, recenter and
+functions._re_expand, and the sums inside raw_mobius, evaluate_tracked,
+__mul__ and _mobius_poly (one_minus_cz_pow is its S = 1 case).  Products are
+exact and summands are added in the order of the PadicNumber loops they
+replace, each partial sum rounded exactly as PadicNumber.__add__ rounds it,
+so the stored digits are those loops' digits (tests/test_series.py keeps the
+loops as the oracle and asserts exact equality).  Where a sum runs over
+pairs of factors, the second factor is the source, indexed from the top, so
+that each sum runs in ascending first-factor index.  Binomials are split
+over the context's factorial table, and every factor, 1/v! included,
+multiplies each summand's unit before it is added, never the finished sum:
+after a cancellation the rounding fills the top digits with zeros, which a
+factor applied after the sum would change.  The kernel skips a summand lying
+N or more digits above a nonzero partial sum before computing its unit,
+since the rounding leaves such a sum unchanged; its valuation still enters
+the floor.
 """
 
 from __future__ import annotations
@@ -198,19 +202,14 @@ class TateSeries:
     def __mul__(self, other: "TateSeries") -> "TateSeries":
         self._match(other)
         ctx = self.ctx
-        if not self.coeffs or not other.coeffs:
-            prod_tail = INF if (self.is_zero or other.is_zero) else self.val_c() + other.val_c()
-            return TateSeries(ctx, self.m, (), prod_tail)
         top = min(ctx.D, self.degree + other.degree)
-        cs = [ctx.zero() for _ in range(top + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > top:
-                    break
-                if not b.is_zero:
-                    cs[i + j] = cs[i + j] + a * b
+        # c_n = sum_i a_i b_(n-i) by ascending i: other is the source indexed
+        # from the top (l = top - j, v = top - n), so that i = l - v runs up
+        # as j runs down, and self, padded with zeros, is the kernel
+        src = [(top - j, b.val, b.unit)
+               for j, b in reversed(list(enumerate(other.coeffs[:top + 1]))) if b.unit]
+        ker = [(a.val, a.unit) for a in self.coeffs[:top + 1]] + [(INF, 0)] * (top - self.degree)
+        cs = _offset_sums(ctx, src, ker, [(v, 0, 1) for v in range(top + 1)])[0][::-1]
         exact = (
             self.tail_bound is INF
             and other.tail_bound is INF
@@ -367,12 +366,34 @@ class TateSeries:
 
 
 def one_minus_cz_pow(ctx: PadicContext, m: int, c: PadicNumber, e: int) -> TateSeries:
-    """The exact polynomial (1 - c z)^e, e >= 0."""
-    if e < 0:
-        raise ParameterError(f"twist exponent must be >= 0, got {e}")
-    if e > ctx.D:
-        raise ParameterError(f"twist exponent {e} exceeds truncation degree D={ctx.D}")
-    return TateSeries(ctx, m, [ctx.binom(e, i) * (-c) ** i for i in range(e + 1)])
+    """The exact polynomial (1 - c z)^e, 0 <= e <= D."""
+    return _mobius_poly(ctx, m, (ctx.one(),), ctx.one(), c, e)
+
+
+def _mobius_poly(
+    ctx: PadicContext, m: int, coeffs, lam: PadicNumber, mu: PadicNumber, e: int
+) -> TateSeries:
+    """Exact S(lam z / (1 - mu z)) (1 - mu z)^e for polynomial S, deg S <= e,
+    lam != 0, expanded term by term so that the cancellation of the infinite
+    substitution series never has to happen numerically:
+
+        c_n = sum_j b_j lam^j binom(e - j, n - j) (-mu)^(n - j).
+    """
+    if not 0 <= e <= ctx.D:
+        raise ParameterError(f"twist exponent must lie in [0, D={ctx.D}], got {e}")
+    # binom(e - j, i) = (e - j)! / (i! (e - n)!) with i = n - j.  The source
+    # (-mu)^i / i! is indexed from the top, l = e - i and v = e - n, so that
+    # j = l - v runs up as i runs down; b_j lam^j (e - j)! is the kernel and
+    # 1 / (e - n)! the outer factor.  i = 0 is (e, 0, 1), also for mu = 0
+    pN, fac = ctx.pN, ctx.factorials
+    fvals, finvs = fac.vals, fac.invs
+    src = [(e - i, i * mu.val - fvals[i], pow(pN - mu.unit, i, pN) * finvs[i] % pN)
+           for i in range(e if mu.unit else 0, 0, -1)] + [(e, 0, 1)]
+    ker = [(b.val + j * lam.val + fvals[e - j],
+            b.unit * pow(lam.unit, j, pN) * fac.units[e - j] % pN)
+           for j, b in enumerate(coeffs[:e + 1])] + [(INF, 0)] * (e + 1 - len(coeffs))
+    outs = [(e - n, -fvals[e - n], finvs[e - n]) for n in range(e, -1, -1)]
+    return TateSeries(ctx, m, _offset_sums(ctx, src, ker, outs)[0][::-1])
 
 
 def _check_weight(ctx: PadicContext, k: int) -> None:

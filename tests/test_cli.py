@@ -100,6 +100,18 @@ class TestClassify:
         assert rows["S_star"] == "true"
 
 
+    @pytest.mark.parametrize("value", [3, 0.5, [1], None, "abc"])
+    def test_non_rational_script_l_is_usage_error(self, files, capsys, tmp_path, value):
+        doc = json.loads(open(files["cris.param.json"], encoding="utf-8").read())
+        doc["payload"]["scriptL"] = value
+        path = tmp_path / "bad.param.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "scriptL must be" in err
+
+
 class TestAct:
     def test_lower_translation_oracle(self, files, capsys, ctx):
         code, out, _ = run(

@@ -218,6 +218,7 @@ def _samples(ctx):
         "matrix": IwahoriElement(ctx, 26, 25, 25, 1, 2),
         "character": ContinuousCharacter(ctx.from_int(15), 2, ctx.from_int(31)),
         "induction": chi,
+        "param": TriangulineParam(x_character(ctx), abs_x_character(ctx), scriptL="-3/7"),
         "cokernel": CokernelElement(
             chi, 1, 2, GAElement(cell, 1, 2), GAElement.zero(ctx, 1, 2)
         ),
@@ -238,7 +239,7 @@ class TestStrictFields:
     a float, bool or string is refused, never truncated or iterated."""
 
     @pytest.mark.parametrize("kind", ["series", "function", "matrix", "character",
-                                      "induction", "cokernel"])
+                                      "induction", "param", "cokernel"])
     def test_canonical_bytes_roundtrip(self, ctx, kind):
         text = io.wrap(kind, ctx, _samples(ctx)[kind])
         _, _, back = io.load(text, kind)
@@ -264,3 +265,23 @@ class TestStrictFields:
         text = _with(io.wrap(kind, ctx, _samples(ctx)[kind]), path, value)
         with pytest.raises(ParameterError, match="must be an"):
             io.load(text, kind)
+
+    @pytest.mark.parametrize("value", [3, 0.5, [1], None, True, "abc", "1/0", ""])
+    def test_script_l_is_inf_or_a_rational_string(self, ctx, value):
+        text = _with(io.wrap("param", ctx, _samples(ctx)["param"]),
+                     ("payload", "scriptL"), value)
+        with pytest.raises(ParameterError, match="scriptL must be"):
+            io.load(text, "param")
+
+    @pytest.mark.parametrize("value", ["inf", "0", "-3/7", "2.5"])
+    def test_script_l_strings_load_as_written(self, ctx, value):
+        text = _with(io.wrap("param", ctx, _samples(ctx)["param"]),
+                     ("payload", "scriptL"), value)
+        assert io.load(text, "param")[2].scriptL == value
+
+    @pytest.mark.parametrize("key, value", [("k", 1), ("alpha", "0"), ("which", "gamma")])
+    def test_malformed_cokernel_character_is_refused(self, ctx, key, value):
+        text = _with(io.wrap("cokernel", ctx, _samples(ctx)["cokernel"]),
+                     ("payload", key), value)
+        with pytest.raises(ParameterError, match="bad cokernel object"):
+            io.load(text, "cokernel")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rigidpadic.errors import DomainError, ParameterError
 from rigidpadic.functions import Leaf, _re_expand
 from rigidpadic.padic import INF, PadicContext, PadicNumber
-from rigidpadic.series import TateSeries, _taylor_shift, one_minus_cz_pow
+from rigidpadic.series import TateSeries, _mobius_poly, _taylor_shift, one_minus_cz_pow
 
 
 def poly(ctx, m, *ints):
@@ -443,6 +443,51 @@ def _oracle_evaluate_tracked(f, z):
     return acc, floor + ctx.N
 
 
+def _oracle_mul(f, g):
+    ctx = f.ctx
+    if not f.coeffs or not g.coeffs:
+        prod_tail = INF if (f.is_zero or g.is_zero) else f.val_c() + g.val_c()
+        return TateSeries(ctx, f.m, (), prod_tail)
+    top = min(ctx.D, f.degree + g.degree)
+    cs = [ctx.zero() for _ in range(top + 1)]
+    for i, a in enumerate(f.coeffs):
+        if a.is_zero:
+            continue
+        for j, b in enumerate(g.coeffs):
+            if i + j > top:
+                break
+            if not b.is_zero:
+                cs[i + j] = cs[i + j] + a * b
+    exact = (
+        f.tail_bound is INF
+        and g.tail_bound is INF
+        and f.degree + g.degree <= ctx.D
+    )
+    tb = INF if exact else f.val_c() + g.val_c()
+    return TateSeries(ctx, f.m, cs, tb)
+
+
+def _oracle_mobius_poly(ctx, m, coeffs, lam, mu, e):
+    cs = [ctx.zero() for _ in range(e + 1)]
+    neg_mu_pow = [ctx.one()]
+    for _ in range(e):
+        neg_mu_pow.append(neg_mu_pow[-1] * (-mu))
+    lam_pow = ctx.one()
+    for j, b in enumerate(coeffs):
+        if j:
+            lam_pow = lam_pow * lam
+        if b.is_zero:
+            continue
+        w = b * lam_pow
+        for i in range(e - j + 1):
+            cs[j + i] = cs[j + i] + w * ctx.binom(e - j, i) * neg_mu_pow[i]
+    return TateSeries(ctx, m, cs)
+
+
+def _oracle_one_minus_cz_pow(ctx, m, c, e):
+    return TateSeries(ctx, m, [ctx.binom(e, i) * (-c) ** i for i in range(e + 1)])
+
+
 def _dropped_summands(f, c):
     """(summands N or more digits above their nonzero partial sum, those
     exactly N above, all nonzero summands) over every b_v of the shift."""
@@ -463,6 +508,13 @@ def _dropped_summands(f, c):
     return dropped, at_edge, total
 
 
+def _rand_unit(ctx, rng):
+    unit = rng.randrange(1, ctx.pN)
+    while unit % ctx.p == 0:
+        unit = rng.randrange(1, ctx.pN)
+    return unit
+
+
 def _kernel_series(ctx, rng, m, degree, lo=-2, spread=6):
     """Degree-exact series with zero coefficients and valuations from lo."""
     cs = []
@@ -470,17 +522,16 @@ def _kernel_series(ctx, rng, m, degree, lo=-2, spread=6):
         if l < degree and rng.random() < 0.2:
             cs.append(ctx.zero())
             continue
-        unit = rng.randrange(1, ctx.pN)
-        while unit % ctx.p == 0:
-            unit = rng.randrange(1, ctx.pN)
-        cs.append(PadicNumber(ctx, rng.randint(lo, lo + spread), unit, _checked=True))
+        cs.append(PadicNumber(ctx, rng.randint(lo, lo + spread), _rand_unit(ctx, rng),
+                              _checked=True))
     return TateSeries(ctx, m, cs, rng.choice([INF, lo]))
 
 
 class TestTaylorShiftKernel:
-    """translate, recenter, raw_mobius, _re_expand and evaluate_tracked give
-    exactly the digits (and, for _re_expand and evaluate_tracked, the
-    ceilings) of the PadicNumber loops."""
+    """translate, recenter, raw_mobius, _re_expand, evaluate_tracked, the
+    product, _mobius_poly and one_minus_cz_pow give exactly the digits (and,
+    for _re_expand and evaluate_tracked, the ceilings) of the PadicNumber
+    loops."""
 
     CONTEXTS = [
         PadicContext(5, 40, 64),
@@ -503,6 +554,16 @@ class TestTaylorShiftKernel:
         assert _re_expand(ctx, leaf, f.m) == _oracle_re_expand(ctx, leaf, f.m)
         for z in (y, ctx.zero()):
             assert f.evaluate_tracked(z) == _oracle_evaluate_tracked(f, z)
+        g = _kernel_series(ctx, rng, f.m, rng.randrange(ctx.D + 1))
+        assert f * g == _oracle_mul(f, g)
+        assert g * f == _oracle_mul(g, f)
+        e = rng.randint(0, 6)
+        lam = PadicNumber(ctx, 0, _rand_unit(ctx, rng), _checked=True)
+        mu = PadicNumber(ctx, rng.randint(1, 3), _rand_unit(ctx, rng), _checked=True)
+        low = f.coeffs[:e + 1]
+        assert _mobius_poly(ctx, f.m, low, lam, mu, e) == _oracle_mobius_poly(
+            ctx, f.m, low, lam, mu, e)
+        assert one_minus_cz_pow(ctx, f.m, mu, e) == _oracle_one_minus_cz_pow(ctx, f.m, mu, e)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 5, 64])
     @pytest.mark.parametrize("lo", [0, -2])
@@ -567,6 +628,40 @@ class TestTaylorShiftKernel:
         assert f.raw_mobius(c) == _oracle_raw_mobius(f, c)
         for z in (c, c / ctx.from_int(p)):
             assert f.evaluate_tracked(z) == _oracle_evaluate_tracked(f, z)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_low_precision_sums_keep_the_first_factor_order(self, N):
+        # p = 3 with one to three digits and small coefficients: partial sums
+        # cancel and round often, so adding c_n = sum_i a_i b_(n-i) by
+        # ascending j = n - i instead gives other digits for many f, g
+        ctx = PadicContext(3, N, 16, kappa=0)
+        rng = random.Random(N)
+        small = [0, 1, -1, 2, -2, 3, -3, 4]
+        order_sensitive = 0
+        for _ in range(300):
+            f, g = (TateSeries(ctx, 0, [rng.choice(small) for _ in range(rng.randint(1, 8))])
+                    for _ in range(2))
+            assert f * g == _oracle_mul(f, g)
+            order_sensitive += _oracle_mul(f, g) != _oracle_mul(g, f)
+            e = rng.randint(0, 6)
+            lam = ctx.from_int(rng.choice([1, -1, 2, -2, 4]))
+            mu = ctx.from_int(rng.choice([3, -3, 6, 12, 9]))
+            assert _mobius_poly(ctx, 0, f.coeffs[:e + 1], lam, mu, e) == _oracle_mobius_poly(
+                ctx, 0, f.coeffs[:e + 1], lam, mu, e)
+        assert order_sensitive > 10
+
+    @pytest.mark.parametrize("e", [0, 1, 5])
+    def test_zero_twist_parameter_gives_the_constant_one(self, ctx, e):
+        assert one_minus_cz_pow(ctx, 1, ctx.zero(), e) == TateSeries.constant(ctx, 1, 1)
+
+    @pytest.mark.parametrize("e", [-1, 5, 18])
+    def test_twist_exponent_outside_zero_to_d_is_refused(self, e):
+        # e = 18 > 2D also lies past the factorial table
+        ctx = PadicContext(5, 10, 4)
+        with pytest.raises(ParameterError, match="twist exponent"):
+            one_minus_cz_pow(ctx, 0, ctx.from_int(5), e)
+        with pytest.raises(ParameterError, match="twist exponent"):
+            _mobius_poly(ctx, 0, (ctx.one(),), ctx.one(), ctx.from_int(5), e)
 
     @pytest.mark.parametrize("raised", [False, True])
     def test_summand_after_cancellation_is_added(self, raised):

@@ -19,22 +19,45 @@ factor (translation by y).
 Piecewise inputs are handled leafwise in one pass: each generator is an
 isometry of Z_p sending cosets onto cosets, so a leaf at center c maps to
 a leaf at the image center with an explicitly composed local series, and
-no partition refinement is ever needed.  Every leaf goes through the four
-generator steps in turn (mobius, dilation, inverse torus, translation);
-each step moves its image center onto the canonical residue of the image
-coset by an exact recenter, and each public action builds its function
-class once from the final leaves.  A generator that acts trivially (x = 0,
-s = 1, t = 1 with t^(k-2) = 1, y = 0) is skipped for every leaf.  For the
-mobius generator the image of the leaf at c is centered at b = c / (1 + x c)
-and the local substitution collapses to a scaled mobius map,
+no partition refinement is ever needed.  Each public action builds its
+function class once from the final leaves.  A generator that acts
+trivially (x = 0, s = 1, t = 1 with t^(k-2) = 1, y = 0) is skipped for
+every leaf.  For the mobius generator the image of the leaf at c is
+centered at b1 = c / (1 + x c) and the local substitution collapses to a
+scaled mobius map,
 
     z' -> (1 + x c)^2 z' / (1 - mu z'),   mu = x (1 + x c),
 
 with twist factor (1 + x c)^(-(k-2)) (1 - mu z')^(k-2); a leaf holding
 an exact polynomial of degree <= k - 2 is expanded exactly by
-series._mobius_poly.  The dilation image of c is c / s with local series
-f(s z'), the inverse torus image is c t with f(z' / t) t^(k-2), and the
-translation image is c + y with the series unchanged.
+series._mobius_poly.  This gives a local series g at the exact center b1
+(g is the leaf's own series, b1 = c, when x = 0).
+
+The remaining three steps are affine in the local variable: the dilation
+sends the center r to r / s with local series h(s z'), the inverse torus
+sends it to r t with h(z' / t) t^(k-2), and the translation to r + y with
+the series unchanged.  Each image center b_i (i = 1..4) lies on the
+canonical residue r_i of its coset at the leaf's level, at the offset
+delta_i = r_i - b_i in p**level Z_p, and the next step starts from r_i.
+Re-centring after every step and composing the four substitutions, the
+leaf at r_4 carries
+
+    t^(k-2) g(Delta + (s / t) z'),
+    Delta = delta_1 + s delta_2 + (s / t) (delta_3 + delta_4),
+
+where a skipped step contributes no offset (and s = 1, t = 1).  So each
+leaf is built by one recenter of g by Delta, followed by one pass that
+multiplies a_l by (s / t)^l t^(k-2).  The residue chain r_1 .. r_4 is the
+same computation as step by step, so centers and levels do not depend on
+the composition.  s and t are units and capped-relative products are exact
+modulo p**N in the unit, so the order of those multiplications moves no
+digit.  Delta is rounded to N digits at valuation >= level, an error
+that moves coefficient l by valuation >= val_C - level l + N.  So the one
+Taylor shift, where the step by step route rounded four, is where digits
+change.  Both routes agree with the exact image modulo
+p**(val_C - level l + N - kappa) in coefficient l (the precision contract;
+tests/test_actions.py checks it against the step by step route run with
+150 more digits).
 
 The w0 Weyl cell carries the action of the w0-conjugate matrix (swap
 a <-> d and b <-> c); when the conjugate leaves the actionable range
@@ -44,7 +67,7 @@ a <-> d and b <-> c); when the conjugate leaves the actionable range
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 from .errors import DomainError, FactorizationError, InvariantViolation, ParameterError
 from .functions import (
@@ -277,11 +300,10 @@ class WeylCellVector:
 # -- leafwise generator transforms -------------------------------------------
 
 
-def _shift_to_residue(series: TateSeries, center: PadicNumber, level: int) -> Leaf:
-    """Move a local series at an exact center onto the canonical residue."""
+def _to_residue(center: PadicNumber, level: int) -> Tuple[int, PadicNumber]:
+    """The canonical residue r of an exact center's coset and the offset r - center."""
     r = center.residue(level)
-    delta = series.ctx.from_int(r) - center
-    return Leaf(r, level, series.recenter(delta, level))
+    return r, center.ctx.from_int(r) - center
 
 
 def _act_piecewise(f: PiecewiseFunction, fac: Factorization, e: int) -> List[Leaf]:
@@ -291,35 +313,48 @@ def _act_piecewise(f: PiecewiseFunction, fac: Factorization, e: int) -> List[Lea
         raise DomainError(f"mobius parameter needs valp(x) >= 1, got {x.val}")
     ctx = f.ctx
     one = ctx.one()
+    pN = ctx.pN
     factor = t ** e
     dilate = not (s - one).is_zero
     torus = not ((t - one).is_zero and factor == one)
-    t_inv = t.invert()
+    ratio = s / t
     leaves = []
     for lf in f.leaves:
+        level, r, g = lf.level, lf.center, lf.series
+        # the leaf becomes t^e g(delta + ratio offset + ratio z') (module
+        # docstring): delta sums the mobius and dilation offsets, offset
+        # the inverse torus and translation ones
+        delta = offset = ctx.zero()
         if not x.is_zero:
-            c = ctx.from_int(lf.center)
+            c = ctx.from_int(r)
             one_plus = one + x * c  # a unit: valp(x c) >= 1
             lam = one_plus * one_plus
             mu = x * one_plus
-            if lf.series.tail_bound is INF and lf.series.degree <= e:
-                g = _mobius_poly(ctx, lf.level, lf.series.coeffs, lam, mu, e)
+            if g.tail_bound is INF and g.degree <= e:
+                g = _mobius_poly(ctx, level, g.coeffs, lam, mu, e)
             else:
-                g = lf.series.raw_scale(lam).raw_mobius(mu)
+                g = g.raw_scale(lam).raw_mobius(mu)
                 if e:
-                    g = g * one_minus_cz_pow(ctx, lf.level, mu, e)
+                    g = g * one_minus_cz_pow(ctx, level, mu, e)
             if e:
                 g = g.scale(one_plus ** (-e))
-            lf = _shift_to_residue(g, c / one_plus, lf.level)
+            r, delta = _to_residue(c / one_plus, level)
         if dilate:
-            b = ctx.from_int(lf.center) / s
-            lf = _shift_to_residue(lf.series.raw_scale(s), b, lf.level)
+            r, d = _to_residue(ctx.from_int(r) / s, level)
+            delta = delta + s * d
         if torus:
-            b = ctx.from_int(lf.center) * t
-            lf = _shift_to_residue(lf.series.raw_scale(t_inv).scale(factor), b, lf.level)
+            r, offset = _to_residue(ctx.from_int(r) * t, level)
         if not y.is_zero:
-            lf = _shift_to_residue(lf.series, ctx.from_int(lf.center) + y, lf.level)
-        leaves.append(lf)
+            r, d = _to_residue(ctx.from_int(r) + y, level)
+            offset = offset + d
+        g = g.recenter(delta + ratio * offset, level)
+        # a_l (s / t)^l t^e as one unit product per coefficient: ratio and
+        # factor are units, and unit products mod p^N do not depend on order
+        w, cs = factor.unit, []
+        for a in g.coeffs:
+            cs.append(PadicNumber(ctx, a.val, a.unit * w % pN, _checked=True) if a.unit else a)
+            w = w * ratio.unit % pN
+        leaves.append(Leaf(r, level, TateSeries(ctx, level, cs, g.tail_bound)))
     return leaves
 
 

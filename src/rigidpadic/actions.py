@@ -28,10 +28,10 @@ scaled mobius map,
 
     z' -> (1 + x c)^2 z' / (1 - mu z'),   mu = x (1 + x c),
 
-with twist factor (1 + x c)^(-(k-2)) (1 - mu z')^(k-2); a leaf holding
-an exact polynomial of degree <= k - 2 is expanded exactly by
-series._mobius_poly.  This gives a local series g at the exact center b1
-(g is the leaf's own series, b1 = c, when x = 0).
+with twist factor (1 + x c)^(-(k-2)) (1 - mu z')^(k-2), both expanded
+by one series.twisted_mobius call; a leaf holding an exact polynomial of
+degree <= k - 2 stays one.  This gives a local series g at the exact
+center b1 (g is the leaf's own series, b1 = c, when x = 0).
 
 The remaining three steps are affine in the local variable: the dilation
 sends the center r to r / s with local series h(s z'), the inverse torus
@@ -77,7 +77,7 @@ from .functions import (
     StepFunction,
 )
 from .padic import INF, Coercible, PadicContext, PadicNumber
-from .series import TateSeries, _mobius_poly, one_minus_cz_pow
+from .series import TateSeries, twisted_mobius
 
 I1 = "I1"
 
@@ -328,14 +328,8 @@ def _act_piecewise(f: PiecewiseFunction, fac: Factorization, e: int) -> List[Lea
         if not x.is_zero:
             c = ctx.from_int(r)
             one_plus = one + x * c  # a unit: valp(x c) >= 1
-            lam = one_plus * one_plus
-            mu = x * one_plus
-            if g.tail_bound is INF and g.degree <= e:
-                g = _mobius_poly(ctx, level, g.coeffs, lam, mu, e)
-            else:
-                g = g.raw_scale(lam).raw_mobius(mu)
-                if e:
-                    g = g * one_minus_cz_pow(ctx, level, mu, e)
+            tail = INF if g.tail_bound is INF and g.degree <= e else g.val_c()
+            g = twisted_mobius(ctx, level, g.coeffs, one_plus * one_plus, x * one_plus, e, tail)
             if e:
                 g = g.scale(one_plus ** (-e))
             r, delta = _to_residue(c / one_plus, level)

@@ -79,12 +79,25 @@ def _check_level(f: TateSeries, m: int) -> None:
         raise DomainError(f"series lives at level {f.m}, expansion requested at {m}")
 
 
+def _times_binom(a: PadicNumber, n: int, k: int) -> PadicNumber:
+    """a * binom(n, k) with the binomial's (val, unit) read from the factorial
+    table, with the corners of PadicContext.binom: 1 for k = 0, 0 for k > n."""
+    if k == 0 or a.is_zero:
+        return a
+    ctx = a.ctx
+    if k > n:
+        return ctx.zero()
+    t = ctx.factorials
+    return PadicNumber(ctx, a.val + t.vals[n] - t.vals[k] - t.vals[n - k],
+                       a.unit * t.units[n] * t.invs[k] * t.invs[n - k] % ctx.pN, _checked=True)
+
+
 def orbit_translation(f: TateSeries, m: int) -> OrbitExpansion:
     _check_level(f, m)
     ctx = f.ctx
     comps = []
     for v in range(ctx.D + 1):
-        cs = [a * ctx.binom(l, v) for l, a in enumerate(f.coeffs[v:], v)]
+        cs = [_times_binom(a, l, v) for l, a in enumerate(f.coeffs[v:], v)]
         tail = INF if f.tail_bound is INF else f.tail_bound - m * v
         comps.append(TateSeries(ctx, m, cs if v % 2 == 0 else [-c for c in cs], tail))
     return OrbitExpansion("translation", m, f, tuple(comps))
@@ -102,9 +115,7 @@ def orbit_mobius(f: TateSeries, m: int, k: int) -> OrbitExpansion:
     for q in range(ctx.D + 1):
         # a_l lands on z^(l+q); the terms past z^D are dropped
         kept, cut = f.coeffs[: ctx.D + 1 - q], f.coeffs[ctx.D + 1 - q :]
-        cs = [ctx.zero()] * q + [
-            a if a.is_zero else a * ctx.binom(l + q - 1, q) for l, a in enumerate(kept)
-        ]
+        cs = [ctx.zero()] * q + [_times_binom(a, l + q - 1, q) for l, a in enumerate(kept)]
         exact = f.tail_bound is INF and all(a.is_zero for a in cut)
         tail = INF if exact else (vc + m * q if vc is not INF else INF)
         comps.append(TateSeries(ctx, m, cs, tail))
@@ -116,7 +127,7 @@ def orbit_dilation(f: TateSeries, m: int) -> OrbitExpansion:
     ctx = f.ctx
     comps = []
     for q in range(ctx.D + 1):
-        high = [a if a.is_zero else a * ctx.binom(l, q) for l, a in enumerate(f.coeffs[q:], q)]
+        high = [_times_binom(a, l, q) for l, a in enumerate(f.coeffs[q:], q)]
         comps.append(TateSeries(ctx, m, [ctx.zero()] * q + high if high else [], f.tail_bound))
     return OrbitExpansion("dilation", m, f, tuple(comps))
 
@@ -126,7 +137,7 @@ def orbit_inv_torus(f: TateSeries, m: int) -> OrbitExpansion:
     ctx = f.ctx
     comps = []
     for q in range(ctx.D + 1):
-        cs = [a * ctx.binom(l + q - 1, q) for l, a in enumerate(f.coeffs)]
+        cs = [_times_binom(a, l + q - 1, q) for l, a in enumerate(f.coeffs)]
         comps.append(TateSeries(ctx, m, cs if q % 2 == 0 else [-c for c in cs], f.tail_bound))
     return OrbitExpansion("inv_torus", m, f, tuple(comps))
 

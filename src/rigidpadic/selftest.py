@@ -27,7 +27,7 @@ from .actions import (
     act_smooth,
     iwahori_factorize,
 )
-from .errors import RigidPadicError
+from .errors import ParameterError, RigidPadicError
 from .functions import (
     Leaf,
     LocallyAlgebraicFunction,
@@ -674,11 +674,13 @@ def run_selftest(
     count_override: Optional[int] = None,
     only: Optional[str] = None,
 ) -> Dict:
+    chosen = [suite for suite in SUITES if only is None or only in suite[0]]
+    if not chosen:
+        known = ", ".join(name for name, _, _ in SUITES)
+        raise ParameterError(f"suite filter {only!r} matches no suite; known suites: {known}")
     suites = []
     all_ok = True
-    for name, default_count, fn in SUITES:
-        if only is not None and only not in name:
-            continue
+    for name, default_count, fn in chosen:
         count = count_override if count_override is not None else default_count
         failed = 0
         first_failure = None

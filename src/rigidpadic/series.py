@@ -25,21 +25,32 @@ preserves val_C exactly (they are invertible isometries of the ball).
 Bit-identity contract: every sum of products in series algebra runs on
 (val, unit) integer pairs through one kernel, _offset_sums: the Taylor shift
 b_v = sum_{l>=v} a_l binom(l, v) c^(l-v) behind translate, recenter and
-functions._re_expand, and the sums inside raw_mobius, evaluate_tracked,
-__mul__ and _mobius_poly (one_minus_cz_pow is its S = 1 case).  Products are
-exact and summands are added in the order of the PadicNumber loops they
-replace, each partial sum rounded exactly as PadicNumber.__add__ rounds it,
-so the stored digits are those loops' digits (tests/test_series.py keeps the
-loops as the oracle and asserts exact equality).  Where a sum runs over
-pairs of factors, the second factor is the source, indexed from the top, so
-that each sum runs in ascending first-factor index.  Binomials are split
-over the context's factorial table, and every factor, 1/v! included,
-multiplies each summand's unit before it is added, never the finished sum:
-after a cancellation the rounding fills the top digits with zeros, which a
-factor applied after the sum would change.  The kernel skips a summand lying
-N or more digits above a nonzero partial sum before computing its unit,
-since the rounding leaves such a sum unchanged; its valuation still enters
-the floor.
+functions._re_expand, the sums inside evaluate_tracked and __mul__, and the
+two sums of twisted_mobius below.  Products are exact and summands are added
+in the order of the PadicNumber loops they replace, each partial sum rounded
+exactly as PadicNumber.__add__ rounds it, so the stored digits are those
+loops' digits (tests/test_series.py keeps the loops as the oracle and
+asserts exact equality).  Where a sum runs over pairs of factors, the second
+factor is the source, indexed from the top, so that each sum runs in
+ascending first-factor index.  Binomials are split over the context's
+factorial table, and every factor, 1/v! included, multiplies each summand's
+unit before it is added, never the finished sum: after a cancellation the
+rounding fills the top digits with zeros, which a factor applied after the
+sum would change.  The kernel skips a summand lying N or more digits above a
+nonzero partial sum before computing its unit, since the rounding leaves
+such a sum unchanged; its valuation still enters the floor.
+
+twisted_mobius is the one routine for every Mobius substitution
+S(lam z / (1 - mu z)) (1 - mu z)^e: raw_mobius, mobius_twist,
+one_minus_cz_pow and the leafwise action call it.  Its outputs split at
+j = e: c_j draws on a_l with l <= e for j <= e, and with l > e for j > e.
+Its digits are the loops' for e = 0, deg S <= e and S = 1.  For
+deg S > e >= 1 it rounds one sum where the product of the untwisted
+substitution and the twist rounded two.  Every summand and partial sum of c_j
+has valuation >= val_C - m j and each rounding errs N digits above it, so
+both routes agree with the exact image modulo p**(val_C - m j + N), inside
+N - kappa (tests/test_series.py checks both against the product route run
+with 150 more digits).
 """
 
 from __future__ import annotations
@@ -257,35 +268,14 @@ class TateSeries:
         return self.raw_scale(s)
 
     def raw_mobius(self, x: Coercible) -> "TateSeries":
-        """Untwisted substitution f(z) -> f(z / (1 - x z)), valp(x) >= 1.
-
-        Expanding (1 - x z)^(-l) by the negative binomial series gives
-
-            c_j = sum_q a_(j-q) binom(j - 1, q) x^q.
-        """
+        """Untwisted substitution f(z) -> f(z / (1 - x z)), valp(x) >= 1."""
         ctx = self.ctx
         x = ctx.num(x)
         if x.is_zero:
             return self
         if x.val < 1:
             raise DomainError(f"mobius parameter needs valp(x) >= 1, got {x.val}")
-        deg = self.degree
-        if deg < 0:
-            return self
-        # c_0 = a_0; for j >= 1 the q = j term has binom(j - 1, j) = 0, and
-        # binom(j - 1, q) = (j - 1)! / (q! (l - 1)!) with l = j - q >= 1.  The
-        # source is indexed from the top, l' = deg - l and v = deg - j, so that
-        # q = l' - v runs up from max(0, j - deg) as l runs down from
-        # min(j, deg): a_l / (l - 1)! times x^q / q! times (j - 1)!
-        pN, fac = ctx.pN, ctx.factorials
-        fvals, finvs = fac.vals, fac.invs
-        src = [(deg - l, a.val - fvals[l - 1], a.unit * finvs[l - 1] % pN)
-               for l, a in reversed(list(enumerate(self.coeffs))) if l and a.unit]
-        xq = [(q * x.val - fvals[q], pow(x.unit, q, pN) * finvs[q] % pN) for q in range(ctx.D)]
-        outs = [(deg - j, fvals[j - 1], fac.units[j - 1]) for j in range(ctx.D, 0, -1)]
-        sums, _ = _offset_sums(ctx, src, xq, outs)
-        cs = [self.coeffs[0]] + sums[::-1]
-        return TateSeries(ctx, self.m, cs, self.val_c())
+        return twisted_mobius(ctx, self.m, self.coeffs, ctx.one(), x, 0, self.val_c())
 
     def mobius_twist(self, x: Coercible, k: int) -> "TateSeries":
         """Unipotent action f(z) -> f(z / (1 - x z)) * (1 - x z)^(k - 2).
@@ -301,7 +291,7 @@ class TateSeries:
             raise DomainError(
                 f"mobius parameter needs valp(x) >= {max(1, self.m)}, got {x.val}"
             )
-        return self.raw_mobius(x) * one_minus_cz_pow(ctx, self.m, x, k - 2)
+        return twisted_mobius(ctx, self.m, self.coeffs, ctx.one(), x, k - 2, self.val_c())
 
     def inv_torus(self, t: Coercible, k: int) -> "TateSeries":
         """Torus action f(z) -> f(z / t) * t^(k - 2), t = 1 mod p**m."""
@@ -367,33 +357,46 @@ class TateSeries:
 
 def one_minus_cz_pow(ctx: PadicContext, m: int, c: PadicNumber, e: int) -> TateSeries:
     """The exact polynomial (1 - c z)^e, 0 <= e <= D."""
-    return _mobius_poly(ctx, m, (ctx.one(),), ctx.one(), c, e)
+    return twisted_mobius(ctx, m, (ctx.one(),), ctx.one(), c, e, INF)
 
 
-def _mobius_poly(
-    ctx: PadicContext, m: int, coeffs, lam: PadicNumber, mu: PadicNumber, e: int
-) -> TateSeries:
-    """Exact S(lam z / (1 - mu z)) (1 - mu z)^e for polynomial S, deg S <= e,
-    lam != 0, expanded term by term so that the cancellation of the infinite
-    substitution series never has to happen numerically:
+def twisted_mobius(ctx: PadicContext, m: int, coeffs: Sequence[PadicNumber],
+                   lam: PadicNumber, mu: PadicNumber, e: int, tail) -> TateSeries:
+    """S(lam z / (1 - mu z)) (1 - mu z)^e on the ball p**m Z_p, for
+    S = sum_l a_l z^l, lam != 0 and 0 <= e <= D, truncated at z^D with the
+    given tail bound:
 
-        c_n = sum_j b_j lam^j binom(e - j, n - j) (-mu)^(n - j).
+        c_j = sum_{l <= j} a_l lam^l binom(e - l, j - l) (-mu)^(j - l).
     """
     if not 0 <= e <= ctx.D:
         raise ParameterError(f"twist exponent must lie in [0, D={ctx.D}], got {e}")
-    # binom(e - j, i) = (e - j)! / (i! (e - n)!) with i = n - j.  The source
-    # (-mu)^i / i! is indexed from the top, l = e - i and v = e - n, so that
-    # j = l - v runs up as i runs down; b_j lam^j (e - j)! is the kernel and
-    # 1 / (e - n)! the outer factor.  i = 0 is (e, 0, 1), also for mu = 0
     pN, fac = ctx.pN, ctx.factorials
     fvals, finvs = fac.vals, fac.invs
-    src = [(e - i, i * mu.val - fvals[i], pow(pN - mu.unit, i, pN) * finvs[i] % pN)
-           for i in range(e if mu.unit else 0, 0, -1)] + [(e, 0, 1)]
-    ker = [(b.val + j * lam.val + fvals[e - j],
-            b.unit * pow(lam.unit, j, pN) * fac.units[e - j] % pN)
-           for j, b in enumerate(coeffs[:e + 1])] + [(INF, 0)] * (e + 1 - len(coeffs))
-    outs = [(e - n, -fvals[e - n], finvs[e - n]) for n in range(e, -1, -1)]
-    return TateSeries(ctx, m, _offset_sums(ctx, src, ker, outs)[0][::-1])
+    # j <= e: binom(e - l, q) = (e - l)! / (q! (e - j)!), q = j - l.  The
+    # source (-mu)^q / q! is indexed from the top, l' = e - q and v = e - j,
+    # so that l = l' - v runs up as q runs down; a_l lam^l (e - l)! is the
+    # kernel and 1 / (e - j)! the outer factor.  q = 0 is (e, 0, 1)
+    src = [(e - q, q * mu.val - fvals[q], pow(pN - mu.unit, q, pN) * finvs[q] % pN)
+           for q in range(e if mu.unit else 0, 0, -1)] + [(e, 0, 1)]
+    ker = [(a.val + l * lam.val + fvals[e - l],
+            a.unit * pow(lam.unit, l, pN) * fac.units[e - l] % pN)
+           for l, a in enumerate(coeffs[:e + 1])] + [(INF, 0)] * (e + 1 - len(coeffs))
+    outs = [(e - j, -fvals[e - j], finvs[e - j]) for j in range(e, -1, -1)]
+    low = _offset_sums(ctx, src, ker, outs)[0][::-1]
+    # j > e: binom(e - l, q) = (-1)^q (j - e - 1)! / (q! (l - e - 1)!).  The
+    # source a_l lam^l / (l - e - 1)! is indexed from the top, l' = deg - l
+    # and v = deg - j, so that q = l' - v runs up as l runs down; mu^q / q!
+    # is the kernel and (j - e - 1)! the outer factor.  deg <= e: no source
+    deg = len(coeffs) - 1
+    top = ctx.D if deg > e else e
+    src = [(deg - l, a.val + l * lam.val - fvals[l - e - 1],
+            a.unit * pow(lam.unit, l, pN) * finvs[l - e - 1] % pN)
+           for l, a in reversed(list(enumerate(coeffs))) if l > e and a.unit]
+    ker = [(0, 1)] + [(q * mu.val - fvals[q], pow(mu.unit, q, pN) * finvs[q] % pN)
+                      for q in range(1, top - e)]
+    outs = [(deg - j, fvals[j - e - 1], fac.units[j - e - 1]) for j in range(top, e, -1)]
+    high = _offset_sums(ctx, src, ker, outs)[0][::-1]
+    return TateSeries(ctx, m, low + high, tail)
 
 
 def _check_weight(ctx: PadicContext, k: int) -> None:

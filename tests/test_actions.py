@@ -11,7 +11,6 @@ from rigidpadic.actions import (
     InductionCharacter,
     IwahoriElement,
     WeylCellVector,
-    _mobius_poly,
     act,
     act_cell,
     act_locally_algebraic,
@@ -27,6 +26,7 @@ from rigidpadic.functions import (
 )
 from rigidpadic.padic import INF, PadicContext, PadicNumber
 from rigidpadic.series import TateSeries, one_minus_cz_pow
+from test_series import EXTRA_DIGITS, _assert_within_contract, _oracle_mobius_poly
 
 
 def chi_for(ctx, k):
@@ -474,7 +474,7 @@ def _oracle_mobius_pw(f, x, e):
         lam = one_plus * one_plus
         mu = x * one_plus
         if lf.series.tail_bound is INF and lf.series.degree <= e:
-            g = _mobius_poly(ctx, lf.level, lf.series.coeffs, lam, mu, e)
+            g = _oracle_mobius_poly(ctx, lf.level, lf.series.coeffs, lam, mu, e)
         else:
             g = lf.series.raw_scale(lam).raw_mobius(mu)
             if e:
@@ -539,10 +539,6 @@ def _random_function(ctx, rng, max_level, e):
     ])
 
 
-#: extra digits of the context that stands in for the exact image
-EXTRA_DIGITS = 150
-
-
 def _lift(hi, f):
     """f's leaves read as exact rationals in the context hi."""
     return PiecewiseFunction(hi, [
@@ -554,16 +550,6 @@ def _lift(hi, f):
 
 def _lift_matrix(hi, g):
     return IwahoriElement(hi, *(a.to_fraction() for a in (g.a, g.b, g.c, g.d)), g.level)
-
-
-def _assert_within_contract(series, exact):
-    """Every coefficient a_l of series agrees with the exact image modulo
-    p^(val_C - m l + N - kappa), m the ball level."""
-    ctx, hi = series.ctx, exact.ctx
-    need = series.val_c() + ctx.N - ctx.kappa
-    for l in range(max(len(series.coeffs), len(exact.coeffs))):
-        gap = (exact.coeff(l) - hi.num(series.coeff(l).to_fraction())).val
-        assert gap >= need - series.m * l, (l, gap, need - series.m * l)
 
 
 def _assert_matches_oracle(out, g, f, e):

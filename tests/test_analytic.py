@@ -272,6 +272,40 @@ class TestOrbitLevels:
         with pytest.raises(DomainError):
             _orbit_levels(TateSeries.monomial(ctx, 0, 1), 1)
 
+
+def _oracle_orbit_coeffs(f):
+    """Every family's components as a * ctx.binom(n, q) products, the way the
+    orbit builders once formed them."""
+    ctx, binom = f.ctx, f.ctx.binom
+    out = {fam: [] for fam in FAMILIES}
+    for q in range(ctx.D + 1):
+        signed = (lambda cs: cs) if q % 2 == 0 else (lambda cs: [-c for c in cs])
+        out["translation"].append(signed([a * binom(l, q) for l, a in enumerate(f.coeffs[q:], q)]))
+        out["mobius"].append([0] * q + [a * binom(l + q - 1, q)
+                                        for l, a in enumerate(f.coeffs[:ctx.D + 1 - q])])
+        out["dilation"].append([0] * q + [a * binom(l, q) for l, a in enumerate(f.coeffs[q:], q)])
+        out["inv_torus"].append(signed([a * binom(l + q - 1, q) for l, a in enumerate(f.coeffs)]))
+    return out
+
+
+class TestOrbitBuildersReadTheFactorialTable:
+    """The orbit builders read binomials from the factorial table, never
+    through ctx.binom, and give exactly the digits of the binom products."""
+
+    @pytest.mark.parametrize("lctx", LEVEL_CONTEXTS, ids=lambda c: f"p{c.p}-D{c.D}")
+    def test_bit_identical_to_binom_products(self, lctx, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ctx.binom called")
+
+        for f in _level_cases(lctx, lctx.p + 1):
+            monkeypatch.setattr(PadicContext, "binom", refuse)
+            exps = expand_all(f, f.m, 3)
+            monkeypatch.undo()
+            want = _oracle_orbit_coeffs(f)
+            for fam, exp in exps.items():
+                for comp, cs in zip(exp.components, want[fam], strict=True):
+                    assert comp.coeffs == TateSeries(lctx, f.m, cs).coeffs, (fam, f)
+
     def test_tail_guard_reads_the_table(self, ctx, monkeypatch):
         # the bound is a theorem, so lower one table entry by hand: the
         # guard must name that entry

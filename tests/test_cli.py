@@ -542,3 +542,10 @@ class TestSelftest:
         assert code == 0
         rep = json.loads(out)
         assert rep["suites"] and all("galois" in s["name"] for s in rep["suites"])
+
+    def test_only_filter_matching_no_suite_is_usage_error(self, capsys):
+        # a mistyped filter must not run nothing and read as a pass
+        code, out, err = run(capsys, "selftest", "--only", "nosuch")
+        assert code == 2
+        assert out == ""
+        assert "nosuch" in err and "actions/cell-associativity" in err

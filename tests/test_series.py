@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rigidpadic.errors import DomainError, ParameterError
 from rigidpadic.functions import Leaf, _re_expand
 from rigidpadic.padic import INF, PadicContext, PadicNumber
-from rigidpadic.series import TateSeries, _mobius_poly, _taylor_shift, one_minus_cz_pow
+from rigidpadic.series import TateSeries, _taylor_shift, one_minus_cz_pow, twisted_mobius
 
 
 def poly(ctx, m, *ints):
@@ -528,10 +528,10 @@ def _kernel_series(ctx, rng, m, degree, lo=-2, spread=6):
 
 
 class TestTaylorShiftKernel:
-    """translate, recenter, raw_mobius, _re_expand, evaluate_tracked, the
-    product, _mobius_poly and one_minus_cz_pow give exactly the digits (and,
-    for _re_expand and evaluate_tracked, the ceilings) of the PadicNumber
-    loops."""
+    """translate, recenter, _re_expand, evaluate_tracked, the product and
+    twisted_mobius for e = 0 (raw_mobius), for deg S <= e and for S = 1
+    (one_minus_cz_pow) give exactly the digits (and, for _re_expand and
+    evaluate_tracked, the ceilings) of the PadicNumber loops."""
 
     CONTEXTS = [
         PadicContext(5, 40, 64),
@@ -547,7 +547,9 @@ class TestTaylorShiftKernel:
         assert f.translate(y) == _oracle_translate(f, y)
         assert f.recenter(y, f.m + 1) == _oracle_recenter(f, y, f.m + 1)
         x = ctx.from_int(p ** max(1, f.m) * rng.randrange(1, p ** 4))
+        one = ctx.one()
         assert f.raw_mobius(x) == _oracle_raw_mobius(f, x)
+        assert twisted_mobius(ctx, f.m, f.coeffs, one, x, 0, f.val_c()) == f.raw_mobius(x)
         level = f.m + 1
         center = rng.randrange(1, p ** level)
         leaf = Leaf(center, level, TateSeries(ctx, level, f.coeffs, f.tail_bound))
@@ -561,9 +563,14 @@ class TestTaylorShiftKernel:
         lam = PadicNumber(ctx, 0, _rand_unit(ctx, rng), _checked=True)
         mu = PadicNumber(ctx, rng.randint(1, 3), _rand_unit(ctx, rng), _checked=True)
         low = f.coeffs[:e + 1]
-        assert _mobius_poly(ctx, f.m, low, lam, mu, e) == _oracle_mobius_poly(
+        assert twisted_mobius(ctx, f.m, low, lam, mu, e, INF) == _oracle_mobius_poly(
             ctx, f.m, low, lam, mu, e)
+        assert twisted_mobius(ctx, f.m, (one,), one, mu, e, INF) == _oracle_one_minus_cz_pow(
+            ctx, f.m, mu, e)
         assert one_minus_cz_pow(ctx, f.m, mu, e) == _oracle_one_minus_cz_pow(ctx, f.m, mu, e)
+        # e = 0 with lam != 1: the untwisted mobius step of the leafwise action
+        assert twisted_mobius(ctx, f.m, f.coeffs, lam, mu, 0, f.val_c()) == _oracle_raw_mobius(
+            f.raw_scale(lam), mu)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 5, 64])
     @pytest.mark.parametrize("lo", [0, -2])
@@ -646,7 +653,7 @@ class TestTaylorShiftKernel:
             e = rng.randint(0, 6)
             lam = ctx.from_int(rng.choice([1, -1, 2, -2, 4]))
             mu = ctx.from_int(rng.choice([3, -3, 6, 12, 9]))
-            assert _mobius_poly(ctx, 0, f.coeffs[:e + 1], lam, mu, e) == _oracle_mobius_poly(
+            assert twisted_mobius(ctx, 0, f.coeffs[:e + 1], lam, mu, e, INF) == _oracle_mobius_poly(
                 ctx, 0, f.coeffs[:e + 1], lam, mu, e)
         assert order_sensitive > 10
 
@@ -661,7 +668,7 @@ class TestTaylorShiftKernel:
         with pytest.raises(ParameterError, match="twist exponent"):
             one_minus_cz_pow(ctx, 0, ctx.from_int(5), e)
         with pytest.raises(ParameterError, match="twist exponent"):
-            _mobius_poly(ctx, 0, (ctx.one(),), ctx.one(), ctx.from_int(5), e)
+            twisted_mobius(ctx, 0, (ctx.one(),), ctx.one(), ctx.from_int(5), e, INF)
 
     @pytest.mark.parametrize("raised", [False, True])
     def test_summand_after_cancellation_is_added(self, raised):
@@ -678,3 +685,57 @@ class TestTaylorShiftKernel:
         assert coeffs == [b for b, _ in expected]
         assert [fl + ctx.N for fl in floors] == [ceiling for _, ceiling in expected]
         assert coeffs[0] == ctx.from_int((p ** 2 if raised else 0) + p ** 9)
+
+
+#: extra digits of the context that stands in for the exact image
+EXTRA_DIGITS = 150
+
+
+def _assert_within_contract(series, exact):
+    """Every coefficient a_l of series agrees with the exact image modulo
+    p^(val_C - m l + N - kappa), m the ball level."""
+    ctx, hi = series.ctx, exact.ctx
+    need = series.val_c() + ctx.N - ctx.kappa
+    for l in range(max(len(series.coeffs), len(exact.coeffs))):
+        gap = (exact.coeff(l) - hi.num(series.coeff(l).to_fraction())).val
+        assert gap >= need - series.m * l, (l, gap, need - series.m * l)
+
+
+def _product_route(f, lam, mu, e):
+    """S(lam z / (1 - mu z)) (1 - mu z)^e as the untwisted substitution times
+    the twist, through the PadicNumber loops: two rounded sums per coefficient."""
+    return _oracle_mul(_oracle_raw_mobius(f.raw_scale(lam), mu),
+                       _oracle_one_minus_cz_pow(f.ctx, f.m, mu, e))
+
+
+class TestTwistedMobiusContract:
+    """For deg S > e >= 1, twisted_mobius rounds one sum per coefficient where
+    the product route rounds two, so their digits may differ.  Both agree with
+    the exact image (the product route run with EXTRA_DIGITS more digits)
+    inside the precision contract."""
+
+    CONTEXTS = [PadicContext(5, 40, 64), PadicContext(3, 12, 32), PadicContext(7, 20, 24)]
+
+    @staticmethod
+    def _check(f, lam, mu, e, got):
+        ctx = f.ctx
+        hi = PadicContext(ctx.p, ctx.N + EXTRA_DIGITS, ctx.D, ctx.kappa)
+        lift = [hi.num(a.to_fraction()) for a in (lam, mu)]
+        fh = TateSeries(hi, f.m, [a.to_fraction() for a in f.coeffs], f.tail_bound)
+        exact = _product_route(fh, *lift, e)
+        assert got.tail_bound == got.val_c() == f.val_c()
+        _assert_within_contract(got, exact)
+        _assert_within_contract(_product_route(f, lam, mu, e), exact)
+
+    @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
+    def test_one_sum_meets_the_contract(self, ci):
+        ctx = self.CONTEXTS[ci]
+        rng = random.Random(ci)
+        for m in (0, 1, 2):
+            for e in (1, 2, 5):
+                f = _kernel_series(ctx, rng, m, rng.randint(e + 1, ctx.D))
+                lam = PadicNumber(ctx, 0, _rand_unit(ctx, rng), _checked=True)
+                mu = PadicNumber(ctx, rng.randint(max(1, m), 3), _rand_unit(ctx, rng),
+                                 _checked=True)
+                self._check(f, lam, mu, e, twisted_mobius(ctx, m, f.coeffs, lam, mu, e, f.val_c()))
+                self._check(f, ctx.one(), mu, e, f.mobius_twist(mu, e + 2))

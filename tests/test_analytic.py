@@ -272,6 +272,22 @@ class TestOrbitLevels:
         with pytest.raises(DomainError):
             _orbit_levels(TateSeries.monomial(ctx, 0, 1), 1)
 
+    def test_tail_guard_reads_the_table(self, ctx, monkeypatch):
+        # the bound is a theorem, so lower one table entry by hand: the
+        # guard must name that entry
+        w = TateSeries(ctx, 1, [5, 1, 7])
+        analytic._orbit_tail_guard(w, 1, "candidate")
+        real = analytic._orbit_levels
+
+        def lowered(f, m):
+            table = real(f, m)
+            table["mobius"][3] = f.val_c() - 3 * m - 1
+            return table
+
+        monkeypatch.setattr(analytic, "_orbit_levels", lowered)
+        with pytest.raises(InvariantViolation, match=r"candidate orbit tail bound failed at mobius\[3\]"):
+            analytic._orbit_tail_guard(w, 1, "candidate")
+
 
 def _oracle_orbit_coeffs(f):
     """Every family's components as a * ctx.binom(n, q) products, the way the
@@ -305,22 +321,6 @@ class TestOrbitBuildersReadTheFactorialTable:
             for fam, exp in exps.items():
                 for comp, cs in zip(exp.components, want[fam], strict=True):
                     assert comp.coeffs == TateSeries(lctx, f.m, cs).coeffs, (fam, f)
-
-    def test_tail_guard_reads_the_table(self, ctx, monkeypatch):
-        # the bound is a theorem, so lower one table entry by hand: the
-        # guard must name that entry
-        w = TateSeries(ctx, 1, [5, 1, 7])
-        analytic._orbit_tail_guard(w, 1, "candidate")
-        real = analytic._orbit_levels
-
-        def lowered(f, m):
-            table = real(f, m)
-            table["mobius"][3] = f.val_c() - 3 * m - 1
-            return table
-
-        monkeypatch.setattr(analytic, "_orbit_levels", lowered)
-        with pytest.raises(InvariantViolation, match=r"candidate orbit tail bound failed at mobius\[3\]"):
-            analytic._orbit_tail_guard(w, 1, "candidate")
 
 
 def _oracle_family_bounds(exp, f, m):

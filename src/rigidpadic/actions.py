@@ -29,9 +29,9 @@ scaled mobius map,
     z' -> (1 + x c)^2 z' / (1 - mu z'),   mu = x (1 + x c),
 
 with twist factor (1 + x c)^(-(k-2)) (1 - mu z')^(k-2), both expanded
-by one series.twisted_mobius call; a leaf holding an exact polynomial of
-degree <= k - 2 stays one.  This gives a local series g at the exact
-center b1 (g is the leaf's own series, b1 = c, when x = 0).
+by one series.twisted_mobius call, which keeps a leaf holding an exact
+polynomial of degree <= k - 2 exact.  This gives a local series g at the
+exact center b1 (g is the leaf's own series, b1 = c, when x = 0).
 
 The remaining three steps are affine in the local variable: the dilation
 sends the center r to r / s with local series h(s z'), the inverse torus
@@ -46,8 +46,8 @@ leaf at r_4 carries
     Delta = delta_1 + s delta_2 + (s / t) (delta_3 + delta_4),
 
 where a skipped step contributes no offset (and s = 1, t = 1).  So each
-leaf is built by one recenter of g by Delta, followed by one pass that
-multiplies a_l by (s / t)^l t^(k-2).  The residue chain r_1 .. r_4 is the
+leaf is built by one recenter of g by Delta, then one scale_powers pass
+multiplying a_l by (s / t)^l t^(k-2).  The residue chain r_1 .. r_4 is the
 same computation as step by step, so centers and levels do not depend on
 the composition.  s and t are units and capped-relative products are exact
 modulo p**N in the unit, so the order of those multiplications moves no
@@ -59,6 +59,13 @@ p**(val_C - level l + N - kappa) in coefficient l (the precision contract;
 tests/test_actions.py checks it against the step by step route run with
 150 more digits).
 
+A TateSeries at level m is the one leaf (0, m): act admits it only for g
+in G(m) (I(1) at m = 0), so every residue r_i is 0.  The generator chain
+mobius_twist, dilate, inv_torus, translate shifts by -y where this route
+shifts by the rounded Delta = -(s / t) y; both meet the contract (checked as
+above).  Only a mobius step expands the twist, so k - 2 > D is refused only
+when x != 0.
+
 The w0 Weyl cell carries the action of the w0-conjugate matrix (swap
 a <-> d and b <-> c); when the conjugate leaves the actionable range
 (lower-left corner a unit) the cell reports a domain error.
@@ -67,7 +74,7 @@ a <-> d and b <-> c); when the conjugate leaves the actionable range
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple, Union
+from typing import Iterable, List, NamedTuple, Tuple, Union
 
 from .errors import DomainError, FactorizationError, InvariantViolation, ParameterError
 from .functions import (
@@ -76,7 +83,7 @@ from .functions import (
     PiecewiseFunction,
     StepFunction,
 )
-from .padic import INF, Coercible, PadicContext, PadicNumber
+from .padic import Coercible, PadicContext, PadicNumber
 from .series import TateSeries, twisted_mobius
 
 I1 = "I1"
@@ -306,20 +313,19 @@ def _to_residue(center: PadicNumber, level: int) -> Tuple[int, PadicNumber]:
     return r, center.ctx.from_int(r) - center
 
 
-def _act_piecewise(f: PiecewiseFunction, fac: Factorization, e: int) -> List[Leaf]:
-    """The image leaves of f, in f's leaf order; the caller builds the function."""
+def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], fac: Factorization,
+                   e: int) -> List[Leaf]:
+    """The image of each leaf, in the given order; the caller builds the function."""
     y, s, t, x = fac
     if not x.is_zero and x.val < 1:
         raise DomainError(f"mobius parameter needs valp(x) >= 1, got {x.val}")
-    ctx = f.ctx
     one = ctx.one()
-    pN = ctx.pN
     factor = t ** e
     dilate = not (s - one).is_zero
     torus = not ((t - one).is_zero and factor == one)
     ratio = s / t
-    leaves = []
-    for lf in f.leaves:
+    out = []
+    for lf in leaves:
         level, r, g = lf.level, lf.center, lf.series
         # the leaf becomes t^e g(delta + ratio offset + ratio z') (module
         # docstring): delta sums the mobius and dilation offsets, offset
@@ -328,8 +334,7 @@ def _act_piecewise(f: PiecewiseFunction, fac: Factorization, e: int) -> List[Lea
         if not x.is_zero:
             c = ctx.from_int(r)
             one_plus = one + x * c  # a unit: valp(x c) >= 1
-            tail = INF if g.tail_bound is INF and g.degree <= e else g.val_c()
-            g = twisted_mobius(ctx, level, g.coeffs, one_plus * one_plus, x * one_plus, e, tail)
+            g = twisted_mobius(g, one_plus * one_plus, x * one_plus, e)
             if e:
                 g = g.scale(one_plus ** (-e))
             r, delta = _to_residue(c / one_plus, level)
@@ -342,14 +347,8 @@ def _act_piecewise(f: PiecewiseFunction, fac: Factorization, e: int) -> List[Lea
             r, d = _to_residue(ctx.from_int(r) + y, level)
             offset = offset + d
         g = g.recenter(delta + ratio * offset, level)
-        # a_l (s / t)^l t^e as one unit product per coefficient: ratio and
-        # factor are units, and unit products mod p^N do not depend on order
-        w, cs = factor.unit, []
-        for a in g.coeffs:
-            cs.append(PadicNumber(ctx, a.val, a.unit * w % pN, _checked=True) if a.unit else a)
-            w = w * ratio.unit % pN
-        leaves.append(Leaf(r, level, TateSeries(ctx, level, cs, g.tail_bound)))
-    return leaves
+        out.append(Leaf(r, level, g.scale_powers(factor, ratio)))
+    return out
 
 
 # -- public actions -----------------------------------------------------------
@@ -368,13 +367,11 @@ def act(g: IwahoriElement, f, chi: InductionCharacter):
             raise DomainError(
                 f"acting on a level-{f.m} series needs a matrix in G({f.m})"
             )
-        y, s, t, x = iwahori_factorize(g)
-        h = f.mobius_twist(x, k)
-        h = h.dilate(s)
-        h = h.inv_torus(t, k)
-        return h.translate(y)
+        # G(m) puts every offset in p**m Z_p: the one leaf stays at (0, m)
+        return _act_piecewise(f.ctx, [Leaf(0, f.m, f)], iwahori_factorize(g), k - 2)[0].series
     if isinstance(f, PiecewiseFunction):
-        return PiecewiseFunction(f.ctx, _act_piecewise(f, iwahori_factorize(g), k - 2))
+        leaves = _act_piecewise(f.ctx, f.leaves, iwahori_factorize(g), k - 2)
+        return PiecewiseFunction(f.ctx, leaves)
     raise ParameterError(f"cannot act on {type(f).__name__}")
 
 
@@ -396,7 +393,7 @@ def act_smooth(g: IwahoriElement, f: StepFunction) -> StepFunction:
     """Smooth-vector action: the same formulas with twist exponent 0."""
     if not isinstance(f, StepFunction):
         raise ParameterError("act_smooth expects a StepFunction")
-    return StepFunction(f.ctx, _act_piecewise(f, iwahori_factorize(g), 0))
+    return StepFunction(f.ctx, _act_piecewise(f.ctx, f.leaves, iwahori_factorize(g), 0))
 
 
 def act_locally_algebraic(
@@ -405,18 +402,15 @@ def act_locally_algebraic(
     """Action on leafwise polynomials of degree <= k - 2.
 
     The mobius substitution and the (1 - x z)^(k-2) twist cancel to a
-    polynomial of the same bounded degree; the result is repackaged with
-    exact polynomial tails, and any residual high coefficient trips an
-    internal invariant error.
+    polynomial of the same bounded degree, which twisted_mobius keeps
+    exact; any residual high coefficient trips an internal invariant error.
     """
     if chi.k != f.k:
         raise ParameterError(f"character weight {chi.k} differs from function weight {f.k}")
-    leaves = []
-    for lf in _act_piecewise(f, iwahori_factorize(g), f.k - 2):
+    leaves = _act_piecewise(f.ctx, f.leaves, iwahori_factorize(g), f.k - 2)
+    for lf in leaves:
         if lf.series.degree > f.k - 2:
             raise InvariantViolation(
                 f"degree {lf.series.degree} > k-2 after locally algebraic action"
             )
-        exact = TateSeries(f.ctx, lf.level, lf.series.coeffs, INF)
-        leaves.append(Leaf(lf.center, lf.level, exact))
     return LocallyAlgebraicFunction(f.ctx, leaves, f.k)

@@ -10,6 +10,7 @@ round-trip property (emit, re-parse, compare equal) hold byte for byte.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -40,16 +41,24 @@ def _field(obj: dict, key: str, kind: type = int):
     raise ParameterError(f"{key!r} must be {what}, got {value!r}")
 
 
-def context_from_header(header: dict) -> PadicContext:
+@contextmanager
+def _malformed(what: str):
+    """A missing or ill-typed field inside the block becomes the
+    ParameterError "bad <what>: <error>"; nested decoders prefix theirs."""
     try:
+        yield
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"bad {what}: {exc}") from exc
+
+
+def context_from_header(header: dict) -> PadicContext:
+    with _malformed("context header"):
         return PadicContext(
             p=_field(header, "p"),
             N=_field(header, "N"),
             D=_field(header, "D"),
             kappa=_field(header, "kappa") if "kappa" in header else 4,
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad context header: {exc}") from exc
 
 
 # -- scalars -------------------------------------------------------------------
@@ -89,12 +98,10 @@ def encode_series(f: TateSeries) -> dict:
 
 
 def decode_series(ctx: PadicContext, obj: dict) -> TateSeries:
-    try:
+    with _malformed("series object"):
         m = _field(obj, "m")
         coeffs = [decode_padic(ctx, c) for c in _field(obj, "coeffs", list)]
         tail = _decode_tail(obj["tail_bound"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad series object: {exc}") from exc
     return TateSeries(ctx, m, coeffs, tail)
 
 
@@ -108,13 +115,11 @@ def encode_function(f: PiecewiseFunction) -> dict:
 
 
 def decode_function(ctx: PadicContext, obj: dict) -> PiecewiseFunction:
-    try:
+    with _malformed("function object"):
         leaves = [
             Leaf(_field(l, "center"), _field(l, "level"), decode_series(ctx, l["series"]))
             for l in _field(obj, "leaves", list)
         ]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad function object: {exc}") from exc
     return PiecewiseFunction(ctx, leaves)
 
 
@@ -132,7 +137,7 @@ def encode_matrix(g: IwahoriElement) -> dict:
 
 
 def decode_matrix(ctx: PadicContext, obj: dict) -> IwahoriElement:
-    try:
+    with _malformed("matrix object"):
         level = I1 if obj["level"] == I1 else _field(obj, "level")
         return IwahoriElement(
             ctx,
@@ -142,8 +147,6 @@ def decode_matrix(ctx: PadicContext, obj: dict) -> IwahoriElement:
             decode_padic(ctx, obj["d"]),
             level,
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad matrix object: {exc}") from exc
 
 
 # -- characters and parameters -------------------------------------------------
@@ -158,14 +161,12 @@ def encode_character(chi: ContinuousCharacter) -> dict:
 
 
 def decode_character(ctx: PadicContext, obj: dict) -> ContinuousCharacter:
-    try:
+    with _malformed("character object"):
         return ContinuousCharacter(
             decode_padic(ctx, obj["value_at_p"]),
             _field(obj, "tame_exponent"),
             decode_padic(ctx, obj["wild_value"]),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad character object: {exc}") from exc
 
 
 def encode_induction(chi: InductionCharacter) -> dict:
@@ -178,7 +179,7 @@ def encode_induction(chi: InductionCharacter) -> dict:
 
 
 def decode_induction(ctx: PadicContext, obj: dict) -> InductionCharacter:
-    try:
+    with _malformed("induction character object"):
         return InductionCharacter(
             decode_padic(ctx, obj["alpha"]),
             decode_padic(ctx, obj["beta"]),
@@ -186,8 +187,6 @@ def decode_induction(ctx: PadicContext, obj: dict) -> InductionCharacter:
             which=obj.get("which", "alpha"),
             strict=False,
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad induction character object: {exc}") from exc
 
 
 def encode_param(s: TriangulineParam) -> dict:
@@ -212,14 +211,12 @@ def _decode_script_l(s) -> str:
 
 
 def decode_param(ctx: PadicContext, obj: dict) -> TriangulineParam:
-    try:
+    with _malformed("parameter object"):
         return TriangulineParam(
             decode_character(ctx, obj["delta1"]),
             decode_character(ctx, obj["delta2"]),
             _decode_script_l(obj.get("scriptL", SCRIPT_L_INF)),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad parameter object: {exc}") from exc
 
 
 # -- cell vectors and cokernel classes -----------------------------------------
@@ -230,13 +227,11 @@ def encode_weyl(v: WeylCellVector) -> dict:
 
 
 def decode_weyl(ctx: PadicContext, obj: dict) -> WeylCellVector:
-    try:
+    with _malformed("cell vector object"):
         return WeylCellVector(
             decode_function(ctx, obj["identity"]),
             decode_function(ctx, obj["w0"]),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad cell vector object: {exc}") from exc
 
 
 def encode_cokernel(c: CokernelElement) -> dict:
@@ -250,14 +245,12 @@ def encode_cokernel(c: CokernelElement) -> dict:
 
 
 def decode_cokernel(ctx: PadicContext, obj: dict) -> CokernelElement:
-    try:
+    with _malformed("cokernel object"):
         chi = decode_induction(ctx, obj)
         n = _field(obj, "n")
         m = _field(obj, "m")
         fa = GAElement(decode_weyl(ctx, obj["F_alpha"]), n, m)
         fb = GAElement(decode_weyl(ctx, obj["F_beta"]), n, m)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"bad cokernel object: {exc}") from exc
     return CokernelElement(chi, n, m, fa, fb)
 
 

@@ -21,6 +21,9 @@ translate f(z - y), dilate f(s z), mobius f(z/(1 - x z)) (1 - x z)^(k-2)
 and the inverse-torus twist f(z/t) t^(k-2).  Each records a new tail
 certificate derived from the input's certificate; every one of them
 preserves val_C exactly (they are invertible isometries of the ball).
+scale, raw_scale (and dilate through it), inv_torus and the leafwise
+action's last pass share scale_powers: a_l -> a_l c ratio^l for a unit ratio,
+one unit product mod p**N per coefficient; it moves the tail bound by valp(c).
 
 Bit-identity contract: every sum of products in series algebra runs on
 (val, unit) integer pairs through one kernel, _offset_sums: the Taylor shift
@@ -42,7 +45,9 @@ such a sum unchanged; its valuation still enters the floor.
 
 twisted_mobius is the one routine for every Mobius substitution
 S(lam z / (1 - mu z)) (1 - mu z)^e: raw_mobius, mobius_twist,
-one_minus_cz_pow and the leafwise action call it.  Its outputs split at
+one_minus_cz_pow and the leafwise action call it.  It sets the tail bound
+itself: +inf when S is exact of degree <= e, whose image is then an exact
+polynomial of degree <= e, and val_C(S) otherwise.  Its outputs split at
 j = e: c_j draws on a_l with l <= e for j <= e, and with l > e for j > e.
 Its digits are the loops' for e = 0, deg S <= e and S = 1.  For
 deg S > e >= 1 it rounds one sum where the product of the untwisted
@@ -207,8 +212,19 @@ class TateSeries:
         c = self.ctx.num(c)
         if c.is_zero:
             return TateSeries.zero(self.ctx, self.m)
+        return self.scale_powers(c, self.ctx.one())
+
+    def scale_powers(self, c: PadicNumber, ratio: PadicNumber) -> "TateSeries":
+        """c f(ratio z) for c != 0 and a unit ratio: a_l -> a_l c ratio^l."""
+        if not ratio.is_unit:
+            raise DomainError("variable scaling needs a unit factor")
+        ctx, pN, u, cs = self.ctx, self.ctx.pN, c.unit, []
+        for a in self.coeffs:
+            cs.append(PadicNumber(ctx, a.val + c.val, a.unit * u % pN, _checked=True)
+                      if a.unit else a)
+            u = u * ratio.unit % pN
         tb = INF if self.tail_bound is INF else self.tail_bound + c.val
-        return TateSeries(self.ctx, self.m, [a * c for a in self.coeffs], tb)
+        return TateSeries(ctx, self.m, cs, tb)
 
     def __mul__(self, other: "TateSeries") -> "TateSeries":
         self._match(other)
@@ -253,12 +269,7 @@ class TateSeries:
 
     def raw_scale(self, s: Coercible) -> "TateSeries":
         """f(z) -> f(s z) for any unit s; coefficientwise a_l s^l."""
-        ctx = self.ctx
-        s = ctx.num(s)
-        if not s.is_unit:
-            raise DomainError("variable scaling needs a unit factor")
-        cs = [a * s ** l for l, a in enumerate(self.coeffs)]
-        return TateSeries(ctx, self.m, cs, self.tail_bound)
+        return self.scale_powers(self.ctx.one(), self.ctx.num(s))
 
     def dilate(self, s: Coercible) -> "TateSeries":
         """f(z) -> f(s z) in the torus range s = 1 mod p**m."""
@@ -275,7 +286,7 @@ class TateSeries:
             return self
         if x.val < 1:
             raise DomainError(f"mobius parameter needs valp(x) >= 1, got {x.val}")
-        return twisted_mobius(ctx, self.m, self.coeffs, ctx.one(), x, 0, self.val_c())
+        return twisted_mobius(self, ctx.one(), x, 0)
 
     def mobius_twist(self, x: Coercible, k: int) -> "TateSeries":
         """Unipotent action f(z) -> f(z / (1 - x z)) * (1 - x z)^(k - 2).
@@ -291,7 +302,7 @@ class TateSeries:
             raise DomainError(
                 f"mobius parameter needs valp(x) >= {max(1, self.m)}, got {x.val}"
             )
-        return twisted_mobius(ctx, self.m, self.coeffs, ctx.one(), x, k - 2, self.val_c())
+        return twisted_mobius(self, ctx.one(), x, k - 2)
 
     def inv_torus(self, t: Coercible, k: int) -> "TateSeries":
         """Torus action f(z) -> f(z / t) * t^(k - 2), t = 1 mod p**m."""
@@ -300,8 +311,7 @@ class TateSeries:
         _check_weight(ctx, k)
         if (t - ctx.one()).val < self.m:
             raise DomainError(f"inverse torus needs valp(t - 1) >= {self.m}")
-        cs = [a * t ** (k - 2 - l) for l, a in enumerate(self.coeffs)]
-        return TateSeries(ctx, self.m, cs, self.tail_bound)
+        return self.scale_powers(t ** (k - 2), t.invert())
 
     def recenter(self, a: Coercible, new_m: int) -> "TateSeries":
         """Re-expansion around a: g(z') = f(a + z') on the ball p**new_m Z_p.
@@ -357,17 +367,17 @@ class TateSeries:
 
 def one_minus_cz_pow(ctx: PadicContext, m: int, c: PadicNumber, e: int) -> TateSeries:
     """The exact polynomial (1 - c z)^e, 0 <= e <= D."""
-    return twisted_mobius(ctx, m, (ctx.one(),), ctx.one(), c, e, INF)
+    return twisted_mobius(TateSeries.constant(ctx, m, 1), ctx.one(), c, e)
 
 
-def twisted_mobius(ctx: PadicContext, m: int, coeffs: Sequence[PadicNumber],
-                   lam: PadicNumber, mu: PadicNumber, e: int, tail) -> TateSeries:
-    """S(lam z / (1 - mu z)) (1 - mu z)^e on the ball p**m Z_p, for
-    S = sum_l a_l z^l, lam != 0 and 0 <= e <= D, truncated at z^D with the
-    given tail bound:
+def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> TateSeries:
+    """S(lam z / (1 - mu z)) (1 - mu z)^e on f's ball, for S = f, lam != 0
+    and 0 <= e <= D, truncated at z^D with the tail bound of the module
+    docstring:
 
         c_j = sum_{l <= j} a_l lam^l binom(e - l, j - l) (-mu)^(j - l).
     """
+    ctx, coeffs = f.ctx, f.coeffs
     if not 0 <= e <= ctx.D:
         raise ParameterError(f"twist exponent must lie in [0, D={ctx.D}], got {e}")
     pN, fac = ctx.pN, ctx.factorials
@@ -396,7 +406,8 @@ def twisted_mobius(ctx: PadicContext, m: int, coeffs: Sequence[PadicNumber],
                       for q in range(1, top - e)]
     outs = [(deg - j, fvals[j - e - 1], fac.units[j - e - 1]) for j in range(top, e, -1)]
     high = _offset_sums(ctx, src, ker, outs)[0][::-1]
-    return TateSeries(ctx, m, low + high, tail)
+    tail = INF if f.tail_bound is INF and deg <= e else f.val_c()
+    return TateSeries(ctx, f.m, low + high, tail)
 
 
 def _check_weight(ctx: PadicContext, k: int) -> None:

@@ -539,12 +539,15 @@ def _random_function(ctx, rng, max_level, e):
     ])
 
 
+def _lift_series(hi, f):
+    """f's coefficients read as exact rationals in the context hi."""
+    return TateSeries(hi, f.m, [a.to_fraction() for a in f.coeffs], f.tail_bound)
+
+
 def _lift(hi, f):
     """f's leaves read as exact rationals in the context hi."""
     return PiecewiseFunction(hi, [
-        Leaf(lf.center, lf.level, TateSeries(
-            hi, lf.level, [a.to_fraction() for a in lf.series.coeffs], lf.series.tail_bound))
-        for lf in f.leaves
+        Leaf(lf.center, lf.level, _lift_series(hi, lf.series)) for lf in f.leaves
     ])
 
 
@@ -659,3 +662,96 @@ class TestOnePassMatchesFourPasses:
                 out = act_cell(g, vec, self._chi(ctx, k))
                 _assert_matches_oracle(out.identity.leaves, g, vec.identity, e)
                 _assert_matches_oracle(out.w0.leaves, g.conjugate_by_w0(), vec.w0, e)
+
+
+# -- act on one series against the four-step generator chain ------------------
+
+
+def _oracle_chain(g, f, k):
+    """The generators applied one after another, as act on a series used to."""
+    y, s, t, x = iwahori_factorize(g)
+    return f.mobius_twist(x, k).dilate(s).inv_torus(t, k).translate(y)
+
+
+class TestSeriesActionMatchesChain:
+    """act on a level-m series is the one-leaf case of the leafwise action.
+    It rounds one Taylor shift where the chain rounded one per generator, so
+    digits may move, but both meet the precision contract against the chain
+    run with EXTRA_DIGITS more digits, and tails and val_C are the chain's."""
+
+    CONTEXTS = TestOnePassMatchesFourPasses.CONTEXTS
+
+    @staticmethod
+    def _matrices(ctx, rng, m):
+        """Two random elements of G(m) (of I(1) at m = 0), one with x = 0,
+        one diagonal, and the identity."""
+        p = ctx.p
+        q, cq = p ** max(m, 1), p ** m
+
+        def r():
+            return rng.randrange(1, p ** 3)
+
+        level = m or I1
+        return [IwahoriElement(ctx, 1 + q * r(), q * r(), cq * r(), 1 + q * r(), level)
+                for _ in range(2)] + [
+            IwahoriElement(ctx, 1 + q * r(), 0, cq * r(), 1 + q * r(), level),
+            IwahoriElement(ctx, 1 + q * r(), 0, 0, 1 + q * r(), level),
+            IwahoriElement(ctx, 1, 0, 0, 1, level),
+        ]
+
+    @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_act_meets_the_contract(self, ci, m):
+        ctx = self.CONTEXTS[ci]
+        hi = PadicContext(ctx.p, ctx.N + EXTRA_DIGITS, ctx.D, ctx.kappa)
+        rng = random.Random(10 * ci + m)
+        chi = TestOnePassMatchesFourPasses._chi
+        for k in range(2, 6):
+            for kind in LEAF_KINDS:
+                f = _random_leaf_series(ctx, rng, m, k - 2, kind)
+                for g in self._matrices(ctx, rng, m):
+                    out = act(g, f, chi(ctx, k))
+                    ref = _oracle_chain(g, f, k)
+                    exact = _oracle_chain(_lift_matrix(hi, g), _lift_series(hi, f), k)
+                    assert out.m == ref.m == m
+                    assert out.tail_bound == ref.tail_bound
+                    assert out.val_c() == ref.val_c() == f.val_c()
+                    if kind in ("short exact", "zero"):
+                        # an exact polynomial of degree <= k - 2 stays one
+                        assert out.tail_bound is INF
+                    _assert_within_contract(out, exact)
+                    _assert_within_contract(ref, exact)
+
+    @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
+    def test_level_zero_series_is_the_global_leaf(self, ci):
+        ctx = self.CONTEXTS[ci]
+        rng = random.Random(ci)
+        for k in range(2, 6):
+            chi = TestOnePassMatchesFourPasses._chi(ctx, k)
+            for kind in LEAF_KINDS:
+                f = _random_leaf_series(ctx, rng, 0, k - 2, kind)
+                glob = PiecewiseFunction.from_global_series(f)
+                for g in self._matrices(ctx, rng, 0):
+                    (lf,) = act(g, glob, chi).leaves
+                    assert act(g, f, chi) == lf.series
+
+
+class TestWeightAboveTruncation:
+    """k - 2 > D: without a mobius step the twist never expands, so series and
+    piecewise inputs act alike; a mobius step still refuses the weight."""
+
+    def test_only_the_mobius_step_refuses(self):
+        ctx = PadicContext(5, 20, 4)
+        k = ctx.D + 3
+        chi = InductionCharacter(ctx.from_int(15), ctx.from_int(5), k, strict=False)
+        f = TateSeries(ctx, 0, [1, 5, 7], tail_bound=2)
+        glob = PiecewiseFunction.from_global_series(f)
+        for g in (diag(ctx, 6, 11), lower(ctx, 3), IwahoriElement(ctx, 6, 0, 2, 11, I1)):
+            out = act(g, f, chi)
+            (lf,) = act(g, glob, chi).leaves
+            assert out == lf.series
+            assert out.val_c() == f.val_c()
+        for g in (upper(ctx, 5), IwahoriElement(ctx, 6, 5, 2, 11, I1)):
+            for h in (f, glob):
+                with pytest.raises(ParameterError, match="twist exponent"):
+                    act(g, h, chi)

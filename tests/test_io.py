@@ -285,3 +285,29 @@ class TestStrictFields:
                      ("payload", key), value)
         with pytest.raises(ParameterError, match="bad cokernel object"):
             io.load(text, "cokernel")
+
+    @pytest.mark.parametrize("kind, path, message", [
+        ("series", ("context", "p"), "bad context header: 'p'"),
+        ("series", ("payload", "tail_bound"), "bad series object: 'tail_bound'"),
+        ("function", ("payload", "leaves", 0, "series", "tail_bound"),
+         "bad function object: bad series object: 'tail_bound'"),
+        ("matrix", ("payload", "a"), "bad matrix object: 'a'"),
+        ("character", ("payload", "wild_value"), "bad character object: 'wild_value'"),
+        ("induction", ("payload", "alpha"), "bad induction character object: 'alpha'"),
+        ("param", ("payload", "delta1", "value_at_p"),
+         "bad parameter object: bad character object: 'value_at_p'"),
+        ("cokernel", ("payload", "alpha"),
+         "bad cokernel object: bad induction character object: 'alpha'"),
+        ("cokernel", ("payload", "F_alpha", "w0", "leaves", 0, "series", "coeffs"),
+         "bad cokernel object: bad cell vector object: bad function object: "
+         "bad series object: 'coeffs'"),
+    ])
+    def test_missing_field_names_every_enclosing_object(self, ctx, kind, path, message):
+        obj = json.loads(io.wrap(kind, ctx, _samples(ctx)[kind]))
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        with pytest.raises(ParameterError) as info:
+            io.load(json.dumps(obj), kind)
+        assert str(info.value) == message

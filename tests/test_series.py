@@ -123,6 +123,23 @@ class TestMobiusTwist:
         with pytest.raises(DomainError):
             f.mobius_twist(ctx.from_int(5), 2)
 
+    def test_exact_polynomial_of_degree_at_most_twist_stays_exact(self, ctx):
+        # (1 + 5 z / (1 - 5 z)) (1 - 5 z) = 1
+        g = TateSeries(ctx, 1, [1, 5]).mobius_twist(ctx.from_int(5), 3)
+        assert g == TateSeries.constant(ctx, 1, 1)
+        assert g.tail_bound is INF
+        # e = 0: an exact constant is fixed by the untwisted substitution
+        c = TateSeries.constant(ctx, 1, 25)
+        assert c.raw_mobius(ctx.from_int(5)) == c
+        assert TateSeries.zero(ctx, 1).raw_mobius(ctx.from_int(5)).is_zero
+
+    def test_longer_or_truncated_input_keeps_val_c_tail(self, ctx):
+        x = ctx.from_int(5)
+        for f in (TateSeries(ctx, 1, [1, 5, 25]), TateSeries(ctx, 1, [1, 5], tail_bound=3)):
+            g = f.mobius_twist(x, 3)
+            assert g.tail_bound == f.val_c() == 0
+        assert TateSeries(ctx, 1, [5, 5]).raw_mobius(x).tail_bound == 1
+
 
 class TestInvTorus:
     def test_identity_at_one(self, ctx):
@@ -146,6 +163,11 @@ class TestInvTorus:
         f = TateSeries.monomial(ctx, 2, 1)
         with pytest.raises(DomainError):
             f.inv_torus(ctx.from_int(6), 2)
+
+    def test_non_unit_refused_at_level_zero(self, ctx):
+        # t = 5 passes valp(t - 1) >= 0, but f(z / 5) leaves the ball
+        with pytest.raises(DomainError, match="unit"):
+            TateSeries(ctx, 0, [1, 2]).inv_torus(ctx.from_int(5), 3)
 
 
 class TestRecenter:
@@ -427,7 +449,9 @@ def _oracle_raw_mobius(f, x):
                 if not b.is_zero:
                     acc = acc + a * b * x_pow[q]
         cs.append(acc)
-    return TateSeries(ctx, f.m, cs, f.val_c())
+    # an exact constant maps to itself
+    tail = INF if f.tail_bound is INF and f.degree <= 0 else f.val_c()
+    return TateSeries(ctx, f.m, cs, tail)
 
 
 def _oracle_evaluate_tracked(f, z):
@@ -549,7 +573,7 @@ class TestTaylorShiftKernel:
         x = ctx.from_int(p ** max(1, f.m) * rng.randrange(1, p ** 4))
         one = ctx.one()
         assert f.raw_mobius(x) == _oracle_raw_mobius(f, x)
-        assert twisted_mobius(ctx, f.m, f.coeffs, one, x, 0, f.val_c()) == f.raw_mobius(x)
+        assert twisted_mobius(f, one, x, 0) == f.raw_mobius(x)
         level = f.m + 1
         center = rng.randrange(1, p ** level)
         leaf = Leaf(center, level, TateSeries(ctx, level, f.coeffs, f.tail_bound))
@@ -563,13 +587,13 @@ class TestTaylorShiftKernel:
         lam = PadicNumber(ctx, 0, _rand_unit(ctx, rng), _checked=True)
         mu = PadicNumber(ctx, rng.randint(1, 3), _rand_unit(ctx, rng), _checked=True)
         low = f.coeffs[:e + 1]
-        assert twisted_mobius(ctx, f.m, low, lam, mu, e, INF) == _oracle_mobius_poly(
+        assert twisted_mobius(TateSeries(ctx, f.m, low), lam, mu, e) == _oracle_mobius_poly(
             ctx, f.m, low, lam, mu, e)
-        assert twisted_mobius(ctx, f.m, (one,), one, mu, e, INF) == _oracle_one_minus_cz_pow(
-            ctx, f.m, mu, e)
+        one_s = TateSeries.constant(ctx, f.m, 1)
+        assert twisted_mobius(one_s, one, mu, e) == _oracle_one_minus_cz_pow(ctx, f.m, mu, e)
         assert one_minus_cz_pow(ctx, f.m, mu, e) == _oracle_one_minus_cz_pow(ctx, f.m, mu, e)
         # e = 0 with lam != 1: the untwisted mobius step of the leafwise action
-        assert twisted_mobius(ctx, f.m, f.coeffs, lam, mu, 0, f.val_c()) == _oracle_raw_mobius(
+        assert twisted_mobius(f, lam, mu, 0) == _oracle_raw_mobius(
             f.raw_scale(lam), mu)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 5, 64])
@@ -653,8 +677,9 @@ class TestTaylorShiftKernel:
             e = rng.randint(0, 6)
             lam = ctx.from_int(rng.choice([1, -1, 2, -2, 4]))
             mu = ctx.from_int(rng.choice([3, -3, 6, 12, 9]))
-            assert twisted_mobius(ctx, 0, f.coeffs[:e + 1], lam, mu, e, INF) == _oracle_mobius_poly(
-                ctx, 0, f.coeffs[:e + 1], lam, mu, e)
+            low = f.coeffs[:e + 1]
+            assert twisted_mobius(TateSeries(ctx, 0, low), lam, mu, e) == _oracle_mobius_poly(
+                ctx, 0, low, lam, mu, e)
         assert order_sensitive > 10
 
     @pytest.mark.parametrize("e", [0, 1, 5])
@@ -668,7 +693,7 @@ class TestTaylorShiftKernel:
         with pytest.raises(ParameterError, match="twist exponent"):
             one_minus_cz_pow(ctx, 0, ctx.from_int(5), e)
         with pytest.raises(ParameterError, match="twist exponent"):
-            twisted_mobius(ctx, 0, (ctx.one(),), ctx.one(), ctx.from_int(5), e, INF)
+            twisted_mobius(TateSeries.constant(ctx, 0, 1), ctx.one(), ctx.from_int(5), e)
 
     @pytest.mark.parametrize("raised", [False, True])
     def test_summand_after_cancellation_is_added(self, raised):
@@ -737,5 +762,5 @@ class TestTwistedMobiusContract:
                 lam = PadicNumber(ctx, 0, _rand_unit(ctx, rng), _checked=True)
                 mu = PadicNumber(ctx, rng.randint(max(1, m), 3), _rand_unit(ctx, rng),
                                  _checked=True)
-                self._check(f, lam, mu, e, twisted_mobius(ctx, m, f.coeffs, lam, mu, e, f.val_c()))
+                self._check(f, lam, mu, e, twisted_mobius(f, lam, mu, e))
                 self._check(f, ctx.one(), mu, e, f.mobius_twist(mu, e + 2))

@@ -668,7 +668,8 @@ class TestOnePassMatchesFourPasses:
 
 
 def _oracle_chain(g, f, k):
-    """The generators applied one after another, as act on a series used to."""
+    """The generator methods applied one after another: the reference route
+    for act on a series."""
     y, s, t, x = iwahori_factorize(g)
     return f.mobius_twist(x, k).dilate(s).inv_torus(t, k).translate(y)
 

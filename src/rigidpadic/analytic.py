@@ -155,24 +155,35 @@ def _orbit_levels(f: TateSeries, m: int) -> Dict[str, List[float]]:
     """[c.stored_val_c() for c in expand_all(f, m)[family].components] for
     each family, from integers: every stored component coefficient is one
     product +-a_l binom(n, j), and capped-relative products add valuations
-    exactly, so each level is a minimum over the nonzero a_l."""
+    exactly, so each level is a minimum over the nonzero a_l.  One pair of
+    loops per nonzero a_l, with x = valp(a_l) + m l, lowers every entry that
+    a_l reaches: dilation keeps a_l binom(l, q) on z^l and translation puts
+    it on z^(l-q); inv_torus keeps a_l binom(l+q-1, q) on z^l (binom(q-1, q)
+    = 0 drops a_0 for q >= 1) and mobius puts it on z^(l+q), so only q <= D - l."""
     _check_level(f, m)
     D = f.ctx.D
     fv = f.ctx.factorials.vals
-    terms = [(l, a.val + m * l) for l, a in enumerate(f.coeffs) if not a.is_zero]
-    out: Dict[str, List[float]] = {fam: [] for fam in FAMILIES}
-    for q in range(D + 1):
-        # dilation keeps a_l binom(l, q) on z^l; translation puts it on z^(l-q)
-        dil = min((x + binom_val(fv, l, q) for l, x in terms if l >= q), default=INF)
-        # inv_torus keeps a_l binom(l+q-1, q) on z^l (binom(q-1, q) = 0 drops
-        # a_0 for q >= 1); mobius puts it on z^(l+q) and drops l > D - q
-        row = [(l, x + binom_val(fv, l + q - 1, q)) for l, x in terms if l or not q]
-        mob = min((x for l, x in row if l <= D - q), default=INF)
-        out["translation"].append(dil if dil is INF else dil - m * q)
-        out["mobius"].append(mob if mob is INF else mob + m * q)
-        out["dilation"].append(dil)
-        out["inv_torus"].append(min((x for _, x in row), default=INF))
-    return out
+    dil, inv, mob = [INF] * (D + 1), [INF] * (D + 1), [INF] * (D + 1)
+    for l, a in enumerate(f.coeffs):
+        if a.is_zero:
+            continue
+        x = a.val + m * l
+        for q in range(l + 1):
+            t = x + binom_val(fv, l, q)
+            if t < dil[q]:
+                dil[q] = t
+        for q in range(D + 1):
+            t = x + binom_val(fv, l + q - 1, q)
+            if t < inv[q]:
+                inv[q] = t
+            if q <= D - l and t < mob[q]:
+                mob[q] = t
+    return {
+        "translation": [c if c is INF else c - m * q for q, c in enumerate(dil)],
+        "mobius": [c if c is INF else c + m * q for q, c in enumerate(mob)],
+        "dilation": dil,
+        "inv_torus": inv,
+    }
 
 
 # -- bound verification -------------------------------------------------------

@@ -8,12 +8,16 @@ on the ball p**h Z_p.  Leaves are kept in canonical sorted order by
 Membership tests answer whether the restriction of f to p**m Z_p glues
 to a single rigid analytic series (is_member_Can), to a constant
 (is_member_C_m), or to a polynomial of bounded degree (is_member_pi_an).
-Gluing is decided by re-expanding every leaf inside the ball around the
-common center 0 and comparing coefficients at precision N - kappa.  The
-comparisons are starvation-aware: each re-expanded coefficient carries
-an absolute reliability ceiling (its summands are only known modulo
-p**(val + N)), and a comparison that cannot be settled inside the
-reliable window returns INDETERMINATE rather than a verdict.
+Gluing is decided by re-expanding the leaves inside the ball around the
+common center 0, one at a time, and comparing each with the first at
+precision N - kappa; the test stops at the first leaf that disagrees.
+The comparisons are starvation-aware: each re-expanded coefficient
+carries an absolute reliability ceiling (its summands are only known
+modulo p**(val + N)), and a comparison that cannot be settled inside the
+reliable window returns INDETERMINATE rather than a verdict.  They read
+the coefficients' (val, unit) pairs and take the valuation of each
+difference as PadicNumber.__sub__ rounds it, so the verdicts are those
+of compare_tracked without a PadicNumber per coefficient.
 
 Mahler coefficients (iterated finite differences at 0, 1, 2, ...) give
 an evaluation-only oracle used to cross-check the coefficient algebra.
@@ -246,10 +250,11 @@ class CanMembership:
 def is_member_Can(f: PiecewiseFunction, m: int) -> CanMembership:
     """Does f restricted to p**m Z_p glue to one rigid analytic series?
 
-    Every leaf inside the ball is re-expanded around 0 at level m and the
-    expansions are compared coefficientwise at precision N - kappa.  A
-    comparison whose reliable window is too shallow to certify or refute
-    agreement yields INDETERMINATE.
+    The leaves inside the ball are re-expanded around 0 at level m, one at
+    a time, and each is compared coefficientwise with the first at
+    precision N - kappa; the first NO ends the test.  A comparison whose
+    reliable window is too shallow to certify or refute agreement yields
+    INDETERMINATE.  The detail names the first leaf that did not glue.
     """
     if m < 0:
         raise ParameterError(f"ball level m must be >= 0, got {m}")
@@ -261,22 +266,21 @@ def is_member_Can(f: PiecewiseFunction, m: int) -> CanMembership:
     inball = f.leaves_in_ball(m)
     if not inball:
         raise InvariantViolation("partition leaves no cover of the ball")
-    expansions = [_re_expand(ctx, lf, m) for lf in inball]
-    ref_series, ref_ceil = expansions[0]
-    status = Verdict.YES
-    culprit = ""
-    for (cand, ceil), lf in zip(expansions[1:], inball[1:]):
+    ref_series, ref_ceil = _re_expand(ctx, inball[0], m)
+    tail = ref_series.tail_bound
+    culprit = ""  # the first leaf that did not glue
+    for lf in inball[1:]:
+        cand, ceil = _re_expand(ctx, lf, m)
         v = _series_verdict(ctx, ref_series, ref_ceil, cand, ceil)
         if v is not Verdict.YES and not culprit:
             culprit = f"leaf at center {lf.center} (level {lf.level})"
-        status = status & v
-    if status is Verdict.NO:
-        return CanMembership(Verdict.NO, None, f"re-expansions disagree: {culprit}")
-    if status is Verdict.INDETERMINATE:
+        if v is Verdict.NO:
+            return CanMembership(Verdict.NO, None, f"re-expansions disagree: {culprit}")
+        tail = min(tail, cand.tail_bound)
+    if culprit:
         return CanMembership(
             Verdict.INDETERMINATE, None, f"comparison starved: {culprit}"
         )
-    tail = min(s.tail_bound for s, _ in expansions)
     witness = TateSeries(ctx, m, ref_series.coeffs, tail)
     return CanMembership(Verdict.YES, witness, f"{len(inball)} leaves glue")
 
@@ -380,10 +384,10 @@ def _re_expand(ctx: PadicContext, lf: Leaf, m: int) -> Tuple[TateSeries, List[fl
         return TateSeries(ctx, m, s.coeffs, s.tail_bound), ceilings
     coeffs, floors = _taylor_shift(s.coeffs, -c)
     ceilings = [f + ctx.N for f in floors]
-    cand = TateSeries(ctx, m, coeffs)
+    tail = INF
     if s.tail_bound is not INF:
-        cand = TateSeries(ctx, m, coeffs, cand.stored_val_c())
-    return cand, ceilings
+        tail = min((b.val + m * l for l, b in enumerate(coeffs) if not b.is_zero), default=INF)
+    return TateSeries(ctx, m, coeffs, tail), ceilings
 
 
 def compare_tracked(
@@ -420,12 +424,36 @@ def _series_verdict(
     b: TateSeries,
     b_ceil: Sequence[float],
 ) -> Verdict:
-    top = max(len(a.coeffs), len(b.coeffs))
+    """compare_tracked on every coefficient, folded with &, from the
+    (val, unit) pairs: the valuation of a_v - b_v is the one
+    PadicNumber.__sub__ rounds it to, and no value is allocated."""
+    N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
+    gap = N - ctx.kappa
+    xs, ys = a.coeffs, b.coeffs
     out = Verdict.YES
-    for v in range(top):
-        ca = a_ceil[v] if v < len(a_ceil) else INF
-        cb = b_ceil[v] if v < len(b_ceil) else INF
-        out = out & compare_tracked(ctx, a.coeff(v), ca, b.coeff(v), cb)
-        if out is Verdict.NO:
-            return out
+    for v in range(max(len(xs), len(ys))):
+        vx, xu = (xs[v].val, xs[v].unit) if v < len(xs) else (INF, 0)
+        vy, yu = (ys[v].val, ys[v].unit) if v < len(ys) else (INF, 0)
+        if vx == INF or vy == INF:
+            if vx == vy:
+                continue
+            scale, dv = 0, min(vx, vy)
+        else:
+            scale = dv = min(vx, vy)
+            d = abs(vx - vy)
+            if d < N:
+                raw = (xu - yu * ppow[d] if vx <= vy else xu * ppow[d] - yu) % pN
+                if raw:
+                    while raw % p == 0:
+                        raw //= p
+                        dv += 1
+                else:
+                    dv = INF
+        window = min(a_ceil[v] if v < len(a_ceil) else INF,
+                     b_ceil[v] if v < len(b_ceil) else INF)
+        threshold = scale + gap
+        if dv < min(window, threshold):
+            return Verdict.NO
+        if window < threshold:
+            out = Verdict.INDETERMINATE
     return out

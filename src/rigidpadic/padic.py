@@ -194,7 +194,7 @@ class PadicContext:
     def num(self, x: Coercible) -> "PadicNumber":
         """Coerce an int, Fraction, decimal/rational string or PadicNumber."""
         if isinstance(x, PadicNumber):
-            if not self.same(x.ctx):
+            if x.ctx is not self and not self.same(x.ctx):
                 raise ParameterError("value belongs to a different context")
             return x
         if isinstance(x, bool):

@@ -6,13 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from rigidpadic import functions
 from rigidpadic.errors import ParameterError
-from rigidpadic.padic import PadicContext
+from rigidpadic.padic import INF, PadicContext, PadicNumber
 from rigidpadic.functions import (
     Leaf,
     LocallyAlgebraicFunction,
     PiecewiseFunction,
     StepFunction,
+    _re_expand,
+    _series_verdict,
+    compare_tracked,
     is_member_Can,
     is_member_C_m,
     is_member_pi_an,
@@ -217,6 +221,155 @@ class TestMembershipCan:
         f = PiecewiseFunction.constant(ctx, 1)
         with pytest.raises(ParameterError):
             is_member_Can(f, -1)
+
+    def test_no_after_starved_leaf_names_the_starved_leaf(self, ctx):
+        # center 5 re-expands to the reference's constant through a starved
+        # window, center 10 visibly differs: the culprit is the first
+        # non-YES leaf, whatever the final verdict
+        tiny = 5 ** 35
+        inner = [Leaf(0, 2, TateSeries(ctx, 2, [tiny, 1])),
+                 Leaf(5, 2, TateSeries(ctx, 2, [5 + tiny, 1])),
+                 Leaf(10, 2, TateSeries(ctx, 2, [11 + tiny, 1]))]
+        for r in (15, 20):
+            inner.append(Leaf(r, 2, TateSeries(ctx, 2, [r + tiny, 1])))
+        res = is_member_Can(PiecewiseFunction(ctx, inner + units_leaves(ctx)), 1)
+        assert res.status is Verdict.NO
+        assert res.witness is None
+        assert res.detail == "re-expansions disagree: leaf at center 5 (level 2)"
+
+    def test_witness_tail_is_the_least_candidate_tail(self, ctx):
+        # g = 25 + 5z has val_C 2 on 5Z_5; the truncated leaf at center 10
+        # claims only its stored minimum there, the one at center 0 keeps
+        # its own tail 9, the exact leaves claim +inf
+        g = PiecewiseFunction.from_global_series(TateSeries(ctx, 0, [25, 5])).refine(2)
+        leaves = [
+            Leaf(lf.center, lf.level,
+                 TateSeries(ctx, 2, lf.series.coeffs, {0: 9, 10: 7}.get(lf.center, INF)))
+            for lf in g.leaves
+        ]
+        f = PiecewiseFunction(ctx, leaves)
+        res = is_member_Can(f, 1)
+        assert res.status is Verdict.YES
+        assert res.detail == "5 leaves glue"
+        tails = [_re_expand(ctx, lf, 1)[0].tail_bound for lf in f.leaves_in_ball(1)]
+        assert tails == [9, INF, 2, INF, INF]
+        assert res.witness.tail_bound == 2
+        assert res.witness.coeffs == (ctx.from_int(25), ctx.from_int(5))
+
+    def test_stops_at_the_first_disagreeing_leaf(self, ctx, monkeypatch):
+        # the second in-ball leaf (center 5) differs from the reference, so
+        # only those two leaves are re-expanded
+        calls = []
+        real = functions._re_expand
+
+        def counted(ctx, lf, m):
+            calls.append(lf.center)
+            return real(ctx, lf, m)
+
+        monkeypatch.setattr(functions, "_re_expand", counted)
+        inner = [Leaf(r, 2, TateSeries.constant(ctx, 2, int(r == 5))) for r in range(0, 25, 5)]
+        res = is_member_Can(PiecewiseFunction(ctx, inner + units_leaves(ctx)), 1)
+        assert res.status is Verdict.NO
+        assert res.detail == "re-expansions disagree: leaf at center 5 (level 2)"
+        assert calls == [0, 5]
+
+
+class TestCompareTracked:
+    def test_certified_agreement(self, ctx):
+        # the difference sits at 5**38, past the threshold 0 + N - kappa = 36
+        x = ctx.from_int(7)
+        assert compare_tracked(ctx, x, INF, x + ctx.from_int(5 ** 38), INF) is Verdict.YES
+        assert compare_tracked(ctx, x, 36, x, 36) is Verdict.YES
+
+    def test_visible_difference(self, ctx):
+        assert compare_tracked(ctx, ctx.from_int(7), 40, ctx.from_int(8), 40) is Verdict.NO
+        # a difference below the window counts even when the window is shallow
+        assert compare_tracked(ctx, ctx.from_int(7), 3, ctx.from_int(32), INF) is Verdict.NO
+
+    def test_shallow_window(self, ctx):
+        # equal down to 5**30, but the window 20 stops short of the threshold 36
+        x = ctx.from_int(7)
+        assert compare_tracked(ctx, x, 20, x + ctx.from_int(5 ** 30), INF) is Verdict.INDETERMINATE
+        assert compare_tracked(ctx, x, INF, x, 35) is Verdict.INDETERMINATE
+
+    def test_zero_side_compares_at_absolute_depth(self, ctx):
+        z = ctx.zero()
+        assert compare_tracked(ctx, z, INF, ctx.from_int(5 ** 36), INF) is Verdict.YES
+        assert compare_tracked(ctx, ctx.from_int(5 ** 35), INF, z, INF) is Verdict.NO
+        assert compare_tracked(ctx, z, 0, z, 0) is Verdict.YES
+
+
+def _folded_verdict(ctx, a, a_ceil, b, b_ceil):
+    """The oracle: compare_tracked on every coefficient, folded with &."""
+    out = Verdict.YES
+    for v in range(max(len(a.coeffs), len(b.coeffs))):
+        ca = a_ceil[v] if v < len(a_ceil) else INF
+        cb = b_ceil[v] if v < len(b_ceil) else INF
+        out = out & compare_tracked(ctx, a.coeff(v), ca, b.coeff(v), cb)
+    return out
+
+
+def _rand_num(ctx, rng, val):
+    unit = rng.randrange(1, ctx.pN)
+    while unit % ctx.p == 0:
+        unit = rng.randrange(1, ctx.pN)
+    return PadicNumber(ctx, val, unit, _checked=True)
+
+
+def _coefficient_pair(ctx, rng):
+    """x and y drawn so that y - x covers every rounding case of
+    PadicNumber.__sub__: a zero side, exact cancellation, a difference just
+    above or below N - kappa, valuations N or more apart, anything."""
+    x = ctx.zero() if rng.random() < 0.15 else _rand_num(ctx, rng, rng.randint(-3, 3))
+    kind = rng.choice(("zero", "equal", "near", "apart", "free"))
+    if kind == "zero":
+        return x, ctx.zero()
+    if kind == "equal":
+        return x, x
+    if kind == "free" or x.is_zero:
+        return x, _rand_num(ctx, rng, rng.randint(-3, 3))
+    if kind == "near":
+        return x, x + _rand_num(ctx, rng, x.val + rng.randint(1, ctx.N + 1))
+    return x, _rand_num(ctx, rng, x.val + rng.choice((-1, 1)) * rng.randint(ctx.N, ctx.N + 2))
+
+
+def _rand_ceilings(ctx, rng, coeffs):
+    """Per-coefficient ceilings: +inf, the re-expansion default val + N, or
+    any finite depth; sometimes cut short (missing entries read +inf)."""
+    out = []
+    for c in coeffs:
+        r = rng.random()
+        if r < 0.3:
+            out.append(INF)
+        elif r < 0.6 and not c.is_zero:
+            out.append(c.val + ctx.N)
+        else:
+            out.append(rng.randint(-5, ctx.N + 5))
+    return out[: rng.randint(0, len(out))] if rng.random() < 0.2 else out
+
+
+ORACLE_CONTEXTS = [PadicContext(5, 40, 64), PadicContext(3, 4, 64),
+                   PadicContext(7, 6, 64), PadicContext(3, 2, 64, kappa=1)]
+
+
+class TestSeriesVerdictOracle:
+    @pytest.mark.parametrize("octx", ORACLE_CONTEXTS,
+                             ids=lambda c: f"p{c.p}-N{c.N}-kappa{c.kappa}")
+    def test_equals_folded_compare_tracked(self, octx):
+        rng = random.Random(octx.p * 100 + octx.N)
+        seen = set()
+        for _ in range(600):
+            pairs = [_coefficient_pair(octx, rng) for _ in range(rng.randint(0, 8))]
+            xs = [x for x, _ in pairs]
+            ys = [y for _, y in pairs]
+            if rng.random() < 0.3:
+                ys = ys[: rng.randint(0, len(ys))]  # unequal lengths
+            a, b = TateSeries(octx, 0, xs), TateSeries(octx, 0, ys)
+            ac, bc = _rand_ceilings(octx, rng, xs), _rand_ceilings(octx, rng, ys)
+            got = _series_verdict(octx, a, ac, b, bc)
+            assert got is _folded_verdict(octx, a, ac, b, bc), (a, ac, b, bc)
+            seen.add(got)
+        assert seen == set(Verdict)
 
 
 class TestMembershipSmooth:

@@ -23,48 +23,62 @@ no partition refinement is ever needed.  Each public action builds its
 function class once from the final leaves.  A generator that acts
 trivially (x = 0, s = 1, t = 1 with t^(k-2) = 1, y = 0) is skipped for
 every leaf.  For the mobius generator the image of the leaf at c is
-centered at b1 = c / (1 + x c) and the local substitution collapses to a
-scaled mobius map,
+centered at b1 = c / (1 + x c), and with e = k - 2 the local series S
+becomes
 
-    z' -> (1 + x c)^2 z' / (1 - mu z'),   mu = x (1 + x c),
+    G(z') = (1 + x c)^(-e) S(lam z' / (1 - mu z')) (1 - mu z')^e,
+    lam = (1 + x c)^2,   mu = x (1 + x c),
 
-with twist factor (1 + x c)^(-(k-2)) (1 - mu z')^(k-2), both expanded
-by one series.twisted_mobius call, which keeps a leaf holding an exact
-polynomial of degree <= k - 2 exact.  This gives a local series g at the
-exact center b1 (g is the leaf's own series, b1 = c, when x = 0).
+at the exact center b1 (G = S and b1 = c when x = 0).
 
 The remaining three steps are affine in the local variable: the dilation
 sends the center r to r / s with local series h(s z'), the inverse torus
-sends it to r t with h(z' / t) t^(k-2), and the translation to r + y with
+sends it to r t with h(z' / t) t^e, and the translation to r + y with
 the series unchanged.  Each image center b_i (i = 1..4) lies on the
 canonical residue r_i of its coset at the leaf's level, at the offset
 delta_i = r_i - b_i in p**level Z_p, and the next step starts from r_i.
-Re-centring after every step and composing the four substitutions, the
-leaf at r_4 carries
+Composing the four substitutions, the leaf at r_4 carries
 
-    t^(k-2) g(Delta + (s / t) z'),
-    Delta = delta_1 + s delta_2 + (s / t) (delta_3 + delta_4),
+    t^e G(Delta + r z'),   r = s / t,
+    Delta = delta_1 + s delta_2 + r (delta_3 + delta_4),
 
-where a skipped step contributes no offset (and s = 1, t = 1).  So each
-leaf is built by one recenter of g by Delta, then one scale_powers pass
-multiplying a_l by (s / t)^l t^(k-2).  The residue chain r_1 .. r_4 is the
-same computation as step by step, so centers and levels do not depend on
-the composition.  s and t are units and capped-relative products are exact
-modulo p**N in the unit, so the order of those multiplications moves no
-digit.  Delta is rounded to N digits at valuation >= level, an error
-that moves coefficient l by valuation >= val_C - level l + N.  So the one
-Taylor shift, where the step by step route rounded four, is where digits
-change.  Both routes agree with the exact image modulo
-p**(val_C - level l + N - kappa) in coefficient l (the precision contract;
-tests/test_actions.py checks it against the step by step route run with
-150 more digits).
+where a skipped step contributes no offset (and s = 1, t = 1).  The
+residue chain r_1 .. r_4 is the same computation as step by step, so
+centers and levels do not depend on the composition.  With x = 0 the leaf
+is one recenter of S by Delta and one scale_powers pass multiplying a_l by
+r^l t^e.  With x != 0 the re-centring folds into the mobius step, where it
+shifts only the leaf's own stored series: with u = 1 - mu Delta,
+
+    t^e G(Delta + r z') = (t u / (1 + x c))^e S(A + B w) (1 - mu' z')^e,
+    w = z' / (1 - mu' z'),   A = lam Delta / u,   B = lam r / u^2,
+    mu' = mu r / u,
+
+so the leaf is one recenter of S by A, one twisted_mobius(., B, mu', e)
+and, for e > 0, one scale.  valp(A) = valp(Delta) >= level, B is a unit
+and valp(mu') = valp(x) >= 1; an exact polynomial of degree <= e stays
+one.  valp(mu Delta) >= 1, so 1 + x c, u and every scalar above are units,
+computed as (val, unit) pairs with one modular inverse each of 1 + x c
+and u.
+
+The image is cut at z^D once, by twisted_mobius, after the shift.  A route
+that shifts the cut G drops the coefficients g_l, l > D, whose share of
+z^j lies only (l - deg S)(valp(x) + level) digits above
+val_C - level j: fewer than N for short S near D, so such a route can miss
+the contract below.  In the fold every summand of the shift of S and of
+the twisted sum for z^j has valuation >= val_C - level j (S(A + .) keeps
+the Banach valuation of S and (mu' p**level)^q is integral).  Each
+rounding, of Delta, of A, B, mu' and of a partial sum, errs N digits above
+its summand, and unit scalings round nothing.  So coefficient j agrees
+with the exact image modulo p**(val_C - level j + N - kappa) (the
+precision contract; tests/test_actions.py checks it against the
+step by step route run with more digits at degree D + N, read up to z^D).
 
 A TateSeries at level m is the one leaf (0, m): act admits it only for g
-in G(m) (I(1) at m = 0), so every residue r_i is 0.  The generator chain
-mobius_twist, dilate, inv_torus, translate shifts by -y where this route
-shifts by the rounded Delta = -(s / t) y; both meet the contract (checked as
-above).  Only a mobius step expands the twist, so k - 2 > D is refused only
-when x != 0.
+in G(m) (I(1) at m = 0), so every residue r_i is 0 and Delta = -r y.  The
+generator chain mobius_twist, dilate, inv_torus, translate cuts the mobius
+image before it translates, so it can miss the contract where this route
+meets it.  Only a mobius step expands the twist, so k - 2 > D is refused
+only when x != 0.
 
 The w0 Weyl cell carries the action of the w0-conjugate matrix (swap
 a <-> d and b <-> c); when the conjugate leaves the actionable range
@@ -319,35 +333,51 @@ def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], fac: Factorization
     y, s, t, x = fac
     if not x.is_zero and x.val < 1:
         raise DomainError(f"mobius parameter needs valp(x) >= 1, got {x.val}")
-    one = ctx.one()
+    one, pN = ctx.one(), ctx.pN
     factor = t ** e
     dilate = not (s - one).is_zero
     torus = not ((t - one).is_zero and factor == one)
-    ratio = s / t
+    ratio, s_inv = s / t, s.invert()
+    # x = p**xv xu; the scalars of the fold are (val, unit) pairs (module docstring)
+    xv, xu = x.val, x.unit
+    x_int = xu * pow(ctx.p, xv, pN) % pN if xu else 0
     out = []
     for lf in leaves:
-        level, r, g = lf.level, lf.center, lf.series
-        # the leaf becomes t^e g(delta + ratio offset + ratio z') (module
-        # docstring): delta sums the mobius and dilation offsets, offset
-        # the inverse torus and translation ones
+        level, r, f = lf.level, lf.center, lf.series
+        # Delta = delta + ratio offset (module docstring): delta sums the
+        # mobius and dilation offsets, offset the inverse torus and
+        # translation ones
         delta = offset = ctx.zero()
-        if not x.is_zero:
-            c = ctx.from_int(r)
-            one_plus = one + x * c  # a unit: valp(x c) >= 1
-            g = twisted_mobius(g, one_plus * one_plus, x * one_plus, e)
-            if e:
-                g = g.scale(one_plus ** (-e))
-            r, delta = _to_residue(c / one_plus, level)
+        if xu:
+            one_plus = (1 + x_int * r) % pN  # the unit 1 + x c
+            inv_one_plus = pow(one_plus, -1, pN)
+            r, delta = _to_residue(
+                ctx.from_int(r) * PadicNumber(ctx, 0, inv_one_plus, _checked=True), level)
         if dilate:
-            r, d = _to_residue(ctx.from_int(r) / s, level)
+            r, d = _to_residue(ctx.from_int(r) * s_inv, level)
             delta = delta + s * d
         if torus:
             r, offset = _to_residue(ctx.from_int(r) * t, level)
         if not y.is_zero:
             r, d = _to_residue(ctx.from_int(r) + y, level)
             offset = offset + d
-        g = g.recenter(delta + ratio * offset, level)
-        out.append(Leaf(r, level, g.scale_powers(factor, ratio)))
+        delta = delta + ratio * offset
+        if not xu:
+            out.append(Leaf(r, level, f.recenter(delta, level).scale_powers(factor, ratio)))
+            continue
+        # the fold: (t u / (1 + x c))^e f(A + B z' / (1 - mu' z')) (1 - mu' z')^e
+        lam = one_plus * one_plus % pN
+        mu_unit = xu * one_plus % pN  # mu = x (1 + x c) = p**xv mu_unit
+        dv, du = delta.val, delta.unit  # (INF, 0) for Delta = 0, so A = 0
+        u = (1 - mu_unit * du * pow(ctx.p, xv + dv, pN)) % pN if du else 1  # 1 - mu Delta
+        inv_u = pow(u, -1, pN)
+        a = PadicNumber(ctx, dv, lam * du * inv_u % pN, _checked=True)
+        b = PadicNumber(ctx, 0, lam * ratio.unit * inv_u * inv_u % pN, _checked=True)
+        mu_prime = PadicNumber(ctx, xv, mu_unit * ratio.unit * inv_u % pN, _checked=True)
+        g = twisted_mobius(f.recenter(a, level), b, mu_prime, e)
+        if e:
+            g = g.scale(PadicNumber(ctx, 0, pow(t.unit * u * inv_one_plus, e, pN), _checked=True))
+        out.append(Leaf(r, level, g))
     return out
 
 

@@ -375,7 +375,8 @@ def _re_expand(ctx: PadicContext, lf: Leaf, m: int) -> Tuple[TateSeries, List[fl
     least summand valuation plus N.  A polynomial leaf re-expands exactly
     (tail certificate +inf); for a truncated leaf the certificate of the
     source level does not transfer to the coarser ball, so the candidate
-    claims only its stored minimum.
+    claims only its stored minimum, or the leaf's own tail bound when
+    nothing is stored: a truncated leaf never yields an exact candidate.
     """
     s = lf.series
     c = ctx.from_int(lf.center)
@@ -386,7 +387,8 @@ def _re_expand(ctx: PadicContext, lf: Leaf, m: int) -> Tuple[TateSeries, List[fl
     ceilings = [f + ctx.N for f in floors]
     tail = INF
     if s.tail_bound is not INF:
-        tail = min((b.val + m * l for l, b in enumerate(coeffs) if not b.is_zero), default=INF)
+        tail = min((b.val + m * l for l, b in enumerate(coeffs) if not b.is_zero),
+                   default=s.tail_bound)
     return TateSeries(ctx, m, coeffs, tail), ceilings
 
 

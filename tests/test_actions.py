@@ -351,7 +351,9 @@ class TestOneBuildPerAction:
 
 class TestOneRecenterPerLeaf:
     """The dilation, inverse torus and translation steps of a leaf compose
-    into one affine substitution: every action re-centres each leaf once."""
+    into one affine substitution, and with a mobius step that re-centring
+    moves in front of it onto the leaf's own series: every action
+    re-centres each leaf once."""
 
     def test_each_leaf_recenters_once(self, ctx, monkeypatch):
         # every generator acts, and c in p Z_p keeps the w0 cell in I(1)
@@ -412,10 +414,12 @@ class TestInductionCharacter:
 #
 # The oracle is the earlier implementation: one PiecewiseFunction per
 # generator, each pass re-centring every leaf onto the canonical residue.
-# The one-pass action composes the three affine steps into one recenter, so
-# its centres, levels, tail bounds and leaf valuations equal the oracle's
-# exactly, while its digits agree with the exact image to N - kappa digits
-# relative to the leaf's Banach valuation, as the oracle's do.
+# The one-pass action folds the four steps into one recenter of the leaf's
+# series and one twisted mobius substitution, so its centres, levels, tail
+# bounds and leaf valuations equal the oracle's exactly.  Its digits agree
+# with the true image to N - kappa digits relative to the leaf's Banach
+# valuation.  The oracle cuts the mobius image at z^D and then shifts it,
+# so only at degree D + N does it give the true image up to z^D.
 
 
 def _shift_to_residue(series: TateSeries, center: PadicNumber, level: int) -> Leaf:
@@ -555,22 +559,41 @@ def _lift_matrix(hi, g):
     return IwahoriElement(hi, *(a.to_fraction() for a in (g.a, g.b, g.c, g.d)), g.level)
 
 
+#: extra digits of the context that stands in for the true image; the
+#: oracle's roundings there lie N + IMAGE_DIGITS digits above each summand,
+#: far past the N - kappa of the contract
+IMAGE_DIGITS = 20
+
+
+def _image_context(ctx):
+    """The context of the true image: IMAGE_DIGITS more digits and degree
+    D + N.  An oracle cuts the Mobius image of a degree-d series before it
+    shifts; a coefficient g_l it drops reaches z^j (j <= D) at least
+    (l - d)(valp(x) + level) digits above val_C - level j.  At degree D + N
+    that is more than N digits for every dropped g_l, at degree D it is not."""
+    return PadicContext(ctx.p, ctx.N + IMAGE_DIGITS, ctx.D + ctx.N, ctx.kappa)
+
+
 def _assert_matches_oracle(out, g, f, e):
     """out is the image of f under g: its centres, levels, tail bounds and
     leaf valuations are the four-pass oracle's, and its digits meet the
-    precision contract against the exact image (the oracle run with
-    EXTRA_DIGITS more digits), as the oracle's own digits do."""
+    precision contract against the true image (the oracle run in
+    _image_context, read up to z^D).  The oracle cuts at z^D before it
+    shifts, so its own digits are held to the contract against itself run
+    with EXTRA_DIGITS more digits at degree D."""
     ctx = f.ctx
-    hi = PadicContext(ctx.p, ctx.N + EXTRA_DIGITS, ctx.D, ctx.kappa)
+    hi, true = PadicContext(ctx.p, ctx.N + EXTRA_DIGITS, ctx.D, ctx.kappa), _image_context(ctx)
     ref = _oracle_act(g, f, e).leaves
-    exact = _oracle_act(_lift_matrix(hi, g), _lift(hi, f), e).leaves
-    assert len(out) == len(ref) == len(exact)
-    for lf, lo, ex in zip(out, ref, exact):
-        assert (lf.center, lf.level) == (lo.center, lo.level) == (ex.center, ex.level)
+    ref_hi = _oracle_act(_lift_matrix(hi, g), _lift(hi, f), e).leaves
+    image = _oracle_act(_lift_matrix(true, g), _lift(true, f), e).leaves
+    assert len(out) == len(ref) == len(ref_hi) == len(image)
+    for lf, lo, lh, im in zip(out, ref, ref_hi, image):
+        assert ((lf.center, lf.level) == (lo.center, lo.level) == (lh.center, lh.level)
+                == (im.center, im.level))
         assert lf.series.tail_bound == lo.series.tail_bound
         assert lf.series.val_c() == lo.series.val_c()
-        _assert_within_contract(lf.series, ex.series)
-        _assert_within_contract(lo.series, ex.series)
+        _assert_within_contract(lf.series, im.series)
+        _assert_within_contract(lo.series, lh.series)
 
 
 class TestOnePassMatchesFourPasses:
@@ -675,10 +698,13 @@ def _oracle_chain(g, f, k):
 
 
 class TestSeriesActionMatchesChain:
-    """act on a level-m series is the one-leaf case of the leafwise action.
-    It rounds one Taylor shift where the chain rounded one per generator, so
-    digits may move, but both meet the precision contract against the chain
-    run with EXTRA_DIGITS more digits, and tails and val_C are the chain's."""
+    """act on a level-m series is the one-leaf case of the leafwise action:
+    it shifts the short source and cuts the image at z^D once, where the
+    chain cuts the mobius image and then translates it.  act meets the
+    precision contract against the true image (the chain run in
+    _image_context, read up to z^D), the chain against itself run with
+    EXTRA_DIGITS more digits at degree D, and tails and val_C are the
+    chain's."""
 
     CONTEXTS = TestOnePassMatchesFourPasses.CONTEXTS
 
@@ -704,7 +730,7 @@ class TestSeriesActionMatchesChain:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_act_meets_the_contract(self, ci, m):
         ctx = self.CONTEXTS[ci]
-        hi = PadicContext(ctx.p, ctx.N + EXTRA_DIGITS, ctx.D, ctx.kappa)
+        hi, true = PadicContext(ctx.p, ctx.N + EXTRA_DIGITS, ctx.D, ctx.kappa), _image_context(ctx)
         rng = random.Random(10 * ci + m)
         chi = TestOnePassMatchesFourPasses._chi
         for k in range(2, 6):
@@ -713,15 +739,31 @@ class TestSeriesActionMatchesChain:
                 for g in self._matrices(ctx, rng, m):
                     out = act(g, f, chi(ctx, k))
                     ref = _oracle_chain(g, f, k)
-                    exact = _oracle_chain(_lift_matrix(hi, g), _lift_series(hi, f), k)
+                    ref_hi = _oracle_chain(_lift_matrix(hi, g), _lift_series(hi, f), k)
+                    image = _oracle_chain(_lift_matrix(true, g), _lift_series(true, f), k)
                     assert out.m == ref.m == m
                     assert out.tail_bound == ref.tail_bound
                     assert out.val_c() == ref.val_c() == f.val_c()
                     if kind in ("short exact", "zero"):
                         # an exact polynomial of degree <= k - 2 stays one
                         assert out.tail_bound is INF
-                    _assert_within_contract(out, exact)
-                    _assert_within_contract(ref, exact)
+                    _assert_within_contract(out, image)
+                    _assert_within_contract(ref, ref_hi)
+
+    def test_shifting_the_cut_image_misses_the_true_image(self):
+        # z^2 under [[1, 5], [1, 1]]: x = 5 and a unit translation y = 1.  The
+        # Mobius image's g_l has valuation l - 2, and the chain cuts it at
+        # z^D before the unit shift carries the dropped g_17 onto z^0, 15
+        # digits up, below the contract's N - kappa = 36.  act shifts z^2
+        # first and cuts once, so it meets the contract
+        ctx, k = self.CONTEXTS[0], 2
+        true = _image_context(ctx)
+        f = TateSeries.monomial(ctx, 0, 2)
+        g = IwahoriElement(ctx, 1, 5, 1, 1, I1)
+        image = _oracle_chain(_lift_matrix(true, g), _lift_series(true, f), k)
+        _assert_within_contract(act(g, f, TestOnePassMatchesFourPasses._chi(ctx, k)), image)
+        cut_first = _oracle_chain(g, f, k)
+        assert (image.coeff(0) - true.num(cut_first.coeff(0).to_fraction())).val == 15
 
     @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
     def test_level_zero_series_is_the_global_leaf(self, ci):

@@ -256,6 +256,16 @@ class TestMembershipCan:
         assert res.witness.tail_bound == 2
         assert res.witness.coeffs == (ctx.from_int(25), ctx.from_int(5))
 
+    def test_truncated_leaf_storing_nothing_keeps_its_tail(self, ctx):
+        # four leaves known only modulo their tail bound 3 glue to zero, but
+        # the witness is truncated: nothing stored, tail 3, never +inf
+        leaves = [Leaf(0, 1, TateSeries.zero(ctx, 1))] + [
+            Leaf(c, 1, TateSeries(ctx, 1, [], 3)) for c in range(1, 5)]
+        assert _re_expand(ctx, leaves[1], 0)[0].tail_bound == 3
+        res = is_member_Can(PiecewiseFunction(ctx, leaves), 0)
+        assert res.status is Verdict.YES
+        assert res.witness == TateSeries(ctx, 0, [], 3)
+
     def test_stops_at_the_first_disagreeing_leaf(self, ctx, monkeypatch):
         # the second in-ball leaf (center 5) differs from the reference, so
         # only those two leaves are re-expanded

@@ -717,11 +717,12 @@ EXTRA_DIGITS = 150
 
 
 def _assert_within_contract(series, exact):
-    """Every coefficient a_l of series agrees with the exact image modulo
-    p^(val_C - m l + N - kappa), m the ball level."""
+    """Every coefficient a_l of series agrees with the exact image, read up
+    to z^D of series' context, modulo p^(val_C - m l + N - kappa), m the ball
+    level."""
     ctx, hi = series.ctx, exact.ctx
     need = series.val_c() + ctx.N - ctx.kappa
-    for l in range(max(len(series.coeffs), len(exact.coeffs))):
+    for l in range(ctx.D + 1):
         gap = (exact.coeff(l) - hi.num(series.coeff(l).to_fraction())).val
         assert gap >= need - series.m * l, (l, gap, need - series.m * l)
 

@@ -67,9 +67,10 @@ val_C - level j: fewer than N for short S near D, so such a route can miss
 the contract below.  In the fold every summand of the shift of S and of
 the twisted sum for z^j has valuation >= val_C - level j (S(A + .) keeps
 the Banach valuation of S and (mu' p**level)^q is integral).  Each
-rounding, of Delta, of A, B, mu' and of a partial sum, errs N digits above
-its summand, and unit scalings round nothing.  So coefficient j agrees
-with the exact image modulo p**(val_C - level j + N - kappa) (the
+rounding, of Delta, of A, B and mu', errs N digits above its value, each
+sum is exact modulo p**(its least summand valuation + N) (the precision
+model of series.py) and unit scalings round nothing.  So coefficient j
+agrees with the exact image modulo p**(val_C - level j + N - kappa) (the
 precision contract; tests/test_actions.py checks it against the
 step by step route run with more digits at degree D + N, read up to z^D).
 

@@ -313,13 +313,13 @@ def is_analytic_vector(f: PiecewiseFunction, m: int) -> Verdict:
 def orbit_membership(f: PiecewiseFunction, m: int) -> Verdict:
     """Independent membership route built on evaluation.
 
-    A candidate continuation is re-expanded from one leaf (the in-ball
-    leaf with the largest center), its orbit expansions are required to
-    satisfy the uniform tail bound, and the candidate is then compared
-    against every other in-ball leaf at three sample points per leaf
-    with starvation-aware comparisons.  The candidate's value at z is
-    trusted only below every coefficient's re-expansion ceiling plus
-    l * valp(z), as well as below its own evaluation ceiling.
+    The candidate continuation is re-expanded from the in-ball leaf at
+    center 0: it needs no shift, so no digit is lost to cancellation before
+    it is evaluated.  Its orbit expansions are required to satisfy the
+    uniform tail bound, and the candidate is then compared against every
+    other in-ball leaf at three sample points per leaf with
+    starvation-aware comparisons, each value trusted below its evaluation
+    ceiling.
     """
     if m < 0:
         raise ParameterError(f"ball level m must be >= 0, got {m}")
@@ -332,8 +332,8 @@ def orbit_membership(f: PiecewiseFunction, m: int) -> Verdict:
     inball = f.leaves_in_ball(m)
     if not inball:
         raise InvariantViolation("partition leaves no cover of the ball")
-    source = max(inball, key=lambda lf: (lf.center, lf.level))
-    candidate, ceilings = _re_expand(ctx, source, m)
+    source = next(lf for lf in inball if lf.center == 0)
+    candidate = _re_expand(ctx, source, m)[0]
     _orbit_tail_guard(candidate, m, "candidate")
     verdict = Verdict.YES
     for lf in inball:
@@ -343,19 +343,11 @@ def orbit_membership(f: PiecewiseFunction, m: int) -> Verdict:
         for j in range(3):
             z = ctx.from_int(lf.center + j * step)
             got, got_ceil = candidate.evaluate_tracked(z)
-            got_ceil = min(got_ceil, _shifted_window(ceilings, z))
             want, want_ceil = lf.series.evaluate_tracked(z - ctx.from_int(lf.center))
             verdict = verdict & compare_tracked(ctx, got, got_ceil, want, want_ceil)
             if verdict is Verdict.NO:
                 return verdict
     return verdict
-
-
-def _shifted_window(ceilings: List[float], z: PadicNumber) -> float:
-    """min_l ceilings[l] + l * valp(z): how deep sum_l b_l z^l is known."""
-    if z.is_zero:
-        return ceilings[0] if ceilings else INF
-    return min((c + l * z.val for l, c in enumerate(ceilings)), default=INF)
 
 
 def _orbit_tail_guard(w: TateSeries, m: int, role: str) -> None:

@@ -25,23 +25,23 @@ scale, raw_scale (and dilate through it), inv_torus and the leafwise
 action's last pass share scale_powers: a_l -> a_l c ratio^l for a unit ratio,
 one unit product mod p**N per coefficient; it moves the tail bound by valp(c).
 
-Bit-identity contract: every sum of products in series algebra runs on
-(val, unit) integer pairs through one kernel, _offset_sums: the Taylor shift
+Precision model (Caruso, "Computations with p-adic numbers",
+arXiv:1701.06794): a coefficient is stored capped-relative, p**val * unit
+with the unit known modulo p**N.  Every sum of products in series algebra is
+one operation at one absolute working precision, run on (val, unit) integer
+pairs by one kernel, _offset_sums: the Taylor shift
 b_v = sum_{l>=v} a_l binom(l, v) c^(l-v) behind translate, recenter and
-functions._re_expand, the sums inside evaluate_tracked and __mul__, and the
-two sums of twisted_mobius below.  Products are exact and summands are added
-in the order of the PadicNumber loops they replace, each partial sum rounded
-exactly as PadicNumber.__add__ rounds it, so the stored digits are those
-loops' digits (tests/test_series.py keeps the loops as the oracle and
-asserts exact equality).  Where a sum runs over pairs of factors, the second
-factor is the source, indexed from the top, so that each sum runs in
-ascending first-factor index.  Binomials are split over the context's
-factorial table, and every factor, 1/v! included, multiplies each summand's
-unit before it is added, never the finished sum: after a cancellation the
-rounding fills the top digits with zeros, which a factor applied after the
-sum would change.  The kernel skips a summand lying N or more digits above a
-nonzero partial sum before computing its unit, since the rounding leaves
-such a sum unchanged; its valuation still enters the floor.
+functions._re_expand, the sum of evaluate_tracked, the products of __mul__
+and the two sums of twisted_mobius below.  A summand is a product of stored
+values, so it is known modulo p**(its valuation + N).  Let floor be the least
+summand valuation of a sum: the kernel adds the summands exactly modulo
+p**(floor + N), multiplies by the output's outer factor once and rounds once.
+So a stored sum is the exact sum of its summands reduced modulo
+p**(floor + N), its unit has no nonzero digit at or above floor + N, and
+floor + N is the ceiling evaluate_tracked and functions._re_expand report.
+An exact sum does not depend on the order of its summands.  Binomials are
+split over the context's factorial table; their units are residues modulo
+p**N, which changes a summand only at or above its valuation plus N.
 
 twisted_mobius is the one routine for every Mobius substitution
 S(lam z / (1 - mu z)) (1 - mu z)^e: raw_mobius, mobius_twist,
@@ -49,13 +49,11 @@ one_minus_cz_pow and the leafwise action call it.  It sets the tail bound
 itself: +inf when S is exact of degree <= e, whose image is then an exact
 polynomial of degree <= e, and val_C(S) otherwise.  Its outputs split at
 j = e: c_j draws on a_l with l <= e for j <= e, and with l > e for j > e.
-Its digits are the loops' for e = 0, deg S <= e and S = 1.  For
-deg S > e >= 1 it rounds one sum where the product of the untwisted
-substitution and the twist rounded two.  Every summand and partial sum of c_j
-has valuation >= val_C - m j and each rounding errs N digits above it, so
-both routes agree with the exact image modulo p**(val_C - m j + N), inside
-N - kappa (tests/test_series.py checks both against the product route run
-with 150 more digits).
+It rounds each c_j once, where the product of the untwisted substitution
+and the twist rounds two sums for deg S > e >= 1.  Every summand of c_j has
+valuation >= val_C - m j, so c_j agrees with the exact image modulo
+p**(val_C - m j + N), inside N - kappa (tests/test_series.py checks both
+routes against the product route run with 150 more digits).
 """
 
 from __future__ import annotations
@@ -230,9 +228,9 @@ class TateSeries:
         self._match(other)
         ctx = self.ctx
         top = min(ctx.D, self.degree + other.degree)
-        # c_n = sum_i a_i b_(n-i) by ascending i: other is the source indexed
-        # from the top (l = top - j, v = top - n), so that i = l - v runs up
-        # as j runs down, and self, padded with zeros, is the kernel
+        # c_n = sum_i a_i b_(n-i): other is the source indexed from the top
+        # (l = top - j, v = top - n), so that i = l - v, and self, padded
+        # with zeros, is the kernel
         src = [(top - j, b.val, b.unit)
                for j, b in reversed(list(enumerate(other.coeffs[:top + 1]))) if b.unit]
         ker = [(a.val, a.unit) for a in self.coeffs[:top + 1]] + [(INF, 0)] * (top - self.degree)
@@ -331,18 +329,12 @@ class TateSeries:
         return TateSeries(ctx, new_m, cs, self.tail_bound)
 
     def evaluate(self, z: Coercible) -> PadicNumber:
-        """Horner evaluation at z in p**m Z_p.
+        """Value at z in p**m Z_p, the first part of evaluate_tracked.
 
         For a finite tail certificate the omitted terms contribute an
         error of valuation >= tail_bound.
         """
-        z = self.ctx.num(z)
-        if not z.is_zero and z.val < self.m:
-            raise DomainError(f"evaluation point needs valp(z) >= {self.m}")
-        acc = self.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return self.evaluate_tracked(z)[0]
 
     def evaluate_tracked(self, z: Coercible) -> Tuple[PadicNumber, float]:
         """Evaluation plus its absolute reliability ceiling: each term a_l z^l
@@ -384,8 +376,8 @@ def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> 
     fvals, finvs = fac.vals, fac.invs
     # j <= e: binom(e - l, q) = (e - l)! / (q! (e - j)!), q = j - l.  The
     # source (-mu)^q / q! is indexed from the top, l' = e - q and v = e - j,
-    # so that l = l' - v runs up as q runs down; a_l lam^l (e - l)! is the
-    # kernel and 1 / (e - j)! the outer factor.  q = 0 is (e, 0, 1)
+    # so that l = l' - v; a_l lam^l (e - l)! is the kernel and 1 / (e - j)!
+    # the outer factor.  q = 0 is (e, 0, 1)
     src = [(e - q, q * mu.val - fvals[q], pow(pN - mu.unit, q, pN) * finvs[q] % pN)
            for q in range(e if mu.unit else 0, 0, -1)] + [(e, 0, 1)]
     ker = [(a.val + l * lam.val + fvals[e - l],
@@ -395,8 +387,8 @@ def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> 
     low = _offset_sums(ctx, src, ker, outs)[0][::-1]
     # j > e: binom(e - l, q) = (-1)^q (j - e - 1)! / (q! (l - e - 1)!).  The
     # source a_l lam^l / (l - e - 1)! is indexed from the top, l' = deg - l
-    # and v = deg - j, so that q = l' - v runs up as l runs down; mu^q / q!
-    # is the kernel and (j - e - 1)! the outer factor.  deg <= e: no source
+    # and v = deg - j, so that q = l' - v; mu^q / q! is the kernel and
+    # (j - e - 1)! the outer factor.  deg <= e: no source
     deg = len(coeffs) - 1
     top = ctx.D if deg > e else e
     src = [(deg - l, a.val + l * lam.val - fvals[l - e - 1],
@@ -442,13 +434,15 @@ def _offset_sums(
     outs: Iterable[Tuple[int, int, int]],
 ) -> Tuple[List[PadicNumber], List[float]]:
     """For each output (v, outer_val, outer_unit), the sum over source pairs
-    (l, w, u) with l >= v of the summands (w, u) * ker[l - v] * outer.
+    (l, w, u) with l >= v of the summands (w, u) * ker[l - v], times outer.
 
     src holds the nonzero source pairs by ascending l, outs runs by ascending
-    v and ker[k] is a (val, unit) pair.  Summands are added in source order,
-    every partial sum rounded exactly as PadicNumber.__add__ rounds it.
-    Returns (sums, floors) where floors[i] is the least valuation of the
-    summands of output i (+inf when there are none).
+    v and ker[k] is a (val, unit) pair.  Each sum is exact modulo
+    p**(floor + N), floor its least summand valuation; the outer unit
+    multiplies it once and the result is rounded once.  A summand at or
+    above the running floor plus N is skipped, since the floor can only
+    fall.  Returns (sums, floors) where floors[i] is the floor of output i,
+    outer_val included (+inf when it has no summand).
     """
     N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
     out: List[PadicNumber] = []
@@ -457,32 +451,24 @@ def _offset_sums(
     for v, ov, ou in outs:
         while start < len(src) and src[start][0] < v:
             start += 1
-        val = floor = lim = INF  # lim = val + N while the partial sum is nonzero
-        unit = 0
+        floor, acc = INF, 0  # acc * p**floor is the sum so far
         for l, w, au in src[start:]:
             kv, ku = ker[l - v]
-            tv = w + kv + ov
+            tv = w + kv
             if tv < floor:
+                d = floor - tv
+                acc = acc * ppow[d] + au * ku if d < N else au * ku
                 floor = tv
-            if tv >= lim:
-                # N or more digits above a nonzero partial sum: the rounding
-                # leaves the sum unchanged, so the unit is never computed
-                continue
-            tu = au * ku * ou % pN
-            if not unit:
-                val, unit, lim = tv, tu, tv + N
-                continue
-            if val <= tv:  # and tv - val < N, as tv < lim
-                unit = (unit + tu * ppow[tv - val]) % pN
-            elif val - tv >= N:
-                val, unit = tv, tu
-            else:
-                unit = (tu + unit * ppow[val - tv]) % pN
-                val = tv
-            while unit and not unit % p:
-                unit //= p
-                val += 1
-            lim = val + N if unit else INF
-        out.append(PadicNumber(ctx, val, unit, _checked=True) if unit else ctx.zero())
-        floors.append(floor)
+            elif tv - floor < N:
+                acc += au * ku * ppow[tv - floor]
+        unit = acc * ou % pN
+        val = floor + ov if floor < INF else INF
+        floors.append(val)
+        if not unit:
+            out.append(ctx.zero())
+            continue
+        while not unit % p:
+            unit //= p
+            val += 1
+        out.append(PadicNumber(ctx, val, unit, _checked=True))
     return out, floors

@@ -469,9 +469,13 @@ class TestAnalyticMembership:
         assert orbit_membership(f, 1) is Verdict.NO
 
     def test_orbit_route_counts_re_expansion_ceilings(self):
-        # re-expanding this level-2 refinement around 0 cancels digits of
-        # the candidate's coefficients; evaluating the candidate without
-        # their ceilings read rounding as a disagreement (a wrong NO)
+        # re-expanding this level-2 refinement around 0 from the leaf at
+        # centre 20 cancels digits of the candidate's coefficients: evaluating
+        # that candidate without their ceilings read rounding as a wrong NO,
+        # and with them the comparison starved to INDETERMINATE.  The leaf at
+        # centre 0 needs no shift, so both routes answer YES.  (The same input
+        # is the one disagreement in 2,250 selftest two-route draws from
+        # random.Random(3), at index 1825.)
         ctx = PadicContext(5, 40, 64, 4)
         g = TateSeries(
             ctx,
@@ -485,7 +489,7 @@ class TestAnalyticMembership:
         )
         f = PiecewiseFunction.from_global_series(g).refine(2)
         assert is_analytic_vector(f, 1) is Verdict.YES
-        assert orbit_membership(f, 1) is not Verdict.NO
+        assert orbit_membership(f, 1) is Verdict.YES
 
     def test_tamper_index_out_of_range(self, ctx):
         f = TateSeries.monomial(ctx, 1, 2)

@@ -3,6 +3,7 @@ Banach-valuation laws the operations must respect."""
 
 import random
 from fractions import Fraction
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -391,47 +392,341 @@ class TestConstruction:
         assert not f.agrees_mod(g, 36)
 
 
-# -- the integer Taylor-shift kernel against the PadicNumber loops ------------
+# -- the series kernel against exact sums -------------------------------------
 #
-# The oracles below are the PadicNumber loops the kernel replaced.  The
-# kernel promises bit-identical stored digits, so every comparison is exact
-# equality of (val, unit), never agreement at precision.
+# Every kernel route stores, per output, the exact sum of its summands (each
+# a product of stored values and an exact binomial) reduced modulo
+# p^(floor + N), floor the least summand valuation, and reports floor + N as
+# the ceiling.  The oracle sums the summands as Fractions, so every
+# comparison is exact equality of (val, unit), never agreement at precision.
 
 
-def _oracle_shift(f, c):
-    """b_v = sum_{l >= v} a_l binom(l, v) c^(l-v), summed left to right."""
-    ctx = f.ctx
-    c_pow = [ctx.one()]
-    for _ in range(max(f.degree, 0)):
-        c_pow.append(c_pow[-1] * c)
-    out = []
-    for v in range(f.degree + 1):
-        acc, floor = ctx.zero(), INF
-        for l in range(v, f.degree + 1):
-            a = f.coeffs[l]
-            if not a.is_zero:
-                term = a * ctx.binom(l, v) * c_pow[l - v]
-                acc = acc + term
-                floor = min(floor, term.val)
-        out.append((acc, floor + ctx.N))
-    return out
+def _exact_sum(ctx, terms):
+    """((val, unit), ceiling) of the exact sum of the Fractions terms modulo
+    p^(floor + N), floor the least valuation of a nonzero term; ((INF, 0), INF)
+    for none.  Over a common denominator, floor is the valuation of the gcd
+    of the numerators."""
+    p, pN = ctx.p, ctx.pN
+    terms = [t for t in terms if t]
+    if not terms:
+        return (INF, 0), INF
+    den = lcm(*(t.denominator for t in terms))
+    nums = [t.numerator * (den // t.denominator) for t in terms]
+    floor = _wval(gcd(*nums), p) - _wval(den, p)
+    y = Fraction(sum(nums), den) / Fraction(p) ** floor
+    r = y.numerator * pow(y.denominator, -1, pN) % pN
+    if not r:
+        return (INF, 0), floor + ctx.N
+    k = _wval(r, p)
+    return (floor + k, r // p ** k), floor + ctx.N
 
 
-def _oracle_translate(f, y):
-    return TateSeries(f.ctx, f.m, [b for b, _ in _oracle_shift(f, -y)], f.tail_bound)
+def _assert_exact(ctx, got, sums, ceilings=None):
+    """got (coefficients) and ceilings are the exact sums of sums' summands."""
+    want = [_exact_sum(ctx, terms) for terms in sums]
+    pairs = [(c.val, c.unit) for c in got]
+    exact = [pair for pair, _ in want]
+    for xs in (pairs, exact):
+        while xs and xs[-1] == (INF, 0):
+            xs.pop()
+    assert pairs == exact
+    if ceilings is not None:
+        assert list(ceilings) == [ceiling for _, ceiling in want]
 
 
-def _oracle_recenter(f, a, new_m):
-    return TateSeries(f.ctx, new_m, [b for b, _ in _oracle_shift(f, a)], f.tail_bound)
+def _shift_terms(coeffs, c):
+    """Summands of b_v = sum_{l >= v} a_l binom(l, v) c^(l-v), per v."""
+    cq, aq = c.to_fraction(), [a.to_fraction() for a in coeffs]
+    cpow = [cq ** k for k in range(len(coeffs))]
+    return [[aq[l] * comb(l, v) * cpow[l - v] for l in range(v, len(coeffs))]
+            for v in range(len(coeffs))]
 
 
-def _oracle_re_expand(ctx, lf, m):
-    sums = _oracle_shift(lf.series, -ctx.from_int(lf.center))
-    coeffs = [b for b, _ in sums]
-    cand = TateSeries(ctx, m, coeffs)
-    if lf.series.tail_bound is not INF:
-        cand = TateSeries(ctx, m, coeffs, cand.stored_val_c())
-    return cand, [ceiling for _, ceiling in sums]
+def _gbinom(n, k):
+    """binom(n, k) for any integer n and k >= 0."""
+    return prod(range(n, n - k, -1)) // factorial(k)
+
+
+def _twisted_terms(f, lam, mu, e):
+    """Summands of c_j = sum_{l <= j} a_l lam^l binom(e - l, j - l) (-mu)^(j - l)
+    for j <= D, or j <= e when deg S <= e."""
+    top = f.ctx.D if f.degree > e else e
+    lq, mq = lam.to_fraction(), -mu.to_fraction()
+    aq = [a.to_fraction() * lq ** l for l, a in enumerate(f.coeffs)]
+    mpow = [mq ** q for q in range(top + 1)]
+    return [[aq[l] * _gbinom(e - l, j - l) * mpow[j - l] for l in range(min(j, f.degree) + 1)]
+            for j in range(top + 1)]
+
+
+def _assert_twisted(f, lam, mu, e, got):
+    _assert_exact(f.ctx, got.coeffs, _twisted_terms(f, lam, mu, e))
+    assert got.m == f.m
+    assert got.tail_bound == (INF if f.tail_bound is INF and f.degree <= e else f.val_c())
+
+
+def _product_terms(f, g):
+    top = min(f.ctx.D, f.degree + g.degree)
+    fq, gq = ([a.to_fraction() for a in h.coeffs] for h in (f, g))
+    return [[fq[i] * gq[n - i] for i in range(max(0, n - g.degree), min(n, f.degree) + 1)]
+            for n in range(top + 1)]
+
+
+def _assert_product(f, g):
+    got = f * g
+    _assert_exact(f.ctx, got.coeffs, _product_terms(f, g))
+    exact = f.tail_bound is INF and g.tail_bound is INF and f.degree + g.degree <= f.ctx.D
+    assert got.tail_bound == (INF if exact else f.val_c() + g.val_c())
+
+
+def _assert_evaluation(f, z):
+    total, ceiling = f.evaluate_tracked(z)
+    zq = z.to_fraction()
+    _assert_exact(f.ctx, [total], [[a.to_fraction() * zq ** l for l, a in enumerate(f.coeffs)]],
+                  [ceiling])
+
+
+def _assert_re_expand(ctx, leaf, m):
+    cand, ceilings = _re_expand(ctx, leaf, m)
+    _assert_exact(ctx, cand.coeffs, _shift_terms(leaf.series.coeffs, -ctx.from_int(leaf.center)),
+                  ceilings)
+    tail = leaf.series.tail_bound
+    if tail is not INF:
+        tail = min((b.val + m * l for l, b in enumerate(cand.coeffs) if not b.is_zero),
+                   default=tail)
+    assert (cand.m, cand.tail_bound) == (m, tail)
+    return cand, ceilings
+
+
+def _rand_unit(ctx, rng):
+    unit = rng.randrange(1, ctx.pN)
+    while unit % ctx.p == 0:
+        unit = rng.randrange(1, ctx.pN)
+    return unit
+
+
+def _kernel_series(ctx, rng, m, degree, lo=-2, spread=6):
+    """Degree-exact series with zero coefficients and valuations from lo."""
+    cs = []
+    for l in range(degree + 1):
+        if l < degree and rng.random() < 0.2:
+            cs.append(ctx.zero())
+            continue
+        cs.append(PadicNumber(ctx, rng.randint(lo, lo + spread), _rand_unit(ctx, rng),
+                              _checked=True))
+    return TateSeries(ctx, m, cs, rng.choice([INF, lo]))
+
+
+def _assert_below_ceilings(coeffs, ceilings):
+    """No stored coefficient has a nonzero digit at or above its ceiling."""
+    for b, ceiling in zip(coeffs, ceilings):
+        assert b.is_zero or b.unit < b.ctx.p ** (ceiling - b.val), (b.val, b.unit, ceiling)
+
+
+class TestTaylorShiftKernel:
+    """translate, recenter, the shift itself, _re_expand, evaluate_tracked,
+    the product and twisted_mobius (both halves, raw_mobius, mobius_twist
+    and one_minus_cz_pow) store exactly the exact sums of their summands
+    modulo p^(floor + N) and report floor + N as their ceilings."""
+
+    CONTEXTS = [
+        PadicContext(5, 40, 64),
+        PadicContext(3, 4, 64),
+        PadicContext(7, 6, 64),
+        PadicContext(3, 2, 64, kappa=1),
+    ]
+
+    def _check_all(self, f, rng):
+        ctx = f.ctx
+        p = ctx.p
+        y = ctx.from_int(p ** (f.m + rng.randrange(3)) * rng.randrange(1, p ** 4))
+        g = f.translate(y)
+        _assert_exact(ctx, g.coeffs, _shift_terms(f.coeffs, -y))
+        assert (g.m, g.tail_bound) == (f.m, f.tail_bound)
+        g = f.recenter(y, f.m + 1)
+        _assert_exact(ctx, g.coeffs, _shift_terms(f.coeffs, y))
+        assert (g.m, g.tail_bound) == (f.m + 1, f.tail_bound)
+        coeffs, floors = _taylor_shift(f.coeffs, y)
+        _assert_exact(ctx, coeffs, _shift_terms(f.coeffs, y), [fl + ctx.N for fl in floors])
+        x = ctx.from_int(p ** max(1, f.m) * rng.randrange(1, p ** 4))
+        one = ctx.one()
+        _assert_twisted(f, one, x, 0, f.raw_mobius(x))
+        level = f.m + 1
+        center = rng.randrange(1, p ** level)
+        leaf = Leaf(center, level, TateSeries(ctx, level, f.coeffs, f.tail_bound))
+        _assert_re_expand(ctx, leaf, f.m)
+        for z in (y, ctx.zero()):
+            _assert_evaluation(f, z)
+        g = _kernel_series(ctx, rng, f.m, rng.randrange(ctx.D + 1))
+        _assert_product(f, g)
+        _assert_product(g, f)
+        e = rng.randint(0, 6)
+        lam = PadicNumber(ctx, 0, _rand_unit(ctx, rng), _checked=True)
+        mu = PadicNumber(ctx, rng.randint(max(1, f.m), 3), _rand_unit(ctx, rng), _checked=True)
+        _assert_twisted(f, lam, mu, e, twisted_mobius(f, lam, mu, e))
+        low = TateSeries(ctx, f.m, f.coeffs[:e + 1])
+        _assert_twisted(low, lam, mu, e, twisted_mobius(low, lam, mu, e))
+        _assert_twisted(f, one, mu, e, f.mobius_twist(mu, e + 2))
+        one_s = TateSeries.constant(ctx, f.m, 1)
+        _assert_twisted(one_s, one, mu, e, one_minus_cz_pow(ctx, f.m, mu, e))
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5, 64])
+    @pytest.mark.parametrize("lo", [0, -2])
+    def test_random_series_all_routes(self, degree, lo):
+        rng = random.Random(1000 * degree + lo)
+        for ctx in self.CONTEXTS:
+            for m in (0, 1, 2):
+                self._check_all(_kernel_series(ctx, rng, m, degree, lo), rng)
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 64])
+    def test_far_apart_valuations_take_the_d_ge_n_branch(self, degree):
+        # N = 4 with valuations spread over 20 digits: many summands lie N
+        # or more digits above the running floor, or N or more below it
+        rng = random.Random(degree)
+        ctx = PadicContext(3, 4, 64)
+        for m in (0, 1):
+            self._check_all(_kernel_series(ctx, rng, m, degree, lo=-2, spread=20), rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_full_cancellation(self, ctx, n):
+        # (z - c)^n recentred by c is z^n: every lower coefficient cancels
+        c = ctx.from_int(5 * 7)
+        f = TateSeries.monomial(ctx, 1, n).recenter(-c, 1)
+        assert f.degree == n
+        g = f.recenter(c, 1)
+        _assert_exact(ctx, g.coeffs, _shift_terms(f.coeffs, c))
+        assert g.coeffs[:n] == tuple(ctx.zero() for _ in range(n))
+        _assert_exact(ctx, g.translate(c).coeffs, _shift_terms(g.coeffs, -c))
+        # the leaf at centre 7 carries (z' + 7)^n, which re-expands to z^n
+        s = TateSeries.monomial(ctx, 0, n).recenter(ctx.from_int(7), 0)
+        leaf = Leaf(7, 2, TateSeries(ctx, 2, s.coeffs))
+        cand, ceilings = _assert_re_expand(ctx, leaf, 0)
+        assert cand.coeffs[:n] == tuple(ctx.zero() for _ in range(n))
+        assert INF not in ceilings
+
+    def test_zero_and_constant_series(self, ctx):
+        rng = random.Random(7)
+        for coeffs in ((), (0, 0, 3), (2,)):
+            self._check_all(TateSeries(ctx, 1, coeffs), rng)
+
+    @pytest.mark.parametrize("p, D", [(5, 64), (3, 40)])
+    @pytest.mark.parametrize("cv", [3, 4])
+    def test_most_summands_fall_below_the_rounding(self, p, D, cv):
+        # val(c) >= 3 with N = 8: a summand three or more places past v lies
+        # at least 9 digits up, at or above floor + N, where the sum keeps no
+        # digit, so the kernel skips it without computing its unit; its
+        # valuation still counts towards the floor
+        ctx = PadicContext(p, 8, D)
+        rng = random.Random(10 * p + cv)
+        f = _kernel_series(ctx, rng, 0, D, lo=0, spread=2)
+        c = PadicNumber(ctx, cv, rng.randrange(1, ctx.pN, p), _checked=True)
+        sums = _shift_terms(f.coeffs, c)
+        total = dropped = at_edge = 0
+        for terms in sums:
+            vals = [_wval(t.numerator, p) - _wval(t.denominator, p) for t in terms if t]
+            top = min(vals, default=INF) + ctx.N
+            total += len(vals)
+            dropped += sum(v >= top for v in vals)
+            at_edge += sum(v == top for v in vals)
+        assert dropped > total // 2 and at_edge
+        coeffs, floors = _taylor_shift(f.coeffs, c)
+        _assert_exact(ctx, coeffs, sums, [fl + ctx.N for fl in floors])
+        # raw_mobius (x^q) and evaluate_tracked (z^l) sum through the same
+        # kernel and skip the same way; at val(z) = cv - 1 some summand of the
+        # evaluation lies just below the N-digit edge
+        _assert_twisted(f, ctx.one(), c, 0, f.raw_mobius(c))
+        for z in (c, c / ctx.from_int(p)):
+            _assert_evaluation(f, z)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_low_precision_products_commute(self, N):
+        # p = 3 with one to three digits and small coefficients: partial sums
+        # cancel often, so rounding each partial sum made f * g and g * f
+        # differ for many pairs; the exact sum of c_n does not depend on
+        # which factor comes first
+        ctx = PadicContext(3, N, 16, kappa=0)
+        rng = random.Random(N)
+        small = [0, 1, -1, 2, -2, 3, -3, 4]
+        for _ in range(300):
+            f, g = (TateSeries(ctx, 0, [rng.choice(small) for _ in range(rng.randint(1, 8))])
+                    for _ in range(2))
+            assert f * g == g * f
+            _assert_product(f, g)
+            e = rng.randint(0, 6)
+            lam = ctx.from_int(rng.choice([1, -1, 2, -2, 4]))
+            mu = ctx.from_int(rng.choice([3, -3, 6, 12, 9]))
+            _assert_twisted(f, lam, mu, e, twisted_mobius(f, lam, mu, e))
+
+    @pytest.mark.parametrize("e", [0, 1, 5])
+    def test_zero_twist_parameter_gives_the_constant_one(self, ctx, e):
+        assert one_minus_cz_pow(ctx, 1, ctx.zero(), e) == TateSeries.constant(ctx, 1, 1)
+
+    @pytest.mark.parametrize("e", [-1, 5, 18])
+    def test_twist_exponent_outside_zero_to_d_is_refused(self, e):
+        # e = 18 > 2D also lies past the factorial table
+        ctx = PadicContext(5, 10, 4)
+        with pytest.raises(ParameterError, match="twist exponent"):
+            one_minus_cz_pow(ctx, 0, ctx.from_int(5), e)
+        with pytest.raises(ParameterError, match="twist exponent"):
+            twisted_mobius(TateSeries.constant(ctx, 0, 1), ctx.one(), ctx.from_int(5), e)
+
+    @pytest.mark.parametrize("raised", [False, True])
+    def test_summand_after_cancellation_is_added(self, raised):
+        # b_0 = 1 + a_1 c + c^3 with c = p^3 and N = 8.  The first two summands
+        # cancel to 0, or to p^2; the third, p^9, lies at or above floor + N =
+        # 8, so it leaves no digit: b_0 = 0, or p^2, which agrees with the
+        # exact value p^9, or p^2 + p^9, modulo p^8
+        p = 5
+        ctx = PadicContext(p, 8, 16)
+        c = ctx.from_int(p ** 3)
+        a1 = Fraction(p ** 2 - 1 if raised else -1, p ** 3)
+        f = TateSeries(ctx, 0, [1, a1, p ** 3])
+        coeffs, floors = _taylor_shift(f.coeffs, c)
+        _assert_exact(ctx, coeffs, _shift_terms(f.coeffs, c), [fl + ctx.N for fl in floors])
+        assert floors[0] == 0
+        assert coeffs[0] == (ctx.from_int(p ** 2) if raised else ctx.zero())
+        exact = (p ** 2 if raised else 0) + p ** 9
+        assert (coeffs[0].to_fraction() - exact) % p ** 8 == 0
+
+
+class TestStoredDigitsBelowCeilings:
+    """No coefficient stored by the shift, _re_expand or evaluate_tracked has
+    a nonzero digit at or above its ceiling: unit < p^(ceiling - val)."""
+
+    @pytest.mark.parametrize("ci", range(4), ids=["p5N40", "p3N4", "p7N6", "p3N2"])
+    def test_random_series(self, ci):
+        ctx = TestTaylorShiftKernel.CONTEXTS[ci]
+        rng = random.Random(ci)
+        p = ctx.p
+        for m in (0, 1, 2):
+            for degree in (2, 5, 16, 64):
+                f = _kernel_series(ctx, rng, m, degree, lo=0, spread=3)
+                c = ctx.from_int(p ** (m + rng.randrange(3)) * rng.randrange(1, p ** 4))
+                coeffs, floors = _taylor_shift(f.coeffs, c)
+                _assert_below_ceilings(coeffs, [fl + ctx.N for fl in floors])
+                leaf = Leaf(rng.randrange(1, p ** (m + 1)), m + 1,
+                            TateSeries(ctx, m + 1, f.coeffs, f.tail_bound))
+                cand, ceilings = _re_expand(ctx, leaf, m)
+                _assert_below_ceilings(cand.coeffs, ceilings)
+                total, ceiling = f.evaluate_tracked(c)
+                _assert_below_ceilings([total], [ceiling])
+
+    def test_cancelled_partial_sum(self):
+        # the input of test_summand_after_cancellation_is_added: rounding the
+        # cancelled partial sum at its own valuation left p^9 above ceiling 8
+        ctx = PadicContext(5, 8, 16)
+        f = TateSeries(ctx, 0, [1, Fraction(-1, 125), 125])
+        coeffs, floors = _taylor_shift(f.coeffs, ctx.from_int(125))
+        _assert_below_ceilings(coeffs, [fl + ctx.N for fl in floors])
+        total, ceiling = f.evaluate_tracked(ctx.from_int(125))
+        _assert_below_ceilings([total], [ceiling])
+
+
+# -- PadicNumber loops: the product route of the contract tests ---------------
+#
+# Each rounds every partial sum as PadicNumber.__add__ does.  The route
+# S(lam z / (1 - mu z)) times (1 - mu z)^e built from them rounds two sums per
+# coefficient; run with EXTRA_DIGITS more digits it stands in for the exact
+# image.
 
 
 def _oracle_raw_mobius(f, x):
@@ -452,19 +747,6 @@ def _oracle_raw_mobius(f, x):
     # an exact constant maps to itself
     tail = INF if f.tail_bound is INF and f.degree <= 0 else f.val_c()
     return TateSeries(ctx, f.m, cs, tail)
-
-
-def _oracle_evaluate_tracked(f, z):
-    ctx = f.ctx
-    acc, floor, pw = ctx.zero(), INF, ctx.one()
-    for l, a in enumerate(f.coeffs):
-        if l:
-            pw = pw * z
-        term = a * pw
-        acc = acc + term
-        if not term.is_zero:
-            floor = min(floor, term.val)
-    return acc, floor + ctx.N
 
 
 def _oracle_mul(f, g):
@@ -510,206 +792,6 @@ def _oracle_mobius_poly(ctx, m, coeffs, lam, mu, e):
 
 def _oracle_one_minus_cz_pow(ctx, m, c, e):
     return TateSeries(ctx, m, [ctx.binom(e, i) * (-c) ** i for i in range(e + 1)])
-
-
-def _dropped_summands(f, c):
-    """(summands N or more digits above their nonzero partial sum, those
-    exactly N above, all nonzero summands) over every b_v of the shift."""
-    ctx = f.ctx
-    dropped = at_edge = total = 0
-    for v in range(f.degree + 1):
-        acc = ctx.zero()
-        for l in range(v, f.degree + 1):
-            a = f.coeffs[l]
-            if a.is_zero:
-                continue
-            term = a * ctx.binom(l, v) * c ** (l - v)
-            total += 1
-            if not acc.is_zero and term.val - acc.val >= ctx.N:
-                dropped += 1
-                at_edge += term.val - acc.val == ctx.N
-            acc = acc + term
-    return dropped, at_edge, total
-
-
-def _rand_unit(ctx, rng):
-    unit = rng.randrange(1, ctx.pN)
-    while unit % ctx.p == 0:
-        unit = rng.randrange(1, ctx.pN)
-    return unit
-
-
-def _kernel_series(ctx, rng, m, degree, lo=-2, spread=6):
-    """Degree-exact series with zero coefficients and valuations from lo."""
-    cs = []
-    for l in range(degree + 1):
-        if l < degree and rng.random() < 0.2:
-            cs.append(ctx.zero())
-            continue
-        cs.append(PadicNumber(ctx, rng.randint(lo, lo + spread), _rand_unit(ctx, rng),
-                              _checked=True))
-    return TateSeries(ctx, m, cs, rng.choice([INF, lo]))
-
-
-class TestTaylorShiftKernel:
-    """translate, recenter, _re_expand, evaluate_tracked, the product and
-    twisted_mobius for e = 0 (raw_mobius), for deg S <= e and for S = 1
-    (one_minus_cz_pow) give exactly the digits (and, for _re_expand and
-    evaluate_tracked, the ceilings) of the PadicNumber loops."""
-
-    CONTEXTS = [
-        PadicContext(5, 40, 64),
-        PadicContext(3, 4, 64),
-        PadicContext(7, 6, 64),
-        PadicContext(3, 2, 64, kappa=1),
-    ]
-
-    def _check_all(self, f, rng):
-        ctx = f.ctx
-        p = ctx.p
-        y = ctx.from_int(p ** (f.m + rng.randrange(3)) * rng.randrange(1, p ** 4))
-        assert f.translate(y) == _oracle_translate(f, y)
-        assert f.recenter(y, f.m + 1) == _oracle_recenter(f, y, f.m + 1)
-        x = ctx.from_int(p ** max(1, f.m) * rng.randrange(1, p ** 4))
-        one = ctx.one()
-        assert f.raw_mobius(x) == _oracle_raw_mobius(f, x)
-        assert twisted_mobius(f, one, x, 0) == f.raw_mobius(x)
-        level = f.m + 1
-        center = rng.randrange(1, p ** level)
-        leaf = Leaf(center, level, TateSeries(ctx, level, f.coeffs, f.tail_bound))
-        assert _re_expand(ctx, leaf, f.m) == _oracle_re_expand(ctx, leaf, f.m)
-        for z in (y, ctx.zero()):
-            assert f.evaluate_tracked(z) == _oracle_evaluate_tracked(f, z)
-        g = _kernel_series(ctx, rng, f.m, rng.randrange(ctx.D + 1))
-        assert f * g == _oracle_mul(f, g)
-        assert g * f == _oracle_mul(g, f)
-        e = rng.randint(0, 6)
-        lam = PadicNumber(ctx, 0, _rand_unit(ctx, rng), _checked=True)
-        mu = PadicNumber(ctx, rng.randint(1, 3), _rand_unit(ctx, rng), _checked=True)
-        low = f.coeffs[:e + 1]
-        assert twisted_mobius(TateSeries(ctx, f.m, low), lam, mu, e) == _oracle_mobius_poly(
-            ctx, f.m, low, lam, mu, e)
-        one_s = TateSeries.constant(ctx, f.m, 1)
-        assert twisted_mobius(one_s, one, mu, e) == _oracle_one_minus_cz_pow(ctx, f.m, mu, e)
-        assert one_minus_cz_pow(ctx, f.m, mu, e) == _oracle_one_minus_cz_pow(ctx, f.m, mu, e)
-        # e = 0 with lam != 1: the untwisted mobius step of the leafwise action
-        assert twisted_mobius(f, lam, mu, 0) == _oracle_raw_mobius(
-            f.raw_scale(lam), mu)
-
-    @pytest.mark.parametrize("degree", [0, 1, 2, 5, 64])
-    @pytest.mark.parametrize("lo", [0, -2])
-    def test_random_series_all_routes(self, degree, lo):
-        rng = random.Random(1000 * degree + lo)
-        for ctx in self.CONTEXTS:
-            for m in (0, 1, 2):
-                self._check_all(_kernel_series(ctx, rng, m, degree, lo), rng)
-
-    @pytest.mark.parametrize("degree", [1, 2, 5, 64])
-    def test_far_apart_valuations_take_the_d_ge_n_branch(self, degree):
-        # N = 4 with valuations spread over 20 digits: most partial sums
-        # absorb a summand N or more digits below them unchanged
-        rng = random.Random(degree)
-        ctx = PadicContext(3, 4, 64)
-        for m in (0, 1):
-            self._check_all(_kernel_series(ctx, rng, m, degree, lo=-2, spread=20), rng)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 40])
-    def test_full_cancellation(self, ctx, n):
-        # (z - c)^n recentred by c is z^n: every lower coefficient cancels
-        c = ctx.from_int(5 * 7)
-        f = TateSeries.monomial(ctx, 1, n).recenter(-c, 1)
-        assert f.degree == n
-        g = f.recenter(c, 1)
-        assert g == _oracle_recenter(f, c, 1)
-        assert g.coeffs[:n] == tuple(ctx.zero() for _ in range(n))
-        assert g.translate(c) == _oracle_translate(g, c)
-        # the leaf at centre 7 carries (z' + 7)^n, which re-expands to z^n
-        s = TateSeries.monomial(ctx, 0, n).recenter(ctx.from_int(7), 0)
-        leaf = Leaf(7, 2, TateSeries(ctx, 2, s.coeffs))
-        cand, ceilings = _re_expand(ctx, leaf, 0)
-        assert (cand, ceilings) == _oracle_re_expand(ctx, leaf, 0)
-        assert cand.coeffs[:n] == tuple(ctx.zero() for _ in range(n))
-        assert INF not in ceilings
-
-    def test_zero_and_constant_series(self, ctx):
-        rng = random.Random(7)
-        for coeffs in ((), (0, 0, 3), (2,)):
-            self._check_all(TateSeries(ctx, 1, coeffs), rng)
-
-    @pytest.mark.parametrize("p, D", [(5, 64), (3, 40)])
-    @pytest.mark.parametrize("cv", [3, 4])
-    def test_most_summands_fall_below_the_rounding(self, p, D, cv):
-        # val(c) >= 3 with N = 8: a summand three or more places past v lies
-        # at least 9 digits up, where the partial sum keeps none, so the kernel
-        # skips it without computing its unit; its valuation still counts
-        # towards the floor
-        ctx = PadicContext(p, 8, D)
-        rng = random.Random(10 * p + cv)
-        f = _kernel_series(ctx, rng, 0, D, lo=0, spread=2)
-        c = PadicNumber(ctx, cv, rng.randrange(1, ctx.pN, p), _checked=True)
-        dropped, at_edge, total = _dropped_summands(f, c)
-        assert dropped > total // 2 and at_edge
-        coeffs, floors = _taylor_shift(f.coeffs, c)
-        expected = _oracle_shift(f, c)
-        assert coeffs == [b for b, _ in expected]
-        assert [fl + ctx.N for fl in floors] == [ceiling for _, ceiling in expected]
-        # raw_mobius (x^q) and evaluate_tracked (z^l) sum through the same
-        # kernel and skip the same way; at val(z) = cv - 1 some summand of the
-        # evaluation lies just below the N-digit edge
-        assert f.raw_mobius(c) == _oracle_raw_mobius(f, c)
-        for z in (c, c / ctx.from_int(p)):
-            assert f.evaluate_tracked(z) == _oracle_evaluate_tracked(f, z)
-
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_low_precision_sums_keep_the_first_factor_order(self, N):
-        # p = 3 with one to three digits and small coefficients: partial sums
-        # cancel and round often, so adding c_n = sum_i a_i b_(n-i) by
-        # ascending j = n - i instead gives other digits for many f, g
-        ctx = PadicContext(3, N, 16, kappa=0)
-        rng = random.Random(N)
-        small = [0, 1, -1, 2, -2, 3, -3, 4]
-        order_sensitive = 0
-        for _ in range(300):
-            f, g = (TateSeries(ctx, 0, [rng.choice(small) for _ in range(rng.randint(1, 8))])
-                    for _ in range(2))
-            assert f * g == _oracle_mul(f, g)
-            order_sensitive += _oracle_mul(f, g) != _oracle_mul(g, f)
-            e = rng.randint(0, 6)
-            lam = ctx.from_int(rng.choice([1, -1, 2, -2, 4]))
-            mu = ctx.from_int(rng.choice([3, -3, 6, 12, 9]))
-            low = f.coeffs[:e + 1]
-            assert twisted_mobius(TateSeries(ctx, 0, low), lam, mu, e) == _oracle_mobius_poly(
-                ctx, 0, low, lam, mu, e)
-        assert order_sensitive > 10
-
-    @pytest.mark.parametrize("e", [0, 1, 5])
-    def test_zero_twist_parameter_gives_the_constant_one(self, ctx, e):
-        assert one_minus_cz_pow(ctx, 1, ctx.zero(), e) == TateSeries.constant(ctx, 1, 1)
-
-    @pytest.mark.parametrize("e", [-1, 5, 18])
-    def test_twist_exponent_outside_zero_to_d_is_refused(self, e):
-        # e = 18 > 2D also lies past the factorial table
-        ctx = PadicContext(5, 10, 4)
-        with pytest.raises(ParameterError, match="twist exponent"):
-            one_minus_cz_pow(ctx, 0, ctx.from_int(5), e)
-        with pytest.raises(ParameterError, match="twist exponent"):
-            twisted_mobius(TateSeries.constant(ctx, 0, 1), ctx.one(), ctx.from_int(5), e)
-
-    @pytest.mark.parametrize("raised", [False, True])
-    def test_summand_after_cancellation_is_added(self, raised):
-        # b_0 = 1 + a_1 c + c^3 with c = p^3 and N = 8.  The first two summands
-        # cancel to 0, or to p^2; the third, p^9, lies 9 digits above the first
-        # summand but must still enter the sum: b_0 = p^9, or p^2 + p^9
-        p = 5
-        ctx = PadicContext(p, 8, 16)
-        c = ctx.from_int(p ** 3)
-        a1 = Fraction(p ** 2 - 1 if raised else -1, p ** 3)
-        f = TateSeries(ctx, 0, [1, a1, p ** 3])
-        coeffs, floors = _taylor_shift(f.coeffs, c)
-        expected = _oracle_shift(f, c)
-        assert coeffs == [b for b, _ in expected]
-        assert [fl + ctx.N for fl in floors] == [ceiling for _, ceiling in expected]
-        assert coeffs[0] == ctx.from_int((p ** 2 if raised else 0) + p ** 9)
 
 
 #: extra digits of the context that stands in for the exact image

@@ -71,8 +71,8 @@ rounding, of Delta, of A, B and mu', errs N digits above its value, each
 sum is exact modulo p**(its least summand valuation + N) (the precision
 model of series.py) and unit scalings round nothing.  So coefficient j
 agrees with the exact image modulo p**(val_C - level j + N - kappa) (the
-precision contract; tests/test_actions.py checks it against the
-step by step route run with more digits at degree D + N, read up to z^D).
+precision contract; tests/test_actions.py checks it against the exact image
+of tests/exact_image.py, computed from Fractions outside the library).
 
 A TateSeries at level m is the one leaf (0, m): act admits it only for g
 in G(m) (I(1) at m = 0), so every residue r_i is 0 and Delta = -r y.  The

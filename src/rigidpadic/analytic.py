@@ -394,10 +394,9 @@ class GAElement:
         z = PiecewiseFunction.constant(ctx, 0)
         return cls(WeylCellVector(z, z), n, m)
 
-    def agrees_with(self, other: "GAElement", slack: int | None = None) -> bool:
-        return self.vector.identity.agrees_with(
-            other.vector.identity, slack
-        ) and self.vector.w0.agrees_with(other.vector.w0, slack)
+    def agrees_with(self, other: "GAElement") -> bool:
+        return (self.vector.identity.agrees_with(other.vector.identity)
+                and self.vector.w0.agrees_with(other.vector.w0))
 
     def __sub__(self, other: "GAElement") -> WeylCellVector:
         """Cellwise difference as raw functions (no re-certification)."""

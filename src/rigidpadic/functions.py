@@ -170,11 +170,9 @@ class PiecewiseFunction:
             self.ctx, [Leaf(lf.center, lf.level, lf.series.scale(c)) for lf in self.leaves]
         )
 
-    def agrees_with(self, other: "PiecewiseFunction", slack: int | None = None) -> bool:
+    def agrees_with(self, other: "PiecewiseFunction") -> bool:
         a, b = self.common_refinement(other)
-        return all(
-            la.series.agrees_with(lb.series, slack) for la, lb in zip(a.leaves, b.leaves)
-        )
+        return all(la.series.agrees_with(lb.series) for la, lb in zip(a.leaves, b.leaves))
 
     def agrees_mod(self, other: "PiecewiseFunction", exponent: int) -> bool:
         """Leafwise congruence mod p**exponent on the common refinement."""

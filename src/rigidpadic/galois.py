@@ -91,11 +91,11 @@ class ContinuousCharacter:
             self.wild_value ** e,
         )
 
-    def agrees_with(self, other: "ContinuousCharacter", slack: Optional[int] = None) -> bool:
+    def agrees_with(self, other: "ContinuousCharacter") -> bool:
         return (
             self.tame_exponent == other.tame_exponent
-            and self.value_at_p.agrees_with(other.value_at_p, slack)
-            and self.wild_value.agrees_with(other.wild_value, slack)
+            and self.value_at_p.agrees_with(other.value_at_p)
+            and self.wild_value.agrees_with(other.wild_value)
         )
 
     def __eq__(self, other) -> bool:

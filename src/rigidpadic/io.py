@@ -303,7 +303,7 @@ def load(
     if not isinstance(obj, dict) or "kind" not in obj or "payload" not in obj:
         raise ParameterError("missing envelope fields (context, kind, payload)")
     kind = obj["kind"]
-    if kind not in _DECODERS:
+    if not isinstance(kind, str) or kind not in _DECODERS:
         raise ParameterError(f"unknown kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise ParameterMismatch(f"expected a {expected_kind} file, found {kind}")

@@ -329,14 +329,13 @@ class PadicNumber:
     def __hash__(self) -> int:
         return hash((self.val, self.unit))
 
-    def agrees_with(self, other: "PadicNumber", slack: int | None = None) -> bool:
-        """Equality at precision: shares at least N - slack relative digits.
+    def agrees_with(self, other: "PadicNumber") -> bool:
+        """Equality at precision: shares at least N - kappa relative digits.
 
         With one side zero at precision the other must vanish to absolute
-        depth N - slack, since a stored zero carries no scale of its own.
+        depth N - kappa, since a stored zero carries no scale of its own.
         """
-        k = self.ctx.kappa if slack is None else slack
-        need = self.ctx.N - k
+        need = self.ctx.N - self.ctx.kappa
         if self.is_zero and other.is_zero:
             return True
         if self.is_zero or other.is_zero:

@@ -52,8 +52,8 @@ j = e: c_j draws on a_l with l <= e for j <= e, and with l > e for j > e.
 It rounds each c_j once, where the product of the untwisted substitution
 and the twist rounds two sums for deg S > e >= 1.  Every summand of c_j has
 valuation >= val_C - m j, so c_j agrees with the exact image modulo
-p**(val_C - m j + N), inside N - kappa (tests/test_series.py checks both
-routes against the product route run with 150 more digits).
+p**(val_C - m j + N), inside N - kappa (tests/test_series.py checks it
+against the exact image of tests/exact_image.py).
 """
 
 from __future__ import annotations
@@ -130,14 +130,12 @@ class TateSeries:
     def __hash__(self) -> int:
         return hash((self.m, self.coeffs, self.tail_bound))
 
-    def agrees_with(self, other: "TateSeries", slack: int | None = None) -> bool:
+    def agrees_with(self, other: "TateSeries") -> bool:
         """Coefficientwise equality at precision on a common ball level."""
         if self.m != other.m:
             return False
         top = max(len(self.coeffs), len(other.coeffs))
-        return all(
-            self.coeff(l).agrees_with(other.coeff(l), slack) for l in range(top)
-        )
+        return all(self.coeff(l).agrees_with(other.coeff(l)) for l in range(top))
 
     def agrees_mod(self, other: "TateSeries", exponent: int) -> bool:
         """Coefficientwise congruence mod p**exponent (absolute cutoff).

@@ -24,9 +24,9 @@ from rigidpadic.functions import (
     PiecewiseFunction,
     StepFunction,
 )
-from rigidpadic.padic import INF, PadicContext, PadicNumber
-from rigidpadic.series import TateSeries, one_minus_cz_pow
-from test_series import EXTRA_DIGITS, _assert_within_contract, _oracle_mobius_poly
+from rigidpadic.padic import INF, PadicContext
+from rigidpadic.series import TateSeries
+from exact_image import assert_meets_contract, leaf_image, valuation
 
 
 def chi_for(ctx, k):
@@ -410,91 +410,13 @@ class TestInductionCharacter:
         assert chi.violations()
 
 
-# -- the one-pass leafwise action against the four-pass composition ---------
+# -- the leafwise action against the exact image ------------------------------
 #
-# The oracle is the earlier implementation: one PiecewiseFunction per
-# generator, each pass re-centring every leaf onto the canonical residue.
-# The one-pass action folds the four steps into one recenter of the leaf's
-# series and one twisted mobius substitution, so its centres, levels, tail
-# bounds and leaf valuations equal the oracle's exactly.  Its digits agree
-# with the true image to N - kappa digits relative to the leaf's Banach
-# valuation.  The oracle cuts the mobius image at z^D and then shifts it,
-# so only at degree D + N does it give the true image up to z^D.
-
-
-def _shift_to_residue(series: TateSeries, center: PadicNumber, level: int) -> Leaf:
-    """Move a local series at an exact center onto the canonical residue."""
-    r = center.residue(level)
-    delta = series.ctx.from_int(r) - center
-    return Leaf(r, level, series.recenter(delta, level))
-
-
-def _oracle_translate_pw(f, y):
-    if y.is_zero:
-        return f
-    ctx = f.ctx
-    leaves = []
-    for lf in f.leaves:
-        b = ctx.from_int(lf.center) + y
-        leaves.append(_shift_to_residue(lf.series, b, lf.level))
-    return PiecewiseFunction(ctx, leaves)
-
-
-def _oracle_dilate_pw(f, s):
-    ctx = f.ctx
-    if (s - ctx.one()).is_zero:
-        return f
-    leaves = []
-    for lf in f.leaves:
-        b = ctx.from_int(lf.center) / s
-        leaves.append(_shift_to_residue(lf.series.raw_scale(s), b, lf.level))
-    return PiecewiseFunction(ctx, leaves)
-
-
-def _oracle_inv_torus_pw(f, t, e):
-    ctx = f.ctx
-    one = ctx.one()
-    factor = t ** e
-    if (t - one).is_zero and factor == one:
-        return f
-    leaves = []
-    for lf in f.leaves:
-        b = ctx.from_int(lf.center) * t
-        g = lf.series.raw_scale(t.invert()).scale(factor)
-        leaves.append(_shift_to_residue(g, b, lf.level))
-    return PiecewiseFunction(ctx, leaves)
-
-
-def _oracle_mobius_pw(f, x, e):
-    if x.is_zero:
-        return f
-    ctx = f.ctx
-    one = ctx.one()
-    leaves = []
-    for lf in f.leaves:
-        c = ctx.from_int(lf.center)
-        one_plus = one + x * c
-        b = c / one_plus
-        lam = one_plus * one_plus
-        mu = x * one_plus
-        if lf.series.tail_bound is INF and lf.series.degree <= e:
-            g = _oracle_mobius_poly(ctx, lf.level, lf.series.coeffs, lam, mu, e)
-        else:
-            g = lf.series.raw_scale(lam).raw_mobius(mu)
-            if e:
-                g = g * one_minus_cz_pow(ctx, lf.level, mu, e)
-        if e:
-            g = g.scale(one_plus ** (-e))
-        leaves.append(_shift_to_residue(g, b, lf.level))
-    return PiecewiseFunction(ctx, leaves)
-
-
-def _oracle_act(g, f, e):
-    fac = iwahori_factorize(g)
-    h = _oracle_mobius_pw(f, fac.x, e)
-    h = _oracle_dilate_pw(h, fac.s)
-    h = _oracle_inv_torus_pw(h, fac.t, e)
-    return _oracle_translate_pw(h, fac.y)
+# tests/exact_image.py computes the image of each leaf from Fractions, with no
+# rigidpadic arithmetic.  The action's centres and levels are the image's,
+# each leaf keeps its Banach valuation, its tail follows the rule of
+# twisted_mobius, and its digits agree with the image to N - kappa digits
+# relative to val_C (the precision contract).
 
 
 def _random_cosets(ctx, rng, max_level):
@@ -543,60 +465,39 @@ def _random_function(ctx, rng, max_level, e):
     ])
 
 
-def _lift_series(hi, f):
-    """f's coefficients read as exact rationals in the context hi."""
-    return TateSeries(hi, f.m, [a.to_fraction() for a in f.coeffs], f.tail_bound)
+def _assert_images(out, g, f, k, conjugate=False):
+    """The leaves out are the exact images of f's leaves under g (under
+    w0 g w0 when conjugate is set).  Returns each source leaf by the
+    (centre, level) of its image."""
+    sources = {}
+    for lf in f.leaves:
+        image = leaf_image(g, lf, k, conjugate)
+        sources[image.center, image.level] = lf, image
+    assert sorted(sources) == sorted((lf.center, lf.level) for lf in out)
+    for lf in out:
+        assert_meets_contract(lf.series, sources[lf.center, lf.level][1])
+    return {key: lf for key, (lf, _) in sources.items()}
 
 
-def _lift(hi, f):
-    """f's leaves read as exact rationals in the context hi."""
-    return PiecewiseFunction(hi, [
-        Leaf(lf.center, lf.level, _lift_series(hi, lf.series)) for lf in f.leaves
-    ])
+class TestExactImage:
+    """The reference itself, against images worked out by hand."""
+
+    def test_upper_sends_z_to_a_geometric_series(self):
+        # z / (1 - 5 z) cut at z^4
+        ctx = PadicContext(5, 40, 4)
+        image = leaf_image(upper(ctx, 5), Leaf(0, 0, TateSeries.monomial(ctx, 0, 1)), 2)
+        assert (image.center, image.level, image.K) == (0, 0, 0)
+        assert image.coeffs == [0, 1, 5, 25, 125]
+
+    def test_lower_translates_z_squared(self, ctx):
+        # (z - y)^2 = z^2 - 2 y z + y^2
+        y = 7
+        image = leaf_image(lower(ctx, y), Leaf(0, 0, TateSeries.monomial(ctx, 0, 2)), 2)
+        assert (image.center, image.level, image.K) == (0, 0, 0)
+        assert image.coeffs == [y * y, -2 * y % ctx.p ** image.M, 1] + [0] * (ctx.D - 2)
 
 
-def _lift_matrix(hi, g):
-    return IwahoriElement(hi, *(a.to_fraction() for a in (g.a, g.b, g.c, g.d)), g.level)
-
-
-#: extra digits of the context that stands in for the true image; the
-#: oracle's roundings there lie N + IMAGE_DIGITS digits above each summand,
-#: far past the N - kappa of the contract
-IMAGE_DIGITS = 20
-
-
-def _image_context(ctx):
-    """The context of the true image: IMAGE_DIGITS more digits and degree
-    D + N.  An oracle cuts the Mobius image of a degree-d series before it
-    shifts; a coefficient g_l it drops reaches z^j (j <= D) at least
-    (l - d)(valp(x) + level) digits above val_C - level j.  At degree D + N
-    that is more than N digits for every dropped g_l, at degree D it is not."""
-    return PadicContext(ctx.p, ctx.N + IMAGE_DIGITS, ctx.D + ctx.N, ctx.kappa)
-
-
-def _assert_matches_oracle(out, g, f, e):
-    """out is the image of f under g: its centres, levels, tail bounds and
-    leaf valuations are the four-pass oracle's, and its digits meet the
-    precision contract against the true image (the oracle run in
-    _image_context, read up to z^D).  The oracle cuts at z^D before it
-    shifts, so its own digits are held to the contract against itself run
-    with EXTRA_DIGITS more digits at degree D."""
-    ctx = f.ctx
-    hi, true = PadicContext(ctx.p, ctx.N + EXTRA_DIGITS, ctx.D, ctx.kappa), _image_context(ctx)
-    ref = _oracle_act(g, f, e).leaves
-    ref_hi = _oracle_act(_lift_matrix(hi, g), _lift(hi, f), e).leaves
-    image = _oracle_act(_lift_matrix(true, g), _lift(true, f), e).leaves
-    assert len(out) == len(ref) == len(ref_hi) == len(image)
-    for lf, lo, lh, im in zip(out, ref, ref_hi, image):
-        assert ((lf.center, lf.level) == (lo.center, lo.level) == (lh.center, lh.level)
-                == (im.center, im.level))
-        assert lf.series.tail_bound == lo.series.tail_bound
-        assert lf.series.val_c() == lo.series.val_c()
-        _assert_within_contract(lf.series, im.series)
-        _assert_within_contract(lo.series, lh.series)
-
-
-class TestOnePassMatchesFourPasses:
+class TestLeafwiseActionMeetsTheContract:
     CONTEXTS = [PadicContext(5, 40, 16), PadicContext(3, 12, 12), PadicContext(7, 20, 10)]
 
     @staticmethod
@@ -634,14 +535,13 @@ class TestOnePassMatchesFourPasses:
         ctx = self.CONTEXTS[ci]
         rng = random.Random(100 * ci + max_level)
         for k in range(2, 7):
-            e = k - 2
-            f = _random_function(ctx, rng, max_level, e)
+            f = _random_function(ctx, rng, max_level, k - 2)
             assert {lf.series.tail_bound is INF for lf in f.leaves} == {True, False}
             assert max_level == f.max_level()
             for g in self._matrices(ctx, rng):
                 out = act(g, f, self._chi(ctx, k))
                 assert type(out) is PiecewiseFunction
-                _assert_matches_oracle(out.leaves, g, f, e)
+                _assert_images(out.leaves, g, f, k)
 
     @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
     def test_act_smooth(self, ci):
@@ -656,7 +556,10 @@ class TestOnePassMatchesFourPasses:
             for g in self._matrices(ctx, rng):
                 out = act_smooth(g, f)
                 assert type(out) is StepFunction
-                assert out.leaves == _oracle_act(g, f, 0).leaves
+                sources = _assert_images(out.leaves, g, f, 2)
+                # each constant is carried exactly
+                for lf in out.leaves:
+                    assert lf.series.coeffs == sources[lf.center, lf.level].series.coeffs
 
     @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
     def test_act_locally_algebraic(self, ci):
@@ -671,7 +574,7 @@ class TestOnePassMatchesFourPasses:
                 for g in self._matrices(ctx, rng):
                     out = act_locally_algebraic(g, f, self._chi(ctx, k))
                     assert all(lf.series.tail_bound is INF for lf in out.leaves)
-                    _assert_matches_oracle(out.leaves, g, f, k - 2)
+                    _assert_images(out.leaves, g, f, k)
 
     @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
     def test_act_cell(self, ci):
@@ -683,30 +586,21 @@ class TestOnePassMatchesFourPasses:
             # the w0 cell needs c in p Z_p
             for g in self._matrices(ctx, rng, c_val=1):
                 out = act_cell(g, vec, self._chi(ctx, k))
-                _assert_matches_oracle(out.identity.leaves, g, vec.identity, e)
-                _assert_matches_oracle(out.w0.leaves, g.conjugate_by_w0(), vec.w0, e)
+                _assert_images(out.identity.leaves, g, vec.identity, k)
+                _assert_images(out.w0.leaves, g, vec.w0, k, conjugate=True)
 
 
-# -- act on one series against the four-step generator chain ------------------
-
-
-def _oracle_chain(g, f, k):
-    """The generator methods applied one after another: the reference route
-    for act on a series."""
-    y, s, t, x = iwahori_factorize(g)
-    return f.mobius_twist(x, k).dilate(s).inv_torus(t, k).translate(y)
+# -- act on one series ----------------------------------------------------------
 
 
 class TestSeriesActionMatchesChain:
-    """act on a level-m series is the one-leaf case of the leafwise action:
-    it shifts the short source and cuts the image at z^D once, where the
-    chain cuts the mobius image and then translates it.  act meets the
-    precision contract against the true image (the chain run in
-    _image_context, read up to z^D), the chain against itself run with
-    EXTRA_DIGITS more digits at degree D, and tails and val_C are the
-    chain's."""
+    """act on a level-m series is the one-leaf case (0, m) of the leafwise
+    action: it shifts the short source and cuts the image at z^D once, and it
+    meets the precision contract against the exact image.  The generator
+    chain mobius_twist, dilate, inv_torus, translate cuts the mobius image
+    before it translates, so it can miss the contract."""
 
-    CONTEXTS = TestOnePassMatchesFourPasses.CONTEXTS
+    CONTEXTS = TestLeafwiseActionMeetsTheContract.CONTEXTS
 
     @staticmethod
     def _matrices(ctx, rng, m):
@@ -730,25 +624,19 @@ class TestSeriesActionMatchesChain:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_act_meets_the_contract(self, ci, m):
         ctx = self.CONTEXTS[ci]
-        hi, true = PadicContext(ctx.p, ctx.N + EXTRA_DIGITS, ctx.D, ctx.kappa), _image_context(ctx)
         rng = random.Random(10 * ci + m)
-        chi = TestOnePassMatchesFourPasses._chi
+        chi = TestLeafwiseActionMeetsTheContract._chi
         for k in range(2, 6):
             for kind in LEAF_KINDS:
                 f = _random_leaf_series(ctx, rng, m, k - 2, kind)
                 for g in self._matrices(ctx, rng, m):
                     out = act(g, f, chi(ctx, k))
-                    ref = _oracle_chain(g, f, k)
-                    ref_hi = _oracle_chain(_lift_matrix(hi, g), _lift_series(hi, f), k)
-                    image = _oracle_chain(_lift_matrix(true, g), _lift_series(true, f), k)
-                    assert out.m == ref.m == m
-                    assert out.tail_bound == ref.tail_bound
-                    assert out.val_c() == ref.val_c() == f.val_c()
+                    image = leaf_image(g, Leaf(0, m, f), k)
+                    assert image.center == 0
+                    assert_meets_contract(out, image)
                     if kind in ("short exact", "zero"):
                         # an exact polynomial of degree <= k - 2 stays one
                         assert out.tail_bound is INF
-                    _assert_within_contract(out, image)
-                    _assert_within_contract(ref, ref_hi)
 
     def test_shifting_the_cut_image_misses_the_true_image(self):
         # z^2 under [[1, 5], [1, 1]]: x = 5 and a unit translation y = 1.  The
@@ -757,20 +645,20 @@ class TestSeriesActionMatchesChain:
         # digits up, below the contract's N - kappa = 36.  act shifts z^2
         # first and cuts once, so it meets the contract
         ctx, k = self.CONTEXTS[0], 2
-        true = _image_context(ctx)
         f = TateSeries.monomial(ctx, 0, 2)
         g = IwahoriElement(ctx, 1, 5, 1, 1, I1)
-        image = _oracle_chain(_lift_matrix(true, g), _lift_series(true, f), k)
-        _assert_within_contract(act(g, f, TestOnePassMatchesFourPasses._chi(ctx, k)), image)
-        cut_first = _oracle_chain(g, f, k)
-        assert (image.coeff(0) - true.num(cut_first.coeff(0).to_fraction())).val == 15
+        image = leaf_image(g, Leaf(0, 0, f), k)
+        assert_meets_contract(act(g, f, TestLeafwiseActionMeetsTheContract._chi(ctx, k)), image)
+        y, s, t, x = iwahori_factorize(g)
+        cut_first = f.mobius_twist(x, k).dilate(s).inv_torus(t, k).translate(y)
+        assert valuation(cut_first.coeff(0).to_fraction() - image.coeffs[0], ctx.p) == 15
 
     @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
     def test_level_zero_series_is_the_global_leaf(self, ci):
         ctx = self.CONTEXTS[ci]
         rng = random.Random(ci)
         for k in range(2, 6):
-            chi = TestOnePassMatchesFourPasses._chi(ctx, k)
+            chi = TestLeafwiseActionMeetsTheContract._chi(ctx, k)
             for kind in LEAF_KINDS:
                 f = _random_leaf_series(ctx, rng, 0, k - 2, kind)
                 glob = PiecewiseFunction.from_global_series(f)

@@ -281,6 +281,18 @@ class TestVerifyBounds:
         bad = [e for e in rep["entries"] if e["margin"] != "inf" and e["margin"] < 0]
         assert len(bad) == 1 and bad[0]["family"] == "translation"
 
+    @pytest.mark.parametrize("kind", [[], {}], ids=["array", "object"])
+    def test_non_string_kind_is_usage_error(self, files, capsys, tmp_path, kind):
+        doc = json.loads(open(files["square.series.json"], encoding="utf-8").read())
+        doc["kind"] = kind
+        path = tmp_path / "bad.series.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "verify-bounds", str(path), "-m", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "unknown kind" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_level_mismatch_is_domain_error(self, files, capsys):
         code, _, err = run(
             capsys, "verify-bounds", files["global.series.json"], "-m", "1"

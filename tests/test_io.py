@@ -181,11 +181,13 @@ class TestEnvelopeValidation:
             io.wrap("polynomial", ctx, TateSeries.zero(ctx, 0))
 
     def test_unknown_kind_load(self, ctx):
-        text = io.wrap("series", ctx, TateSeries.zero(ctx, 0)).replace(
-            '"kind": "series"', '"kind": "mystery"'
-        )
-        with pytest.raises(ParameterError):
-            io.load(text)
+        # a kind that is not a string is unknown too, not a TypeError
+        for kind in ('"mystery"', "[]", "{}"):
+            text = io.wrap("series", ctx, TateSeries.zero(ctx, 0)).replace(
+                '"kind": "series"', f'"kind": {kind}'
+            )
+            with pytest.raises(ParameterError, match="unknown kind"):
+                io.load(text)
 
     def test_bad_payload(self, ctx):
         text = io.wrap("series", ctx, TateSeries.zero(ctx, 0)).replace(

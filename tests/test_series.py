@@ -13,6 +13,7 @@ from rigidpadic.errors import DomainError, ParameterError
 from rigidpadic.functions import Leaf, _re_expand
 from rigidpadic.padic import INF, PadicContext, PadicNumber
 from rigidpadic.series import TateSeries, _taylor_shift, one_minus_cz_pow, twisted_mobius
+from exact_image import assert_meets_contract, twisted_image
 
 
 def poly(ctx, m, *ints):
@@ -721,119 +722,17 @@ class TestStoredDigitsBelowCeilings:
         _assert_below_ceilings([total], [ceiling])
 
 
-# -- PadicNumber loops: the product route of the contract tests ---------------
-#
-# Each rounds every partial sum as PadicNumber.__add__ does.  The route
-# S(lam z / (1 - mu z)) times (1 - mu z)^e built from them rounds two sums per
-# coefficient; run with EXTRA_DIGITS more digits it stands in for the exact
-# image.
-
-
-def _oracle_raw_mobius(f, x):
-    ctx = f.ctx
-    x_pow = [ctx.one()]
-    for _ in range(ctx.D):
-        x_pow.append(x_pow[-1] * x)
-    cs = []
-    for j in range(ctx.D + 1):
-        acc = ctx.zero()
-        for q in range(max(0, j - f.degree), j + 1):
-            a = f.coeffs[j - q]
-            if not a.is_zero:
-                b = ctx.binom(j - 1, q)
-                if not b.is_zero:
-                    acc = acc + a * b * x_pow[q]
-        cs.append(acc)
-    # an exact constant maps to itself
-    tail = INF if f.tail_bound is INF and f.degree <= 0 else f.val_c()
-    return TateSeries(ctx, f.m, cs, tail)
-
-
-def _oracle_mul(f, g):
-    ctx = f.ctx
-    if not f.coeffs or not g.coeffs:
-        prod_tail = INF if (f.is_zero or g.is_zero) else f.val_c() + g.val_c()
-        return TateSeries(ctx, f.m, (), prod_tail)
-    top = min(ctx.D, f.degree + g.degree)
-    cs = [ctx.zero() for _ in range(top + 1)]
-    for i, a in enumerate(f.coeffs):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(g.coeffs):
-            if i + j > top:
-                break
-            if not b.is_zero:
-                cs[i + j] = cs[i + j] + a * b
-    exact = (
-        f.tail_bound is INF
-        and g.tail_bound is INF
-        and f.degree + g.degree <= ctx.D
-    )
-    tb = INF if exact else f.val_c() + g.val_c()
-    return TateSeries(ctx, f.m, cs, tb)
-
-
-def _oracle_mobius_poly(ctx, m, coeffs, lam, mu, e):
-    cs = [ctx.zero() for _ in range(e + 1)]
-    neg_mu_pow = [ctx.one()]
-    for _ in range(e):
-        neg_mu_pow.append(neg_mu_pow[-1] * (-mu))
-    lam_pow = ctx.one()
-    for j, b in enumerate(coeffs):
-        if j:
-            lam_pow = lam_pow * lam
-        if b.is_zero:
-            continue
-        w = b * lam_pow
-        for i in range(e - j + 1):
-            cs[j + i] = cs[j + i] + w * ctx.binom(e - j, i) * neg_mu_pow[i]
-    return TateSeries(ctx, m, cs)
-
-
-def _oracle_one_minus_cz_pow(ctx, m, c, e):
-    return TateSeries(ctx, m, [ctx.binom(e, i) * (-c) ** i for i in range(e + 1)])
-
-
-#: extra digits of the context that stands in for the exact image
-EXTRA_DIGITS = 150
-
-
-def _assert_within_contract(series, exact):
-    """Every coefficient a_l of series agrees with the exact image, read up
-    to z^D of series' context, modulo p^(val_C - m l + N - kappa), m the ball
-    level."""
-    ctx, hi = series.ctx, exact.ctx
-    need = series.val_c() + ctx.N - ctx.kappa
-    for l in range(ctx.D + 1):
-        gap = (exact.coeff(l) - hi.num(series.coeff(l).to_fraction())).val
-        assert gap >= need - series.m * l, (l, gap, need - series.m * l)
-
-
-def _product_route(f, lam, mu, e):
-    """S(lam z / (1 - mu z)) (1 - mu z)^e as the untwisted substitution times
-    the twist, through the PadicNumber loops: two rounded sums per coefficient."""
-    return _oracle_mul(_oracle_raw_mobius(f.raw_scale(lam), mu),
-                       _oracle_one_minus_cz_pow(f.ctx, f.m, mu, e))
+# -- twisted_mobius against the exact image -------------------------------------
 
 
 class TestTwistedMobiusContract:
-    """For deg S > e >= 1, twisted_mobius rounds one sum per coefficient where
-    the product route rounds two, so their digits may differ.  Both agree with
-    the exact image (the product route run with EXTRA_DIGITS more digits)
-    inside the precision contract."""
+    """For deg S > e >= 1, twisted_mobius rounds one sum per coefficient, so
+    its digits need not be the exact sums of the product of the untwisted
+    substitution and the twist.  It agrees with the exact image
+    S(lam z / (1 - mu z)) (1 - mu z)^e (tests/exact_image.py) inside the
+    precision contract."""
 
     CONTEXTS = [PadicContext(5, 40, 64), PadicContext(3, 12, 32), PadicContext(7, 20, 24)]
-
-    @staticmethod
-    def _check(f, lam, mu, e, got):
-        ctx = f.ctx
-        hi = PadicContext(ctx.p, ctx.N + EXTRA_DIGITS, ctx.D, ctx.kappa)
-        lift = [hi.num(a.to_fraction()) for a in (lam, mu)]
-        fh = TateSeries(hi, f.m, [a.to_fraction() for a in f.coeffs], f.tail_bound)
-        exact = _product_route(fh, *lift, e)
-        assert got.tail_bound == got.val_c() == f.val_c()
-        _assert_within_contract(got, exact)
-        _assert_within_contract(_product_route(f, lam, mu, e), exact)
 
     @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
     def test_one_sum_meets_the_contract(self, ci):
@@ -845,5 +744,6 @@ class TestTwistedMobiusContract:
                 lam = PadicNumber(ctx, 0, _rand_unit(ctx, rng), _checked=True)
                 mu = PadicNumber(ctx, rng.randint(max(1, m), 3), _rand_unit(ctx, rng),
                                  _checked=True)
-                self._check(f, lam, mu, e, twisted_mobius(f, lam, mu, e))
-                self._check(f, ctx.one(), mu, e, f.mobius_twist(mu, e + 2))
+                assert_meets_contract(twisted_mobius(f, lam, mu, e), twisted_image(f, lam, mu, e))
+                assert_meets_contract(f.mobius_twist(mu, e + 2),
+                                      twisted_image(f, ctx.one(), mu, e))

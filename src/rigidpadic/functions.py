@@ -5,6 +5,12 @@ each carrying a TateSeries in the recentered coordinate z' = z - center
 on the ball p**h Z_p.  Leaves are kept in canonical sorted order by
 (level, center) with centers reduced to [0, p**h).
 
+Sums and comparisons (+, -, agrees_with, agrees_mod) work on the coarsest
+common partition of the two operands: every coset of it is a leaf of one
+operand inside a leaf of the other.  Shared leaves are paired as they are,
+and the coarser leaf is recentered once onto each finer leaf inside it, so
+neither operand is refined to the deeper one's maximum level.
+
 Membership tests answer whether the restriction of f to p**m Z_p glues
 to a single rigid analytic series (is_member_Can), to a constant
 (is_member_C_m), or to a polynomial of bounded degree (is_member_pi_an).
@@ -127,7 +133,8 @@ class PiecewiseFunction:
     def refine(self, level: int) -> "PiecewiseFunction":
         """Split every leaf into cosets at the given common level.
 
-        The local data is recentered exactly, so evaluation is unchanged.
+        The local data is recentered exactly, so evaluation is unchanged;
+        a leaf already at the level is kept as it is.
         """
         if level < self.max_level():
             raise DomainError(
@@ -136,6 +143,9 @@ class PiecewiseFunction:
         ctx = self.ctx
         leaves = []
         for lf in self.leaves:
+            if lf.level == level:
+                leaves.append(lf)
+                continue
             step = ctx.p ** lf.level
             for r in range(ctx.p ** (level - lf.level)):
                 delta = r * step
@@ -144,10 +154,25 @@ class PiecewiseFunction:
         return PiecewiseFunction(ctx, leaves)
 
     def common_refinement(self, other: "PiecewiseFunction") -> Tuple["PiecewiseFunction", "PiecewiseFunction"]:
+        """Both functions on the coarsest partition that refines both.
+
+        Each coset of the result is a leaf of one operand and lies inside
+        a leaf of the other.  A leaf that both operands share is paired as
+        it is; otherwise the coarser leaf is recentered once onto each
+        finer leaf inside it, at the finer leaf's level.
+        """
         if not self.ctx.same(other.ctx):
             raise ParameterError("functions belong to different contexts")
-        h = max(self.max_level(), other.max_level())
-        return self.refine(h), other.refine(h)
+        ctx, p = self.ctx, self.ctx.p
+        a, b = [], []
+        # equal cosets pair once: in the first pass only
+        for lf, cover in _covered(p, self.leaves, other.leaves, equal=True):
+            a.append(lf)
+            b.append(_restrict(ctx, cover, lf))
+        for lf, cover in _covered(p, other.leaves, self.leaves, equal=False):
+            a.append(_restrict(ctx, cover, lf))
+            b.append(lf)
+        return PiecewiseFunction(ctx, a), PiecewiseFunction(ctx, b)
 
     def __add__(self, other: "PiecewiseFunction") -> "PiecewiseFunction":
         a, b = self.common_refinement(other)
@@ -360,6 +385,35 @@ def _check_partition(ctx: PadicContext, leaves: Sequence[Leaf]) -> None:
                 raise ParameterError(
                     f"cosets overlap: centers {a.center}@{a.level} and {b.center}@{b.level}"
                 )
+
+
+def _covered(
+    p: int, leaves: Sequence[Leaf], others: Sequence[Leaf], equal: bool
+) -> Iterable[Tuple[Leaf, Leaf]]:
+    """Each leaf that lies inside a leaf of others, with that leaf.
+
+    The covering leaf is looked up by (level, center) at each level of
+    others up to the leaf's own, or strictly below it when not equal.
+    """
+    index = {(lf.level, lf.center): lf for lf in others}
+    levels = sorted({lf.level for lf in others})
+    for lf in leaves:
+        top = lf.level if equal else lf.level - 1
+        for h in levels:
+            if h > top:
+                break
+            cover = index.get((h, lf.center % p ** h))
+            if cover is not None:
+                yield lf, cover
+                break
+
+
+def _restrict(ctx: PadicContext, cover: Leaf, lf: Leaf) -> Leaf:
+    """The covering leaf recentered onto the coset of lf inside it."""
+    if cover.level == lf.level:
+        return cover
+    delta = ctx.from_int(lf.center - cover.center)
+    return Leaf(lf.center, lf.level, cover.series.recenter(delta, lf.level))
 
 
 def _re_expand(ctx: PadicContext, lf: Leaf, m: int) -> Tuple[TateSeries, List[float]]:

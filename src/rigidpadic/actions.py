@@ -20,34 +20,45 @@ Piecewise inputs are handled leafwise in one pass: each generator is an
 isometry of Z_p sending cosets onto cosets, so a leaf at center c maps to
 a leaf at the image center with an explicitly composed local series, and
 no partition refinement is ever needed.  Each public action builds its
-function class once from the final leaves.  A generator that acts
-trivially (x = 0, s = 1, t = 1 with t^(k-2) = 1, y = 0) is skipped for
-every leaf.  For the mobius generator the image of the leaf at c is
-centered at b1 = c / (1 + x c), and with e = k - 2 the local series S
-becomes
+function class once from the final leaves.  For the mobius generator the
+image of the leaf at c is centered at b1 = c / (1 + x c), and with
+e = k - 2 the local series S becomes
 
     G(z') = (1 + x c)^(-e) S(lam z' / (1 - mu z')) (1 - mu z')^e,
     lam = (1 + x c)^2,   mu = x (1 + x c),
 
 at the exact center b1 (G = S and b1 = c when x = 0).
 
-The remaining three steps are affine in the local variable: the dilation
-sends the center r to r / s with local series h(s z'), the inverse torus
-sends it to r t with h(z' / t) t^e, and the translation to r + y with
-the series unchanged.  Each image center b_i (i = 1..4) lies on the
-canonical residue r_i of its coset at the leaf's level, at the offset
-delta_i = r_i - b_i in p**level Z_p, and the next step starts from r_i.
-Composing the four substitutions, the leaf at r_4 carries
+The dilation, inverse torus and translation are affine in the local
+variable (b -> b / s with h(s z'), b -> b t with h(z' / t) t^e, b -> b + y),
+so the image leaf lies at the residue R of c / (r (1 + x c)) + y modulo
+p**level, r = s / t, and carries
 
-    t^e G(Delta + r z'),   r = s / t,
-    Delta = delta_1 + s delta_2 + r (delta_3 + delta_4),
+    t^e G(Delta + r z'),   Delta = r (R - y) - c / (1 + x c)  in p**level Z_p.
 
-where a skipped step contributes no offset (and s = 1, t = 1).  The
-residue chain r_1 .. r_4 is the same computation as step by step, so
-centers and levels do not depend on the composition.  With x = 0 the leaf
-is one recenter of S by Delta and one scale_powers pass multiplying a_l by
-r^l t^e.  With x != 0 the re-centring folds into the mobius step, where it
-shifts only the leaf's own stored series: with u = 1 - mu Delta,
+Step by step, each image center b_i (i = 1..4) is read off as the residue
+r_i of its coset; the offsets delta_i = r_i - b_i compose to delta_1 +
+s delta_2 + r (delta_3 + delta_4), which telescopes to Delta with R = r_4.
+The action instead computes R and Delta once per leaf from the stored
+integers of the factors s, t, x and y.  The numerator s (R - y) (1 + x c) -
+t c of Delta is an exact integer; its p-part is the valuation and its unit
+times the inverse of t (1 + x c) mod p**N the unit.  So Delta is exact for
+the stored factors and rounded once, N digits above its value; the chain
+rounded each b_i at p**(valp(c) + N), up to level - valp(c) digits lower.
+Shifting the center by eps in p**level Z_p moves coefficient j only at or
+above val_C - level j + valp(eps) - level.  So Delta's rounding moves no
+digit below val_C - level j + N, inside the contract below, and the digits
+that differ from the chain's are the chain's own rounding.  The factors are
+g's entries rounded to N relative digits, so against the entries Delta
+still errs by up to p**(valp(c) + N), as the chain did.  They fix y modulo
+p**(valp(y) + N) and, unless g = [[1, 0], [y, 1]], c / (r (1 + x c))
+modulo p**(valp(c) + N): a leaf whose R needs more digits is refused with
+a PrecisionError.
+
+With x = 0 the leaf is one recenter of S by Delta and one scale_powers
+pass multiplying a_l by r^l t^e.  With x != 0 the re-centring folds into
+the mobius step, where it shifts only the leaf's own stored series: with
+u = 1 - mu Delta,
 
     t^e G(Delta + r z') = (t u / (1 + x c))^e S(A + B w) (1 - mu' z')^e,
     w = z' / (1 - mu' z'),   A = lam Delta / u,   B = lam r / u^2,
@@ -57,8 +68,8 @@ so the leaf is one recenter of S by A, one twisted_mobius(., B, mu', e)
 and, for e > 0, one scale.  valp(A) = valp(Delta) >= level, B is a unit
 and valp(mu') = valp(x) >= 1; an exact polynomial of degree <= e stays
 one.  valp(mu Delta) >= 1, so 1 + x c, u and every scalar above are units,
-computed as (val, unit) pairs with one modular inverse each of 1 + x c
-and u.
+computed as (val, unit) pairs; t^(-1) and r^(-1) are inverted once per
+action and 1 + x c and u once per leaf.
 
 The image is cut at z^D once, by twisted_mobius, after the shift.  A route
 that shifts the cut G drops the coefficients g_l, l > D, whose share of
@@ -75,11 +86,10 @@ precision contract; tests/test_actions.py checks it against the exact image
 of tests/exact_image.py, computed from Fractions outside the library).
 
 A TateSeries at level m is the one leaf (0, m): act admits it only for g
-in G(m) (I(1) at m = 0), so every residue r_i is 0 and Delta = -r y.  The
-generator chain mobius_twist, dilate, inv_torus, translate cuts the mobius
-image before it translates, so it can miss the contract where this route
-meets it.  Only a mobius step expands the twist, so k - 2 > D is refused
-only when x != 0.
+in G(m) (I(1) at m = 0), so R = 0 and Delta = -r y.  The generator chain
+mobius_twist, dilate, inv_torus, translate cuts the mobius image before it
+translates, so it can miss the contract where this route meets it.  Only a
+mobius step expands the twist, so k - 2 > D is refused only when x != 0.
 
 The w0 Weyl cell carries the action of the w0-conjugate matrix (swap
 a <-> d and b <-> c); when the conjugate leaves the actionable range
@@ -89,16 +99,17 @@ a <-> d and b <-> c); when the conjugate leaves the actionable range
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Tuple, Union
+from typing import Iterable, List, NamedTuple, Union
 
-from .errors import DomainError, FactorizationError, InvariantViolation, ParameterError
+from .errors import (DomainError, FactorizationError, InvariantViolation, ParameterError,
+                     PrecisionError)
 from .functions import (
     Leaf,
     LocallyAlgebraicFunction,
     PiecewiseFunction,
     StepFunction,
 )
-from .padic import Coercible, PadicContext, PadicNumber
+from .padic import INF, Coercible, PadicContext, PadicNumber
 from .series import TateSeries, twisted_mobius
 
 I1 = "I1"
@@ -322,63 +333,51 @@ class WeylCellVector:
 # -- leafwise generator transforms -------------------------------------------
 
 
-def _to_residue(center: PadicNumber, level: int) -> Tuple[int, PadicNumber]:
-    """The canonical residue r of an exact center's coset and the offset r - center."""
-    r = center.residue(level)
-    return r, center.ctx.from_int(r) - center
-
-
 def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], fac: Factorization,
                    e: int) -> List[Leaf]:
     """The image of each leaf, in the given order; the caller builds the function."""
     y, s, t, x = fac
     if not x.is_zero and x.val < 1:
         raise DomainError(f"mobius parameter needs valp(x) >= 1, got {x.val}")
-    one, pN = ctx.one(), ctx.pN
-    factor = t ** e
-    dilate = not (s - one).is_zero
-    torus = not ((t - one).is_zero and factor == one)
-    ratio, s_inv = s / t, s.invert()
-    # x = p**xv xu; the scalars of the fold are (val, unit) pairs (module docstring)
-    xv, xu = x.val, x.unit
-    x_int = xu * pow(ctx.p, xv, pN) % pN if xu else 0
+    p, N, pN, ppow = ctx.p, ctx.N, ctx.pN, ctx.ppow
+    factor, ratio = t ** e, s / t
+    su, tu, xv, xu = s.unit, t.unit, x.val, x.unit  # the stored factors; s and t are units
+    x_int = xu * p ** xv if xu else 0
+    y_int = y.unit * p ** y.val if y.unit else 0
+    inv_t, inv_r = pow(tu, -1, pN), tu * pow(su, -1, pN) % pN
+    # c r^(-1) / (1 + x c) is rounded at p**(v(c) + N) unless g = [[1, 0], [y, 1]]
+    rounded = xu or su != 1 or tu != 1
     out = []
     for lf in leaves:
-        level, r, f = lf.level, lf.center, lf.series
-        # Delta = delta + ratio offset (module docstring): delta sums the
-        # mobius and dilation offsets, offset the inverse torus and
-        # translation ones
-        delta = offset = ctx.zero()
-        if xu:
-            one_plus = (1 + x_int * r) % pN  # the unit 1 + x c
-            inv_one_plus = pow(one_plus, -1, pN)
-            r, delta = _to_residue(
-                ctx.from_int(r) * PadicNumber(ctx, 0, inv_one_plus, _checked=True), level)
-        if dilate:
-            r, d = _to_residue(ctx.from_int(r) * s_inv, level)
-            delta = delta + s * d
-        if torus:
-            r, offset = _to_residue(ctx.from_int(r) * t, level)
-        if not y.is_zero:
-            r, d = _to_residue(ctx.from_int(r) + y, level)
-            offset = offset + d
-        delta = delta + ratio * offset
+        level, c, f = lf.level, lf.center, lf.series
+        if level > N:
+            top = min(y.val, ctx.from_int(c).val if rounded else INF) + N
+            if level > top:
+                raise PrecisionError(f"residue mod p^{level} exceeds stored precision p^{top}")
+        one_plus = 1 + x_int * c
+        inv_one_plus = pow(one_plus, -1, pN) if xu else 1
+        center = (c * inv_r * inv_one_plus + y_int) % p ** level
+        # Delta = (s (R - y) (1 + x c) - t c) / (t (1 + x c)), rounded once
+        delta = ctx.from_int(su * (center - y_int) * one_plus - tu * c)
+        dv, du = delta.val, delta.unit * inv_t * inv_one_plus % pN
         if not xu:
-            out.append(Leaf(r, level, f.recenter(delta, level).scale_powers(factor, ratio)))
+            delta = PadicNumber(ctx, dv, du, _checked=True)
+            out.append(Leaf(center, level, f.recenter(delta, level).scale_powers(factor, ratio)))
             continue
         # the fold: (t u / (1 + x c))^e f(A + B z' / (1 - mu' z')) (1 - mu' z')^e
+        one_plus %= pN
         lam = one_plus * one_plus % pN
         mu_unit = xu * one_plus % pN  # mu = x (1 + x c) = p**xv mu_unit
-        dv, du = delta.val, delta.unit  # (INF, 0) for Delta = 0, so A = 0
-        u = (1 - mu_unit * du * pow(ctx.p, xv + dv, pN)) % pN if du else 1  # 1 - mu Delta
-        inv_u = pow(u, -1, pN)
+        # u = 1 - mu Delta; Delta = 0 gives du = 0, so u = 1 and A = 0
+        u = (1 - mu_unit * du * ppow[xv + dv]) % pN if xv + dv < N else 1
+        inv_u = pow(u, -1, pN) if u != 1 else 1
         a = PadicNumber(ctx, dv, lam * du * inv_u % pN, _checked=True)
         b = PadicNumber(ctx, 0, lam * ratio.unit * inv_u * inv_u % pN, _checked=True)
         mu_prime = PadicNumber(ctx, xv, mu_unit * ratio.unit * inv_u % pN, _checked=True)
         g = twisted_mobius(f.recenter(a, level), b, mu_prime, e)
         if e:
-            g = g.scale(PadicNumber(ctx, 0, pow(t.unit * u * inv_one_plus, e, pN), _checked=True))
-        out.append(Leaf(r, level, g))
+            g = g.scale(PadicNumber(ctx, 0, pow(tu * u * inv_one_plus, e, pN), _checked=True))
+        out.append(Leaf(center, level, g))
     return out
 
 

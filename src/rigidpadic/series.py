@@ -372,14 +372,17 @@ def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> 
         raise ParameterError(f"twist exponent must lie in [0, D={ctx.D}], got {e}")
     pN, fac = ctx.pN, ctx.factorials
     fvals, finvs = fac.vals, fac.invs
+    deg = len(coeffs) - 1
+    top = ctx.D if deg > e else e
+    lam_l = _unit_powers(lam.unit, deg + 1, pN)
     # j <= e: binom(e - l, q) = (e - l)! / (q! (e - j)!), q = j - l.  The
     # source (-mu)^q / q! is indexed from the top, l' = e - q and v = e - j,
     # so that l = l' - v; a_l lam^l (e - l)! is the kernel and 1 / (e - j)!
     # the outer factor.  q = 0 is (e, 0, 1)
-    src = [(e - q, q * mu.val - fvals[q], pow(pN - mu.unit, q, pN) * finvs[q] % pN)
+    neg_mu_q = _unit_powers(pN - mu.unit, e + 1, pN)
+    src = [(e - q, q * mu.val - fvals[q], neg_mu_q[q] * finvs[q] % pN)
            for q in range(e if mu.unit else 0, 0, -1)] + [(e, 0, 1)]
-    ker = [(a.val + l * lam.val + fvals[e - l],
-            a.unit * pow(lam.unit, l, pN) * fac.units[e - l] % pN)
+    ker = [(a.val + l * lam.val + fvals[e - l], a.unit * lam_l[l] * fac.units[e - l] % pN)
            for l, a in enumerate(coeffs[:e + 1])] + [(INF, 0)] * (e + 1 - len(coeffs))
     outs = [(e - j, -fvals[e - j], finvs[e - j]) for j in range(e, -1, -1)]
     low = _offset_sums(ctx, src, ker, outs)[0][::-1]
@@ -387,12 +390,11 @@ def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> 
     # source a_l lam^l / (l - e - 1)! is indexed from the top, l' = deg - l
     # and v = deg - j, so that q = l' - v; mu^q / q! is the kernel and
     # (j - e - 1)! the outer factor.  deg <= e: no source
-    deg = len(coeffs) - 1
-    top = ctx.D if deg > e else e
     src = [(deg - l, a.val + l * lam.val - fvals[l - e - 1],
-            a.unit * pow(lam.unit, l, pN) * finvs[l - e - 1] % pN)
+            a.unit * lam_l[l] * finvs[l - e - 1] % pN)
            for l, a in reversed(list(enumerate(coeffs))) if l > e and a.unit]
-    ker = [(0, 1)] + [(q * mu.val - fvals[q], pow(mu.unit, q, pN) * finvs[q] % pN)
+    mu_q = _unit_powers(mu.unit, top - e, pN)
+    ker = [(0, 1)] + [(q * mu.val - fvals[q], mu_q[q] * finvs[q] % pN)
                       for q in range(1, top - e)]
     outs = [(deg - j, fvals[j - e - 1], fac.units[j - e - 1]) for j in range(top, e, -1)]
     high = _offset_sums(ctx, src, ker, outs)[0][::-1]
@@ -419,10 +421,19 @@ def _taylor_shift(
     pN, fac = ctx.pN, ctx.factorials
     fvals, finvs = fac.vals, fac.invs
     # binom(l, v) c^(l-v) = l! (c^k / k!) (1 / v!), k = l - v
-    ck = [(k * c.val - fvals[k], pow(c.unit, k, pN) * finvs[k] % pN) for k in range(len(coeffs))]
+    ck = [(k * c.val - fvals[k], cu * finvs[k] % pN)
+          for k, cu in enumerate(_unit_powers(c.unit, len(coeffs), pN))]
     src = [(l, a.val + fvals[l], a.unit * fac.units[l] % pN)
            for l, a in enumerate(coeffs) if a.unit]
     return _offset_sums(ctx, src, ck, [(v, -fvals[v], finvs[v]) for v in range(len(coeffs))])
+
+
+def _unit_powers(u: int, n: int, pN: int) -> List[int]:
+    """u**k mod pN for k = 0 .. n - 1, each by one product with the last."""
+    out = [1]
+    for _ in range(n - 1):
+        out.append(out[-1] * u % pN)
+    return out[:n]
 
 
 def _offset_sums(

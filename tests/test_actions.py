@@ -17,7 +17,7 @@ from rigidpadic.actions import (
     act_smooth,
     iwahori_factorize,
 )
-from rigidpadic.errors import DomainError, FactorizationError, ParameterError
+from rigidpadic.errors import DomainError, FactorizationError, ParameterError, PrecisionError
 from rigidpadic.functions import (
     Leaf,
     LocallyAlgebraicFunction,
@@ -588,6 +588,82 @@ class TestLeafwiseActionMeetsTheContract:
                 out = act_cell(g, vec, self._chi(ctx, k))
                 _assert_images(out.identity.leaves, g, vec.identity, k)
                 _assert_images(out.w0.leaves, g, vec.w0, k, conjugate=True)
+
+
+class TestOneResiduePerLeaf:
+    """The step by step route sends the leaf (c, h) through four image centres
+    b_i, one per generator, each read off as the residue r_i of its coset, and
+    re-centres by Delta = delta_1 + s delta_2 + r (delta_3 + delta_4),
+    delta_i = r_i - b_i, r = s / t.  The sum telescopes to
+    r (R - y) - c / (1 + x c) with R = r_4, which the action computes once per
+    leaf from the stored integers of g."""
+
+    @staticmethod
+    def _chain(c, h, p, y, s, t, x):
+        """The four-step chain on Fractions: (r_4, Delta)."""
+
+        def residue(q):
+            return q.numerator * pow(q.denominator, -1, p ** h) % p ** h
+
+        b1 = Fraction(c) / (1 + x * c)
+        r1 = residue(b1)
+        b2 = r1 / s
+        r2 = residue(b2)
+        b3 = r2 * t
+        r3 = residue(b3)
+        b4 = r3 + y
+        r4 = residue(b4)
+        delta = (r1 - b1) + s * (r2 - b2) + s / t * ((r3 - b3) + (r4 - b4))
+        assert delta == s / t * (r4 - y) - b1
+        return r4, delta
+
+    @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
+    def test_centres_and_offsets_follow_the_chain(self, ci):
+        ctx = TestLeafwiseActionMeetsTheContract.CONTEXTS[ci]
+        rng = random.Random(30 + ci)
+        chi = TestLeafwiseActionMeetsTheContract._chi(ctx, 2)
+        for max_level in (1, 2, 3):
+            cosets = _random_cosets(ctx, rng, max_level)
+            # S = z and k = 2: the image's z^0 is A = lam Delta / (1 - mu Delta)
+            f = PiecewiseFunction(ctx, [Leaf(c, h, TateSeries.monomial(ctx, h, 1))
+                                        for c, h in cosets])
+            for g in TestLeafwiseActionMeetsTheContract._matrices(ctx, rng):
+                y, s, t, x = (v.to_fraction() for v in iwahori_factorize(g))
+                out = {(lf.center, lf.level): lf.series for lf in act(g, f, chi).leaves}
+                assert len(out) == len(cosets)
+                for lf in f.leaves:
+                    c, h = lf.center, lf.level
+                    r4, delta = self._chain(c, h, ctx.p, y, s, t, x)
+                    assert leaf_image(g, lf, 2).center == r4
+                    # Delta is exact for the stored g and rounded once
+                    mu = x * (1 + x * c)
+                    a = (1 + x * c) ** 2 * delta / (1 - mu * delta)
+                    assert out[r4, h].coeff(0) == ctx.from_fraction(a)
+
+
+class TestImageResidueNeedsStoredDigits:
+    """The stored digits of g fix y modulo p**(v(y) + N) and, unless g is
+    [[1, 0], [y, 1]], c / (r (1 + x c)) modulo p**(v(c) + N).  A leaf whose
+    image residue needs digits beyond these is refused."""
+
+    def test_deep_ball(self):
+        ctx = PadicContext(5, 3, 8, kappa=1)
+        f = StepFunction.indicator_ball(ctx, 5)
+        for g in (IwahoriElement(ctx, 1, 5, 1, 1), IwahoriElement(ctx, 1, 0, 3, 1)):
+            with pytest.raises(PrecisionError, match=r"mod p\^4 exceeds stored precision p\^3"):
+                act_smooth(g, f)
+        assert len(act_smooth(IwahoriElement(ctx, 6, 0, 0, 1), f).leaves) == 21
+
+    def test_translation_moves_exact_centres(self):
+        # N = 1: y = 405 = 5 * 3**4 is stored as 2 * 3**4, known to 3**5, and
+        # a leaf's centre is an exact label, so y fixes every level-3 image.
+        # y = 7 is known to 3**1 only
+        ctx = PadicContext(3, 1, 4, kappa=0)
+        f = StepFunction(ctx, [Leaf(c, 3, TateSeries.constant(ctx, 3, 1)) for c in range(27)])
+        out = act_smooth(lower(ctx, 405), f)
+        assert [(lf.center, lf.level) for lf in out.leaves] == [(c, 3) for c in range(27)]
+        with pytest.raises(PrecisionError, match=r"mod p\^3 exceeds stored precision p\^1"):
+            act_smooth(lower(ctx, 7), f)
 
 
 # -- act on one series ----------------------------------------------------------

@@ -51,9 +51,9 @@ digit below val_C - level j + N, inside the contract below, and the digits
 that differ from the chain's are the chain's own rounding.  The factors are
 g's entries rounded to N relative digits, so against the entries Delta
 still errs by up to p**(valp(c) + N), as the chain did.  They fix y modulo
-p**(valp(y) + N) and, unless g = [[1, 0], [y, 1]], c / (r (1 + x c))
-modulo p**(valp(c) + N): a leaf whose R needs more digits is refused with
-a PrecisionError.
+p**(valp(y) + N) and c / (r (1 + x c)) modulo p**(valp(c) + N), also where
+their stored digits read 1 or 0: a leaf at a level above either bound is
+refused with a PrecisionError.
 
 With x = 0 the leaf is one recenter of S by Delta and one scale_powers
 pass multiplying a_l by r^l t^e.  With x != 0 the re-centring folds into
@@ -109,7 +109,7 @@ from .functions import (
     PiecewiseFunction,
     StepFunction,
 )
-from .padic import INF, Coercible, PadicContext, PadicNumber
+from .padic import Coercible, PadicContext, PadicNumber
 from .series import TateSeries, twisted_mobius
 
 I1 = "I1"
@@ -345,13 +345,11 @@ def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], fac: Factorization
     x_int = xu * p ** xv if xu else 0
     y_int = y.unit * p ** y.val if y.unit else 0
     inv_t, inv_r = pow(tu, -1, pN), tu * pow(su, -1, pN) % pN
-    # c r^(-1) / (1 + x c) is rounded at p**(v(c) + N) unless g = [[1, 0], [y, 1]]
-    rounded = xu or su != 1 or tu != 1
     out = []
     for lf in leaves:
         level, c, f = lf.level, lf.center, lf.series
-        if level > N:
-            top = min(y.val, ctx.from_int(c).val if rounded else INF) + N
+        if level > N:  # the stored g fixes y and c / (r (1 + x c)) to N digits
+            top = min(y.val, ctx.from_int(c).val) + N
             if level > top:
                 raise PrecisionError(f"residue mod p^{level} exceeds stored precision p^{top}")
         one_plus = 1 + x_int * c

@@ -642,9 +642,9 @@ class TestOneResiduePerLeaf:
 
 
 class TestImageResidueNeedsStoredDigits:
-    """The stored digits of g fix y modulo p**(v(y) + N) and, unless g is
-    [[1, 0], [y, 1]], c / (r (1 + x c)) modulo p**(v(c) + N).  A leaf whose
-    image residue needs digits beyond these is refused."""
+    """The stored digits of g fix y modulo p**(v(y) + N) and c / (r (1 + x c))
+    modulo p**(v(c) + N), also where they read 1 or 0.  A leaf whose image
+    residue needs digits beyond these is refused."""
 
     def test_deep_ball(self):
         ctx = PadicContext(5, 3, 8, kappa=1)
@@ -654,16 +654,28 @@ class TestImageResidueNeedsStoredDigits:
                 act_smooth(g, f)
         assert len(act_smooth(IwahoriElement(ctx, 6, 0, 0, 1), f).leaves) == 21
 
-    def test_translation_moves_exact_centres(self):
-        # N = 1: y = 405 = 5 * 3**4 is stored as 2 * 3**4, known to 3**5, and
-        # a leaf's centre is an exact label, so y fixes every level-3 image.
-        # y = 7 is known to 3**1 only
+    # N = 1: a = 4 is stored as 1 and y = 405 / a as 2 * 3**4, so the stored
+    # diagonal is the identity, y is known modulo 3**5 and c / a modulo
+    # 3**(v(c) + 1).  [[4, 0], [405, 1]] sends the leaf (1, 3) to
+    # 406 / 4 = 7 mod 27, where the stored digits give 1 + 162 = 1 mod 27
+    @pytest.mark.parametrize("a, y", [(1, 405), (4, 405), (4, 0), (1, 7)])
+    def test_unit_leaves_below_the_stored_digits(self, a, y):
         ctx = PadicContext(3, 1, 4, kappa=0)
-        f = StepFunction(ctx, [Leaf(c, 3, TateSeries.constant(ctx, 3, 1)) for c in range(27)])
-        out = act_smooth(lower(ctx, 405), f)
-        assert [(lf.center, lf.level) for lf in out.leaves] == [(c, 3) for c in range(27)]
+        one = TateSeries.constant(ctx, 3, 1)
+        f = StepFunction(ctx, [Leaf(c, 3, one) for c in range(27)])
         with pytest.raises(PrecisionError, match=r"mod p\^3 exceeds stored precision p\^1"):
-            act_smooth(lower(ctx, 7), f)
+            act_smooth(IwahoriElement(ctx, a, 0, y, 1), f)
+
+    @pytest.mark.parametrize("a, y", [(1, 405), (4, 405), (4, 0)])
+    def test_answered_leaves_land_on_the_true_image(self, a, y):
+        # every leaf (c, h) has h <= v(c) + N and v(y) >= 4, so the image
+        # residue (c + y) / a is needed modulo 3**(v(c) + N) only
+        ctx = PadicContext(3, 1, 4, kappa=0)
+        cells = [(1, 1), (2, 1), (3, 2), (6, 2), (0, 3), (9, 3), (18, 3)]
+        f = StepFunction(ctx, [Leaf(c, h, TateSeries.constant(ctx, h, 1)) for c, h in cells])
+        out = act_smooth(IwahoriElement(ctx, a, 0, y, 1), f)
+        want = {((c + y) * pow(a, -1, 3 ** h) % 3 ** h, h) for c, h in cells}
+        assert {(lf.center, lf.level) for lf in out.leaves} == want
 
 
 # -- act on one series ----------------------------------------------------------

@@ -1,95 +1,61 @@
 """Iwahori-level group actions on the function models.
 
-Matrices live in the pro-p Iwahori I(1) of GL2(Z_p):
+Matrices g = [[a, b], [c, d]] live in the pro-p Iwahori I(1) of GL2(Z_p):
 
     a - 1, d - 1, b in p Z_p,   c in Z_p,
 
 or in the principal congruence subgroups G(m), m >= 1, where all four
-of a - 1, b, c, d - 1 lie in p**m Z_p.  Any such matrix factors as
-lower * diagonal * upper,
+of a - 1, b, c, d - 1 lie in p**m Z_p.  With e = k - 2, g acts on the
+induction by one linear fractional substitution,
 
-    g = [[1, 0], [y, 1]] [[s, 0], [0, t]] [[1, x], [0, 1]],
-    y = c / a,  s = a,  t = d - c b / a,  x = b / a,
+    (g f)(z) = (d - b z)^e f((a z - c) / (d - b z)).
 
-and the left action on a function model applies the upper factor
-first (mobius substitution with the k - 2 twist), then the torus
-(dilation by s, inverse torus by t carrying t^(k-2)), then the lower
-factor (translation by y).
+Piecewise inputs are handled leafwise in one pass: g is an isometry of Z_p
+sending cosets onto cosets, so a leaf maps to a leaf with an explicitly
+composed local series, and no partition refinement is ever needed.  Each
+public action builds its function class once from the final leaves.  The
+leaf (z0, h, S) goes to the leaf at the residue R of (c + d z0) / (a + b z0)
+modulo p**h.  Writing z = R + z', q = d - b R and det = a d - b c, the
+substituted point is z0 + A + B w, so the image series is
 
-Piecewise inputs are handled leafwise in one pass: each generator is an
-isometry of Z_p sending cosets onto cosets, so a leaf at center c maps to
-a leaf at the image center with an explicitly composed local series, and
-no partition refinement is ever needed.  Each public action builds its
-function class once from the final leaves.  For the mobius generator the
-image of the leaf at c is centered at b1 = c / (1 + x c), and with
-e = k - 2 the local series S becomes
+    q^e S(A + B w) (1 - mu z')^e,   w = z' / (1 - mu z'),
+    A = (a R - c - z0 q) / q,   B = det / q^2,   mu = b / q.
 
-    G(z') = (1 + x c)^(-e) S(lam z' / (1 - mu z')) (1 - mu z')^e,
-    lam = (1 + x c)^2,   mu = x (1 + x c),
+R is the image of z0 modulo p**h, so valp(A) >= h; q, det and B are units
+and valp(mu) = valp(b) >= 1.  With b = 0 the series is d^e S(A + (a / d) z'):
+one recenter of S by A and one scale_powers pass multiplying a_l by
+d^e (a / d)^l.  With b != 0 it is one recenter of S by A, one
+twisted_mobius(., B, mu, e) and, for e > 0, one scale by q^e; an exact
+polynomial of degree <= e stays one.
 
-at the exact center b1 (G = S and b1 = c when x = 0).
-
-The dilation, inverse torus and translation are affine in the local
-variable (b -> b / s with h(s z'), b -> b t with h(z' / t) t^e, b -> b + y),
-so the image leaf lies at the residue R of c / (r (1 + x c)) + y modulo
-p**level, r = s / t, and carries
-
-    t^e G(Delta + r z'),   Delta = r (R - y) - c / (1 + x c)  in p**level Z_p.
-
-Step by step, each image center b_i (i = 1..4) is read off as the residue
-r_i of its coset; the offsets delta_i = r_i - b_i compose to delta_1 +
-s delta_2 + r (delta_3 + delta_4), which telescopes to Delta with R = r_4.
-The action instead computes R and Delta once per leaf from the stored
-integers of the factors s, t, x and y.  The numerator s (R - y) (1 + x c) -
-t c of Delta is an exact integer; its p-part is the valuation and its unit
-times the inverse of t (1 + x c) mod p**N the unit.  So Delta is exact for
-the stored factors and rounded once, N digits above its value; the chain
-rounded each b_i at p**(valp(c) + N), up to level - valp(c) digits lower.
-Shifting the center by eps in p**level Z_p moves coefficient j only at or
-above val_C - level j + valp(eps) - level.  So Delta's rounding moves no
-digit below val_C - level j + N, inside the contract below, and the digits
-that differ from the chain's are the chain's own rounding.  The factors are
-g's entries rounded to N relative digits, so against the entries Delta
-still errs by up to p**(valp(c) + N), as the chain did.  They fix y modulo
-p**(valp(y) + N) and c / (r (1 + x c)) modulo p**(valp(c) + N), also where
-their stored digits read 1 or 0: a leaf at a level above either bound is
-refused with a PrecisionError.
-
-With x = 0 the leaf is one recenter of S by Delta and one scale_powers
-pass multiplying a_l by r^l t^e.  With x != 0 the re-centring folds into
-the mobius step, where it shifts only the leaf's own stored series: with
-u = 1 - mu Delta,
-
-    t^e G(Delta + r z') = (t u / (1 + x c))^e S(A + B w) (1 - mu' z')^e,
-    w = z' / (1 - mu' z'),   A = lam Delta / u,   B = lam r / u^2,
-    mu' = mu r / u,
-
-so the leaf is one recenter of S by A, one twisted_mobius(., B, mu', e)
-and, for e > 0, one scale.  valp(A) = valp(Delta) >= level, B is a unit
-and valp(mu') = valp(x) >= 1; an exact polynomial of degree <= e stays
-one.  valp(mu Delta) >= 1, so 1 + x c, u and every scalar above are units,
-computed as (val, unit) pairs; t^(-1) and r^(-1) are inverted once per
-action and 1 + x c and u once per leaf.
+The action reads the integers stored for a, b, c, d once per action.  R, q,
+det and the numerator a R - c - z0 q of A are exact integers, and each of A,
+B, mu and q^e is an exact integer over a unit, rounded once, N digits above
+its value.  Rounding A moves the centre by eps in p**(valp(A) + N), which
+moves coefficient j only at or above val_C - h j + valp(eps) - h, that is
+at or above val_C - h j + N.  The stored entries fix R modulo
+p**(min(valp(c), valp(z0)) + N), also where their digits read 1 or 0: a
+leaf at a level above that is refused with a PrecisionError.
 
 The image is cut at z^D once, by twisted_mobius, after the shift.  A route
-that shifts the cut G drops the coefficients g_l, l > D, whose share of
-z^j lies only (l - deg S)(valp(x) + level) digits above
-val_C - level j: fewer than N for short S near D, so such a route can miss
-the contract below.  In the fold every summand of the shift of S and of
-the twisted sum for z^j has valuation >= val_C - level j (S(A + .) keeps
-the Banach valuation of S and (mu' p**level)^q is integral).  Each
-rounding, of Delta, of A, B and mu', errs N digits above its value, each
-sum is exact modulo p**(its least summand valuation + N) (the precision
-model of series.py) and unit scalings round nothing.  So coefficient j
-agrees with the exact image modulo p**(val_C - level j + N - kappa) (the
-precision contract; tests/test_actions.py checks it against the exact image
-of tests/exact_image.py, computed from Fractions outside the library).
+that shifts the cut image drops the coefficients g_l, l > D, whose share of
+z^j lies only (l - deg S)(valp(b) + h) digits above val_C - h j: fewer than
+N for short S near D, so such a route can miss the contract below.  Here
+every summand of the shift of S and of the twisted sum for z^j has
+valuation >= val_C - h j (S(A + .) keeps the Banach valuation of S and
+(mu p**h)^q is integral).  Each rounding, of A, B, mu and q^e, errs N digits
+above its value, each sum is exact modulo p**(its least summand valuation +
+N) (the precision model of series.py) and unit scalings round nothing.  So
+coefficient j agrees with the exact image under g's own entries modulo
+p**(val_C - h j + N - kappa) (the precision contract; tests/test_actions.py
+checks it against the exact image of tests/exact_image.py, computed from
+Fractions outside the library).
 
 A TateSeries at level m is the one leaf (0, m): act admits it only for g
-in G(m) (I(1) at m = 0), so R = 0 and Delta = -r y.  The generator chain
-mobius_twist, dilate, inv_torus, translate cuts the mobius image before it
-translates, so it can miss the contract where this route meets it.  Only a
-mobius step expands the twist, so k - 2 > D is refused only when x != 0.
+in G(m) (I(1) at m = 0), so R = 0.  The generator chain mobius_twist,
+dilate, inv_torus, translate cuts the mobius image before it translates, so
+it can miss the contract where this route meets it.  Only twisted_mobius
+expands the twist, so k - 2 > D is refused only when b != 0.
 
 The w0 Weyl cell carries the action of the w0-conjugate matrix (swap
 a <-> d and b <-> c); when the conjugate leaves the actionable range
@@ -281,14 +247,15 @@ class IwahoriElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IwahoriElement)
-            and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+            and (self.a, self.b, self.c, self.d, self.level)
+            == (other.a, other.b, other.c, other.d, other.level)
         )
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
+        return hash((self.a, self.b, self.c, self.d, self.level))
 
     def __repr__(self) -> str:
-        e = [x.to_string() for x in (self.a, self.b, self.c, self.d)]
+        e = [v.to_string() for v in (self.a, self.b, self.c, self.d)]
         return f"IwahoriElement([[{e[0]}, {e[1]}], [{e[2]}, {e[3]}]], level={self.level!r})"
 
 
@@ -300,7 +267,12 @@ class Factorization(NamedTuple):
 
 
 def iwahori_factorize(g: IwahoriElement) -> Factorization:
-    """Unique lower/diagonal/upper factorization; needs a to be a unit."""
+    """Unique lower/diagonal/upper factorization; needs a to be a unit.
+
+    g = [[1, 0], [y, 1]] [[s, 0], [0, t]] [[1, x], [0, 1]] with y = c / a,
+    s = a, t = d - c b / a and x = b / a, each rounded to N relative digits.
+    No action calls it: they read g's entries directly.
+    """
     if g.a.is_zero or g.a.val != 0:
         raise FactorizationError(
             f"upper-left entry must be a unit, valp(a) = {g.a.val}"
@@ -330,52 +302,41 @@ class WeylCellVector:
         return self.identity.ctx
 
 
-# -- leafwise generator transforms -------------------------------------------
+# -- leafwise action -----------------------------------------------------------
 
 
-def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], fac: Factorization,
+def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], g: IwahoriElement,
                    e: int) -> List[Leaf]:
     """The image of each leaf, in the given order; the caller builds the function."""
-    y, s, t, x = fac
-    if not x.is_zero and x.val < 1:
-        raise DomainError(f"mobius parameter needs valp(x) >= 1, got {x.val}")
-    p, N, pN, ppow = ctx.p, ctx.N, ctx.pN, ctx.ppow
-    factor, ratio = t ** e, s / t
-    su, tu, xv, xu = s.unit, t.unit, x.val, x.unit  # the stored factors; s and t are units
-    x_int = xu * p ** xv if xu else 0
-    y_int = y.unit * p ** y.val if y.unit else 0
-    inv_t, inv_r = pow(tu, -1, pN), tu * pow(su, -1, pN) % pN
+    p, N, pN = ctx.p, ctx.N, ctx.pN
+    a, b, c, d = (v.unit * p ** v.val if v.unit else 0 for v in (g.a, g.b, g.c, g.d))
+    det = a * d - b * c
+    inv_a, inv_d = pow(a, -1, pN), pow(d, -1, pN)  # a and d are units
+    factor = PadicNumber(ctx, 0, pow(d, e, pN), _checked=True)
+    ratio = PadicNumber(ctx, 0, a * inv_d % pN, _checked=True)
     out = []
     for lf in leaves:
-        level, c, f = lf.level, lf.center, lf.series
-        if level > N:  # the stored g fixes y and c / (r (1 + x c)) to N digits
-            top = min(y.val, ctx.from_int(c).val) + N
+        level, z0, f = lf.level, lf.center, lf.series
+        if level > N:  # the stored entries fix R to min(v(c), v(z0)) + N digits
+            top = min(g.c.val, ctx.from_int(z0).val) + N
             if level > top:
                 raise PrecisionError(f"residue mod p^{level} exceeds stored precision p^{top}")
-        one_plus = 1 + x_int * c
-        inv_one_plus = pow(one_plus, -1, pN) if xu else 1
-        center = (c * inv_r * inv_one_plus + y_int) % p ** level
-        # Delta = (s (R - y) (1 + x c) - t c) / (t (1 + x c)), rounded once
-        delta = ctx.from_int(su * (center - y_int) * one_plus - tu * c)
-        dv, du = delta.val, delta.unit * inv_t * inv_one_plus % pN
-        if not xu:
-            delta = PadicNumber(ctx, dv, du, _checked=True)
-            out.append(Leaf(center, level, f.recenter(delta, level).scale_powers(factor, ratio)))
+        center = (c + d * z0) * (pow(a + b * z0, -1, pN) if b else inv_a) % p ** level
+        q = d - b * center
+        inv_q = pow(q, -1, pN) if b else inv_d
+        # A = (a R - c - z0 q) / q, rounded once
+        shift = ctx.from_int(a * center - c - z0 * q)
+        f = f.recenter(PadicNumber(ctx, shift.val, shift.unit * inv_q % pN, _checked=True), level)
+        if not b:
+            out.append(Leaf(center, level, f.scale_powers(factor, ratio)))
             continue
-        # the fold: (t u / (1 + x c))^e f(A + B z' / (1 - mu' z')) (1 - mu' z')^e
-        one_plus %= pN
-        lam = one_plus * one_plus % pN
-        mu_unit = xu * one_plus % pN  # mu = x (1 + x c) = p**xv mu_unit
-        # u = 1 - mu Delta; Delta = 0 gives du = 0, so u = 1 and A = 0
-        u = (1 - mu_unit * du * ppow[xv + dv]) % pN if xv + dv < N else 1
-        inv_u = pow(u, -1, pN) if u != 1 else 1
-        a = PadicNumber(ctx, dv, lam * du * inv_u % pN, _checked=True)
-        b = PadicNumber(ctx, 0, lam * ratio.unit * inv_u * inv_u % pN, _checked=True)
-        mu_prime = PadicNumber(ctx, xv, mu_unit * ratio.unit * inv_u % pN, _checked=True)
-        g = twisted_mobius(f.recenter(a, level), b, mu_prime, e)
+        # q^e S(A + B w) (1 - mu z')^e with B = det / q^2 and mu = b / q
+        lam = PadicNumber(ctx, 0, det * inv_q * inv_q % pN, _checked=True)
+        mu = PadicNumber(ctx, g.b.val, g.b.unit * inv_q % pN, _checked=True)
+        f = twisted_mobius(f, lam, mu, e)
         if e:
-            g = g.scale(PadicNumber(ctx, 0, pow(tu * u * inv_one_plus, e, pN), _checked=True))
-        out.append(Leaf(center, level, g))
+            f = f.scale(PadicNumber(ctx, 0, pow(q, e, pN), _checked=True))
+        out.append(Leaf(center, level, f))
     return out
 
 
@@ -386,8 +347,8 @@ def act(g: IwahoriElement, f, chi: InductionCharacter):
     """Left action of g on a TateSeries or a PiecewiseFunction.
 
     For a level-m series (m >= 1) the matrix must lie in G(m) so that
-    every factorization parameter stays in the series' convergence
-    range; level-0 series and piecewise functions accept all of I(1).
+    the substitution keeps the series' ball p**m Z_p; level-0 series and
+    piecewise functions accept all of I(1).
     """
     k = chi.k
     if isinstance(f, TateSeries):
@@ -396,9 +357,9 @@ def act(g: IwahoriElement, f, chi: InductionCharacter):
                 f"acting on a level-{f.m} series needs a matrix in G({f.m})"
             )
         # G(m) puts every offset in p**m Z_p: the one leaf stays at (0, m)
-        return _act_piecewise(f.ctx, [Leaf(0, f.m, f)], iwahori_factorize(g), k - 2)[0].series
+        return _act_piecewise(f.ctx, [Leaf(0, f.m, f)], g, k - 2)[0].series
     if isinstance(f, PiecewiseFunction):
-        leaves = _act_piecewise(f.ctx, f.leaves, iwahori_factorize(g), k - 2)
+        leaves = _act_piecewise(f.ctx, f.leaves, g, k - 2)
         return PiecewiseFunction(f.ctx, leaves)
     raise ParameterError(f"cannot act on {type(f).__name__}")
 
@@ -421,7 +382,7 @@ def act_smooth(g: IwahoriElement, f: StepFunction) -> StepFunction:
     """Smooth-vector action: the same formulas with twist exponent 0."""
     if not isinstance(f, StepFunction):
         raise ParameterError("act_smooth expects a StepFunction")
-    return StepFunction(f.ctx, _act_piecewise(f.ctx, f.leaves, iwahori_factorize(g), 0))
+    return StepFunction(f.ctx, _act_piecewise(f.ctx, f.leaves, g, 0))
 
 
 def act_locally_algebraic(
@@ -429,13 +390,13 @@ def act_locally_algebraic(
 ) -> LocallyAlgebraicFunction:
     """Action on leafwise polynomials of degree <= k - 2.
 
-    The mobius substitution and the (1 - x z)^(k-2) twist cancel to a
+    The mobius substitution and the (d - b z)^(k-2) twist cancel to a
     polynomial of the same bounded degree, which twisted_mobius keeps
     exact; any residual high coefficient trips an internal invariant error.
     """
     if chi.k != f.k:
         raise ParameterError(f"character weight {chi.k} differs from function weight {f.k}")
-    leaves = _act_piecewise(f.ctx, f.leaves, iwahori_factorize(g), f.k - 2)
+    leaves = _act_piecewise(f.ctx, f.leaves, g, f.k - 2)
     for lf in leaves:
         if lf.series.degree > f.k - 2:
             raise InvariantViolation(

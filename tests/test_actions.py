@@ -76,6 +76,15 @@ class TestIwahoriElement:
         with pytest.raises(DomainError):
             IwahoriElement(ctx, 1, 5, ctx.from_fraction(Fraction(1, 5)), 1, I1)
 
+    def test_level_is_part_of_equality(self, ctx):
+        # one matrix, declared in G(2) and in I(1): conjugate_by_w0 and @
+        # keep the level, so the two are different elements
+        g2 = IwahoriElement(ctx, 26, 25, 25, 1, 2)
+        g1 = IwahoriElement(ctx, 26, 25, 25, 1, I1)
+        assert g2 != g1
+        assert g2 == IwahoriElement(ctx, 26, 25, 25, 1, 2)
+        assert len({g2, g1, IwahoriElement(ctx, 26, 25, 25, 1, 2)}) == 2
+
     def test_product_stays_in_group(self, ctx):
         g = IwahoriElement(ctx, 6, 5, 1, 6, I1)
         h = IwahoriElement(ctx, 1, 10, 3, 11, I1)
@@ -590,55 +599,52 @@ class TestLeafwiseActionMeetsTheContract:
                 _assert_images(out.w0.leaves, g, vec.w0, k, conjugate=True)
 
 
-class TestOneResiduePerLeaf:
-    """The step by step route sends the leaf (c, h) through four image centres
-    b_i, one per generator, each read off as the residue r_i of its coset, and
-    re-centres by Delta = delta_1 + s delta_2 + r (delta_3 + delta_4),
-    delta_i = r_i - b_i, r = s / t.  The sum telescopes to
-    r (R - y) - c / (1 + x c) with R = r_4, which the action computes once per
-    leaf from the stored integers of g."""
-
-    @staticmethod
-    def _chain(c, h, p, y, s, t, x):
-        """The four-step chain on Fractions: (r_4, Delta)."""
-
-        def residue(q):
-            return q.numerator * pow(q.denominator, -1, p ** h) % p ** h
-
-        b1 = Fraction(c) / (1 + x * c)
-        r1 = residue(b1)
-        b2 = r1 / s
-        r2 = residue(b2)
-        b3 = r2 * t
-        r3 = residue(b3)
-        b4 = r3 + y
-        r4 = residue(b4)
-        delta = (r1 - b1) + s * (r2 - b2) + s / t * ((r3 - b3) + (r4 - b4))
-        assert delta == s / t * (r4 - y) - b1
-        return r4, delta
+class TestImageLeafFromEntries:
+    """The action reads the image of the leaf (z0, h) from g's own entries:
+    it lies at the residue R of (c + d z0) / (a + b z0) modulo p**h, and its
+    offset A = (a R - c) / (d - b R) - z0 is exact and rounded once."""
 
     @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
-    def test_centres_and_offsets_follow_the_chain(self, ci):
+    def test_centres_and_offsets_follow_the_entries(self, ci):
         ctx = TestLeafwiseActionMeetsTheContract.CONTEXTS[ci]
         rng = random.Random(30 + ci)
         chi = TestLeafwiseActionMeetsTheContract._chi(ctx, 2)
         for max_level in (1, 2, 3):
             cosets = _random_cosets(ctx, rng, max_level)
-            # S = z and k = 2: the image's z^0 is A = lam Delta / (1 - mu Delta)
+            # S = z and k = 2: the image's z^0 is A
             f = PiecewiseFunction(ctx, [Leaf(c, h, TateSeries.monomial(ctx, h, 1))
                                         for c, h in cosets])
             for g in TestLeafwiseActionMeetsTheContract._matrices(ctx, rng):
-                y, s, t, x = (v.to_fraction() for v in iwahori_factorize(g))
+                a, b, c, d = (v.to_fraction() for v in (g.a, g.b, g.c, g.d))
                 out = {(lf.center, lf.level): lf.series for lf in act(g, f, chi).leaves}
                 assert len(out) == len(cosets)
                 for lf in f.leaves:
-                    c, h = lf.center, lf.level
-                    r4, delta = self._chain(c, h, ctx.p, y, s, t, x)
-                    assert leaf_image(g, lf, 2).center == r4
-                    # Delta is exact for the stored g and rounded once
-                    mu = x * (1 + x * c)
-                    a = (1 + x * c) ** 2 * delta / (1 - mu * delta)
-                    assert out[r4, h].coeff(0) == ctx.from_fraction(a)
+                    z0, h = lf.center, lf.level
+                    w, ph = (c + d * z0) / (a + b * z0), ctx.p ** h
+                    center = w.numerator * pow(w.denominator, -1, ph) % ph
+                    assert leaf_image(g, lf, 2).center == center
+                    offset = (a * center - c) / (d - b * center) - z0
+                    assert out[center, h].coeff(0) == ctx.from_fraction(offset)
+
+
+class TestDeepLeavesMeetTheContract:
+    """Leaves deeper than kappa + v(c) meet the contract against g's own
+    entries also when a != 1, where the rounded factors y = c / a,
+    t = d - c b / a and x = b / a of g would each lose digits."""
+
+    @pytest.mark.parametrize("entries", [(471, 0, 101, 441), (471, 5, 101, 441),
+                                         (6, 10, 3, 11)], ids=["lower", "generic", "small"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_coset_tree_to_level_six(self, entries, k):
+        ctx = PadicContext(5, 12, 10, kappa=4)
+        # the 25 cosets down to 5**6 Z_p: (0, 6) and every r 5**(j - 1), j = 1..6
+        cosets = [(0, 6)] + [(r * 5 ** (j - 1), j) for j in range(1, 7) for r in range(1, 5)]
+        f = PiecewiseFunction(ctx, [Leaf(c, h, TateSeries(ctx, h, [1, Fraction(1, 5 ** h)], 0))
+                                    for c, h in cosets])
+        g = IwahoriElement(ctx, *entries, I1)
+        out = act(g, f, TestLeafwiseActionMeetsTheContract._chi(ctx, k))
+        assert len(out.leaves) == 25
+        _assert_images(out.leaves, g, f, k)
 
 
 class TestImageResidueNeedsStoredDigits:

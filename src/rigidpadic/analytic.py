@@ -333,7 +333,8 @@ def orbit_membership(f: PiecewiseFunction, m: int) -> Verdict:
     if not inball:
         raise InvariantViolation("partition leaves no cover of the ball")
     source = next(lf for lf in inball if lf.center == 0)
-    candidate = _re_expand(ctx, source, m)[0]
+    pairs, _, tail = _re_expand(ctx, source, m)
+    candidate = TateSeries._from_pairs(ctx, m, pairs, tail)
     _orbit_tail_guard(candidate, m, "candidate")
     verdict = Verdict.YES
     for lf in inball:

@@ -20,10 +20,11 @@ precision N - kappa; the test stops at the first leaf that disagrees.
 The comparisons are starvation-aware: each re-expanded coefficient
 carries an absolute reliability ceiling (its summands are only known
 modulo p**(val + N)), and a comparison that cannot be settled inside the
-reliable window returns INDETERMINATE rather than a verdict.  They read
-the coefficients' (val, unit) pairs and take the valuation of each
-difference as PadicNumber.__sub__ rounds it, so the verdicts are those
-of compare_tracked without a PadicNumber per coefficient.
+reliable window returns INDETERMINATE rather than a verdict.  A leaf is
+re-expanded into the (val, unit) integer pairs of the series kernel, and
+the comparison takes the valuation of each difference from the pairs as
+PadicNumber.__sub__ rounds it, so the verdicts are those of
+compare_tracked; the one series built is the witness.
 
 Mahler coefficients (iterated finite differences at 0, 1, 2, ...) give
 an evaluation-only oracle used to cross-check the coefficient algebra.
@@ -42,6 +43,9 @@ from .verdict import Verdict
 
 #: hard cap on leaf levels; partitions beyond this depth are pathological
 MAX_LEVEL = 12
+
+#: the (val, unit) pair of zero
+_ZERO = (INF, 0)
 
 
 class Leaf(NamedTuple):
@@ -289,22 +293,21 @@ def is_member_Can(f: PiecewiseFunction, m: int) -> CanMembership:
     inball = f.leaves_in_ball(m)
     if not inball:
         raise InvariantViolation("partition leaves no cover of the ball")
-    ref_series, ref_ceil = _re_expand(ctx, inball[0], m)
-    tail = ref_series.tail_bound
+    ref, ref_ceil, tail = _re_expand(ctx, inball[0], m)
     culprit = ""  # the first leaf that did not glue
     for lf in inball[1:]:
-        cand, ceil = _re_expand(ctx, lf, m)
-        v = _series_verdict(ctx, ref_series, ref_ceil, cand, ceil)
+        cand, ceil, cand_tail = _re_expand(ctx, lf, m)
+        v = _series_verdict(ctx, ref, ref_ceil, cand, ceil)
         if v is not Verdict.YES and not culprit:
             culprit = f"leaf at center {lf.center} (level {lf.level})"
         if v is Verdict.NO:
             return CanMembership(Verdict.NO, None, f"re-expansions disagree: {culprit}")
-        tail = min(tail, cand.tail_bound)
+        tail = min(tail, cand_tail)
     if culprit:
         return CanMembership(
             Verdict.INDETERMINATE, None, f"comparison starved: {culprit}"
         )
-    witness = TateSeries(ctx, m, ref_series.coeffs, tail)
+    witness = TateSeries._from_pairs(ctx, m, ref, tail)
     return CanMembership(Verdict.YES, witness, f"{len(inball)} leaves glue")
 
 
@@ -416,8 +419,12 @@ def _restrict(ctx: PadicContext, cover: Leaf, lf: Leaf) -> Leaf:
     return Leaf(lf.center, lf.level, cover.series.recenter(delta, lf.level))
 
 
-def _re_expand(ctx: PadicContext, lf: Leaf, m: int) -> Tuple[TateSeries, List[float]]:
-    """Re-expand the leaf series around 0 at level m, with ceilings.
+def _re_expand(
+    ctx: PadicContext, lf: Leaf, m: int
+) -> Tuple[List[Tuple[float, int]], List[float], float]:
+    """Re-expand the leaf series around 0 at level m, as (pairs, ceilings,
+    tail): the (val, unit) pair of each coefficient, its ceiling and the
+    candidate's tail certificate.  No series is built.
 
     For the leaf at center c the glued candidate is g(z) = s(z - c), so
 
@@ -430,18 +437,15 @@ def _re_expand(ctx: PadicContext, lf: Leaf, m: int) -> Tuple[TateSeries, List[fl
     claims only its stored minimum, or the leaf's own tail bound when
     nothing is stored: a truncated leaf never yields an exact candidate.
     """
-    s = lf.series
-    c = ctx.from_int(lf.center)
-    if c.is_zero:
-        ceilings = [INF if a.is_zero else a.val + ctx.N for a in s.coeffs]
-        return TateSeries(ctx, m, s.coeffs, s.tail_bound), ceilings
-    coeffs, floors = _taylor_shift(s.coeffs, -c)
-    ceilings = [f + ctx.N for f in floors]
-    tail = INF
-    if s.tail_bound is not INF:
-        tail = min((b.val + m * l for l, b in enumerate(coeffs) if not b.is_zero),
-                   default=s.tail_bound)
-    return TateSeries(ctx, m, coeffs, tail), ceilings
+    s, N = lf.series, ctx.N
+    if not lf.center:
+        pairs = [(a.val, a.unit) for a in s.coeffs]
+        return pairs, [v + N for v, _ in pairs], s.tail_bound
+    pairs, floors = _taylor_shift(s.coeffs, ctx.from_int(-lf.center))
+    tail = s.tail_bound
+    if tail is not INF:
+        tail = min((v + m * l for l, (v, u) in enumerate(pairs) if u), default=tail)
+    return pairs, [f + N for f in floors], tail
 
 
 def compare_tracked(
@@ -473,28 +477,29 @@ def compare_tracked(
 
 def _series_verdict(
     ctx: PadicContext,
-    a: TateSeries,
-    a_ceil: Sequence[float],
-    b: TateSeries,
-    b_ceil: Sequence[float],
+    xs: Sequence[Tuple[float, int]],
+    xc: Sequence[float],
+    ys: Sequence[Tuple[float, int]],
+    yc: Sequence[float],
 ) -> Verdict:
-    """compare_tracked on every coefficient, folded with &, from the
-    (val, unit) pairs: the valuation of a_v - b_v is the one
+    """compare_tracked on every coefficient, folded with &, for coefficients
+    given as (val, unit) pairs with their ceilings; a missing pair reads
+    zero and a missing ceiling +inf.  The valuation of x_v - y_v is the one
     PadicNumber.__sub__ rounds it to, and no value is allocated."""
     N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
     gap = N - ctx.kappa
-    xs, ys = a.coeffs, b.coeffs
+    nx, ny, ncx, ncy = len(xs), len(ys), len(xc), len(yc)
     out = Verdict.YES
-    for v in range(max(len(xs), len(ys))):
-        vx, xu = (xs[v].val, xs[v].unit) if v < len(xs) else (INF, 0)
-        vy, yu = (ys[v].val, ys[v].unit) if v < len(ys) else (INF, 0)
-        if vx == INF or vy == INF:
-            if vx == vy:
+    for v in range(nx if nx > ny else ny):
+        vx, xu = xs[v] if v < nx else _ZERO
+        vy, yu = ys[v] if v < ny else _ZERO
+        if not (xu and yu):
+            if xu == yu:
                 continue
-            scale, dv = 0, min(vx, vy)
+            scale, dv = 0, vx if vx < vy else vy
         else:
-            scale = dv = min(vx, vy)
-            d = abs(vx - vy)
+            scale = dv = vx if vx < vy else vy
+            d = vx - vy if vx > vy else vy - vx
             if d < N:
                 raw = (xu - yu * ppow[d] if vx <= vy else xu * ppow[d] - yu) % pN
                 if raw:
@@ -503,10 +508,11 @@ def _series_verdict(
                         dv += 1
                 else:
                     dv = INF
-        window = min(a_ceil[v] if v < len(a_ceil) else INF,
-                     b_ceil[v] if v < len(b_ceil) else INF)
+        window = xc[v] if v < ncx else INF
+        if v < ncy and yc[v] < window:
+            window = yc[v]
         threshold = scale + gap
-        if dv < min(window, threshold):
+        if dv < window and dv < threshold:
             return Verdict.NO
         if window < threshold:
             out = Verdict.INDETERMINATE

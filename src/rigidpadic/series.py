@@ -42,6 +42,10 @@ floor + N is the ceiling evaluate_tracked and functions._re_expand report.
 An exact sum does not depend on the order of its summands.  Binomials are
 split over the context's factorial table; their units are residues modulo
 p**N, which changes a summand only at or above its valuation plus N.
+The kernel reads and returns (val, unit) integer pairs, (INF, 0) for zero.
+A PadicNumber is made only where a series is stored, once per coefficient
+by TateSeries._from_pairs, and by evaluate_tracked for its one total; the
+gluing test of functions.is_member_Can compares the pairs themselves.
 
 twisted_mobius is the one routine for every Mobius substitution
 S(lam z / (1 - mu z)) (1 - mu z)^e: raw_mobius, mobius_twist,
@@ -87,6 +91,26 @@ class TateSeries:
         self.m = m
         self.coeffs = tuple(cs)
         self.tail_bound = tail_bound
+
+    @classmethod
+    def _from_pairs(
+        cls, ctx: PadicContext, m: int, pairs: Sequence[Tuple[float, int]], tail_bound=INF
+    ) -> "TateSeries":
+        """The series whose coefficients are the (val, unit) pairs of
+        _offset_sums, at most D + 1 of them on a valid level m.  Trailing
+        zeros are dropped; every value is made as it stands, unchecked."""
+        n = len(pairs)
+        while n and not pairs[n - 1][1]:
+            n -= 1
+        pairs = pairs[:n]
+        zero = ctx.zero() if (INF, 0) in pairs else None
+        self = cls.__new__(cls)
+        self.ctx = ctx
+        self.m = m
+        self.coeffs = tuple([PadicNumber(ctx, v, u, _checked=True) if u else zero
+                             for v, u in pairs])
+        self.tail_bound = tail_bound
+        return self
 
     # -- basics ---------------------------------------------------------
 
@@ -239,7 +263,7 @@ class TateSeries:
             and self.degree + other.degree <= ctx.D
         )
         tb = INF if exact else self.val_c() + other.val_c()
-        return TateSeries(ctx, self.m, cs, tb)
+        return TateSeries._from_pairs(ctx, self.m, cs, tb)
 
     def _match(self, other: "TateSeries") -> None:
         if not self.ctx.same(other.ctx):
@@ -261,7 +285,7 @@ class TateSeries:
         cs, _ = _taylor_shift(self.coeffs, -y)
         # omitted b_v, v > D, draw only on omitted a_l, so the input
         # certificate carries over unchanged
-        return TateSeries(ctx, self.m, cs, self.tail_bound)
+        return TateSeries._from_pairs(ctx, self.m, cs, self.tail_bound)
 
     def raw_scale(self, s: Coercible) -> "TateSeries":
         """f(z) -> f(s z) for any unit s; coefficientwise a_l s^l."""
@@ -324,7 +348,7 @@ class TateSeries:
         if a.is_zero:
             return TateSeries(ctx, new_m, self.coeffs, self.tail_bound)
         cs, _ = _taylor_shift(self.coeffs, a)
-        return TateSeries(ctx, new_m, cs, self.tail_bound)
+        return TateSeries._from_pairs(ctx, new_m, cs, self.tail_bound)
 
     def evaluate(self, z: Coercible) -> PadicNumber:
         """Value at z in p**m Z_p, the first part of evaluate_tracked.
@@ -351,7 +375,8 @@ class TateSeries:
         for l in range(1, len(self.coeffs)):
             zl.append((l * z.val, zl[-1][1] * zu % pN))
         src = [(l, a.val, a.unit) for l, a in enumerate(self.coeffs) if a.unit]
-        (total,), (floor,) = _offset_sums(ctx, src, zl, [(0, 0, 1)])
+        ((val, unit),), (floor,) = _offset_sums(ctx, src, zl, [(0, 0, 1)])
+        total = PadicNumber(ctx, val, unit, _checked=True) if unit else ctx.zero()
         return total, floor + ctx.N
 
 
@@ -399,7 +424,7 @@ def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> 
     outs = [(deg - j, fvals[j - e - 1], fac.units[j - e - 1]) for j in range(top, e, -1)]
     high = _offset_sums(ctx, src, ker, outs)[0][::-1]
     tail = INF if f.tail_bound is INF and deg <= e else f.val_c()
-    return TateSeries(ctx, f.m, low + high, tail)
+    return TateSeries._from_pairs(ctx, f.m, low + high, tail)
 
 
 def _check_weight(ctx: PadicContext, k: int) -> None:
@@ -411,11 +436,12 @@ def _check_weight(ctx: PadicContext, k: int) -> None:
 
 def _taylor_shift(
     coeffs: Sequence[PadicNumber], c: PadicNumber
-) -> Tuple[List[PadicNumber], List[float]]:
+) -> Tuple[List[Tuple[float, int]], List[float]]:
     """The Taylor shift b_v = sum_{l >= v} a_l binom(l, v) c^(l-v), c != 0.
 
-    Returns (b, floors) where floors[v] is the least valuation of the
-    nonzero summands of b_v (+inf when there are none).
+    Returns (b, floors): b[v] is the (val, unit) pair of _offset_sums and
+    floors[v] the least valuation of the nonzero summands of b_v (+inf
+    when there are none).
     """
     ctx = c.ctx
     pN, fac = ctx.pN, ctx.factorials
@@ -441,7 +467,7 @@ def _offset_sums(
     src: Sequence[Tuple[int, int, int]],
     ker: Sequence[Tuple[int, int]],
     outs: Iterable[Tuple[int, int, int]],
-) -> Tuple[List[PadicNumber], List[float]]:
+) -> Tuple[List[Tuple[float, int]], List[float]]:
     """For each output (v, outer_val, outer_unit), the sum over source pairs
     (l, w, u) with l >= v of the summands (w, u) * ker[l - v], times outer.
 
@@ -450,11 +476,12 @@ def _offset_sums(
     p**(floor + N), floor its least summand valuation; the outer unit
     multiplies it once and the result is rounded once.  A summand at or
     above the running floor plus N is skipped, since the floor can only
-    fall.  Returns (sums, floors) where floors[i] is the floor of output i,
-    outer_val included (+inf when it has no summand).
+    fall.  Returns (sums, floors): sums[i] is output i as a (val, unit) pair,
+    (INF, 0) when it is zero, and floors[i] its floor, outer_val included
+    (+inf when it has no summand).
     """
     N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
-    out: List[PadicNumber] = []
+    out: List[Tuple[float, int]] = []
     floors: List[float] = []
     start = 0
     for v, ov, ou in outs:
@@ -474,10 +501,10 @@ def _offset_sums(
         val = floor + ov if floor < INF else INF
         floors.append(val)
         if not unit:
-            out.append(ctx.zero())
+            out.append((INF, 0))
             continue
         while not unit % p:
             unit //= p
             val += 1
-        out.append(PadicNumber(ctx, val, unit, _checked=True))
+        out.append((val, unit))
     return out, floors

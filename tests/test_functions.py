@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from rigidpadic import functions
 from rigidpadic.errors import ParameterError
 from rigidpadic.padic import INF, PadicContext, PadicNumber
 from rigidpadic.functions import (
+    MAX_LEVEL,
     Leaf,
     LocallyAlgebraicFunction,
     PiecewiseFunction,
@@ -257,7 +259,7 @@ class TestMembershipCan:
         res = is_member_Can(f, 1)
         assert res.status is Verdict.YES
         assert res.detail == "5 leaves glue"
-        tails = [_re_expand(ctx, lf, 1)[0].tail_bound for lf in f.leaves_in_ball(1)]
+        tails = [_re_expand(ctx, lf, 1)[2] for lf in f.leaves_in_ball(1)]
         assert tails == [9, INF, 2, INF, INF]
         assert res.witness.tail_bound == 2
         assert res.witness.coeffs == (ctx.from_int(25), ctx.from_int(5))
@@ -267,7 +269,7 @@ class TestMembershipCan:
         # the witness is truncated: nothing stored, tail 3, never +inf
         leaves = [Leaf(0, 1, TateSeries.zero(ctx, 1))] + [
             Leaf(c, 1, TateSeries(ctx, 1, [], 3)) for c in range(1, 5)]
-        assert _re_expand(ctx, leaves[1], 0)[0].tail_bound == 3
+        assert _re_expand(ctx, leaves[1], 0)[2] == 3
         res = is_member_Can(PiecewiseFunction(ctx, leaves), 0)
         assert res.status is Verdict.YES
         assert res.witness == TateSeries(ctx, 0, [], 3)
@@ -323,6 +325,11 @@ def _folded_verdict(ctx, a, a_ceil, b, b_ceil):
         cb = b_ceil[v] if v < len(b_ceil) else INF
         out = out & compare_tracked(ctx, a.coeff(v), ca, b.coeff(v), cb)
     return out
+
+
+def _pairs(s):
+    """The (val, unit) pairs of a series' stored coefficients."""
+    return [(c.val, c.unit) for c in s.coeffs]
 
 
 def _rand_num(ctx, rng, val):
@@ -382,10 +389,137 @@ class TestSeriesVerdictOracle:
                 ys = ys[: rng.randint(0, len(ys))]  # unequal lengths
             a, b = TateSeries(octx, 0, xs), TateSeries(octx, 0, ys)
             ac, bc = _rand_ceilings(octx, rng, xs), _rand_ceilings(octx, rng, ys)
-            got = _series_verdict(octx, a, ac, b, bc)
+            got = _series_verdict(octx, _pairs(a), ac, _pairs(b), bc)
             assert got is _folded_verdict(octx, a, ac, b, bc), (a, ac, b, bc)
             seen.add(got)
         assert seen == set(Verdict)
+
+
+def _frac_val(q, p):
+    """Exact p-adic valuation of a nonzero Fraction."""
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _reference_candidate(ctx, lf, m):
+    """The glued candidate of one leaf from public operations: the leaf
+    series translated by its center, its tail certificate, and each
+    ceiling as the least exact summand valuation plus N."""
+    s = lf.series
+    cand = TateSeries(ctx, m, s.coeffs, s.tail_bound).translate(ctx.from_int(lf.center))
+    tail = s.tail_bound
+    if lf.center and tail is not INF and cand.coeffs:
+        tail = cand.stored_val_c()
+    aq, cq = [a.to_fraction() for a in s.coeffs], Fraction(-lf.center)
+    ceilings = []
+    for v in range(len(aq)):
+        terms = [aq[l] * comb(l, v) * cq ** (l - v) for l in range(v, len(aq))]
+        ceilings.append(min((_frac_val(t, ctx.p) for t in terms if t), default=INF) + ctx.N)
+    return cand, ceilings, tail
+
+
+def _reference_can(f, m):
+    """(status, detail, witness) of the gluing test on a ball that no leaf
+    covers, with compare_tracked folded over every coefficient of each
+    candidate against the first."""
+    ctx = f.ctx
+    inball = f.leaves_in_ball(m)
+    ref, ref_ceil, tail = _reference_candidate(ctx, inball[0], m)
+    culprit = ""
+    for lf in inball[1:]:
+        cand, ceil, cand_tail = _reference_candidate(ctx, lf, m)
+        verdict = Verdict.YES
+        for v in range(max(len(ref.coeffs), len(cand.coeffs))):
+            verdict = verdict & compare_tracked(
+                ctx, ref.coeff(v), ref_ceil[v] if v < len(ref_ceil) else INF,
+                cand.coeff(v), ceil[v] if v < len(ceil) else INF)
+        if verdict is not Verdict.YES and not culprit:
+            culprit = f"leaf at center {lf.center} (level {lf.level})"
+        if verdict is Verdict.NO:
+            return Verdict.NO, f"re-expansions disagree: {culprit}", None
+        tail = min(tail, cand_tail)
+    if culprit:
+        return Verdict.INDETERMINATE, f"comparison starved: {culprit}", None
+    return Verdict.YES, f"{len(inball)} leaves glue", TateSeries(ctx, m, ref.coeffs, tail)
+
+
+def _rand_global(ctx, rng, tail):
+    """A level-0 series of degree <= 5 with some zero coefficients and
+    valuations from -1 to 3."""
+    p = ctx.p
+    cs = [0 if rng.random() < 0.2 else
+          Fraction(rng.randrange(1, p ** 6), 1) * Fraction(p) ** rng.randint(-1, 3)
+          for _ in range(rng.randint(1, 6))]
+    return TateSeries(ctx, 0, cs, tail)
+
+
+def _gluing_case(ctx, rng, kind):
+    """(f, m) of the given kind on a random partition of depth <= 3."""
+    p = ctx.p
+    tail = INF if kind != "truncated" else rng.randint(0, ctx.N)
+    f = random_function(ctx, rng, splits=rng.randint(2, 6),
+                        global_series=_rand_global(ctx, rng, tail))
+    leaves = list(f.leaves)
+    if kind == "perturbed":
+        # one digit added to one coefficient of one leaf, on either side of
+        # the comparison threshold
+        i = rng.randrange(len(leaves))
+        lf = leaves[i]
+        cs = list(lf.series.coeffs) + [ctx.zero()] * 2
+        j = rng.randrange(len(cs))
+        cs[j] = cs[j] + ctx.from_int(p ** rng.randint(0, ctx.N + 2))
+        leaves[i] = Leaf(lf.center, lf.level, TateSeries(ctx, lf.level, cs[:ctx.D + 1]))
+    elif kind == "truncated":
+        # some leaves lose their top stored coefficients
+        for i, lf in enumerate(leaves):
+            if rng.random() < 0.3:
+                cut = rng.randint(0, len(lf.series.coeffs))
+                leaves[i] = Leaf(lf.center, lf.level,
+                                 TateSeries(ctx, lf.level, lf.series.coeffs[:cut], tail))
+    elif kind == "zero":
+        leaves = [Leaf(lf.center, lf.level,
+                       TateSeries(ctx, lf.level, [], rng.choice([INF, rng.randint(0, 9)])))
+                  for lf in leaves]
+    # below the level of the leaf at center 0 no leaf covers the ball
+    return PiecewiseFunction(ctx, leaves), rng.randrange(f.covering_leaf(MAX_LEVEL).level)
+
+
+class TestGluingDifferential:
+    """is_member_Can, which glues on (val, unit) pairs, against
+    _reference_can, which builds every candidate as a TateSeries through
+    translate, takes its ceilings from exact Fraction summands and folds
+    the public compare_tracked."""
+
+    CONTEXTS = [PadicContext(3, 12, 16), PadicContext(5, 40, 64), PadicContext(7, 20, 24),
+                PadicContext(3, 3, 16, kappa=1), PadicContext(5, 4, 16, kappa=2),
+                PadicContext(7, 2, 16, kappa=0)]
+    KINDS = ("refined", "perturbed", "truncated", "zero")
+
+    @pytest.mark.parametrize("dctx", CONTEXTS, ids=lambda c: f"p{c.p}-N{c.N}")
+    def test_same_status_detail_and_witness(self, dctx):
+        rng = random.Random(dctx.p * 1000 + dctx.N)
+        seen = set()
+        for i in range(120):
+            kind = self.KINDS[i % len(self.KINDS)]
+            f, m = _gluing_case(dctx, rng, kind)
+            got = is_member_Can(f, m)
+            status, detail, witness = _reference_can(f, m)
+            assert (got.status, got.detail) == (status, detail), (kind, m, f.leaves)
+            if witness is None:
+                assert got.witness is None
+            else:
+                assert (got.witness.m, got.witness.coeffs, got.witness.tail_bound) == (
+                    m, witness.coeffs, witness.tail_bound)
+            seen.add(status)
+        # a few digits starve some comparisons; N >= 12 decides them all or
+        # nearly all
+        assert seen == set(Verdict) if dctx.N <= 4 else seen >= {Verdict.YES, Verdict.NO}
 
 
 class TestMembershipSmooth:

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from rigidpadic.errors import DomainError, ParameterError
 from rigidpadic.functions import Leaf, _re_expand
 from rigidpadic.padic import INF, PadicContext, PadicNumber
-from rigidpadic.series import TateSeries, _taylor_shift, one_minus_cz_pow, twisted_mobius
+from rigidpadic.series import (
+    TateSeries, _offset_sums, _taylor_shift, one_minus_cz_pow, twisted_mobius,
+)
 from exact_image import assert_meets_contract, twisted_image
 
 
@@ -486,8 +488,20 @@ def _assert_evaluation(f, z):
                   [ceiling])
 
 
+def _nums(ctx, pairs):
+    """Kernel (val, unit) pairs read as PadicNumbers."""
+    return [PadicNumber(ctx, v, u, _checked=True) for v, u in pairs]
+
+
+def _shift(coeffs, c):
+    """_taylor_shift with its pairs read as PadicNumbers."""
+    pairs, floors = _taylor_shift(coeffs, c)
+    return _nums(c.ctx, pairs), floors
+
+
 def _assert_re_expand(ctx, leaf, m):
-    cand, ceilings = _re_expand(ctx, leaf, m)
+    pairs, ceilings, tail_bound = _re_expand(ctx, leaf, m)
+    cand = TateSeries(ctx, m, _nums(ctx, pairs), tail_bound)
     _assert_exact(ctx, cand.coeffs, _shift_terms(leaf.series.coeffs, -ctx.from_int(leaf.center)),
                   ceilings)
     tail = leaf.series.tail_bound
@@ -546,7 +560,7 @@ class TestTaylorShiftKernel:
         g = f.recenter(y, f.m + 1)
         _assert_exact(ctx, g.coeffs, _shift_terms(f.coeffs, y))
         assert (g.m, g.tail_bound) == (f.m + 1, f.tail_bound)
-        coeffs, floors = _taylor_shift(f.coeffs, y)
+        coeffs, floors = _shift(f.coeffs, y)
         _assert_exact(ctx, coeffs, _shift_terms(f.coeffs, y), [fl + ctx.N for fl in floors])
         x = ctx.from_int(p ** max(1, f.m) * rng.randrange(1, p ** 4))
         one = ctx.one()
@@ -629,7 +643,7 @@ class TestTaylorShiftKernel:
             dropped += sum(v >= top for v in vals)
             at_edge += sum(v == top for v in vals)
         assert dropped > total // 2 and at_edge
-        coeffs, floors = _taylor_shift(f.coeffs, c)
+        coeffs, floors = _shift(f.coeffs, c)
         _assert_exact(ctx, coeffs, sums, [fl + ctx.N for fl in floors])
         # raw_mobius (x^q) and evaluate_tracked (z^l) sum through the same
         # kernel and skip the same way; at val(z) = cv - 1 some summand of the
@@ -681,12 +695,56 @@ class TestTaylorShiftKernel:
         c = ctx.from_int(p ** 3)
         a1 = Fraction(p ** 2 - 1 if raised else -1, p ** 3)
         f = TateSeries(ctx, 0, [1, a1, p ** 3])
-        coeffs, floors = _taylor_shift(f.coeffs, c)
+        coeffs, floors = _shift(f.coeffs, c)
         _assert_exact(ctx, coeffs, _shift_terms(f.coeffs, c), [fl + ctx.N for fl in floors])
         assert floors[0] == 0
         assert coeffs[0] == (ctx.from_int(p ** 2) if raised else ctx.zero())
         exact = (p ** 2 if raised else 0) + p ** 9
         assert (coeffs[0].to_fraction() - exact) % p ** 8 == 0
+
+
+class TestFromPairs:
+    """TateSeries._from_pairs on kernel outputs gives the series the public
+    constructor gives on the same values: trailing zero pairs dropped, the
+    same coefficients, tail and hash."""
+
+    @staticmethod
+    def _assert_same(ctx, m, pairs, tail):
+        got = TateSeries._from_pairs(ctx, m, pairs, tail)
+        want = TateSeries(ctx, m, [PadicNumber(ctx, v, u, _checked=True) if u else ctx.zero()
+                                   for v, u in pairs], tail)
+        assert got == want and hash(got) == hash(want)
+        assert (got.m, got.coeffs, got.tail_bound) == (want.m, want.coeffs, want.tail_bound)
+        return got
+
+    def test_trailing_zero_pairs(self, ctx):
+        # suffix sums of four coefficients asked for at seven outputs: the
+        # last three have no summand
+        f = TateSeries(ctx, 1, [3, 0, Fraction(7, 5), 25])
+        src = [(l, a.val, a.unit) for l, a in enumerate(f.coeffs) if a.unit]
+        pairs, floors = _offset_sums(ctx, src, [(0, 1)] * 4, [(v, 0, 1) for v in range(7)])
+        assert pairs[4:] == [(INF, 0)] * 3 and floors[4:] == [INF] * 3
+        for tail in (INF, 5):
+            assert self._assert_same(ctx, 1, pairs, tail).degree == 3
+
+    def test_all_zero_outputs(self, ctx):
+        # an empty source, and two summands that cancel exactly
+        pN = ctx.pN
+        empty, _ = _taylor_shift([ctx.zero()] * 3, ctx.from_int(5))
+        cancelled, floors = _offset_sums(ctx, [(0, 2, 1), (0, 2, pN - 1)], [(0, 1)],
+                                         [(0, 0, 1)])
+        assert empty == [(INF, 0)] * 3 and cancelled == [(INF, 0)] and floors == [2]
+        for pairs in (empty, cancelled, []):
+            for tail in (INF, 3):
+                got = self._assert_same(ctx, 2, pairs, tail)
+                assert got == TateSeries(ctx, 2, [], tail)
+
+    def test_kernel_routes(self, ctx):
+        rng = random.Random(5)
+        for _ in range(20):
+            f = _kernel_series(ctx, rng, 1, rng.randint(0, 8))
+            pairs, _ = _taylor_shift(f.coeffs, ctx.from_int(5 * rng.randrange(1, 99)))
+            self._assert_same(ctx, 1, pairs + [(INF, 0)] * rng.randint(0, 3), f.tail_bound)
 
 
 class TestStoredDigitsBelowCeilings:
@@ -702,12 +760,12 @@ class TestStoredDigitsBelowCeilings:
             for degree in (2, 5, 16, 64):
                 f = _kernel_series(ctx, rng, m, degree, lo=0, spread=3)
                 c = ctx.from_int(p ** (m + rng.randrange(3)) * rng.randrange(1, p ** 4))
-                coeffs, floors = _taylor_shift(f.coeffs, c)
+                coeffs, floors = _shift(f.coeffs, c)
                 _assert_below_ceilings(coeffs, [fl + ctx.N for fl in floors])
                 leaf = Leaf(rng.randrange(1, p ** (m + 1)), m + 1,
                             TateSeries(ctx, m + 1, f.coeffs, f.tail_bound))
-                cand, ceilings = _re_expand(ctx, leaf, m)
-                _assert_below_ceilings(cand.coeffs, ceilings)
+                pairs, ceilings, _ = _re_expand(ctx, leaf, m)
+                _assert_below_ceilings(_nums(ctx, pairs), ceilings)
                 total, ceiling = f.evaluate_tracked(c)
                 _assert_below_ceilings([total], [ceiling])
 
@@ -716,7 +774,7 @@ class TestStoredDigitsBelowCeilings:
         # cancelled partial sum at its own valuation left p^9 above ceiling 8
         ctx = PadicContext(5, 8, 16)
         f = TateSeries(ctx, 0, [1, Fraction(-1, 125), 125])
-        coeffs, floors = _taylor_shift(f.coeffs, ctx.from_int(125))
+        coeffs, floors = _shift(f.coeffs, ctx.from_int(125))
         _assert_below_ceilings(coeffs, [fl + ctx.N for fl in floors])
         total, ceiling = f.evaluate_tracked(ctx.from_int(125))
         _assert_below_ceilings([total], [ceiling])

@@ -52,10 +52,12 @@ checks it against the exact image of tests/exact_image.py, computed from
 Fractions outside the library).
 
 A TateSeries at level m is the one leaf (0, m): act admits it only for g
-in G(m) (I(1) at m = 0), so R = 0.  The generator chain mobius_twist,
-dilate, inv_torus, translate cuts the mobius image before it translates, so
-it can miss the contract where this route meets it.  Only twisted_mobius
-expands the twist, so k - 2 > D is refused only when b != 0.
+in G(m) (I(1) at m = 0), so R = 0.  The one-parameter matrices
+[[1, 0], [y, 1]], diag(s, 1), [[1, x], [0, 1]] and diag(1, t) act as
+f(z - y), f(s z), the mobius twist by x and f(z / t) t^e.  Composing their
+images one after another cuts the mobius image at z^D before it translates,
+so it can miss the contract where act by the product meets it.  Only
+twisted_mobius expands the twist, so k - 2 > D is refused only when b != 0.
 
 The w0 Weyl cell carries the action of the w0-conjugate matrix (swap
 a <-> d and b <-> c); when the conjugate leaves the actionable range
@@ -65,10 +67,9 @@ a <-> d and b <-> c); when the conjugate leaves the actionable range
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Union
+from typing import Iterable, List, Union
 
-from .errors import (DomainError, FactorizationError, InvariantViolation, ParameterError,
-                     PrecisionError)
+from .errors import DomainError, InvariantViolation, ParameterError, PrecisionError
 from .functions import (
     Leaf,
     LocallyAlgebraicFunction,
@@ -257,33 +258,6 @@ class IwahoriElement:
     def __repr__(self) -> str:
         e = [v.to_string() for v in (self.a, self.b, self.c, self.d)]
         return f"IwahoriElement([[{e[0]}, {e[1]}], [{e[2]}, {e[3]}]], level={self.level!r})"
-
-
-class Factorization(NamedTuple):
-    y: PadicNumber
-    s: PadicNumber
-    t: PadicNumber
-    x: PadicNumber
-
-
-def iwahori_factorize(g: IwahoriElement) -> Factorization:
-    """Unique lower/diagonal/upper factorization; needs a to be a unit.
-
-    g = [[1, 0], [y, 1]] [[s, 0], [0, t]] [[1, x], [0, 1]] with y = c / a,
-    s = a, t = d - c b / a and x = b / a, each rounded to N relative digits.
-    No action calls it: they read g's entries directly.
-    """
-    if g.a.is_zero or g.a.val != 0:
-        raise FactorizationError(
-            f"upper-left entry must be a unit, valp(a) = {g.a.val}"
-        )
-    y = g.c / g.a
-    s = g.a
-    t = g.d - g.c * g.b / g.a
-    x = g.b / g.a
-    if t.is_zero or t.val != 0:
-        raise FactorizationError("diagonal entry t = d - cb/a is not a unit")
-    return Factorization(y, s, t, x)
 
 
 @dataclass(frozen=True)

@@ -103,11 +103,9 @@ def orbit_translation(f: TateSeries, m: int) -> OrbitExpansion:
     return OrbitExpansion("translation", m, f, tuple(comps))
 
 
-def orbit_mobius(f: TateSeries, m: int, k: int) -> OrbitExpansion:
+def orbit_mobius(f: TateSeries, m: int) -> OrbitExpansion:
     """Untwisted mobius orbit; the (1 - x z)^(k-2) factor is polynomial
-    and tracked separately, so k only gets validated here."""
-    if k < 2:
-        raise ParameterError(f"weight k must be >= 2, got {k}")
+    and tracked separately."""
     _check_level(f, m)
     ctx = f.ctx
     vc = f.val_c()
@@ -142,10 +140,10 @@ def orbit_inv_torus(f: TateSeries, m: int) -> OrbitExpansion:
     return OrbitExpansion("inv_torus", m, f, tuple(comps))
 
 
-def expand_all(f: TateSeries, m: int, k: int = 2) -> Dict[str, OrbitExpansion]:
+def expand_all(f: TateSeries, m: int) -> Dict[str, OrbitExpansion]:
     return {
         "translation": orbit_translation(f, m),
-        "mobius": orbit_mobius(f, m, k),
+        "mobius": orbit_mobius(f, m),
         "dilation": orbit_dilation(f, m),
         "inv_torus": orbit_inv_torus(f, m),
     }

@@ -28,7 +28,6 @@ from .errors import (
     BoundViolation,
     DivisionError,
     DomainError,
-    FactorizationError,
     InvariantViolation,
     ParameterError,
     ParameterMismatch,
@@ -369,7 +368,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParameterMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (DomainError, DivisionError, FactorizationError, PrecisionError) as exc:
+    except (DomainError, DivisionError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except BoundViolation as exc:

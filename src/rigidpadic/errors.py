@@ -26,10 +26,6 @@ class ParameterError(RigidPadicError, ValueError):
     """Structurally invalid parameter: bad prime, weight < 2, level < 0, ..."""
 
 
-class FactorizationError(RigidPadicError):
-    """Matrix cannot be put in lower/diagonal/upper form (non-unit corner)."""
-
-
 class ParameterMismatch(RigidPadicError):
     """Objects built from incompatible parameter sets were combined."""
 

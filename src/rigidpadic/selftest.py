@@ -25,7 +25,6 @@ from .actions import (
     act_cell,
     act_locally_algebraic,
     act_smooth,
-    iwahori_factorize,
 )
 from .errors import ParameterError, RigidPadicError
 from .functions import (
@@ -38,7 +37,7 @@ from .functions import (
     mahler_coefficients,
 )
 from .padic import INF, PadicContext, PadicNumber, padic_log
-from .series import TateSeries, one_minus_cz_pow
+from .series import TateSeries, twisted_mobius
 from .verdict import Verdict
 
 CaseFn = Callable[[PadicContext, random.Random], Optional[str]]
@@ -187,18 +186,31 @@ def _rand_gm_params(ctx: PadicContext, rng: random.Random, m: int):
     return y, x, s, t
 
 
+def _generator_matrices(ctx: PadicContext, y, x, s, t, m: int) -> Dict[str, IwahoriElement]:
+    """The one-parameter matrices of G(m) whose actions are f(z - y), f(s z),
+    the mobius twist by x and f(z / t) t^(k-2)."""
+    one, zero = ctx.one(), ctx.zero()
+    return {
+        "translate": IwahoriElement(ctx, one, zero, y, one, m),
+        "dilate": IwahoriElement(ctx, s, zero, zero, one, m),
+        "mobius_twist": IwahoriElement(ctx, one, x, zero, one, m),
+        "inv_torus": IwahoriElement(ctx, one, zero, zero, t, m),
+    }
+
+
+def _weight(ctx: PadicContext, k: int) -> InductionCharacter:
+    """A weight-k character; only k enters the action."""
+    return InductionCharacter(ctx.one(), ctx.one(), k, strict=False)
+
+
 def case_series_isometry(ctx: PadicContext, rng: random.Random) -> Optional[str]:
     m = rng.randint(1, 3)
     f = rand_series(ctx, rng, m)
     y, x, s, t = _rand_gm_params(ctx, rng, m)
-    k = rng.randint(2, 5)
+    chi = _weight(ctx, rng.randint(2, 5))
     before = f.val_c()
-    for name, out in (
-        ("translate", f.translate(y)),
-        ("dilate", f.dilate(s)),
-        ("mobius_twist", f.mobius_twist(x, k)),
-        ("inv_torus", f.inv_torus(t, k)),
-    ):
+    for name, g in _generator_matrices(ctx, y, x, s, t, m).items():
+        out = act(g, f, chi)
         if out.val_c() != before:
             return f"{name} moved val_C from {_fmt(before)} to {_fmt(out.val_c())}"
     return None
@@ -210,19 +222,15 @@ def case_series_substitution(ctx: PadicContext, rng: random.Random) -> Optional[
     y, x, s, t = _rand_gm_params(ctx, rng, m)
     k = rng.randint(2, 4)
     z = rand_in_ball(ctx, rng, m)
-    one = ctx.one()
-    checks = [
-        ("translate", f.translate(y).evaluate(z), f.evaluate(z - y)),
-        ("dilate", f.dilate(s).evaluate(z), f.evaluate(s * z)),
-        (
-            "mobius_twist",
-            f.mobius_twist(x, k).evaluate(z),
-            f.evaluate(z / (one - x * z)) * (one - x * z) ** (k - 2),
-        ),
-        ("inv_torus", f.inv_torus(t, k).evaluate(z), f.evaluate(z / t) * t ** (k - 2)),
+    one, chi = ctx.one(), _weight(ctx, k)
+    wants = [
+        f.evaluate(z - y),
+        f.evaluate(s * z),
+        f.evaluate(z / (one - x * z)) * (one - x * z) ** (k - 2),
+        f.evaluate(z / t) * t ** (k - 2),
     ]
-    for name, got, want in checks:
-        if not got.agrees_with(want):
+    for (name, g), want in zip(_generator_matrices(ctx, y, x, s, t, m).items(), wants):
+        if not act(g, f, chi).evaluate(z).agrees_with(want):
             return f"{name} evaluation mismatch at a sample point"
     return None
 
@@ -352,8 +360,8 @@ def case_actions_degree(ctx: PadicContext, rng: random.Random) -> Optional[str]:
             lf = out.leaves[0]
             if lf.series.degree > k - 2:
                 return f"degree bound broken at k = {k}, monomial z^{j}"
-            want = TateSeries.monomial(ctx, 0, j) * one_minus_cz_pow(
-                ctx, 0, x, k - 2 - j
+            want = TateSeries.monomial(ctx, 0, j) * twisted_mobius(
+                TateSeries.constant(ctx, 0, 1), ctx.one(), x, k - 2 - j
             )
             if not lf.series.agrees_with(want):
                 return f"twisted monomial image wrong at k = {k}, j = {j}"
@@ -362,10 +370,11 @@ def case_actions_degree(ctx: PadicContext, rng: random.Random) -> Optional[str]:
 
 def case_actions_factorize(ctx: PadicContext, rng: random.Random) -> Optional[str]:
     g = rand_iwahori(ctx, rng, rng.choice([I1, 1, 2]))
-    fac = iwahori_factorize(g)
-    lower = IwahoriElement(ctx, ctx.one(), ctx.zero(), fac.y, ctx.one(), I1)
-    diag = IwahoriElement(ctx, fac.s, ctx.zero(), ctx.zero(), fac.t, I1)
-    upper = IwahoriElement(ctx, ctx.one(), fac.x, ctx.zero(), ctx.one(), I1)
+    # g = [[1, 0], [y, 1]] diag(a, t) [[1, x], [0, 1]], each factor rounded
+    y, t, x = g.c / g.a, g.d - g.c * g.b / g.a, g.b / g.a
+    lower = IwahoriElement(ctx, ctx.one(), ctx.zero(), y, ctx.one(), I1)
+    diag = IwahoriElement(ctx, g.a, ctx.zero(), ctx.zero(), t, I1)
+    upper = IwahoriElement(ctx, ctx.one(), x, ctx.zero(), ctx.one(), I1)
     back = lower @ diag @ upper
     for name, got, want in (
         ("a", back.a, g.a),
@@ -396,13 +405,15 @@ def case_orbit_reconstruction(ctx: PadicContext, rng: random.Random) -> Optional
     f = rand_series(ctx, rng, m, max_deg=6, lo=0)
     z = rand_in_ball(ctx, rng, m)
     y, x, s, t = _rand_gm_params(ctx, rng, m)
+    gens, chi = _generator_matrices(ctx, y, x, s, t, m), _weight(ctx, 2)
     plans = [
-        ("translation", analytic.orbit_translation(f, m), y, f.translate(y)),
-        ("mobius", analytic.orbit_mobius(f, m, 2), x, f.raw_mobius(x)),
-        ("dilation", analytic.orbit_dilation(f, m), s - ctx.one(), f.dilate(s)),
-        ("inv_torus", analytic.orbit_inv_torus(f, m), t - ctx.one(), f.inv_torus(t, 2)),
+        ("translation", analytic.orbit_translation(f, m), y, gens["translate"]),
+        ("mobius", analytic.orbit_mobius(f, m), x, gens["mobius_twist"]),
+        ("dilation", analytic.orbit_dilation(f, m), s - ctx.one(), gens["dilate"]),
+        ("inv_torus", analytic.orbit_inv_torus(f, m), t - ctx.one(), gens["inv_torus"]),
     ]
-    for name, exp, param, reference in plans:
+    for name, exp, param, g in plans:
+        reference = act(g, f, chi)
         total = ctx.zero()
         power = ctx.one()
         for comp in exp.components:

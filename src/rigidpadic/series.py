@@ -16,14 +16,14 @@ The Banach valuation on the ball is
 computed over the stored part and capped by the tail certificate.  It
 equals the sup-norm valuation of f on the ball.
 
-Substitution operators implement the generator actions used elsewhere:
-translate f(z - y), dilate f(s z), mobius f(z/(1 - x z)) (1 - x z)^(k-2)
-and the inverse-torus twist f(z/t) t^(k-2).  Each records a new tail
-certificate derived from the input's certificate; every one of them
-preserves val_C exactly (they are invertible isometries of the ball).
-scale, raw_scale (and dilate through it), inv_torus and the leafwise
-action's last pass share scale_powers: a_l -> a_l c ratio^l for a unit ratio,
-one unit product mod p**N per coefficient; it moves the tail bound by valp(c).
+A matrix acts through actions.act, which reads its Mobius map from the
+entries.  The substitutions kept here are translate f(z - y), raw_mobius
+f(z/(1 - x z)) and mobius_twist f(z/(1 - x z)) (1 - x z)^(k-2); each records
+a new tail certificate derived from the input's certificate and preserves
+val_C exactly (they are invertible isometries of the ball).  scale and the
+leafwise action's last pass share scale_powers: a_l -> a_l c ratio^l for a
+unit ratio, one unit product mod p**N per coefficient; it moves the tail
+bound by valp(c).
 
 Precision model (Caruso, "Computations with p-adic numbers",
 arXiv:1701.06794): a coefficient is stored capped-relative, p**val * unit
@@ -48,14 +48,14 @@ by TateSeries._from_pairs, and by evaluate_tracked for its one total; the
 gluing test of functions.is_member_Can compares the pairs themselves.
 
 twisted_mobius is the one routine for every Mobius substitution
-S(lam z / (1 - mu z)) (1 - mu z)^e: raw_mobius, mobius_twist,
-one_minus_cz_pow and the leafwise action call it.  It sets the tail bound
-itself: +inf when S is exact of degree <= e, whose image is then an exact
-polynomial of degree <= e, and val_C(S) otherwise.  Its outputs split at
-j = e: c_j draws on a_l with l <= e for j <= e, and with l > e for j > e.
-It rounds each c_j once, where the product of the untwisted substitution
-and the twist rounds two sums for deg S > e >= 1.  Every summand of c_j has
-valuation >= val_C - m j, so c_j agrees with the exact image modulo
+S(lam z / (1 - mu z)) (1 - mu z)^e: raw_mobius, mobius_twist and the
+leafwise action call it.  It sets the tail bound itself: +inf when S is
+exact of degree <= e, whose image is then an exact polynomial of degree
+<= e, and val_C(S) otherwise.  Its outputs split at j = e: c_j draws on
+a_l with l <= e for j <= e, and with l > e for j > e.  It rounds each c_j
+once, where the product of the untwisted substitution and the twist rounds
+two sums for deg S > e >= 1.  Every summand of c_j has valuation
+>= val_C - m j, so c_j agrees with the exact image modulo
 p**(val_C - m j + N), inside N - kappa (tests/test_series.py checks it
 against the exact image of tests/exact_image.py).
 """
@@ -287,17 +287,6 @@ class TateSeries:
         # certificate carries over unchanged
         return TateSeries._from_pairs(ctx, self.m, cs, self.tail_bound)
 
-    def raw_scale(self, s: Coercible) -> "TateSeries":
-        """f(z) -> f(s z) for any unit s; coefficientwise a_l s^l."""
-        return self.scale_powers(self.ctx.one(), self.ctx.num(s))
-
-    def dilate(self, s: Coercible) -> "TateSeries":
-        """f(z) -> f(s z) in the torus range s = 1 mod p**m."""
-        s = self.ctx.num(s)
-        if (s - self.ctx.one()).val < self.m:
-            raise DomainError(f"dilation needs valp(s - 1) >= {self.m}")
-        return self.raw_scale(s)
-
     def raw_mobius(self, x: Coercible) -> "TateSeries":
         """Untwisted substitution f(z) -> f(z / (1 - x z)), valp(x) >= 1."""
         ctx = self.ctx
@@ -315,7 +304,10 @@ class TateSeries:
         """
         ctx = self.ctx
         x = ctx.num(x)
-        _check_weight(ctx, k)
+        if k < 2:
+            raise ParameterError(f"weight k must be >= 2, got {k}")
+        if k - 2 > ctx.D:
+            raise ParameterError(f"weight k={k} needs twist degree k-2 <= D={ctx.D}")
         if x.is_zero:
             return self
         if x.val < max(1, self.m):
@@ -323,15 +315,6 @@ class TateSeries:
                 f"mobius parameter needs valp(x) >= {max(1, self.m)}, got {x.val}"
             )
         return twisted_mobius(self, ctx.one(), x, k - 2)
-
-    def inv_torus(self, t: Coercible, k: int) -> "TateSeries":
-        """Torus action f(z) -> f(z / t) * t^(k - 2), t = 1 mod p**m."""
-        ctx = self.ctx
-        t = ctx.num(t)
-        _check_weight(ctx, k)
-        if (t - ctx.one()).val < self.m:
-            raise DomainError(f"inverse torus needs valp(t - 1) >= {self.m}")
-        return self.scale_powers(t ** (k - 2), t.invert())
 
     def recenter(self, a: Coercible, new_m: int) -> "TateSeries":
         """Re-expansion around a: g(z') = f(a + z') on the ball p**new_m Z_p.
@@ -380,11 +363,6 @@ class TateSeries:
         return total, floor + ctx.N
 
 
-def one_minus_cz_pow(ctx: PadicContext, m: int, c: PadicNumber, e: int) -> TateSeries:
-    """The exact polynomial (1 - c z)^e, 0 <= e <= D."""
-    return twisted_mobius(TateSeries.constant(ctx, m, 1), ctx.one(), c, e)
-
-
 def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> TateSeries:
     """S(lam z / (1 - mu z)) (1 - mu z)^e on f's ball, for S = f, lam != 0
     and 0 <= e <= D, truncated at z^D with the tail bound of the module
@@ -425,13 +403,6 @@ def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> 
     high = _offset_sums(ctx, src, ker, outs)[0][::-1]
     tail = INF if f.tail_bound is INF and deg <= e else f.val_c()
     return TateSeries._from_pairs(ctx, f.m, low + high, tail)
-
-
-def _check_weight(ctx: PadicContext, k: int) -> None:
-    if k < 2:
-        raise ParameterError(f"weight k must be >= 2, got {k}")
-    if k - 2 > ctx.D:
-        raise ParameterError(f"weight k={k} needs twist degree k-2 <= D={ctx.D}")
 
 
 def _taylor_shift(

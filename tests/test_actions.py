@@ -1,4 +1,4 @@
-"""Matrix factorization and the twisted left action on every function model."""
+"""Iwahori elements and the twisted left action on every function model."""
 
 import random
 from fractions import Fraction
@@ -15,9 +15,8 @@ from rigidpadic.actions import (
     act_cell,
     act_locally_algebraic,
     act_smooth,
-    iwahori_factorize,
 )
-from rigidpadic.errors import DomainError, FactorizationError, ParameterError, PrecisionError
+from rigidpadic.errors import DomainError, ParameterError, PrecisionError
 from rigidpadic.functions import (
     Leaf,
     LocallyAlgebraicFunction,
@@ -91,48 +90,6 @@ class TestIwahoriElement:
         gh = g @ h
         assert gh.level == I1
         assert gh.a == g.a * h.a + g.b * h.c
-
-
-class TestFactorization:
-    def test_identity(self, ctx):
-        f = iwahori_factorize(IwahoriElement(ctx, 1, 0, 0, 1, I1))
-        assert f.y.is_zero and f.x.is_zero
-        assert f.s == ctx.one() and f.t == ctx.one()
-
-    def test_pure_lower(self, ctx):
-        f = iwahori_factorize(lower(ctx, 3))
-        assert f.y == ctx.from_int(3)
-        assert f.s == ctx.one() and f.t == ctx.one() and f.x.is_zero
-
-    def test_frozen_example(self, ctx):
-        g = IwahoriElement(ctx, 6, 5, 1, 6, I1)
-        f = iwahori_factorize(g)
-        assert f.y == ctx.from_fraction(Fraction(1, 6))
-        assert f.s == ctx.from_int(6)
-        assert f.t == ctx.from_fraction(Fraction(31, 6))
-        assert f.x == ctx.from_fraction(Fraction(5, 6))
-
-    def test_reassembly(self, ctx):
-        rng = random.Random(17)
-        for _ in range(30):
-            g = IwahoriElement(
-                ctx,
-                1 + 5 * rng.randrange(0, 100),
-                5 * rng.randrange(0, 100),
-                rng.randrange(0, 100),
-                1 + 5 * rng.randrange(0, 100),
-                I1,
-            )
-            f = iwahori_factorize(g)
-            # L * D * U multiplied back entrywise
-            a = f.s
-            b = f.s * f.x
-            c = f.y * f.s
-            d = f.y * f.s * f.x + f.t
-            assert a.agrees_with(g.a)
-            assert b.agrees_with(g.b) or (b - g.b).is_zero
-            assert c.agrees_with(g.c) or (c - g.c).is_zero
-            assert d.agrees_with(g.d)
 
 
 class TestActOnSeries:
@@ -359,16 +316,16 @@ class TestOneBuildPerAction:
 
 
 class TestOneRecenterPerLeaf:
-    """The dilation, inverse torus and translation steps of a leaf compose
-    into one affine substitution, and with a mobius step that re-centring
-    moves in front of it onto the leaf's own series: every action
-    re-centres each leaf once."""
+    """Every action reads one Mobius substitution from g's entries, so it
+    re-centres each leaf once, also where every factor of
+    g = [[1, 0], [y, 1]] diag(s, t) [[1, x], [0, 1]] is nontrivial."""
 
     def test_each_leaf_recenters_once(self, ctx, monkeypatch):
-        # every generator acts, and c in p Z_p keeps the w0 cell in I(1)
+        # every generator acts: x = b / a, y = c / a, s = a and t = d - c b / a
+        # are none of them trivial; c in p Z_p keeps the w0 cell in I(1)
         g = IwahoriElement(ctx, 1 + 5 * 3, 5 * 2, 5 * 7, 1 + 25, I1)
-        y, s, t, x = iwahori_factorize(g)
-        assert not (x.is_zero or y.is_zero or s == ctx.one() or t == ctx.one())
+        a, b, c, d = (v.to_fraction() for v in (g.a, g.b, g.c, g.d))
+        assert b != 0 and c != 0 and a != 1 and d - c * b / a != 1
         rng = random.Random(7)
         f = _random_function(ctx, rng, 2, 2)
         w0 = _random_function(ctx, rng, 3, 2)
@@ -515,8 +472,10 @@ class TestLeafwiseActionMeetsTheContract:
 
     @staticmethod
     def _matrices(ctx, rng, c_val=0):
-        """Two random I(1) elements, one per skipped generator (x = 0,
-        s = 1, t = 1, y = 0) with the other three nontrivial, and the identity."""
+        """Two random I(1) elements, one per trivial factor of
+        g = [[1, 0], [y, 1]] diag(s, t) [[1, x], [0, 1]] (x = b / a = 0,
+        s = a = 1, t = d - c b / a = 1, y = c / a = 0) with the other three
+        nontrivial, and the identity."""
         p = ctx.p
 
         def r():
@@ -529,12 +488,11 @@ class TestLeafwiseActionMeetsTheContract:
         # b = a q makes c b / a = c q an exact integer, so t = d - c q = 1
         no_t = IwahoriElement(ctx, a, a * q, c, 1 + c * q, I1)
         no_y = IwahoriElement(ctx, 1 + p * r(), p * r(), 0, 1 + p * r(), I1)
-        assert iwahori_factorize(no_x).x.is_zero
-        assert iwahori_factorize(no_s).s == ctx.one()
-        fac = iwahori_factorize(no_t)
-        assert fac.t == ctx.one() and fac.s != ctx.one()
-        assert not fac.x.is_zero and not fac.y.is_zero
-        assert iwahori_factorize(no_y).y.is_zero
+        assert no_x.b.is_zero
+        assert no_s.a == ctx.one()
+        a, b, c, d = (v.to_fraction() for v in (no_t.a, no_t.b, no_t.c, no_t.d))
+        assert d - c * b / a == 1 and a != 1 and b != 0 and c != 0
+        assert no_y.c.is_zero
         generic = [IwahoriElement(ctx, 1 + p * r(), p * r(), c, 1 + p * r(), I1) for _ in range(2)]
         return generic + [no_x, no_s, no_t, no_y, IwahoriElement(ctx, 1, 0, 0, 1, I1)]
 
@@ -690,9 +648,10 @@ class TestImageResidueNeedsStoredDigits:
 class TestSeriesActionMatchesChain:
     """act on a level-m series is the one-leaf case (0, m) of the leafwise
     action: it shifts the short source and cuts the image at z^D once, and it
-    meets the precision contract against the exact image.  The generator
-    chain mobius_twist, dilate, inv_torus, translate cuts the mobius image
-    before it translates, so it can miss the contract."""
+    meets the precision contract against the exact image.  Acting by the
+    factors of g = [[1, 0], [y, 1]] diag(s, t) [[1, x], [0, 1]] one after
+    another cuts the mobius image before it translates, so it can miss the
+    contract."""
 
     CONTEXTS = TestLeafwiseActionMeetsTheContract.CONTEXTS
 
@@ -733,18 +692,21 @@ class TestSeriesActionMatchesChain:
                         assert out.tail_bound is INF
 
     def test_shifting_the_cut_image_misses_the_true_image(self):
-        # z^2 under [[1, 5], [1, 1]]: x = 5 and a unit translation y = 1.  The
-        # Mobius image's g_l has valuation l - 2, and the chain cuts it at
-        # z^D before the unit shift carries the dropped g_17 onto z^0, 15
-        # digits up, below the contract's N - kappa = 36.  act shifts z^2
-        # first and cuts once, so it meets the contract
+        # z^2 under [[1, 5], [1, 1]] = lower(1) diag(1, -4) upper(5): x = 5 and
+        # a unit translation y = 1.  The Mobius image's g_l has valuation
+        # l - 2, and the chain cuts it at z^D before the unit shift carries
+        # the dropped g_17 onto z^0, 15 digits up, below the contract's
+        # N - kappa = 36.  act shifts z^2 first and cuts once, so it meets
+        # the contract
         ctx, k = self.CONTEXTS[0], 2
+        chi = TestLeafwiseActionMeetsTheContract._chi(ctx, k)
         f = TateSeries.monomial(ctx, 0, 2)
         g = IwahoriElement(ctx, 1, 5, 1, 1, I1)
         image = leaf_image(g, Leaf(0, 0, f), k)
-        assert_meets_contract(act(g, f, TestLeafwiseActionMeetsTheContract._chi(ctx, k)), image)
-        y, s, t, x = iwahori_factorize(g)
-        cut_first = f.mobius_twist(x, k).dilate(s).inv_torus(t, k).translate(y)
+        assert_meets_contract(act(g, f, chi), image)
+        assert lower(ctx, 1) @ diag(ctx, 1, -4) @ upper(ctx, 5) == g
+        mobius = act(upper(ctx, 5), f, chi)
+        cut_first = act(lower(ctx, 1), act(diag(ctx, 1, -4), mobius, chi), chi)
         assert valuation(cut_first.coeff(0).to_fraction() - image.coeffs[0], ctx.p) == 15
 
     @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])

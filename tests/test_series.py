@@ -9,17 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidpadic.actions import I1, InductionCharacter, IwahoriElement, act
 from rigidpadic.errors import DomainError, ParameterError
 from rigidpadic.functions import Leaf, _re_expand
 from rigidpadic.padic import INF, PadicContext, PadicNumber
-from rigidpadic.series import (
-    TateSeries, _offset_sums, _taylor_shift, one_minus_cz_pow, twisted_mobius,
-)
+from rigidpadic.series import TateSeries, _offset_sums, _taylor_shift, twisted_mobius
 from exact_image import assert_meets_contract, twisted_image
 
 
 def poly(ctx, m, *ints):
     return TateSeries(ctx, m, [ctx.from_int(n) for n in ints])
+
+
+def diag(ctx, s, t):
+    """diag(s, t) in I(1): acts as f(z) -> f(s z / t) t^(k - 2)."""
+    return IwahoriElement(ctx, s, 0, 0, t, I1)
+
+
+def weight(ctx, k):
+    """A weight-k character; only k enters the action."""
+    return InductionCharacter(ctx.one(), ctx.one(), k, strict=False)
 
 
 class TestValC:
@@ -75,25 +84,27 @@ class TestTranslate:
 
 
 class TestDilate:
+    """f(z) -> f(s z) is the action of diag(s, 1)."""
+
     def test_identity_at_one(self, ctx):
         f = poly(ctx, 1, 2, 0, 11)
-        assert f.dilate(1) == f
+        assert act(diag(ctx, 1, 1), f, weight(ctx, 2)) == f
 
     def test_square_scaling_oracle(self, ctx):
         f = TateSeries.monomial(ctx, 0, 2)
-        g = f.dilate(ctx.from_int(6))
+        g = act(diag(ctx, 6, 1), f, weight(ctx, 2))
         assert g.degree == 2
         assert g.coeff(2) == ctx.from_int(36)
 
     def test_constants_fixed(self, ctx):
         f = TateSeries.constant(ctx, 1, 9)
-        assert f.dilate(ctx.from_int(6)) == f
+        assert act(diag(ctx, 6, 1), f, weight(ctx, 3)) == f
 
     def test_domain_guard(self, ctx):
-        # s - 1 must vanish to the ball level
+        # s - 1 must vanish to the ball level: diag(6, 1) is not in G(2)
         f = TateSeries.monomial(ctx, 2, 1)
-        with pytest.raises(DomainError):
-            f.dilate(ctx.from_int(6))
+        with pytest.raises(DomainError, match=r"G\(2\)"):
+            act(diag(ctx, 6, 1), f, weight(ctx, 2))
 
 
 class TestMobiusTwist:
@@ -146,32 +157,34 @@ class TestMobiusTwist:
 
 
 class TestInvTorus:
+    """f(z) -> f(z / t) t^(k - 2) is the action of diag(1, t) at weight k."""
+
     def test_identity_at_one(self, ctx):
         f = poly(ctx, 1, 3, 1)
-        assert f.inv_torus(1, 2) == f
+        assert act(diag(ctx, 1, 1), f, weight(ctx, 2)) == f
 
     def test_weight_four_constant_oracle(self, ctx):
         f = TateSeries.constant(ctx, 1, 1)
-        g = f.inv_torus(ctx.from_int(6), 4)
+        g = act(diag(ctx, 1, 6), f, weight(ctx, 4))
         assert g.degree == 0
         assert g.coeff(0) == ctx.from_int(36)
 
     def test_weight_two_geometric_oracle(self, ctx):
         # z / (1 + p): the reciprocal is exact in the coefficient field
         f = TateSeries.monomial(ctx, 1, 1)
-        g = f.inv_torus(ctx.from_int(6), 2)
+        g = act(diag(ctx, 1, 6), f, weight(ctx, 2))
         assert g.degree == 1
         assert g.coeff(1) == ctx.from_fraction(Fraction(1, 6))
 
     def test_domain_guard(self, ctx):
         f = TateSeries.monomial(ctx, 2, 1)
-        with pytest.raises(DomainError):
-            f.inv_torus(ctx.from_int(6), 2)
+        with pytest.raises(DomainError, match=r"G\(2\)"):
+            act(diag(ctx, 1, 6), f, weight(ctx, 2))
 
     def test_non_unit_refused_at_level_zero(self, ctx):
-        # t = 5 passes valp(t - 1) >= 0, but f(z / 5) leaves the ball
-        with pytest.raises(DomainError, match="unit"):
-            TateSeries(ctx, 0, [1, 2]).inv_torus(ctx.from_int(5), 3)
+        # t = 5 would send f(z / 5) off the ball, and diag(1, 5) is not in I(1)
+        with pytest.raises(DomainError, match="declared level"):
+            diag(ctx, 1, 5)
 
 
 class TestRecenter:
@@ -240,7 +253,7 @@ class TestRing:
         ]
 
     def test_twist_polynomial_product(self, ctx):
-        tw = one_minus_cz_pow(ctx, 1, ctx.from_int(5), 2)
+        tw = twisted_mobius(TateSeries.constant(ctx, 1, 1), ctx.one(), ctx.from_int(5), 2)
         assert [tw.coeff(i) for i in range(3)] == [
             ctx.one(),
             ctx.from_int(-10),
@@ -290,9 +303,9 @@ class TestIsometryAndCompatibility:
             t = ctx.from_int(1 + pm * rng.randrange(1, 50))
             k = rng.randint(2, 5)
             assert f.translate(y).val_c() == base
-            assert f.dilate(s).val_c() == base
+            assert act(diag(ctx, s, 1), f, weight(ctx, k)).val_c() == base
             assert f.mobius_twist(x, k).val_c() == base
-            assert f.inv_torus(t, k).val_c() == base
+            assert act(diag(ctx, 1, t), f, weight(ctx, k)).val_c() == base
 
     def test_translate_evaluation_compatibility(self, ctx):
         rng = random.Random(7)
@@ -310,7 +323,8 @@ class TestIsometryAndCompatibility:
             f = random_series(ctx, rng, 1)
             s = ctx.from_int(1 + 5 * rng.randrange(1, 100))
             z = ctx.from_int(5 * rng.randrange(1, 100))
-            assert f.dilate(s).evaluate(z).agrees_with(f.evaluate(s * z))
+            lhs = act(diag(ctx, s, 1), f, weight(ctx, 2)).evaluate(z)
+            assert lhs.agrees_with(f.evaluate(s * z))
 
     def test_mobius_evaluation_compatibility(self, ctx):
         rng = random.Random(9)
@@ -334,7 +348,7 @@ class TestIsometryAndCompatibility:
             t = ctx.from_int(1 + 5 * rng.randrange(1, 100))
             z = ctx.from_int(5 * rng.randrange(1, 100))
             k = rng.randint(2, 5)
-            lhs = f.inv_torus(t, k).evaluate(z)
+            lhs = act(diag(ctx, 1, t), f, weight(ctx, k)).evaluate(z)
             rhs = f.evaluate(z / t) * t ** (k - 2)
             assert lhs.agrees_with(rhs)
 
@@ -540,8 +554,9 @@ def _assert_below_ceilings(coeffs, ceilings):
 class TestTaylorShiftKernel:
     """translate, recenter, the shift itself, _re_expand, evaluate_tracked,
     the product and twisted_mobius (both halves, raw_mobius, mobius_twist
-    and one_minus_cz_pow) store exactly the exact sums of their summands
-    modulo p^(floor + N) and report floor + N as their ceilings."""
+    and the twist (1 - mu z)^e of the constant 1) store exactly the exact
+    sums of their summands modulo p^(floor + N) and report floor + N as
+    their ceilings."""
 
     CONTEXTS = [
         PadicContext(5, 40, 64),
@@ -582,7 +597,7 @@ class TestTaylorShiftKernel:
         _assert_twisted(low, lam, mu, e, twisted_mobius(low, lam, mu, e))
         _assert_twisted(f, one, mu, e, f.mobius_twist(mu, e + 2))
         one_s = TateSeries.constant(ctx, f.m, 1)
-        _assert_twisted(one_s, one, mu, e, one_minus_cz_pow(ctx, f.m, mu, e))
+        _assert_twisted(one_s, one, mu, e, twisted_mobius(one_s, one, mu, e))
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 5, 64])
     @pytest.mark.parametrize("lo", [0, -2])
@@ -673,14 +688,13 @@ class TestTaylorShiftKernel:
 
     @pytest.mark.parametrize("e", [0, 1, 5])
     def test_zero_twist_parameter_gives_the_constant_one(self, ctx, e):
-        assert one_minus_cz_pow(ctx, 1, ctx.zero(), e) == TateSeries.constant(ctx, 1, 1)
+        one = TateSeries.constant(ctx, 1, 1)
+        assert twisted_mobius(one, ctx.one(), ctx.zero(), e) == one
 
     @pytest.mark.parametrize("e", [-1, 5, 18])
     def test_twist_exponent_outside_zero_to_d_is_refused(self, e):
         # e = 18 > 2D also lies past the factorial table
         ctx = PadicContext(5, 10, 4)
-        with pytest.raises(ParameterError, match="twist exponent"):
-            one_minus_cz_pow(ctx, 0, ctx.from_int(5), e)
         with pytest.raises(ParameterError, match="twist exponent"):
             twisted_mobius(TateSeries.constant(ctx, 0, 1), ctx.one(), ctx.from_int(5), e)
 

@@ -21,10 +21,10 @@ The comparisons are starvation-aware: each re-expanded coefficient
 carries an absolute reliability ceiling (its summands are only known
 modulo p**(val + N)), and a comparison that cannot be settled inside the
 reliable window returns INDETERMINATE rather than a verdict.  A leaf is
-re-expanded into the (val, unit) integer pairs of the series kernel, and
-the comparison takes the valuation of each difference from the pairs as
-PadicNumber.__sub__ rounds it, so the verdicts are those of
-compare_tracked; the one series built is the witness.
+re-expanded into the (val, unit) integer pairs of the series kernel, with
+their ceilings, and the pairs are compared by padic._agreement, the one
+agreement rule of the library (compare_tracked applies it to two tracked
+values); the one series built is the witness.
 
 Mahler coefficients (iterated finite differences at 0, 1, 2, ...) give
 an evaluation-only oracle used to cross-check the coefficient algebra.
@@ -37,15 +37,12 @@ from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, ParameterError
-from .padic import INF, Coercible, PadicContext, PadicNumber
-from .series import TateSeries, _taylor_shift
+from .padic import INF, Coercible, PadicContext, PadicNumber, _agreement
+from .series import TateSeries, _pairs, _taylor_shift
 from .verdict import Verdict
 
 #: hard cap on leaf levels; partitions beyond this depth are pathological
 MAX_LEVEL = 12
-
-#: the (val, unit) pair of zero
-_ZERO = (INF, 0)
 
 
 class Leaf(NamedTuple):
@@ -297,7 +294,7 @@ def is_member_Can(f: PiecewiseFunction, m: int) -> CanMembership:
     culprit = ""  # the first leaf that did not glue
     for lf in inball[1:]:
         cand, ceil, cand_tail = _re_expand(ctx, lf, m)
-        v = _series_verdict(ctx, ref, ref_ceil, cand, ceil)
+        v = _agreement(ctx, ref, ref_ceil, cand, ceil)
         if v is not Verdict.YES and not culprit:
             culprit = f"leaf at center {lf.center} (level {lf.level})"
         if v is Verdict.NO:
@@ -315,6 +312,8 @@ def is_member_C_m(f: StepFunction, m: int) -> bool:
     """Is the restriction of the step function to p**m Z_p one constant?"""
     if not isinstance(f, StepFunction):
         raise ParameterError("is_member_C_m expects a StepFunction")
+    if m < 0:
+        raise ParameterError(f"ball level m must be >= 0, got {m}")
     cover = f.covering_leaf(m)
     if cover is not None:
         return True
@@ -439,7 +438,7 @@ def _re_expand(
     """
     s, N = lf.series, ctx.N
     if not lf.center:
-        pairs = [(a.val, a.unit) for a in s.coeffs]
+        pairs = _pairs(s)
         return pairs, [v + N for v, _ in pairs], s.tail_bound
     pairs, floors = _taylor_shift(s.coeffs, ctx.from_int(-lf.center))
     tail = s.tail_bound
@@ -448,72 +447,10 @@ def _re_expand(
     return pairs, [f + N for f in floors], tail
 
 
-def compare_tracked(
-    ctx: PadicContext,
-    x: PadicNumber,
-    x_ceiling: float,
-    y: PadicNumber,
-    y_ceiling: float,
-) -> Verdict:
-    """Starvation-aware comparison of two tracked values.
-
-    YES when the difference is certified to N - kappa relative digits,
-    NO when a difference is visible inside the mutual reliable window,
-    INDETERMINATE when the window is too shallow to decide.
-    """
-    if x.is_zero and y.is_zero:
-        return Verdict.YES
-    scale = 0 if (x.is_zero or y.is_zero) else min(x.val, y.val)
-    threshold = scale + ctx.N - ctx.kappa
-    window = min(x_ceiling, y_ceiling)
-    d = x - y
-    dv = INF if d.is_zero else d.val
-    if dv < min(window, threshold):
-        return Verdict.NO
-    if window < threshold:
-        return Verdict.INDETERMINATE
-    return Verdict.YES
-
-
-def _series_verdict(
-    ctx: PadicContext,
-    xs: Sequence[Tuple[float, int]],
-    xc: Sequence[float],
-    ys: Sequence[Tuple[float, int]],
-    yc: Sequence[float],
-) -> Verdict:
-    """compare_tracked on every coefficient, folded with &, for coefficients
-    given as (val, unit) pairs with their ceilings; a missing pair reads
-    zero and a missing ceiling +inf.  The valuation of x_v - y_v is the one
-    PadicNumber.__sub__ rounds it to, and no value is allocated."""
-    N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
-    gap = N - ctx.kappa
-    nx, ny, ncx, ncy = len(xs), len(ys), len(xc), len(yc)
-    out = Verdict.YES
-    for v in range(nx if nx > ny else ny):
-        vx, xu = xs[v] if v < nx else _ZERO
-        vy, yu = ys[v] if v < ny else _ZERO
-        if not (xu and yu):
-            if xu == yu:
-                continue
-            scale, dv = 0, vx if vx < vy else vy
-        else:
-            scale = dv = vx if vx < vy else vy
-            d = vx - vy if vx > vy else vy - vx
-            if d < N:
-                raw = (xu - yu * ppow[d] if vx <= vy else xu * ppow[d] - yu) % pN
-                if raw:
-                    while raw % p == 0:
-                        raw //= p
-                        dv += 1
-                else:
-                    dv = INF
-        window = xc[v] if v < ncx else INF
-        if v < ncy and yc[v] < window:
-            window = yc[v]
-        threshold = scale + gap
-        if dv < window and dv < threshold:
-            return Verdict.NO
-        if window < threshold:
-            out = Verdict.INDETERMINATE
-    return out
+def compare_tracked(ctx: PadicContext, x: PadicNumber, x_ceiling: float,
+                    y: PadicNumber, y_ceiling: float) -> Verdict:
+    """Starvation-aware comparison of two tracked values by the agreement
+    rule of padic._agreement: YES when the difference is certified to
+    N - kappa relative digits, NO when a difference is visible inside the
+    mutual reliable window, INDETERMINATE when the window is too shallow."""
+    return _agreement(ctx, [(x.val, x.unit)], [x_ceiling], [(y.val, y.unit)], [y_ceiling])

@@ -15,6 +15,10 @@ for n = 0 .. 2D, so binom(n, k) = n! / (k! (n - k)!) costs two products.
 Contexts with the same (p, N, D) share one table; it grows past 2D on
 demand, under a lock, and entries already present never change.
 
+Every comparison of stored digits in the library (agrees_with, agrees_mod,
+compare_tracked, the gluing test) reads one rule, _agreement, on (val, unit)
+pairs, with x - y rounded by _diff_val exactly as __sub__ rounds it.
+
 All values are immutable and every operation is pure, so objects can be
 shared freely between threads.
 """
@@ -25,13 +29,18 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from itertools import zip_longest
+from typing import Sequence, Tuple, Union
 
 from .errors import DivisionError, DomainError, ParameterError, PrecisionError
+from .verdict import Verdict
 
 INF = math.inf
 
 Coercible = Union["PadicNumber", int, Fraction, str]
+
+#: the (val, unit) pair of zero
+_ZERO = (INF, 0)
 
 
 #: the first 13 primes: as Miller-Rabin bases they decide primality
@@ -330,21 +339,11 @@ class PadicNumber:
         return hash((self.val, self.unit))
 
     def agrees_with(self, other: "PadicNumber") -> bool:
-        """Equality at precision: shares at least N - kappa relative digits.
-
-        With one side zero at precision the other must vanish to absolute
-        depth N - kappa, since a stored zero carries no scale of its own.
-        """
-        need = self.ctx.N - self.ctx.kappa
-        if self.is_zero and other.is_zero:
-            return True
-        if self.is_zero or other.is_zero:
-            live = other if self.is_zero else self
-            return live.val >= need
-        d = self - other
-        if d.is_zero:
-            return True
-        return d.val >= min(self.val, other.val) + need
+        """Equality at precision: the agreement rule with no ceilings, so
+        x - y must vanish to min(val) + N - kappa, or to absolute depth
+        N - kappa when one side is zero."""
+        return _agreement(self.ctx, [(self.val, self.unit)], (),
+                          [(other.val, other.unit)], ()) is Verdict.YES
 
     # -- conversions ----------------------------------------------------
 
@@ -382,6 +381,55 @@ class PadicNumber:
 
 
 # -- module-level operations -------------------------------------------
+
+
+def _diff_val(ctx: PadicContext, vx, xu: int, vy, yu: int):
+    """valp(x - y) for x, y given as (val, unit) pairs, rounded as
+    PadicNumber.__sub__ rounds it: the lower side's unit is known modulo
+    p**N, so a difference with no digit below its val + N reads +inf."""
+    if not (xu and yu):
+        return vx if xu else vy
+    if vx > vy:  # the valuation of y - x is that of x - y
+        vx, xu, vy, yu = vy, yu, vx, xu
+    d = vy - vx
+    if d >= ctx.N:
+        return vx
+    raw = (xu - yu * ctx.ppow[d]) % ctx.pN
+    if not raw:
+        return INF
+    while raw % ctx.p == 0:
+        raw //= ctx.p
+        vx += 1
+    return vx
+
+
+def _agreement(ctx: PadicContext, xs: Sequence[Tuple[float, int]], xc: Sequence[float],
+               ys: Sequence[Tuple[float, int]], yc: Sequence[float]) -> Verdict:
+    """The agreement rule on coefficient lists: (val, unit) pairs xs, ys with
+    absolute ceilings xc, yc; a missing pair reads zero, a missing ceiling
+    +inf.  Two zeros agree.  Otherwise let dv = _diff_val, window the lesser
+    ceiling and threshold = scale + N - kappa, scale the lesser valuation, or
+    0 when one side is zero (a stored zero carries no scale of its own): NO
+    when dv < min(window, threshold), INDETERMINATE when window < threshold,
+    YES otherwise.  The first NO ends the fold; INDETERMINATE beats YES."""
+    gap, ncx, ncy = ctx.N - ctx.kappa, len(xc), len(yc)
+    out = Verdict.YES
+    for v, ((vx, xu), (vy, yu)) in enumerate(zip_longest(xs, ys, fillvalue=_ZERO)):
+        if xu and yu:
+            threshold = (vx if vx < vy else vy) + gap
+        elif xu or yu:
+            threshold = gap
+        else:
+            continue
+        window = xc[v] if v < ncx else INF
+        if v < ncy and yc[v] < window:
+            window = yc[v]
+        dv = _diff_val(ctx, vx, xu, vy, yu)
+        if dv < window and dv < threshold:
+            return Verdict.NO
+        if window < threshold:
+            out = Verdict.INDETERMINATE
+    return out
 
 
 def valp(x: PadicNumber):

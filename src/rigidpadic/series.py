@@ -44,8 +44,10 @@ split over the context's factorial table; their units are residues modulo
 p**N, which changes a summand only at or above its valuation plus N.
 The kernel reads and returns (val, unit) integer pairs, (INF, 0) for zero.
 A PadicNumber is made only where a series is stored, once per coefficient
-by TateSeries._from_pairs, and by evaluate_tracked for its one total; the
-gluing test of functions.is_member_Can compares the pairs themselves.
+by TateSeries._from_pairs, and by evaluate_tracked for its one total.
+Comparisons allocate no value either: agrees_with, agrees_mod and the
+gluing test of functions.is_member_Can read (val, unit) pairs through the
+one agreement rule of padic._agreement and padic._diff_val.
 
 twisted_mobius is the one routine for every Mobius substitution
 S(lam z / (1 - mu z)) (1 - mu z)^e: raw_mobius, mobius_twist and the
@@ -62,10 +64,12 @@ against the exact image of tests/exact_image.py).
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DomainError, ParameterError
-from .padic import INF, Coercible, PadicContext, PadicNumber
+from .padic import _ZERO, INF, Coercible, PadicContext, PadicNumber, _agreement, _diff_val
+from .verdict import Verdict
 
 
 class TateSeries:
@@ -155,26 +159,23 @@ class TateSeries:
         return hash((self.m, self.coeffs, self.tail_bound))
 
     def agrees_with(self, other: "TateSeries") -> bool:
-        """Coefficientwise equality at precision on a common ball level."""
-        if self.m != other.m:
-            return False
-        top = max(len(self.coeffs), len(other.coeffs))
-        return all(self.coeff(l).agrees_with(other.coeff(l)) for l in range(top))
+        """Coefficientwise equality at precision on a common ball level: the
+        agreement rule of padic._agreement, with no ceilings."""
+        return self._level_matches(other) and _agreement(
+            self.ctx, _pairs(self), (), _pairs(other), ()) is Verdict.YES
 
     def agrees_mod(self, other: "TateSeries", exponent: int) -> bool:
-        """Coefficientwise congruence mod p**exponent (absolute cutoff).
+        """Coefficientwise congruence mod p**exponent (absolute cutoff), each
+        difference rounded as padic._diff_val rounds it.
 
         Composite substitutions truncated at degree D leave residue of
         bounded absolute size, independent of how small the individual
         coefficients are; comparing composite routes therefore needs an
         absolute threshold rather than a relative one.
         """
-        if self.m != other.m:
-            return False
-        top = max(len(self.coeffs), len(other.coeffs))
-        return all(
-            (self.coeff(l) - other.coeff(l)).val >= exponent for l in range(top)
-        )
+        return self._level_matches(other) and all(
+            _diff_val(self.ctx, vx, xu, vy, yu) >= exponent
+            for (vx, xu), (vy, yu) in zip_longest(_pairs(self), _pairs(other), fillvalue=_ZERO))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -218,8 +219,9 @@ class TateSeries:
 
     def __add__(self, other: "TateSeries") -> "TateSeries":
         self._match(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [self.coeff(l) + other.coeff(l) for l in range(n)]
+        xs, ys = self.coeffs, other.coeffs
+        # past the shorter operand a + 0 is a itself
+        cs = [a + b for a, b in zip(xs, ys)] + list(xs[len(ys):] + ys[len(xs):])
         return TateSeries(self.ctx, self.m, cs, min(self.tail_bound, other.tail_bound))
 
     def __neg__(self) -> "TateSeries":
@@ -238,6 +240,8 @@ class TateSeries:
         """c f(ratio z) for c != 0 and a unit ratio: a_l -> a_l c ratio^l."""
         if not ratio.is_unit:
             raise DomainError("variable scaling needs a unit factor")
+        if c.val == 0 and c.unit == ratio.unit == 1:
+            return self
         ctx, pN, u, cs = self.ctx, self.ctx.pN, c.unit, []
         for a in self.coeffs:
             cs.append(PadicNumber(ctx, a.val + c.val, a.unit * u % pN, _checked=True)
@@ -265,10 +269,14 @@ class TateSeries:
         tb = INF if exact else self.val_c() + other.val_c()
         return TateSeries._from_pairs(ctx, self.m, cs, tb)
 
-    def _match(self, other: "TateSeries") -> None:
+    def _level_matches(self, other: "TateSeries") -> bool:
+        """Whether other lies on self's ball level; refuses another context."""
         if not self.ctx.same(other.ctx):
             raise ParameterError("series belong to different contexts")
-        if self.m != other.m:
+        return self.m == other.m
+
+    def _match(self, other: "TateSeries") -> None:
+        if not self._level_matches(other):
             raise DomainError(f"ball levels differ: {self.m} vs {other.m}")
 
     # -- substitutions ------------------------------------------------------
@@ -423,6 +431,11 @@ def _taylor_shift(
     src = [(l, a.val + fvals[l], a.unit * fac.units[l] % pN)
            for l, a in enumerate(coeffs) if a.unit]
     return _offset_sums(ctx, src, ck, [(v, -fvals[v], finvs[v]) for v in range(len(coeffs))])
+
+
+def _pairs(f: TateSeries) -> List[Tuple[float, int]]:
+    """The (val, unit) pairs of f's stored coefficients."""
+    return [(a.val, a.unit) for a in f.coeffs]
 
 
 def _unit_powers(u: int, n: int, pN: int) -> List[int]:

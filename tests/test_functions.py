@@ -9,7 +9,7 @@ import pytest
 
 from rigidpadic import functions
 from rigidpadic.errors import ParameterError
-from rigidpadic.padic import INF, PadicContext, PadicNumber
+from rigidpadic.padic import INF, PadicContext, PadicNumber, _agreement, _diff_val
 from rigidpadic.functions import (
     MAX_LEVEL,
     Leaf,
@@ -17,7 +17,6 @@ from rigidpadic.functions import (
     PiecewiseFunction,
     StepFunction,
     _re_expand,
-    _series_verdict,
     compare_tracked,
     is_member_Can,
     is_member_C_m,
@@ -317,13 +316,32 @@ class TestCompareTracked:
         assert compare_tracked(ctx, z, 0, z, 0) is Verdict.YES
 
 
+def _exact_compare(ctx, x, x_ceil, y, y_ceil):
+    """The agreement rule on the exact difference of the stored values, from
+    to_fraction() and _frac_val alone.  Rounding x - y as __sub__ does only
+    moves a valuation at or above min(val) + N, past the threshold, so the
+    exact and the rounded difference decide alike."""
+    if x.is_zero and y.is_zero:
+        return Verdict.YES
+    scale = 0 if x.is_zero or y.is_zero else min(x.val, y.val)
+    threshold = scale + ctx.N - ctx.kappa
+    window = min(x_ceil, y_ceil)
+    q = x.to_fraction() - y.to_fraction()
+    dv = _frac_val(q, ctx.p) if q else INF
+    if dv < min(window, threshold):
+        return Verdict.NO
+    if window < threshold:
+        return Verdict.INDETERMINATE
+    return Verdict.YES
+
+
 def _folded_verdict(ctx, a, a_ceil, b, b_ceil):
-    """The oracle: compare_tracked on every coefficient, folded with &."""
+    """The oracle: _exact_compare on every coefficient, folded with &."""
     out = Verdict.YES
     for v in range(max(len(a.coeffs), len(b.coeffs))):
         ca = a_ceil[v] if v < len(a_ceil) else INF
         cb = b_ceil[v] if v < len(b_ceil) else INF
-        out = out & compare_tracked(ctx, a.coeff(v), ca, b.coeff(v), cb)
+        out = out & _exact_compare(ctx, a.coeff(v), ca, b.coeff(v), cb)
     return out
 
 
@@ -376,6 +394,9 @@ ORACLE_CONTEXTS = [PadicContext(5, 40, 64), PadicContext(3, 4, 64),
 
 
 class TestSeriesVerdictOracle:
+    """padic._agreement, the library's one agreement rule, against the rule
+    applied to exact differences of the stored values."""
+
     @pytest.mark.parametrize("octx", ORACLE_CONTEXTS,
                              ids=lambda c: f"p{c.p}-N{c.N}-kappa{c.kappa}")
     def test_equals_folded_compare_tracked(self, octx):
@@ -389,10 +410,23 @@ class TestSeriesVerdictOracle:
                 ys = ys[: rng.randint(0, len(ys))]  # unequal lengths
             a, b = TateSeries(octx, 0, xs), TateSeries(octx, 0, ys)
             ac, bc = _rand_ceilings(octx, rng, xs), _rand_ceilings(octx, rng, ys)
-            got = _series_verdict(octx, _pairs(a), ac, _pairs(b), bc)
+            got = _agreement(octx, _pairs(a), ac, _pairs(b), bc)
             assert got is _folded_verdict(octx, a, ac, b, bc), (a, ac, b, bc)
             seen.add(got)
         assert seen == set(Verdict)
+
+    @pytest.mark.parametrize("octx", ORACLE_CONTEXTS,
+                             ids=lambda c: f"p{c.p}-N{c.N}-kappa{c.kappa}")
+    def test_difference_valuation_is_exact_below_the_cap(self, octx):
+        # the rounded valuation of x - y is the exact one below min(val) + N
+        # and +inf at or above it
+        rng = random.Random(octx.p * 100 + octx.N + 1)
+        for _ in range(2000):
+            x, y = _coefficient_pair(octx, rng)
+            q = x.to_fraction() - y.to_fraction()
+            exact = _frac_val(q, octx.p) if q else INF
+            want = exact if exact < min(x.val, y.val) + octx.N else INF
+            assert _diff_val(octx, x.val, x.unit, y.val, y.unit) == want, (x, y)
 
 
 def _frac_val(q, p):
@@ -426,7 +460,7 @@ def _reference_candidate(ctx, lf, m):
 
 def _reference_can(f, m):
     """(status, detail, witness) of the gluing test on a ball that no leaf
-    covers, with compare_tracked folded over every coefficient of each
+    covers, with _exact_compare folded over every coefficient of each
     candidate against the first."""
     ctx = f.ctx
     inball = f.leaves_in_ball(m)
@@ -436,7 +470,7 @@ def _reference_can(f, m):
         cand, ceil, cand_tail = _reference_candidate(ctx, lf, m)
         verdict = Verdict.YES
         for v in range(max(len(ref.coeffs), len(cand.coeffs))):
-            verdict = verdict & compare_tracked(
+            verdict = verdict & _exact_compare(
                 ctx, ref.coeff(v), ref_ceil[v] if v < len(ref_ceil) else INF,
                 cand.coeff(v), ceil[v] if v < len(ceil) else INF)
         if verdict is not Verdict.YES and not culprit:
@@ -494,7 +528,7 @@ class TestGluingDifferential:
     """is_member_Can, which glues on (val, unit) pairs, against
     _reference_can, which builds every candidate as a TateSeries through
     translate, takes its ceilings from exact Fraction summands and folds
-    the public compare_tracked."""
+    the agreement rule over exact differences."""
 
     CONTEXTS = [PadicContext(3, 12, 16), PadicContext(5, 40, 64), PadicContext(7, 20, 24),
                 PadicContext(3, 3, 16, kappa=1), PadicContext(5, 4, 16, kappa=2),
@@ -540,6 +574,10 @@ class TestMembershipSmooth:
         f = PiecewiseFunction.from_global_series(TateSeries.monomial(ctx, 0, 1))
         with pytest.raises(ParameterError):
             is_member_C_m(f, 1)
+
+    def test_negative_level_refused(self, ctx):
+        with pytest.raises(ParameterError, match="must be >= 0"):
+            is_member_C_m(StepFunction.indicator_ball(ctx, 2), -1)
 
 
 class TestMembershipLocallyAlgebraic:

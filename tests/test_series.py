@@ -408,6 +408,24 @@ class TestConstruction:
         assert f.agrees_mod(g, 35)
         assert not f.agrees_mod(g, 36)
 
+    def test_comparisons_refuse_another_context(self, ctx):
+        f = TateSeries(PadicContext(5, 20, 16), 0, [1, 2])
+        g = TateSeries(PadicContext(3, 20, 16), 0, [1, 2])
+        with pytest.raises(ParameterError, match="different contexts"):
+            f.agrees_with(g)
+        with pytest.raises(ParameterError, match="different contexts"):
+            f.agrees_mod(g, 10)
+        # another ball level of the same context is a plain disagreement
+        assert not f.agrees_with(TateSeries(f.ctx, 1, [1, 2]))
+        assert not f.agrees_mod(TateSeries(f.ctx, 1, [1, 2]), 10)
+
+    def test_unit_scaling_returns_its_input(self, ctx):
+        f = poly(ctx, 1, 3, 5, 7)
+        assert f.scale(1) is f
+        assert f.scale_powers(ctx.one(), ctx.one()) is f
+        assert f.scale_powers(ctx.one(), ctx.from_int(2)) == TateSeries(
+            ctx, 1, [3, 10, 28], f.tail_bound)
+
 
 # -- the series kernel against exact sums -------------------------------------
 #

@@ -22,11 +22,15 @@ substituted point is z0 + A + B w, so the image series is
     A = (a R - c - z0 q) / q,   B = det / q^2,   mu = b / q.
 
 R is the image of z0 modulo p**h, so valp(A) >= h; q, det and B are units
-and valp(mu) = valp(b) >= 1.  With b = 0 the series is d^e S(A + (a / d) z'):
-one recenter of S by A and one scale_powers pass multiplying a_l by
-d^e (a / d)^l.  With b != 0 it is one recenter of S by A, one
-twisted_mobius(., B, mu, e) and, for e > 0, one scale by q^e; an exact
-polynomial of degree <= e stays one.
+and valp(mu) = valp(b) >= 1.  Each leaf is carried as the (val, unit) pairs
+of its coefficients through one pass: the Taylor shift of S by A
+(series._taylor_shift, skipped when A = 0), then for b != 0 the twisted sums
+of series._twisted_sums with (B, mu, e), then the unit scaling of
+series._scaled, by d^e (a / d)^l on a_l for b = 0, where the series is
+d^e S(A + (a / d) z'), and by q^e for b != 0 and e > 0.  The image leaf's one
+TateSeries is made from the last pairs; no step makes a PadicNumber
+coefficient.  An exact polynomial of degree <= e stays one.  g and the
+function must belong to one context.
 
 The action reads the integers stored for a, b, c, d once per action.  R, q,
 det and the numerator a R - c - z0 q of A are exact integers, and each of A,
@@ -37,7 +41,7 @@ at or above val_C - h j + N.  The stored entries fix R modulo
 p**(min(valp(c), valp(z0)) + N), also where their digits read 1 or 0: a
 leaf at a level above that is refused with a PrecisionError.
 
-The image is cut at z^D once, by twisted_mobius, after the shift.  A route
+The image is cut at z^D once, by the twisted sums, after the shift.  A route
 that shifts the cut image drops the coefficients g_l, l > D, whose share of
 z^j lies only (l - deg S)(valp(b) + h) digits above val_C - h j: fewer than
 N for short S near D, so such a route can miss the contract below.  Here
@@ -56,8 +60,8 @@ in G(m) (I(1) at m = 0), so R = 0.  The one-parameter matrices
 [[1, 0], [y, 1]], diag(s, 1), [[1, x], [0, 1]] and diag(1, t) act as
 f(z - y), f(s z), the mobius twist by x and f(z / t) t^e.  Composing their
 images one after another cuts the mobius image at z^D before it translates,
-so it can miss the contract where act by the product meets it.  Only
-twisted_mobius expands the twist, so k - 2 > D is refused only when b != 0.
+so it can miss the contract where act by the product meets it.  Only the
+twisted sums expand the twist, so k - 2 > D is refused only when b != 0.
 
 The w0 Weyl cell carries the action of the w0-conjugate matrix (swap
 a <-> d and b <-> c); when the conjugate leaves the actionable range
@@ -77,7 +81,7 @@ from .functions import (
     StepFunction,
 )
 from .padic import Coercible, PadicContext, PadicNumber
-from .series import TateSeries, twisted_mobius
+from .series import TateSeries, _pairs, _scaled, _taylor_shift, _twisted_sums
 
 I1 = "I1"
 
@@ -282,12 +286,13 @@ class WeylCellVector:
 def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], g: IwahoriElement,
                    e: int) -> List[Leaf]:
     """The image of each leaf, in the given order; the caller builds the function."""
+    if not g.ctx.same(ctx):
+        raise ParameterError("matrix and function belong to different contexts")
     p, N, pN = ctx.p, ctx.N, ctx.pN
     a, b, c, d = (v.unit * p ** v.val if v.unit else 0 for v in (g.a, g.b, g.c, g.d))
     det = a * d - b * c
     inv_a, inv_d = pow(a, -1, pN), pow(d, -1, pN)  # a and d are units
-    factor = PadicNumber(ctx, 0, pow(d, e, pN), _checked=True)
-    ratio = PadicNumber(ctx, 0, a * inv_d % pN, _checked=True)
+    factor, ratio = (0, pow(d, e, pN)), (0, a * inv_d % pN)
     out = []
     for lf in leaves:
         level, z0, f = lf.level, lf.center, lf.series
@@ -298,19 +303,25 @@ def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], g: IwahoriElement,
         center = (c + d * z0) * (pow(a + b * z0, -1, pN) if b else inv_a) % p ** level
         q = d - b * center
         inv_q = pow(q, -1, pN) if b else inv_d
-        # A = (a R - c - z0 q) / q, rounded once
+        # A = (a R - c - z0 q) / q, rounded once; cs are the pairs of S(A + z')
         shift = ctx.from_int(a * center - c - z0 * q)
-        f = f.recenter(PadicNumber(ctx, shift.val, shift.unit * inv_q % pN, _checked=True), level)
+        if shift.is_zero:
+            cs = _pairs(f)
+        elif shift.val < level:
+            raise DomainError(f"leaf offset needs valp(A) >= {level}, got {shift.val}")
+        else:
+            cs, _ = _taylor_shift(
+                f.coeffs, PadicNumber(ctx, shift.val, shift.unit * inv_q % pN, _checked=True))
+        tail = f.tail_bound
         if not b:
-            out.append(Leaf(center, level, f.scale_powers(factor, ratio)))
-            continue
-        # q^e S(A + B w) (1 - mu z')^e with B = det / q^2 and mu = b / q
-        lam = PadicNumber(ctx, 0, det * inv_q * inv_q % pN, _checked=True)
-        mu = PadicNumber(ctx, g.b.val, g.b.unit * inv_q % pN, _checked=True)
-        f = twisted_mobius(f, lam, mu, e)
-        if e:
-            f = f.scale(PadicNumber(ctx, 0, pow(q, e, pN), _checked=True))
-        out.append(Leaf(center, level, f))
+            cs = _scaled(ctx, cs, factor, ratio)
+        else:
+            # q^e S(A + B w) (1 - mu z')^e with B = det / q^2 and mu = b / q
+            cs, tail = _twisted_sums(ctx, level, cs, tail, (0, det * inv_q * inv_q % pN),
+                                     (g.b.val, g.b.unit * inv_q % pN), e)
+            if e:
+                cs = _scaled(ctx, cs, (0, pow(q, e, pN)), (0, 1))
+        out.append(Leaf(center, level, TateSeries._from_pairs(ctx, level, cs, tail)))
     return out
 
 
@@ -365,7 +376,7 @@ def act_locally_algebraic(
     """Action on leafwise polynomials of degree <= k - 2.
 
     The mobius substitution and the (d - b z)^(k-2) twist cancel to a
-    polynomial of the same bounded degree, which twisted_mobius keeps
+    polynomial of the same bounded degree, which the twisted sums keep
     exact; any residual high coefficient trips an internal invariant error.
     """
     if chi.k != f.k:

@@ -452,5 +452,8 @@ def compare_tracked(ctx: PadicContext, x: PadicNumber, x_ceiling: float,
     """Starvation-aware comparison of two tracked values by the agreement
     rule of padic._agreement: YES when the difference is certified to
     N - kappa relative digits, NO when a difference is visible inside the
-    mutual reliable window, INDETERMINATE when the window is too shallow."""
+    mutual reliable window, INDETERMINATE when the window is too shallow.
+    Refuses an x or y of another context than ctx."""
+    if not (ctx.same(x.ctx) and ctx.same(y.ctx)):
+        raise ParameterError("values belong to different contexts")
     return _agreement(ctx, [(x.val, x.unit)], [x_ceiling], [(y.val, y.unit)], [y_ceiling])

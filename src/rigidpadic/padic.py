@@ -164,7 +164,7 @@ class PadicContext:
     # -- identity -----------------------------------------------------
 
     def same(self, other: "PadicContext") -> bool:
-        return (self.p, self.N, self.D) == (other.p, other.N, other.D)
+        return self is other or (self.p, self.N, self.D) == (other.p, other.N, other.D)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PadicContext) and self.same(other)
@@ -341,7 +341,9 @@ class PadicNumber:
     def agrees_with(self, other: "PadicNumber") -> bool:
         """Equality at precision: the agreement rule with no ceilings, so
         x - y must vanish to min(val) + N - kappa, or to absolute depth
-        N - kappa when one side is zero."""
+        N - kappa when one side is zero.  Refuses a value of another context."""
+        if not self.ctx.same(other.ctx):
+            raise ParameterError("values belong to different contexts")
         return _agreement(self.ctx, [(self.val, self.unit)], (),
                           [(other.val, other.unit)], ()) is Verdict.YES
 

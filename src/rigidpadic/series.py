@@ -20,22 +20,23 @@ A matrix acts through actions.act, which reads its Mobius map from the
 entries.  The substitutions kept here are translate f(z - y), raw_mobius
 f(z/(1 - x z)) and mobius_twist f(z/(1 - x z)) (1 - x z)^(k-2); each records
 a new tail certificate derived from the input's certificate and preserves
-val_C exactly (they are invertible isometries of the ball).  scale and the
-leafwise action's last pass share scale_powers: a_l -> a_l c ratio^l for a
-unit ratio, one unit product mod p**N per coefficient; it moves the tail
-bound by valp(c).
+val_C exactly (they are invertible isometries of the ball).  scale,
+scale_powers and the leafwise action's last step share one unit-scaling loop
+on (val, unit) pairs, _scaled: a_l -> a_l c ratio^l for a unit ratio, one
+unit product mod p**N per coefficient; it moves the tail bound by valp(c).
 
 Precision model (Caruso, "Computations with p-adic numbers",
 arXiv:1701.06794): a coefficient is stored capped-relative, p**val * unit
 with the unit known modulo p**N.  Every sum of products in series algebra is
 one operation at one absolute working precision, run on (val, unit) integer
 pairs by one kernel, _offset_sums: the Taylor shift
-b_v = sum_{l>=v} a_l binom(l, v) c^(l-v) behind translate, recenter and
-functions._re_expand, the sum of evaluate_tracked, the products of __mul__
-and the two sums of twisted_mobius below.  A summand is a product of stored
-values, so it is known modulo p**(its valuation + N).  Let floor be the least
-summand valuation of a sum: the kernel adds the summands exactly modulo
-p**(floor + N), multiplies by the output's outer factor once and rounds once.
+b_v = sum_{l>=v} a_l binom(l, v) c^(l-v) behind translate, recenter, the
+leafwise action and functions._re_expand, the sum of evaluate_tracked, the
+products of __mul__ and the two sums of _twisted_sums below.  A summand is a
+product of stored values, so it is known modulo p**(its valuation + N).  Let
+floor be the least summand valuation of a sum: the kernel adds the summands
+exactly modulo p**(floor + N), multiplies by the output's outer factor once
+and rounds once.
 So a stored sum is the exact sum of its summands reduced modulo
 p**(floor + N), its unit has no nonzero digit at or above floor + N, and
 floor + N is the ceiling evaluate_tracked and functions._re_expand report.
@@ -49,11 +50,13 @@ Comparisons allocate no value either: agrees_with, agrees_mod and the
 gluing test of functions.is_member_Can read (val, unit) pairs through the
 one agreement rule of padic._agreement and padic._diff_val.
 
-twisted_mobius is the one routine for every Mobius substitution
-S(lam z / (1 - mu z)) (1 - mu z)^e: raw_mobius, mobius_twist and the
-leafwise action call it.  It sets the tail bound itself: +inf when S is
-exact of degree <= e, whose image is then an exact polynomial of degree
-<= e, and val_C(S) otherwise.  Its outputs split at j = e: c_j draws on
+_twisted_sums is the one routine for every Mobius substitution
+S(lam z / (1 - mu z)) (1 - mu z)^e.  It reads and returns (val, unit) pairs:
+the leafwise action calls it on the pairs of its Taylor shift, and
+twisted_mobius, behind raw_mobius and mobius_twist, makes a series of its
+output.  It sets the tail bound itself: +inf when S is exact of degree
+<= e, whose image is then an exact polynomial of degree <= e, and val_C(S)
+otherwise.  Its outputs split at j = e: c_j draws on
 a_l with l <= e for j <= e, and with l > e for j > e.  It rounds each c_j
 once, where the product of the untwisted substitution and the twist rounds
 two sums for deg S > e >= 1.  Every summand of c_j has valuation
@@ -238,17 +241,11 @@ class TateSeries:
 
     def scale_powers(self, c: PadicNumber, ratio: PadicNumber) -> "TateSeries":
         """c f(ratio z) for c != 0 and a unit ratio: a_l -> a_l c ratio^l."""
-        if not ratio.is_unit:
-            raise DomainError("variable scaling needs a unit factor")
-        if c.val == 0 and c.unit == ratio.unit == 1:
+        if c.val == ratio.val == 0 and c.unit == ratio.unit == 1:
             return self
-        ctx, pN, u, cs = self.ctx, self.ctx.pN, c.unit, []
-        for a in self.coeffs:
-            cs.append(PadicNumber(ctx, a.val + c.val, a.unit * u % pN, _checked=True)
-                      if a.unit else a)
-            u = u * ratio.unit % pN
+        cs = _scaled(self.ctx, _pairs(self), (c.val, c.unit), (ratio.val, ratio.unit))
         tb = INF if self.tail_bound is INF else self.tail_bound + c.val
-        return TateSeries(ctx, self.m, cs, tb)
+        return TateSeries._from_pairs(self.ctx, self.m, cs, tb)
 
     def __mul__(self, other: "TateSeries") -> "TateSeries":
         self._match(other)
@@ -374,43 +371,53 @@ class TateSeries:
 def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> TateSeries:
     """S(lam z / (1 - mu z)) (1 - mu z)^e on f's ball, for S = f, lam != 0
     and 0 <= e <= D, truncated at z^D with the tail bound of the module
-    docstring:
+    docstring: _twisted_sums on f's pairs."""
+    cs, tail = _twisted_sums(f.ctx, f.m, _pairs(f), f.tail_bound,
+                             (lam.val, lam.unit), (mu.val, mu.unit), e)
+    return TateSeries._from_pairs(f.ctx, f.m, cs, tail)
+
+
+def _twisted_sums(ctx: PadicContext, m: int, coeffs: Sequence[Tuple[float, int]], tail_bound,
+                  lam: Tuple[float, int], mu: Tuple[float, int],
+                  e: int) -> Tuple[List[Tuple[float, int]], float]:
+    """The (val, unit) pairs and the tail bound of twisted_mobius for S given
+    by its pairs coeffs (no trailing zero) on the ball p**m Z_p:
 
         c_j = sum_{l <= j} a_l lam^l binom(e - l, j - l) (-mu)^(j - l).
     """
-    ctx, coeffs = f.ctx, f.coeffs
     if not 0 <= e <= ctx.D:
         raise ParameterError(f"twist exponent must lie in [0, D={ctx.D}], got {e}")
     pN, fac = ctx.pN, ctx.factorials
     fvals, finvs = fac.vals, fac.invs
+    (lam_v, lam_u), (mu_v, mu_u) = lam, mu
     deg = len(coeffs) - 1
     top = ctx.D if deg > e else e
-    lam_l = _unit_powers(lam.unit, deg + 1, pN)
+    lam_l = _unit_powers(lam_u, deg + 1, pN)
     # j <= e: binom(e - l, q) = (e - l)! / (q! (e - j)!), q = j - l.  The
     # source (-mu)^q / q! is indexed from the top, l' = e - q and v = e - j,
     # so that l = l' - v; a_l lam^l (e - l)! is the kernel and 1 / (e - j)!
     # the outer factor.  q = 0 is (e, 0, 1)
-    neg_mu_q = _unit_powers(pN - mu.unit, e + 1, pN)
-    src = [(e - q, q * mu.val - fvals[q], neg_mu_q[q] * finvs[q] % pN)
-           for q in range(e if mu.unit else 0, 0, -1)] + [(e, 0, 1)]
-    ker = [(a.val + l * lam.val + fvals[e - l], a.unit * lam_l[l] * fac.units[e - l] % pN)
-           for l, a in enumerate(coeffs[:e + 1])] + [(INF, 0)] * (e + 1 - len(coeffs))
+    neg_mu_q = _unit_powers(pN - mu_u, e + 1, pN)
+    src = [(e - q, q * mu_v - fvals[q], neg_mu_q[q] * finvs[q] % pN)
+           for q in range(e if mu_u else 0, 0, -1)] + [(e, 0, 1)]
+    ker = [(v + l * lam_v + fvals[e - l], u * lam_l[l] * fac.units[e - l] % pN)
+           for l, (v, u) in enumerate(coeffs[:e + 1])] + [_ZERO] * (e + 1 - len(coeffs))
     outs = [(e - j, -fvals[e - j], finvs[e - j]) for j in range(e, -1, -1)]
     low = _offset_sums(ctx, src, ker, outs)[0][::-1]
     # j > e: binom(e - l, q) = (-1)^q (j - e - 1)! / (q! (l - e - 1)!).  The
     # source a_l lam^l / (l - e - 1)! is indexed from the top, l' = deg - l
     # and v = deg - j, so that q = l' - v; mu^q / q! is the kernel and
     # (j - e - 1)! the outer factor.  deg <= e: no source
-    src = [(deg - l, a.val + l * lam.val - fvals[l - e - 1],
-            a.unit * lam_l[l] * finvs[l - e - 1] % pN)
-           for l, a in reversed(list(enumerate(coeffs))) if l > e and a.unit]
-    mu_q = _unit_powers(mu.unit, top - e, pN)
-    ker = [(0, 1)] + [(q * mu.val - fvals[q], mu_q[q] * finvs[q] % pN)
+    src = [(deg - l, v + l * lam_v - fvals[l - e - 1], u * lam_l[l] * finvs[l - e - 1] % pN)
+           for l, (v, u) in reversed(list(enumerate(coeffs))) if l > e and u]
+    mu_q = _unit_powers(mu_u, top - e, pN)
+    ker = [(0, 1)] + [(q * mu_v - fvals[q], mu_q[q] * finvs[q] % pN)
                       for q in range(1, top - e)]
     outs = [(deg - j, fvals[j - e - 1], fac.units[j - e - 1]) for j in range(top, e, -1)]
     high = _offset_sums(ctx, src, ker, outs)[0][::-1]
-    tail = INF if f.tail_bound is INF and deg <= e else f.val_c()
-    return TateSeries._from_pairs(ctx, f.m, low + high, tail)
+    if tail_bound is INF and deg <= e:
+        return low + high, INF
+    return low + high, min([v + m * l for l, (v, u) in enumerate(coeffs) if u] + [tail_bound])
 
 
 def _taylor_shift(
@@ -436,6 +443,19 @@ def _taylor_shift(
 def _pairs(f: TateSeries) -> List[Tuple[float, int]]:
     """The (val, unit) pairs of f's stored coefficients."""
     return [(a.val, a.unit) for a in f.coeffs]
+
+
+def _scaled(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]], c: Tuple[float, int],
+            ratio: Tuple[float, int]) -> List[Tuple[float, int]]:
+    """The pairs of a_l c ratio^l for the pairs coeffs of a_l, c != 0 and a
+    unit ratio: one unit product mod p**N per coefficient, no rounding."""
+    if ratio[0] != 0:
+        raise DomainError("variable scaling needs a unit factor")
+    pN, (cv, u), out = ctx.pN, c, []
+    for v, a in coeffs:
+        out.append((v + cv, a * u % pN) if a else _ZERO)
+        u = u * ratio[1] % pN
+    return out
 
 
 def _unit_powers(u: int, n: int, pN: int) -> List[int]:

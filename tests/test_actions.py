@@ -1,11 +1,12 @@
 """Iwahori elements and the twisted left action on every function model."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from rigidpadic import functions
+from rigidpadic import actions, functions
 from rigidpadic.actions import (
     I1,
     InductionCharacter,
@@ -125,6 +126,24 @@ class TestActOnSeries:
         f = LocallyAlgebraicFunction(ctx, leaves, 4)
         with pytest.raises(ParameterError):
             act_locally_algebraic(lower(ctx, 5), f, chi_for(ctx, 3))
+
+
+    def test_matrix_of_another_context_refused(self, ctx):
+        # g's integers would meet f's p**N: the z-coefficient would store a
+        # unit above 5**20
+        other = PadicContext(5, 20, 16)
+        g = IwahoriElement(ctx, 6, 5, 2, 11, I1)
+        f = TateSeries(other, 0, [1, 3, 7], tail_bound=2)
+        glob = PiecewiseFunction.from_global_series(f)
+        la = LocallyAlgebraicFunction(other, [Leaf(0, 0, TateSeries(other, 0, [1, 3, 7]))], 4)
+        chi = chi_for(other, 4)
+        match = "matrix and function belong to different contexts"
+        for run in (lambda: act(g, f, chi), lambda: act(g, glob, chi),
+                    lambda: act_cell(g, WeylCellVector(glob, glob), chi),
+                    lambda: act_smooth(g, StepFunction.indicator_ball(other, 1)),
+                    lambda: act_locally_algebraic(g, la, chi)):
+            with pytest.raises(ParameterError, match=match):
+                run()
 
 
 class TestIsometryAndCocycle:
@@ -317,8 +336,18 @@ class TestOneBuildPerAction:
 
 class TestOneRecenterPerLeaf:
     """Every action reads one Mobius substitution from g's entries, so it
-    re-centres each leaf once, also where every factor of
-    g = [[1, 0], [y, 1]] diag(s, t) [[1, x], [0, 1]] is nontrivial."""
+    Taylor-shifts each leaf once (a leaf whose offset is zero is not shifted),
+    also where every factor of g = [[1, 0], [y, 1]] diag(s, t) [[1, x], [0, 1]]
+    is nontrivial."""
+
+    @staticmethod
+    def _zero_offsets(g, f, conjugate=False):
+        """The leaves of f whose offset A = (a R - c) / (d - b R) - z0 is 0."""
+        a, b, c, d = (v.to_fraction() for v in (g.a, g.b, g.c, g.d))
+        if conjugate:
+            a, b, c, d = d, c, b, a
+        centers = [(lf.center, leaf_image(g, lf, 2, conjugate).center) for lf in f.leaves]
+        return sum(a * r - c == z0 * (d - b * r) for z0, r in centers)
 
     def test_each_leaf_recenters_once(self, ctx, monkeypatch):
         # every generator acts: x = b / a, y = c / a, s = a and t = d - c b / a
@@ -335,14 +364,19 @@ class TestOneRecenterPerLeaf:
             for lf in f.leaves
         ], 4)
         calls = []
-        real = TateSeries.recenter
-        monkeypatch.setattr(TateSeries, "recenter", lambda *a: calls.append(1) or real(*a))
+        real = actions._taylor_shift
+        monkeypatch.setattr(actions, "_taylor_shift", lambda *a: calls.append(1) or real(*a))
+        zero = self._zero_offsets
+        assert zero(diag(ctx, 1, 1), f) == len(f.leaves)
         for run, leaves in [
-            (lambda: act(g, f, chi_for(ctx, 4)), len(f.leaves)),
-            (lambda: act_smooth(g, step), len(step.leaves)),
-            (lambda: act_locally_algebraic(g, la, chi_for(ctx, 4)), len(la.leaves)),
+            (lambda: act(g, f, chi_for(ctx, 4)), len(f.leaves) - zero(g, f)),
+            (lambda: act_smooth(g, step), len(step.leaves) - zero(g, step)),
+            (lambda: act_locally_algebraic(g, la, chi_for(ctx, 4)),
+             len(la.leaves) - zero(g, la)),
             (lambda: act_cell(g, WeylCellVector(f, w0), chi_for(ctx, 4)),
-             len(f.leaves) + len(w0.leaves)),
+             len(f.leaves) + len(w0.leaves) - zero(g, f) - zero(g, w0, True)),
+            # the identity moves no leaf: every offset is zero
+            (lambda: act(diag(ctx, 1, 1), f, chi_for(ctx, 4)), 0),
         ]:
             calls.clear()
             run()
@@ -742,3 +776,57 @@ class TestWeightAboveTruncation:
             for h in (f, glob):
                 with pytest.raises(ParameterError, match="twist exponent"):
                     act(g, h, chi)
+
+
+class TestActionOutputPinned:
+    """The stored (val, unit) pairs, tail bounds, centres and levels of the
+    images from act, act_cell, act_smooth and act_locally_algebraic over one
+    seeded draw, hashed and pinned: a moved digit anywhere fails.  The draw
+    reaches truncated, exact and zero leaves, b = 0 and b != 0, e = 0 and
+    e > 0, and zero shifts (the identity, and diagonal matrices on the leaf
+    at 0)."""
+
+    DIGEST = "73a3676c031c421c360c6883cd84ac510293dcf0378e80bcb8de8670ad11a09e"
+
+    @staticmethod
+    def _rows(out):
+        if isinstance(out, TateSeries):
+            return [(0, out.m, out.tail_bound, [(a.val, a.unit) for a in out.coeffs])]
+        return [(lf.center, lf.level, lf.series.tail_bound,
+                 [(a.val, a.unit) for a in lf.series.coeffs]) for lf in out.leaves]
+
+    def _images(self):
+        ctx = PadicContext(5, 20, 12)
+        rng = random.Random(23)
+        chi = TestLeafwiseActionMeetsTheContract._chi
+        matrices = TestLeafwiseActionMeetsTheContract._matrices
+        rows = []
+        for k in (2, 4):
+            e = k - 2
+            f = _random_function(ctx, rng, 2, e)
+            step = StepFunction(ctx, [Leaf(lf.center, lf.level, TateSeries(
+                ctx, lf.level, [_random_coeff(ctx, rng)], rng.choice([INF, 3])))
+                for lf in f.leaves])
+            la = LocallyAlgebraicFunction(ctx, [Leaf(lf.center, lf.level, TateSeries(
+                ctx, lf.level, [_random_coeff(ctx, rng) for _ in range(k - 1)]))
+                for lf in f.leaves], k)
+            vec = WeylCellVector(f, _random_function(ctx, rng, 1, e))
+            for g in matrices(ctx, rng) + [diag(ctx, 6, 11)]:
+                rows += self._rows(act(g, f, chi(ctx, k)))
+                rows += self._rows(act_smooth(g, step))
+                rows += self._rows(act_locally_algebraic(g, la, chi(ctx, k)))
+            for g in matrices(ctx, rng, c_val=1):
+                out = act_cell(g, vec, chi(ctx, k))
+                rows += self._rows(out.identity) + self._rows(out.w0)
+            for m in (0, 1, 2):
+                for kind in LEAF_KINDS:
+                    s = _random_leaf_series(ctx, rng, m, e, kind)
+                    for g in TestSeriesActionMatchesChain._matrices(ctx, rng, m):
+                        rows += self._rows(act(g, s, chi(ctx, k)))
+        return rows
+
+    def test_digest(self):
+        rows = self._images()
+        assert any(tail is INF for *_, tail, _ in rows)
+        assert any(tail is not INF for *_, tail, _ in rows)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST

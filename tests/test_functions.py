@@ -303,6 +303,12 @@ class TestCompareTracked:
         # a difference below the window counts even when the window is shallow
         assert compare_tracked(ctx, ctx.from_int(7), 3, ctx.from_int(32), INF) is Verdict.NO
 
+    def test_values_of_another_context_refused(self, ctx):
+        x, y = ctx.from_int(7), PadicContext(3, ctx.N, ctx.D).from_int(7)
+        for a, b in ((x, y), (y, x), (y, y)):
+            with pytest.raises(ParameterError, match="different contexts"):
+                compare_tracked(ctx, a, INF, b, INF)
+
     def test_shallow_window(self, ctx):
         # equal down to 5**30, but the window 20 stops short of the threshold 36
         x = ctx.from_int(7)

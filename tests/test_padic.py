@@ -234,6 +234,13 @@ class TestComparison:
         z = x + ctx.from_int(5 ** (ctx.N - ctx.kappa - 1))
         assert not x.agrees_with(z)
 
+    def test_agrees_with_refuses_another_context(self):
+        # both values store the pair (0, 7)
+        x, y = PadicContext(5, 20, 16).from_int(7), PadicContext(3, 20, 16).from_int(7)
+        with pytest.raises(ParameterError, match="different contexts"):
+            x.agrees_with(y)
+        assert x.agrees_with(PadicContext(5, 20, 16, kappa=0).from_int(7))
+
     def test_context_guards(self):
         with pytest.raises(ParameterError):
             PadicContext(p=4)

@@ -426,6 +426,13 @@ class TestConstruction:
         assert f.scale_powers(ctx.one(), ctx.from_int(2)) == TateSeries(
             ctx, 1, [3, 10, 28], f.tail_bound)
 
+    def test_variable_scaling_needs_a_unit_ratio(self, ctx):
+        # ratio = 5 stores the unit 1, as ratio = 1 does
+        f = poly(ctx, 1, 3, 5, 7)
+        for c in (ctx.one(), ctx.from_int(3)):
+            with pytest.raises(DomainError, match="unit factor"):
+                f.scale_powers(c, ctx.from_int(5))
+
 
 # -- the series kernel against exact sums -------------------------------------
 #

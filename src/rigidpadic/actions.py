@@ -81,7 +81,7 @@ from .functions import (
     StepFunction,
 )
 from .padic import Coercible, PadicContext, PadicNumber
-from .series import TateSeries, _pairs, _scaled, _taylor_shift, _twisted_sums
+from .series import TateSeries, _scaled, _taylor_shift, _twisted_sums
 
 I1 = "I1"
 
@@ -192,7 +192,7 @@ class IwahoriElement:
         self.b = ctx.num(b)
         self.c = ctx.num(c)
         self.d = ctx.num(d)
-        if level != I1 and (not isinstance(level, int) or level < 1):
+        if level != I1 and (not isinstance(level, int) or isinstance(level, bool) or level < 1):
             raise ParameterError(f"level must be 'I1' or an integer >= 1, got {level!r}")
         self.level = level
         one = ctx.one()
@@ -306,12 +306,11 @@ def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], g: IwahoriElement,
         # A = (a R - c - z0 q) / q, rounded once; cs are the pairs of S(A + z')
         shift = ctx.from_int(a * center - c - z0 * q)
         if shift.is_zero:
-            cs = _pairs(f)
+            cs = f.pairs
         elif shift.val < level:
             raise DomainError(f"leaf offset needs valp(A) >= {level}, got {shift.val}")
         else:
-            cs, _ = _taylor_shift(
-                f.coeffs, PadicNumber(ctx, shift.val, shift.unit * inv_q % pN, _checked=True))
+            cs, _ = _taylor_shift(ctx, f.pairs, (shift.val, shift.unit * inv_q % pN))
         tail = f.tail_bound
         if not b:
             cs = _scaled(ctx, cs, factor, ratio)

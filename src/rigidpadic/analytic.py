@@ -21,6 +21,10 @@ stored coefficients:
                f_q = sum_l a_l binom(l+q-1, q) (-1)^q z^l,
                val_C(f_q) >= val_C(f)
 
+The four builders work on the stored (val, unit) pairs of f: each component
+coefficient is one pair product +-a_l binom(n, j) (_times_binom), and each
+component is stored as it is by TateSeries._from_pairs; no PadicNumber is made.
+
 bound_report and the membership tail guard read the stored val_C of every
 component from an integer table (_orbit_levels) of binomial valuations
 from the context's factorial table, without materialising the families;
@@ -48,15 +52,14 @@ from .errors import (
     ParameterMismatch,
 )
 from .functions import (
-    CanMembership,
     PiecewiseFunction,
     compare_tracked,
     is_member_Can,
     is_member_pi_an,
     _re_expand,
 )
-from .padic import INF, PadicContext, PadicNumber, binom_val
-from .series import TateSeries
+from .padic import _ZERO, INF, PadicContext, PadicNumber, binom_val
+from .series import TateSeries, _negated
 from .verdict import Verdict
 
 FAMILIES = ("translation", "mobius", "dilation", "inv_torus")
@@ -79,17 +82,17 @@ def _check_level(f: TateSeries, m: int) -> None:
         raise DomainError(f"series lives at level {f.m}, expansion requested at {m}")
 
 
-def _times_binom(a: PadicNumber, n: int, k: int) -> PadicNumber:
-    """a * binom(n, k) with the binomial's (val, unit) read from the factorial
-    table, with the corners of PadicContext.binom: 1 for k = 0, 0 for k > n."""
-    if k == 0 or a.is_zero:
+def _times_binom(ctx: PadicContext, a: Tuple[float, int], n: int, k: int) -> Tuple[float, int]:
+    """The pair a times binom(n, k) from the factorial table, with the corners
+    of PadicContext.binom: 1 for k = 0 (n = -1 too), 0 for k > n."""
+    v, u = a
+    if k == 0 or not u:
         return a
-    ctx = a.ctx
     if k > n:
-        return ctx.zero()
+        return _ZERO
     t = ctx.factorials
-    return PadicNumber(ctx, a.val + t.vals[n] - t.vals[k] - t.vals[n - k],
-                       a.unit * t.units[n] * t.invs[k] * t.invs[n - k] % ctx.pN, _checked=True)
+    return (v + t.vals[n] - t.vals[k] - t.vals[n - k],
+            u * t.units[n] * t.invs[k] * t.invs[n - k] % ctx.pN)
 
 
 def orbit_translation(f: TateSeries, m: int) -> OrbitExpansion:
@@ -97,9 +100,9 @@ def orbit_translation(f: TateSeries, m: int) -> OrbitExpansion:
     ctx = f.ctx
     comps = []
     for v in range(ctx.D + 1):
-        cs = [_times_binom(a, l, v) for l, a in enumerate(f.coeffs[v:], v)]
-        tail = INF if f.tail_bound is INF else f.tail_bound - m * v
-        comps.append(TateSeries(ctx, m, cs if v % 2 == 0 else [-c for c in cs], tail))
+        cs = [_times_binom(ctx, a, l, v) for l, a in enumerate(f.pairs[v:], v)]
+        comps.append(TateSeries._from_pairs(ctx, m, cs if v % 2 == 0 else _negated(ctx, cs),
+                                            f.tail_bound - m * v))
     return OrbitExpansion("translation", m, f, tuple(comps))
 
 
@@ -111,12 +114,11 @@ def orbit_mobius(f: TateSeries, m: int) -> OrbitExpansion:
     vc = f.val_c()
     comps = []
     for q in range(ctx.D + 1):
-        # a_l lands on z^(l+q); the terms past z^D are dropped
-        kept, cut = f.coeffs[: ctx.D + 1 - q], f.coeffs[ctx.D + 1 - q :]
-        cs = [ctx.zero()] * q + [_times_binom(a, l + q - 1, q) for l, a in enumerate(kept)]
-        exact = f.tail_bound is INF and all(a.is_zero for a in cut)
-        tail = INF if exact else (vc + m * q if vc is not INF else INF)
-        comps.append(TateSeries(ctx, m, cs, tail))
+        # a_l lands on z^(l+q); a nonzero term is dropped past z^D iff deg f + q > D
+        cs = [_ZERO] * q + [_times_binom(ctx, a, l + q - 1, q)
+                            for l, a in enumerate(f.pairs[: ctx.D + 1 - q])]
+        exact = f.tail_bound is INF and f.degree + q <= ctx.D
+        comps.append(TateSeries._from_pairs(ctx, m, cs, INF if exact else vc + m * q))
     return OrbitExpansion("mobius", m, f, tuple(comps))
 
 
@@ -125,8 +127,9 @@ def orbit_dilation(f: TateSeries, m: int) -> OrbitExpansion:
     ctx = f.ctx
     comps = []
     for q in range(ctx.D + 1):
-        high = [_times_binom(a, l, q) for l, a in enumerate(f.coeffs[q:], q)]
-        comps.append(TateSeries(ctx, m, [ctx.zero()] * q + high if high else [], f.tail_bound))
+        high = [_times_binom(ctx, a, l, q) for l, a in enumerate(f.pairs[q:], q)]
+        comps.append(TateSeries._from_pairs(ctx, m, [_ZERO] * q + high if high else [],
+                                            f.tail_bound))
     return OrbitExpansion("dilation", m, f, tuple(comps))
 
 
@@ -135,8 +138,9 @@ def orbit_inv_torus(f: TateSeries, m: int) -> OrbitExpansion:
     ctx = f.ctx
     comps = []
     for q in range(ctx.D + 1):
-        cs = [_times_binom(a, l + q - 1, q) for l, a in enumerate(f.coeffs)]
-        comps.append(TateSeries(ctx, m, cs if q % 2 == 0 else [-c for c in cs], f.tail_bound))
+        cs = [_times_binom(ctx, a, l + q - 1, q) for l, a in enumerate(f.pairs)]
+        comps.append(TateSeries._from_pairs(ctx, m, cs if q % 2 == 0 else _negated(ctx, cs),
+                                            f.tail_bound))
     return OrbitExpansion("inv_torus", m, f, tuple(comps))
 
 
@@ -162,10 +166,10 @@ def _orbit_levels(f: TateSeries, m: int) -> Dict[str, List[float]]:
     D = f.ctx.D
     fv = f.ctx.factorials.vals
     dil, inv, mob = [INF] * (D + 1), [INF] * (D + 1), [INF] * (D + 1)
-    for l, a in enumerate(f.coeffs):
-        if a.is_zero:
+    for l, (v, u) in enumerate(f.pairs):
+        if not u:
             continue
-        x = a.val + m * l
+        x = v + m * l
         for q in range(l + 1):
             t = x + binom_val(fv, l, q)
             if t < dil[q]:

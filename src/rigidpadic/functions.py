@@ -38,7 +38,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, ParameterError
 from .padic import INF, Coercible, PadicContext, PadicNumber, _agreement
-from .series import TateSeries, _pairs, _taylor_shift
+from .series import TateSeries, _taylor_shift
 from .verdict import Verdict
 
 #: hard cap on leaf levels; partitions beyond this depth are pathological
@@ -438,9 +438,9 @@ def _re_expand(
     """
     s, N = lf.series, ctx.N
     if not lf.center:
-        pairs = _pairs(s)
-        return pairs, [v + N for v, _ in pairs], s.tail_bound
-    pairs, floors = _taylor_shift(s.coeffs, ctx.from_int(-lf.center))
+        return s.pairs, [v + N for v, _ in s.pairs], s.tail_bound
+    c = ctx.from_int(-lf.center)
+    pairs, floors = _taylor_shift(ctx, s.pairs, (c.val, c.unit))
     tail = s.tail_bound
     if tail is not INF:
         tail = min((v + m * l for l, (v, u) in enumerate(pairs) if u), default=tail)

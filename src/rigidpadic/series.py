@@ -44,11 +44,12 @@ An exact sum does not depend on the order of its summands.  Binomials are
 split over the context's factorial table; their units are residues modulo
 p**N, which changes a summand only at or above its valuation plus N.
 The kernel reads and returns (val, unit) integer pairs, (INF, 0) for zero.
-A PadicNumber is made only where a series is stored, once per coefficient
-by TateSeries._from_pairs, and by evaluate_tracked for its one total.
-Comparisons allocate no value either: agrees_with, agrees_mod and the
-gluing test of functions.is_member_Can read (val, unit) pairs through the
-one agreement rule of padic._agreement and padic._diff_val.
+They are also the stored form: TateSeries.pairs, up to the last nonzero
+one, made by the constructor's one coercion or taken from the kernel as
+they are by _from_pairs.  coeffs and coeff(l) are read-only views that make
+PadicNumbers when read.  Comparisons allocate no value: agrees_with,
+agrees_mod and functions.is_member_Can read pairs through the one
+agreement rule of padic._agreement and padic._diff_val.
 
 _twisted_sums is the one routine for every Mobius substitution
 S(lam z / (1 - mu z)) (1 - mu z)^e.  It reads and returns (val, unit) pairs:
@@ -67,7 +68,7 @@ against the exact image of tests/exact_image.py).
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DomainError, ParameterError
@@ -76,7 +77,7 @@ from .verdict import Verdict
 
 
 class TateSeries:
-    __slots__ = ("ctx", "m", "coeffs", "tail_bound")
+    __slots__ = ("ctx", "m", "pairs", "tail_bound")
 
     def __init__(
         self,
@@ -87,37 +88,33 @@ class TateSeries:
     ):
         if m < 0:
             raise ParameterError(f"ball level m must be >= 0, got {m}")
-        cs = [ctx.num(c) for c in coeffs]
-        if len(cs) > ctx.D + 1:
+        pairs = [(c.val, c.unit) if c.unit else _ZERO for c in map(ctx.num, coeffs)]
+        if len(pairs) > ctx.D + 1:
             raise ParameterError(
-                f"series of degree {len(cs) - 1} exceeds truncation degree D={ctx.D}"
-            )
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.ctx = ctx
-        self.m = m
-        self.coeffs = tuple(cs)
-        self.tail_bound = tail_bound
+                f"series of degree {len(pairs) - 1} exceeds truncation degree D={ctx.D}")
+        self._store(ctx, m, pairs, tail_bound)
 
     @classmethod
     def _from_pairs(
         cls, ctx: PadicContext, m: int, pairs: Sequence[Tuple[float, int]], tail_bound=INF
     ) -> "TateSeries":
-        """The series whose coefficients are the (val, unit) pairs of
-        _offset_sums, at most D + 1 of them on a valid level m.  Trailing
-        zeros are dropped; every value is made as it stands, unchecked."""
+        """The series of the (val, unit) pairs of _offset_sums, at most D + 1
+        of them on a valid level m, stored as they are, unchecked."""
+        self = cls.__new__(cls)
+        self._store(ctx, m, pairs, tail_bound)
+        return self
+
+    def _store(self, ctx: PadicContext, m: int, pairs: Sequence[Tuple[float, int]],
+               tail_bound) -> None:
+        """The one store: the pairs up to the last nonzero one, and a tail
+        bound equal to +inf as INF itself (inf + 7 is not INF)."""
         n = len(pairs)
         while n and not pairs[n - 1][1]:
             n -= 1
-        pairs = pairs[:n]
-        zero = ctx.zero() if (INF, 0) in pairs else None
-        self = cls.__new__(cls)
         self.ctx = ctx
         self.m = m
-        self.coeffs = tuple([PadicNumber(ctx, v, u, _checked=True) if u else zero
-                             for v, u in pairs])
-        self.tail_bound = tail_bound
-        return self
+        self.pairs = tuple(pairs[:n])
+        self.tail_bound = INF if tail_bound == INF else tail_bound
 
     # -- basics ---------------------------------------------------------
 
@@ -138,15 +135,20 @@ class TateSeries:
     @property
     def degree(self) -> int:
         """Index of the last nonzero stored coefficient; -1 for zero."""
-        return len(self.coeffs) - 1
+        return len(self.pairs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs and self.tail_bound is INF
+        return not self.pairs and self.tail_bound is INF
+
+    @property
+    def coeffs(self) -> Tuple[PadicNumber, ...]:
+        """The stored coefficients as PadicNumbers, made when read."""
+        return tuple([PadicNumber(self.ctx, v, u, _checked=True) for v, u in self.pairs])
 
     def coeff(self, l: int) -> PadicNumber:
-        if 0 <= l < len(self.coeffs):
-            return self.coeffs[l]
+        if 0 <= l < len(self.pairs):
+            return PadicNumber(self.ctx, *self.pairs[l], _checked=True)
         return self.ctx.zero()
 
     def __eq__(self, other) -> bool:
@@ -154,18 +156,20 @@ class TateSeries:
             isinstance(other, TateSeries)
             and self.ctx.same(other.ctx)
             and self.m == other.m
-            and self.coeffs == other.coeffs
+            and self.pairs == other.pairs
             and self.tail_bound == other.tail_bound
         )
 
     def __hash__(self) -> int:
-        return hash((self.m, self.coeffs, self.tail_bound))
+        # a PadicNumber hashes as its (val, unit) tuple, so this is the hash
+        # of (m, coeffs, tail_bound)
+        return hash((self.m, self.pairs, self.tail_bound))
 
     def agrees_with(self, other: "TateSeries") -> bool:
         """Coefficientwise equality at precision on a common ball level: the
         agreement rule of padic._agreement, with no ceilings."""
         return self._level_matches(other) and _agreement(
-            self.ctx, _pairs(self), (), _pairs(other), ()) is Verdict.YES
+            self.ctx, self.pairs, (), other.pairs, ()) is Verdict.YES
 
     def agrees_mod(self, other: "TateSeries", exponent: int) -> bool:
         """Coefficientwise congruence mod p**exponent (absolute cutoff), each
@@ -178,19 +182,12 @@ class TateSeries:
         """
         return self._level_matches(other) and all(
             _diff_val(self.ctx, vx, xu, vy, yu) >= exponent
-            for (vx, xu), (vy, yu) in zip_longest(_pairs(self), _pairs(other), fillvalue=_ZERO))
+            for (vx, xu), (vy, yu) in zip_longest(self.pairs, other.pairs, fillvalue=_ZERO))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for l, c in enumerate(self.coeffs):
-                if c.is_zero:
-                    continue
-                s = c.to_string()
-                parts.append(s if l == 0 else (f"({s})*z^{l}" if l > 1 else f"({s})*z"))
-            body = " + ".join(parts) or "0"
+        terms = [(l, c.to_string()) for l, c in enumerate(self.coeffs) if c.unit]
+        body = " + ".join(s if l == 0 else f"({s})*z" + (f"^{l}" if l > 1 else "")
+                          for l, s in terms) or "0"
         tb = "inf" if self.tail_bound is INF else str(self.tail_bound)
         return f"TateSeries(m={self.m}, {body}, tail>={tb})"
 
@@ -198,10 +195,7 @@ class TateSeries:
 
     def stored_val_c(self):
         """min over stored coefficients of valp(a_l) + m*l; +inf if none."""
-        return min(
-            (c.val + self.m * l for l, c in enumerate(self.coeffs) if not c.is_zero),
-            default=INF,
-        )
+        return min((v + self.m * l for l, (v, u) in enumerate(self.pairs) if u), default=INF)
 
     def val_c(self):
         """Banach valuation: stored minimum capped by the tail certificate."""
@@ -212,23 +206,25 @@ class TateSeries:
 
         Length degree + 2; the last entry is +inf (empty suffix).
         """
-        out = [INF] * (len(self.coeffs) + 1)
-        for l in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[l]
-            out[l] = min(INF if c.is_zero else c.val + self.m * l, out[l + 1])
-        return out
+        levels = [v + self.m * l if u else INF for l, (v, u) in enumerate(self.pairs)]
+        return list(accumulate(reversed(levels), min, initial=INF))[::-1]
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "TateSeries") -> "TateSeries":
         self._match(other)
-        xs, ys = self.coeffs, other.coeffs
-        # past the shorter operand a + 0 is a itself
-        cs = [a + b for a, b in zip(xs, ys)] + list(xs[len(ys):] + ys[len(xs):])
-        return TateSeries(self.ctx, self.m, cs, min(self.tail_bound, other.tail_bound))
+        xs, ys = self.pairs, other.pairs
+        n = min(len(xs), len(ys))
+        # PadicNumber.__add__ rounds the common part; past the shorter
+        # operand a + 0 is a itself
+        sums = [self.coeff(l) + other.coeff(l) for l in range(n)]
+        cs = [(c.val, c.unit) for c in sums] + list(xs[n:] + ys[n:])
+        tb = min(self.tail_bound, other.tail_bound)
+        return TateSeries._from_pairs(self.ctx, self.m, cs, tb)
 
     def __neg__(self) -> "TateSeries":
-        return TateSeries(self.ctx, self.m, [-c for c in self.coeffs], self.tail_bound)
+        return TateSeries._from_pairs(self.ctx, self.m, _negated(self.ctx, self.pairs),
+                                      self.tail_bound)
 
     def __sub__(self, other: "TateSeries") -> "TateSeries":
         return self + (-other)
@@ -243,7 +239,7 @@ class TateSeries:
         """c f(ratio z) for c != 0 and a unit ratio: a_l -> a_l c ratio^l."""
         if c.val == ratio.val == 0 and c.unit == ratio.unit == 1:
             return self
-        cs = _scaled(self.ctx, _pairs(self), (c.val, c.unit), (ratio.val, ratio.unit))
+        cs = _scaled(self.ctx, self.pairs, (c.val, c.unit), (ratio.val, ratio.unit))
         tb = INF if self.tail_bound is INF else self.tail_bound + c.val
         return TateSeries._from_pairs(self.ctx, self.m, cs, tb)
 
@@ -254,9 +250,9 @@ class TateSeries:
         # c_n = sum_i a_i b_(n-i): other is the source indexed from the top
         # (l = top - j, v = top - n), so that i = l - v, and self, padded
         # with zeros, is the kernel
-        src = [(top - j, b.val, b.unit)
-               for j, b in reversed(list(enumerate(other.coeffs[:top + 1]))) if b.unit]
-        ker = [(a.val, a.unit) for a in self.coeffs[:top + 1]] + [(INF, 0)] * (top - self.degree)
+        src = [(top - j, v, u)
+               for j, (v, u) in reversed(list(enumerate(other.pairs[:top + 1]))) if u]
+        ker = list(self.pairs[:top + 1]) + [_ZERO] * (top - self.degree)
         cs = _offset_sums(ctx, src, ker, [(v, 0, 1) for v in range(top + 1)])[0][::-1]
         exact = (
             self.tail_bound is INF
@@ -287,7 +283,7 @@ class TateSeries:
             return self
         if y.val < self.m:
             raise DomainError(f"translation step needs valp(y) >= {self.m}, got {y.val}")
-        cs, _ = _taylor_shift(self.coeffs, -y)
+        cs, _ = _taylor_shift(ctx, self.pairs, (y.val, ctx.pN - y.unit))
         # omitted b_v, v > D, draw only on omitted a_l, so the input
         # certificate carries over unchanged
         return TateSeries._from_pairs(ctx, self.m, cs, self.tail_bound)
@@ -334,8 +330,8 @@ class TateSeries:
         if not a.is_zero and a.val < self.m:
             raise DomainError(f"recenter offset needs valp(a) >= {self.m}, got {a.val}")
         if a.is_zero:
-            return TateSeries(ctx, new_m, self.coeffs, self.tail_bound)
-        cs, _ = _taylor_shift(self.coeffs, a)
+            return TateSeries._from_pairs(ctx, new_m, self.pairs, self.tail_bound)
+        cs, _ = _taylor_shift(ctx, self.pairs, (a.val, a.unit))
         return TateSeries._from_pairs(ctx, new_m, cs, self.tail_bound)
 
     def evaluate(self, z: Coercible) -> PadicNumber:
@@ -360,9 +356,9 @@ class TateSeries:
         # the single output v = 0 of the kernel with ker[l] = z^l
         pN, zu = ctx.pN, z.unit
         zl = [(0, 1)]
-        for l in range(1, len(self.coeffs)):
+        for l in range(1, len(self.pairs)):
             zl.append((l * z.val, zl[-1][1] * zu % pN))
-        src = [(l, a.val, a.unit) for l, a in enumerate(self.coeffs) if a.unit]
+        src = [(l, v, u) for l, (v, u) in enumerate(self.pairs) if u]
         ((val, unit),), (floor,) = _offset_sums(ctx, src, zl, [(0, 0, 1)])
         total = PadicNumber(ctx, val, unit, _checked=True) if unit else ctx.zero()
         return total, floor + ctx.N
@@ -372,7 +368,7 @@ def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> 
     """S(lam z / (1 - mu z)) (1 - mu z)^e on f's ball, for S = f, lam != 0
     and 0 <= e <= D, truncated at z^D with the tail bound of the module
     docstring: _twisted_sums on f's pairs."""
-    cs, tail = _twisted_sums(f.ctx, f.m, _pairs(f), f.tail_bound,
+    cs, tail = _twisted_sums(f.ctx, f.m, f.pairs, f.tail_bound,
                              (lam.val, lam.unit), (mu.val, mu.unit), e)
     return TateSeries._from_pairs(f.ctx, f.m, cs, tail)
 
@@ -420,29 +416,23 @@ def _twisted_sums(ctx: PadicContext, m: int, coeffs: Sequence[Tuple[float, int]]
     return low + high, min([v + m * l for l, (v, u) in enumerate(coeffs) if u] + [tail_bound])
 
 
-def _taylor_shift(
-    coeffs: Sequence[PadicNumber], c: PadicNumber
-) -> Tuple[List[Tuple[float, int]], List[float]]:
-    """The Taylor shift b_v = sum_{l >= v} a_l binom(l, v) c^(l-v), c != 0.
+def _taylor_shift(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]],
+                  c: Tuple[float, int]) -> Tuple[List[Tuple[float, int]], List[float]]:
+    """The Taylor shift b_v = sum_{l >= v} a_l binom(l, v) c^(l-v) for the
+    (val, unit) pairs coeffs of a_l and the pair c != 0.
 
     Returns (b, floors): b[v] is the (val, unit) pair of _offset_sums and
     floors[v] the least valuation of the nonzero summands of b_v (+inf
     when there are none).
     """
-    ctx = c.ctx
     pN, fac = ctx.pN, ctx.factorials
     fvals, finvs = fac.vals, fac.invs
+    cv, cu = c
     # binom(l, v) c^(l-v) = l! (c^k / k!) (1 / v!), k = l - v
-    ck = [(k * c.val - fvals[k], cu * finvs[k] % pN)
-          for k, cu in enumerate(_unit_powers(c.unit, len(coeffs), pN))]
-    src = [(l, a.val + fvals[l], a.unit * fac.units[l] % pN)
-           for l, a in enumerate(coeffs) if a.unit]
+    ck = [(k * cv - fvals[k], u * finvs[k] % pN)
+          for k, u in enumerate(_unit_powers(cu, len(coeffs), pN))]
+    src = [(l, v + fvals[l], u * fac.units[l] % pN) for l, (v, u) in enumerate(coeffs) if u]
     return _offset_sums(ctx, src, ck, [(v, -fvals[v], finvs[v]) for v in range(len(coeffs))])
-
-
-def _pairs(f: TateSeries) -> List[Tuple[float, int]]:
-    """The (val, unit) pairs of f's stored coefficients."""
-    return [(a.val, a.unit) for a in f.coeffs]
 
 
 def _scaled(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]], c: Tuple[float, int],
@@ -456,6 +446,11 @@ def _scaled(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]], c: Tuple[flo
         out.append((v + cv, a * u % pN) if a else _ZERO)
         u = u * ratio[1] % pN
     return out
+
+
+def _negated(ctx: PadicContext, pairs: Sequence[Tuple[float, int]]) -> List[Tuple[float, int]]:
+    """The pairs of -a_l, by _scaled with c = -1."""
+    return _scaled(ctx, pairs, (0, ctx.pN - 1), (0, 1))
 
 
 def _unit_powers(u: int, n: int, pN: int) -> List[int]:

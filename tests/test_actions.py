@@ -72,6 +72,12 @@ class TestIwahoriElement:
         with pytest.raises(DomainError):
             IwahoriElement(ctx, 1, 0, 5, 1, 2)
 
+    def test_bool_level_refused(self, ctx):
+        # True == 1, but a file cannot carry a bool level back
+        for level in (True, False):
+            with pytest.raises(ParameterError, match=f"integer >= 1, got {level}"):
+                IwahoriElement(ctx, 1, 0, 0, 1, level)
+
     def test_singular_matrix_rejected(self, ctx):
         with pytest.raises(DomainError):
             IwahoriElement(ctx, 1, 5, ctx.from_fraction(Fraction(1, 5)), 1, I1)

@@ -46,6 +46,16 @@ class TestRoundTrips:
         assert back == f
         assert back.tail_bound == 3
 
+    def test_series_zero_product(self, ctx):
+        # zero times a truncated series is exactly zero: its tail bound
+        # INF + 7 is a float inf, stored as INF itself so that it writes "inf"
+        f = TateSeries(ctx, 1, [1, 2, 3], 7)
+        zero = TateSeries.zero(ctx, 1)
+        for z in (zero * f, f * zero, TateSeries(ctx, 1, [], float("inf"))):
+            assert z.is_zero
+            _, back = _roundtrip(ctx, "series", z)
+            assert back == z == zero and back.is_zero
+
     def test_function(self, ctx):
         f = PiecewiseFunction.from_global_series(
             TateSeries(ctx, 0, [2, 0, 1])

@@ -534,7 +534,7 @@ def _nums(ctx, pairs):
 
 def _shift(coeffs, c):
     """_taylor_shift with its pairs read as PadicNumbers."""
-    pairs, floors = _taylor_shift(coeffs, c)
+    pairs, floors = _taylor_shift(c.ctx, [(a.val, a.unit) for a in coeffs], (c.val, c.unit))
     return _nums(c.ctx, pairs), floors
 
 
@@ -769,7 +769,7 @@ class TestFromPairs:
     def test_all_zero_outputs(self, ctx):
         # an empty source, and two summands that cancel exactly
         pN = ctx.pN
-        empty, _ = _taylor_shift([ctx.zero()] * 3, ctx.from_int(5))
+        empty, _ = _taylor_shift(ctx, [(INF, 0)] * 3, (1, 1))
         cancelled, floors = _offset_sums(ctx, [(0, 2, 1), (0, 2, pN - 1)], [(0, 1)],
                                          [(0, 0, 1)])
         assert empty == [(INF, 0)] * 3 and cancelled == [(INF, 0)] and floors == [2]
@@ -782,8 +782,39 @@ class TestFromPairs:
         rng = random.Random(5)
         for _ in range(20):
             f = _kernel_series(ctx, rng, 1, rng.randint(0, 8))
-            pairs, _ = _taylor_shift(f.coeffs, ctx.from_int(5 * rng.randrange(1, 99)))
+            c = ctx.from_int(5 * rng.randrange(1, 99))
+            pairs, _ = _taylor_shift(ctx, f.pairs, (c.val, c.unit))
             self._assert_same(ctx, 1, pairs + [(INF, 0)] * rng.randint(0, 3), f.tail_bound)
+
+
+class TestStoredForm:
+    """The (val, unit) pairs are the one stored form of a series: no trailing
+    zero pair, coeffs and coeff(l) read them as PadicNumbers, the hash is that
+    of (m, coeffs, tail_bound), and _from_pairs stores what the public
+    constructor stores."""
+
+    @staticmethod
+    def _inputs(ctx, rng):
+        for _ in range(40):
+            f = _kernel_series(ctx, rng, rng.randint(0, 2), rng.randint(0, 8))
+            yield list(f.coeffs) + [ctx.zero()] * rng.randint(0, 3), f.m, f.tail_bound
+        for m in (0, 2):
+            for tail in (INF, 3):
+                yield [], m, tail
+                yield [0] * rng.randint(1, 4), m, tail
+
+    def test_random_series(self, ctx):
+        rng = random.Random(24)
+        for cs, m, tail in self._inputs(ctx, rng):
+            f = TateSeries(ctx, m, cs, tail)
+            assert all(u for _, u in f.pairs[-1:])
+            assert list(f.pairs) == [(c.val, c.unit) for c in f.coeffs]
+            assert [f.coeff(l) for l in range(len(cs) + 1)] == [
+                f.coeffs[l] if l <= f.degree else ctx.zero() for l in range(len(cs) + 1)]
+            assert hash(f) == hash((f.m, f.coeffs, f.tail_bound))
+            pairs = [(c.val, c.unit) for c in map(ctx.num, cs)]
+            g = TateSeries._from_pairs(ctx, m, pairs, tail)
+            assert g == f and hash(g) == hash(f) and g.pairs == f.pairs
 
 
 class TestStoredDigitsBelowCeilings:

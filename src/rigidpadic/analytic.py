@@ -27,9 +27,12 @@ component is stored as it is by TateSeries._from_pairs; no PadicNumber is made.
 
 bound_report and the membership tail guard read the stored val_C of every
 component from an integer table (_orbit_levels) of binomial valuations
-from the context's factorial table, without materialising the families;
-verify_bounds asserts every inequality with its margin, and a violation is
-a hard failure carrying the index (these bounds are theorems).
+from the context's factorial table, without materialising the families.
+The report is rows: one (certified, bound) pair of tuples per family, and
+ok and first_violation scan their margins; its entries and to_dict are
+views that build BoundEntry objects or dicts when read.  verify_bounds
+asserts every inequality with its margin, and a violation is a hard
+failure carrying the index (these bounds are theorems).
 
 The cokernel model represents classes of pairs (F_alpha, F_beta) of
 G(n)-analytic vectors modulo the embedded beta-side locally algebraic
@@ -191,6 +194,19 @@ def _orbit_levels(f: TateSeries, m: int) -> Dict[str, List[float]]:
 # -- bound verification -------------------------------------------------------
 
 
+def _margin(lhs: float, rhs: float) -> float:
+    return INF if lhs is INF or rhs is INF else lhs - rhs
+
+
+def _enc(x):
+    return "inf" if x is INF else ("-inf" if x == -INF else int(x))
+
+
+def _entry_dict(family: str, index: int, val_c, bound, margin) -> dict:
+    return {"family": family, "index": index,
+            "val_C": _enc(val_c), "bound": _enc(bound), "margin": _enc(margin)}
+
+
 @dataclass(frozen=True)
 class BoundEntry:
     family: str
@@ -204,43 +220,43 @@ class BoundEntry:
         return self.margin >= 0
 
     def to_dict(self) -> dict:
-        def enc(x):
-            return "inf" if x is INF else ("-inf" if x == -INF else int(x))
-
-        return {
-            "family": self.family,
-            "index": self.index,
-            "val_C": enc(self.val_c),
-            "bound": enc(self.bound),
-            "margin": enc(self.margin),
-        }
+        return _entry_dict(self.family, self.index, self.val_c, self.bound, self.margin)
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    m: int
-    entries: Tuple[BoundEntry, ...]
+    """The margins of the orbit inequalities at level m: rows holds one
+    (certified, bound) pair of tuples per family, in FAMILIES order, and
+    an entry is one index of one row.  entries and to_dict are views."""
+
+    __slots__ = ("m", "rows")
+
+    def __init__(self, m: int, rows: tuple):
+        self.m = m
+        self.rows = rows
+
+    def _cells(self):
+        for fam, (lhs, rhs) in zip(FAMILIES, self.rows):
+            for v, (x, y) in enumerate(zip(lhs, rhs)):
+                yield fam, v, x, y, _margin(x, y)
+
+    @property
+    def entries(self) -> Tuple[BoundEntry, ...]:
+        return tuple([BoundEntry(*c) for c in self._cells()])
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return self.first_violation() is None
 
     def first_violation(self) -> Optional[BoundEntry]:
-        for e in self.entries:
-            if not e.ok:
-                return e
+        for fam, (lhs, rhs) in zip(FAMILIES, self.rows):
+            for v, d in enumerate(map(_margin, lhs, rhs)):
+                if not d >= 0:
+                    return BoundEntry(fam, v, lhs[v], rhs[v], d)
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "ok": self.ok,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-
-def _margin(lhs: float, rhs: float) -> float:
-    return INF if lhs is INF or rhs is INF else lhs - rhs
+        return {"m": self.m, "ok": self.ok,
+                "entries": [_entry_dict(*c) for c in self._cells()]}
 
 
 def bound_report(f: TateSeries, m: int, tamper: Optional[Tuple[str, int]] = None) -> BoundReport:
@@ -274,12 +290,7 @@ def bound_report(f: TateSeries, m: int, tamper: Optional[Tuple[str, int]] = None
         if margin is INF:
             raise ParameterError(f"component {fam}[{idx}] has no finite margin to break")
         lhs[fam][idx] -= margin + 1
-    entries = (
-        BoundEntry(fam, v, lhs[fam][v], rhs[fam][v], _margin(lhs[fam][v], rhs[fam][v]))
-        for fam in FAMILIES
-        for v in span
-    )
-    return BoundReport(m, tuple(entries))
+    return BoundReport(m, tuple((tuple(lhs[fam]), tuple(rhs[fam])) for fam in FAMILIES))
 
 
 def verify_bounds(f: TateSeries, m: int, tamper: Optional[Tuple[str, int]] = None) -> BoundReport:

@@ -86,8 +86,8 @@ class TateSeries:
         coeffs: Sequence[Coercible] = (),
         tail_bound=INF,
     ):
-        if m < 0:
-            raise ParameterError(f"ball level m must be >= 0, got {m}")
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+            raise ParameterError(f"ball level m must be an integer >= 0, got {m}")
         pairs = [(c.val, c.unit) if c.unit else _ZERO for c in map(ctx.num, coeffs)]
         if len(pairs) > ctx.D + 1:
             raise ParameterError(
@@ -387,7 +387,7 @@ def _twisted_sums(ctx: PadicContext, m: int, coeffs: Sequence[Tuple[float, int]]
     fvals, finvs = fac.vals, fac.invs
     (lam_v, lam_u), (mu_v, mu_u) = lam, mu
     deg = len(coeffs) - 1
-    top = ctx.D if deg > e else e
+    tail = min([v + m * l for l, (v, u) in enumerate(coeffs) if u] + [tail_bound])
     lam_l = _unit_powers(lam_u, deg + 1, pN)
     # j <= e: binom(e - l, q) = (e - l)! / (q! (e - j)!), q = j - l.  The
     # source (-mu)^q / q! is indexed from the top, l' = e - q and v = e - j,
@@ -400,20 +400,19 @@ def _twisted_sums(ctx: PadicContext, m: int, coeffs: Sequence[Tuple[float, int]]
            for l, (v, u) in enumerate(coeffs[:e + 1])] + [_ZERO] * (e + 1 - len(coeffs))
     outs = [(e - j, -fvals[e - j], finvs[e - j]) for j in range(e, -1, -1)]
     low = _offset_sums(ctx, src, ker, outs)[0][::-1]
+    if deg <= e:
+        return low, INF if tail_bound is INF else tail
     # j > e: binom(e - l, q) = (-1)^q (j - e - 1)! / (q! (l - e - 1)!).  The
     # source a_l lam^l / (l - e - 1)! is indexed from the top, l' = deg - l
     # and v = deg - j, so that q = l' - v; mu^q / q! is the kernel and
-    # (j - e - 1)! the outer factor.  deg <= e: no source
+    # (j - e - 1)! the outer factor
     src = [(deg - l, v + l * lam_v - fvals[l - e - 1], u * lam_l[l] * finvs[l - e - 1] % pN)
            for l, (v, u) in reversed(list(enumerate(coeffs))) if l > e and u]
-    mu_q = _unit_powers(mu_u, top - e, pN)
+    mu_q = _unit_powers(mu_u, ctx.D - e, pN)
     ker = [(0, 1)] + [(q * mu_v - fvals[q], mu_q[q] * finvs[q] % pN)
-                      for q in range(1, top - e)]
-    outs = [(deg - j, fvals[j - e - 1], fac.units[j - e - 1]) for j in range(top, e, -1)]
-    high = _offset_sums(ctx, src, ker, outs)[0][::-1]
-    if tail_bound is INF and deg <= e:
-        return low + high, INF
-    return low + high, min([v + m * l for l, (v, u) in enumerate(coeffs) if u] + [tail_bound])
+                      for q in range(1, ctx.D - e)]
+    outs = [(deg - j, fvals[j - e - 1], fac.units[j - e - 1]) for j in range(ctx.D, e, -1)]
+    return low + _offset_sums(ctx, src, ker, outs)[0][::-1], tail
 
 
 def _taylor_shift(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]],

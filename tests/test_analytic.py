@@ -38,7 +38,7 @@ from rigidpadic.errors import (
 )
 from rigidpadic.functions import Leaf, PiecewiseFunction, StepFunction
 from rigidpadic.padic import INF, PadicContext, PadicNumber
-from rigidpadic.selftest import rand_chi, rand_iwahori, rand_refined_global
+from rigidpadic.selftest import rand_chi, rand_iwahori, rand_refined_global, rand_series
 from rigidpadic.series import TateSeries
 from rigidpadic.verdict import Verdict
 from exact_image import valuation
@@ -412,12 +412,7 @@ def _oracle_bound_report(f, m, tamper=None):
         lhs = list(lhs)
         lhs[idx] -= int(margin) + 1
         bounds[fam] = lhs, rhs
-    entries = []
-    for fam in FAMILIES:
-        lhs, rhs = bounds[fam]
-        for idx in range(len(lhs)):
-            entries.append(BoundEntry(fam, idx, lhs[idx], rhs[idx], _margin(lhs[idx], rhs[idx])))
-    return BoundReport(m, tuple(entries))
+    return BoundReport(m, tuple(bounds[fam] for fam in FAMILIES))
 
 
 def _outcome(report_fn, f, m, tamper=None):
@@ -460,6 +455,51 @@ class TestBoundReportOracle:
             assert got == _outcome(_oracle_bound_report, g, m, tamper)
         assert _outcome(bound_report, f, 2)[0] is DomainError
         assert "no finite margin" in _outcome(bound_report, f, 1, ("dilation", 5))[1]
+
+
+class TestBoundReportViews:
+    """A report keeps one (certified, bound) row pair per family; entries,
+    ok, first_violation and to_dict read the same margins from it."""
+
+    def test_views_agree(self, ctx):
+        rng = random.Random(67)
+        tampers = [None] + [(fam, i) for fam in FAMILIES for i in (0, 1, ctx.D)]
+        for m in (1, 2, 3):
+            for _ in range(4):
+                f = rand_series(ctx, rng, m)
+                for tamper in tampers:
+                    try:
+                        rep = bound_report(f, m, tamper)
+                    except ParameterError:  # no finite margin to break
+                        continue
+                    entries = rep.entries
+                    assert len(entries) == len(FAMILIES) * (ctx.D + 1)
+                    assert rep.to_dict() == {"m": m, "ok": rep.ok,
+                                             "entries": [e.to_dict() for e in entries]}
+                    assert rep.ok == all(e.ok for e in entries)
+                    bad = [e for e in entries if not e.ok]
+                    assert rep.first_violation() == (bad[0] if bad else None)
+                    assert (tamper is None) == (not bad), tamper
+
+    def test_passing_report_builds_no_entry(self, ctx, monkeypatch):
+        built = []
+
+        class Counted(BoundEntry):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(analytic, "BoundEntry", Counted)
+        f = TateSeries(ctx, 1, [3, 5, 0, 7, 25], 0)
+        rep = bound_report(f, 1)
+        assert rep.ok and rep.first_violation() is None
+        assert verify_bounds(f, 1).ok
+        assert rep.to_dict()["ok"]
+        assert built == []
+        assert len(rep.entries) == len(built) == len(FAMILIES) * (ctx.D + 1)
+        built.clear()
+        assert not bound_report(f, 1, ("mobius", 3)).ok
+        assert [args[:2] for args in built] == [("mobius", 3)]
 
 
 def _split_ball(ctx, hot_center: int, level: int):

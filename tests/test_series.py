@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidpadic import series
 from rigidpadic.actions import I1, InductionCharacter, IwahoriElement, act
 from rigidpadic.errors import DomainError, ParameterError
 from rigidpadic.functions import Leaf, _re_expand
@@ -401,6 +402,12 @@ class TestConstruction:
     def test_negative_level_rejected(self, ctx):
         with pytest.raises(ParameterError):
             TateSeries(ctx, -1, [1])
+
+    def test_level_must_be_an_integer(self, ctx):
+        # True == 1, but io.wrap would write "m": true, which io.load refuses
+        for m in (True, False, 1.5, 1.0):
+            with pytest.raises(ParameterError, match=f"an integer >= 0, got {m}"):
+                TateSeries(ctx, m, [1, 5])
 
     def test_agrees_mod_absolute_window(self, ctx):
         f = poly(ctx, 1, 1, 5)
@@ -875,3 +882,26 @@ class TestTwistedMobiusContract:
                 assert_meets_contract(twisted_mobius(f, lam, mu, e), twisted_image(f, lam, mu, e))
                 assert_meets_contract(f.mobius_twist(mu, e + 2),
                                       twisted_image(f, ctx.one(), mu, e))
+
+
+class TestTwistedSumsSkipTheEmptyHalf:
+    """For an exact S of degree <= e every c_j with j > e is zero, so
+    _twisted_sums runs the kernel once, for the j <= e half."""
+
+    def test_one_kernel_call_up_to_degree_e(self, ctx, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _offset_sums(*args)
+
+        monkeypatch.setattr(series, "_offset_sums", counted)
+        lam, mu = ctx.from_int(2), ctx.from_int(15)
+        for coeffs, e, tail, want in (([3], 0, INF, 1), ([1, 5], 2, INF, 1),
+                                      ([1, 2, 3, 4], 3, INF, 1), ([], 2, INF, 1),
+                                      ([1, 5], 2, 4, 1), ([1, 2, 3, 4], 2, INF, 2)):
+            f = TateSeries(ctx, 1, coeffs, tail)
+            calls.clear()
+            got = twisted_mobius(f, lam, mu, e)
+            assert len(calls) == want, (coeffs, e)
+            _assert_twisted(f, lam, mu, e, got)

@@ -22,8 +22,9 @@ stored coefficients:
                val_C(f_q) >= val_C(f)
 
 The four builders work on the stored (val, unit) pairs of f: each component
-coefficient is one pair product +-a_l binom(n, j) (_times_binom), and each
-component is stored as it is by TateSeries._from_pairs; no PadicNumber is made.
+coefficient is one pair product +-a_l binom(n, j), read by _times_binom,
+which lives in padic beside PadicContext.binom, and each component is
+stored as it is by TateSeries._from_pairs; no PadicNumber is made.
 
 bound_report and the membership tail guard read the stored val_C of every
 component from an integer table (_orbit_levels) of binomial valuations
@@ -61,7 +62,7 @@ from .functions import (
     is_member_pi_an,
     _re_expand,
 )
-from .padic import _ZERO, INF, PadicContext, PadicNumber, binom_val
+from .padic import _ZERO, INF, PadicContext, PadicNumber, _times_binom, binom_val
 from .series import TateSeries, _negated
 from .verdict import Verdict
 
@@ -83,19 +84,6 @@ class OrbitExpansion:
 def _check_level(f: TateSeries, m: int) -> None:
     if f.m != m:
         raise DomainError(f"series lives at level {f.m}, expansion requested at {m}")
-
-
-def _times_binom(ctx: PadicContext, a: Tuple[float, int], n: int, k: int) -> Tuple[float, int]:
-    """The pair a times binom(n, k) from the factorial table, with the corners
-    of PadicContext.binom: 1 for k = 0 (n = -1 too), 0 for k > n."""
-    v, u = a
-    if k == 0 or not u:
-        return a
-    if k > n:
-        return _ZERO
-    t = ctx.factorials
-    return (v + t.vals[n] - t.vals[k] - t.vals[n - k],
-            u * t.units[n] * t.invs[k] * t.invs[n - k] % ctx.pN)
 
 
 def orbit_translation(f: TateSeries, m: int) -> OrbitExpansion:

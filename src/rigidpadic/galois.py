@@ -46,14 +46,14 @@ class ContinuousCharacter:
 
     def __init__(self, value_at_p: PadicNumber, tame_exponent: int, wild_value: PadicNumber):
         ctx = value_at_p.ctx
+        if not wild_value.ctx.same(ctx):
+            raise ParameterError("character components use different contexts")
         if value_at_p.is_zero:
             raise ParameterError("character value at p must be nonzero")
         if wild_value.is_zero or wild_value.val != 0:
             raise ParameterError("wild value must be a unit")
         if not (wild_value - ctx.one()).is_zero and (wild_value - ctx.one()).val < 1:
             raise ParameterError("wild value must be congruent to 1 mod p")
-        if not wild_value.ctx.same(ctx):
-            raise ParameterError("character components use different contexts")
         self.ctx = ctx
         self.value_at_p = value_at_p
         self.tame_exponent = tame_exponent % (ctx.p - 1)

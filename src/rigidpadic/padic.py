@@ -15,9 +15,15 @@ for n = 0 .. 2D, so binom(n, k) = n! / (k! (n - k)!) costs two products.
 Contexts with the same (p, N, D) share one table; it grows past 2D on
 demand, under a lock, and entries already present never change.
 
-Every comparison of stored digits in the library (agrees_with, agrees_mod,
-compare_tracked, the gluing test) reads one rule, _agreement, on (val, unit)
-pairs, with x - y rounded by _diff_val exactly as __sub__ rounds it.
+Every rounding of a (val, unit) pair in the library goes through three
+functions: _normalised, the one place that strips p from a residue;
+_pair_sum, the sum rule of __add__ and __sub__ on flat pairs, which
+TateSeries.__add__ runs coefficientwise; and _times_binom, a pair times a
+binomial from the table.  Multiply, invert and pow stay PadicNumber methods:
+no pair code calls them, so a pair function would only wrap its method.
+Every comparison of stored digits (agrees_with, agrees_mod, compare_tracked,
+the gluing test) reads one rule, _agreement, with x - y rounded by _pair_sum
+exactly as __sub__ rounds it.
 
 All values are immutable and every operation is pure, so objects can be
 shared freely between threads.
@@ -145,6 +151,9 @@ class PadicContext:
     __slots__ = ("p", "N", "D", "kappa", "pN", "ppow", "factorials")
 
     def __init__(self, p: int = 5, N: int = 40, D: int = 64, kappa: int = 4):
+        for name, x in (("p", p), ("N", N), ("D", D), ("kappa", kappa)):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ParameterError(f"{name} must be an integer, got {x!r}")
         if not _is_prime(p) or p == 2:
             raise ParameterError(f"p must be an odd prime, got {p}")
         if not 1 <= N <= MAX_PRECISION:
@@ -221,21 +230,9 @@ class PadicContext:
         raise ParameterError(f"cannot coerce {type(x).__name__} to Q_p")
 
     def binom(self, n: int, k: int) -> "PadicNumber":
-        """binom(n, k) reduced into the context, read from the factorial table.
-
-        Only the combinatorially meaningful corner cases are special:
-        k = 0 gives 1 for every n (including n = -1, the empty product),
-        and k > n >= 0 gives 0.
-        """
-        if k == 0:
-            return self.one()
-        if n < 0 or k < 0 or k > n:
-            return self.zero()
-        t = self.factorials
-        if n >= len(t.invs):
-            t.extend(n)
-        v = t.vals[n] - t.vals[k] - t.vals[n - k]
-        return PadicNumber(self, v, t.units[n] * t.invs[k] * t.invs[n - k] % self.pN, _checked=True)
+        """binom(n, k) reduced into the context, read from the factorial table
+        with the corners of _times_binom."""
+        return PadicNumber(self, *_times_binom(self, (0, 1), n, k), _checked=True)
 
 
 class PadicNumber:
@@ -244,23 +241,9 @@ class PadicNumber:
     __slots__ = ("ctx", "val", "unit")
 
     def __init__(self, ctx: PadicContext, val, unit: int, _checked: bool = False):
-        self.ctx = ctx
-        if _checked:
-            self.val = val
-            self.unit = unit
-            return
-        # normalise: strip p factors that additions may have produced
-        unit %= ctx.pN
-        if unit == 0:
-            self.val = INF
-            self.unit = 0
-            return
-        shift = 0
-        while unit % ctx.p == 0:
-            unit //= ctx.p
-            shift += 1
-        self.val = val + shift
-        self.unit = unit % ctx.pN
+        if not _checked:
+            val, unit = _normalised(ctx, val, unit)
+        self.ctx, self.val, self.unit = ctx, val, unit
 
     # -- predicates ----------------------------------------------------
 
@@ -275,15 +258,11 @@ class PadicNumber:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        a, b = (self, other) if self.val <= other.val else (other, self)
-        d = b.val - a.val
-        if d >= a.ctx.N:
-            return a
-        return PadicNumber(a.ctx, a.val, a.unit + b.unit * a.ctx.ppow[d])
+        ctx = self.ctx
+        if other.ctx is not ctx and not ctx.same(other.ctx):
+            raise ParameterError("values belong to different contexts")
+        return PadicNumber(ctx, *_pair_sum(ctx, self.val, self.unit, other.val, other.unit),
+                           _checked=True)
 
     def __neg__(self) -> "PadicNumber":
         if self.is_zero:
@@ -294,14 +273,12 @@ class PadicNumber:
         return self + (-other)
 
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
+        if other.ctx is not self.ctx and not self.ctx.same(other.ctx):
+            raise ParameterError("values belong to different contexts")
         if self.is_zero or other.is_zero:
             return self.ctx.zero()
-        return PadicNumber(
-            self.ctx,
-            self.val + other.val,
-            (self.unit * other.unit) % self.ctx.pN,
-            _checked=True,
-        )
+        return PadicNumber(self.ctx, self.val + other.val,
+                           self.unit * other.unit % self.ctx.pN, _checked=True)
 
     def invert(self) -> "PadicNumber":
         if self.is_zero:
@@ -385,32 +362,60 @@ class PadicNumber:
 # -- module-level operations -------------------------------------------
 
 
-def _diff_val(ctx: PadicContext, vx, xu: int, vy, yu: int):
-    """valp(x - y) for x, y given as (val, unit) pairs, rounded as
-    PadicNumber.__sub__ rounds it: the lower side's unit is known modulo
-    p**N, so a difference with no digit below its val + N reads +inf."""
-    if not (xu and yu):
-        return vx if xu else vy
-    if vx > vy:  # the valuation of y - x is that of x - y
+def _normalised(ctx: PadicContext, val, raw: int) -> Tuple[float, int]:
+    """The (val, unit) pair of p**val * raw at relative precision N: raw is
+    reduced modulo p**N, each factor of p moves into val, and zero reads
+    (INF, 0).  The one place that strips p from a residue."""
+    raw %= ctx.pN
+    if not raw:
+        return _ZERO
+    p = ctx.p
+    while not raw % p:
+        raw //= p
+        val += 1
+    return val, raw
+
+
+def _pair_sum(ctx: PadicContext, vx, xu: int, vy, yu: int) -> Tuple[float, int]:
+    """The pair of x + y, rounded as PadicNumber.__add__ rounds it: a zero
+    side gives the other side, valuations N or more apart give the lower
+    side (its unit is known only modulo p**N), and otherwise the lower
+    side's unit plus the other's shifted onto it is normalised once."""
+    if not xu:
+        return vy, yu
+    if not yu:
+        return vx, xu
+    if vy < vx:
         vx, xu, vy, yu = vy, yu, vx, xu
     d = vy - vx
     if d >= ctx.N:
-        return vx
-    raw = (xu - yu * ctx.ppow[d]) % ctx.pN
-    if not raw:
-        return INF
-    while raw % ctx.p == 0:
-        raw //= ctx.p
-        vx += 1
-    return vx
+        return vx, xu
+    return _normalised(ctx, vx, xu + yu * ctx.ppow[d])
+
+
+def _times_binom(ctx: PadicContext, a: Tuple[float, int], n: int, k: int) -> Tuple[float, int]:
+    """The pair a times binom(n, k) from the factorial table, grown on demand
+    past 2D, with the combinatorial corners: binom(n, 0) = 1 for every n
+    (n = -1 too, the empty product), and binom(n, k) = 0 for k < 0 or k > n."""
+    v, u = a
+    if k == 0 or not u:
+        return a
+    if k < 0 or k > n:
+        return _ZERO
+    t = ctx.factorials
+    if n >= len(t.invs):
+        t.extend(n)
+    return (v + t.vals[n] - t.vals[k] - t.vals[n - k],
+            u * t.units[n] * t.invs[k] * t.invs[n - k] % ctx.pN)
 
 
 def _agreement(ctx: PadicContext, xs: Sequence[Tuple[float, int]], xc: Sequence[float],
                ys: Sequence[Tuple[float, int]], yc: Sequence[float]) -> Verdict:
     """The agreement rule on coefficient lists: (val, unit) pairs xs, ys with
     absolute ceilings xc, yc; a missing pair reads zero, a missing ceiling
-    +inf.  Two zeros agree.  Otherwise let dv = _diff_val, window the lesser
-    ceiling and threshold = scale + N - kappa, scale the lesser valuation, or
+    +inf.  Two zeros agree.  Otherwise let dv be valp(x - y), read from
+    _pair_sum with y's unit negated as -yu, window the lesser ceiling and
+    threshold = scale + N - kappa, scale the lesser valuation, or
     0 when one side is zero (a stored zero carries no scale of its own): NO
     when dv < min(window, threshold), INDETERMINATE when window < threshold,
     YES otherwise.  The first NO ends the fold; INDETERMINATE beats YES."""
@@ -426,7 +431,7 @@ def _agreement(ctx: PadicContext, xs: Sequence[Tuple[float, int]], xc: Sequence[
         window = xc[v] if v < ncx else INF
         if v < ncy and yc[v] < window:
             window = yc[v]
-        dv = _diff_val(ctx, vx, xu, vy, yu)
+        dv = _pair_sum(ctx, vx, xu, vy, -yu)[0]
         if dv < window and dv < threshold:
             return Verdict.NO
         if window < threshold:

@@ -29,7 +29,8 @@ Precision model (Caruso, "Computations with p-adic numbers",
 arXiv:1701.06794): a coefficient is stored capped-relative, p**val * unit
 with the unit known modulo p**N.  Every sum of products in series algebra is
 one operation at one absolute working precision, run on (val, unit) integer
-pairs by one kernel, _offset_sums: the Taylor shift
+pairs by one kernel, _offset_sums, which rounds each output once through
+padic._normalised: the Taylor shift
 b_v = sum_{l>=v} a_l binom(l, v) c^(l-v) behind translate, recenter, the
 leafwise action and functions._re_expand, the sum of evaluate_tracked, the
 products of __mul__ and the two sums of _twisted_sums below.  A summand is a
@@ -49,7 +50,8 @@ one, made by the constructor's one coercion or taken from the kernel as
 they are by _from_pairs.  coeffs and coeff(l) are read-only views that make
 PadicNumbers when read.  Comparisons allocate no value: agrees_with,
 agrees_mod and functions.is_member_Can read pairs through the one
-agreement rule of padic._agreement and padic._diff_val.
+agreement rule of padic._agreement and the sum rule padic._pair_sum, which
+__add__ and __sub__ run coefficientwise.
 
 _twisted_sums is the one routine for every Mobius substitution
 S(lam z / (1 - mu z)) (1 - mu z)^e.  It reads and returns (val, unit) pairs:
@@ -72,7 +74,8 @@ from itertools import accumulate, zip_longest
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DomainError, ParameterError
-from .padic import _ZERO, INF, Coercible, PadicContext, PadicNumber, _agreement, _diff_val
+from .padic import (_ZERO, INF, Coercible, PadicContext, PadicNumber, _agreement,
+                    _normalised, _pair_sum)
 from .verdict import Verdict
 
 
@@ -173,7 +176,7 @@ class TateSeries:
 
     def agrees_mod(self, other: "TateSeries", exponent: int) -> bool:
         """Coefficientwise congruence mod p**exponent (absolute cutoff), each
-        difference rounded as padic._diff_val rounds it.
+        difference rounded as padic._pair_sum rounds it.
 
         Composite substitutions truncated at degree D leave residue of
         bounded absolute size, independent of how small the individual
@@ -181,7 +184,7 @@ class TateSeries:
         absolute threshold rather than a relative one.
         """
         return self._level_matches(other) and all(
-            _diff_val(self.ctx, vx, xu, vy, yu) >= exponent
+            _pair_sum(self.ctx, vx, xu, vy, -yu)[0] >= exponent
             for (vx, xu), (vy, yu) in zip_longest(self.pairs, other.pairs, fillvalue=_ZERO))
 
     def __repr__(self) -> str:
@@ -213,14 +216,10 @@ class TateSeries:
 
     def __add__(self, other: "TateSeries") -> "TateSeries":
         self._match(other)
-        xs, ys = self.pairs, other.pairs
-        n = min(len(xs), len(ys))
-        # PadicNumber.__add__ rounds the common part; past the shorter
-        # operand a + 0 is a itself
-        sums = [self.coeff(l) + other.coeff(l) for l in range(n)]
-        cs = [(c.val, c.unit) for c in sums] + list(xs[n:] + ys[n:])
-        tb = min(self.tail_bound, other.tail_bound)
-        return TateSeries._from_pairs(self.ctx, self.m, cs, tb)
+        ctx = self.ctx
+        cs = [_pair_sum(ctx, vx, xu, vy, yu)
+              for (vx, xu), (vy, yu) in zip_longest(self.pairs, other.pairs, fillvalue=_ZERO)]
+        return TateSeries._from_pairs(ctx, self.m, cs, min(self.tail_bound, other.tail_bound))
 
     def __neg__(self) -> "TateSeries":
         return TateSeries._from_pairs(self.ctx, self.m, _negated(self.ctx, self.pairs),
@@ -478,7 +477,7 @@ def _offset_sums(
     (INF, 0) when it is zero, and floors[i] its floor, outer_val included
     (+inf when it has no summand).
     """
-    N, pN, p, ppow = ctx.N, ctx.pN, ctx.p, ctx.ppow
+    N, ppow = ctx.N, ctx.ppow
     out: List[Tuple[float, int]] = []
     floors: List[float] = []
     start = 0
@@ -495,14 +494,7 @@ def _offset_sums(
                 floor = tv
             elif tv - floor < N:
                 acc += au * ku * ppow[tv - floor]
-        unit = acc * ou % pN
         val = floor + ov if floor < INF else INF
         floors.append(val)
-        if not unit:
-            out.append((INF, 0))
-            continue
-        while not unit % p:
-            unit //= p
-            val += 1
-        out.append((val, unit))
+        out.append(_normalised(ctx, val, acc * ou))
     return out, floors

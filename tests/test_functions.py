@@ -9,7 +9,7 @@ import pytest
 
 from rigidpadic import functions
 from rigidpadic.errors import ParameterError
-from rigidpadic.padic import INF, PadicContext, PadicNumber, _agreement, _diff_val
+from rigidpadic.padic import _ZERO, INF, PadicContext, PadicNumber, _agreement, _pair_sum
 from rigidpadic.functions import (
     MAX_LEVEL,
     Leaf,
@@ -424,15 +424,38 @@ class TestSeriesVerdictOracle:
     @pytest.mark.parametrize("octx", ORACLE_CONTEXTS,
                              ids=lambda c: f"p{c.p}-N{c.N}-kappa{c.kappa}")
     def test_difference_valuation_is_exact_below_the_cap(self, octx):
-        # the rounded valuation of x - y is the exact one below min(val) + N
-        # and +inf at or above it
+        # the rounded pair of x - y and of x + y is the exact sum reduced
+        # modulo p^(min val + N): its unit is < p^(min val + N - val), by
+        # _pair_sum, by PadicNumber + and -, and by + and - of series; the
+        # valuation of x - y also by _pair_sum's call shape in _agreement
         rng = random.Random(octx.p * 100 + octx.N + 1)
         for _ in range(2000):
             x, y = _coefficient_pair(octx, rng)
-            q = x.to_fraction() - y.to_fraction()
-            exact = _frac_val(q, octx.p) if q else INF
-            want = exact if exact < min(x.val, y.val) + octx.N else INF
-            assert _diff_val(octx, x.val, x.unit, y.val, y.unit) == want, (x, y)
+            sx, sy = TateSeries(octx, 0, [x]), TateSeries(octx, 0, [y])
+            for sign, z, s, ny in ((1, x + y, sx + sy, y), (-1, x - y, sx - sy, -y)):
+                want = _reduced_sum(octx, x, y, sign)
+                assert _pair_sum(octx, x.val, x.unit, ny.val, ny.unit) == want, (x, y, sign)
+                assert (z.val, z.unit) == want, (x, y, sign)
+                assert (s.pairs or (_ZERO,)) == (want,), (x, y, sign)
+            want = _reduced_sum(octx, x, y, -1)[0]
+            assert _pair_sum(octx, x.val, x.unit, y.val, -y.unit)[0] == want, (x, y)
+
+
+def _reduced_sum(ctx, x, y, sign):
+    """The (val, unit) pair of x + sign y reduced modulo p^(min val + N),
+    from the exact Fraction sum; (INF, 0) when it vanishes there."""
+    low = min(x.val, y.val)
+    if low == INF:
+        return _ZERO
+    q = (x.to_fraction() + sign * y.to_fraction()) / Fraction(ctx.p) ** low
+    assert q.denominator == 1
+    r = q.numerator % ctx.pN
+    if not r:
+        return _ZERO
+    v = _frac_val(Fraction(r), ctx.p)
+    u = r // ctx.p ** v
+    assert u < ctx.p ** (ctx.N - v)  # the pair's val is low + v
+    return low + v, u
 
 
 def _frac_val(q, p):

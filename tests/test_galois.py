@@ -19,6 +19,7 @@ from rigidpadic.galois import (
     weight,
     x_character,
 )
+from rigidpadic.padic import PadicContext
 from rigidpadic.verdict import Verdict
 
 
@@ -34,6 +35,13 @@ class TestCharacterConstruction:
     def test_wild_not_principal_rejected(self, ctx):
         with pytest.raises(ParameterError):
             ContinuousCharacter(ctx.one(), 0, ctx.from_int(2))
+
+    def test_wild_value_of_another_context_rejected(self, ctx):
+        # checked before the wild value is compared with 1, so the
+        # character's own message wins over the scalar one
+        wild = PadicContext(5, 20, 16).from_int(6)
+        with pytest.raises(ParameterError, match="character components use different contexts"):
+            ContinuousCharacter(ctx.from_int(5), 1, wild)
 
     def test_distinguished_characters(self, ctx):
         x = x_character(ctx)

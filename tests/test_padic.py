@@ -1,6 +1,7 @@
 """Exact-valuation arithmetic: frozen oracles plus algebraic properties."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,26 @@ class TestComparison:
         assert PadicContext(p=3, N=4, D=MAX_DEGREE).D == MAX_DEGREE
         with pytest.raises(ParameterError):
             PadicContext(p=10 ** 25 + 13)
+
+    def test_context_refuses_non_integer_parameters(self):
+        # a float or bool parameter is refused up front: kappa = 1.5 would
+        # move the agreement threshold to N - 1.5
+        for bad in ({"p": 5.0}, {"N": 40.0}, {"D": 64.0}, {"kappa": 1.5},
+                    {"kappa": True}, {"p": True}, {"N": True}, {"D": False}):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                PadicContext(**bad)
+
+    def test_arithmetic_refuses_another_context(self):
+        # both orders used to answer: with 20 digits, or claiming 40
+        x, y = PadicContext(5, 20, 16).from_int(7), PadicContext(5, 40, 64).from_int(1 + 5 ** 25)
+        for a, b in ((x, y), (y, x)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(ParameterError, match="values belong to different contexts"):
+                    op(a, b)
+        # a context that differs only in kappa is the same context
+        loose = PadicContext(5, 20, 16, kappa=0).from_int(3)
+        assert (x + loose).ctx is x.ctx and (loose - x).ctx is loose.ctx
+        assert (x + loose).to_fraction() == 10 and (x * loose / loose).to_fraction() == 7
 
     def test_unparsable_strings_are_parameter_errors(self, ctx):
         for text in ("abc", "1/0", ""):

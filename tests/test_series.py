@@ -1,6 +1,7 @@
 """Truncated series on closed balls: frozen expansion oracles and the
 Banach-valuation laws the operations must respect."""
 
+import operator
 import random
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
@@ -822,6 +823,25 @@ class TestStoredForm:
             pairs = [(c.val, c.unit) for c in map(ctx.num, cs)]
             g = TateSeries._from_pairs(ctx, m, pairs, tail)
             assert g == f and hash(g) == hash(f) and g.pairs == f.pairs
+
+
+class TestSumOnPairs:
+    """TateSeries.__add__ and __sub__ run padic._pair_sum on the stored pairs:
+    they build no PadicNumber, and each coefficient is the scalar sum."""
+
+    def test_sum_builds_no_scalar(self, ctx, monkeypatch):
+        f, g = TateSeries(ctx, 1, [3, 5, 0, 7, 25], 9), TateSeries(ctx, 1, [-3, 1, 2])
+        made, real = [], PadicNumber.__init__
+        monkeypatch.setattr(PadicNumber, "__init__",
+                            lambda self, *a, **k: made.append(1) or real(self, *a, **k))
+        sums = [(a, b, a + b, a - b) for a, b in ((f, g), (g, f))]
+        monkeypatch.undo()
+        assert made == []
+        for a, b, plus, minus in sums:
+            for s, op in ((plus, operator.add), (minus, operator.sub)):
+                padded = list(s.coeffs) + [ctx.zero()] * (5 - len(s.pairs))
+                assert padded == [op(a.coeff(l), b.coeff(l)) for l in range(5)]
+                assert s.tail_bound == 9
 
 
 class TestStoredDigitsBelowCeilings:

@@ -439,10 +439,15 @@ class CokernelElement:
         return (self.chi.alpha, self.chi.beta, self.chi.k, self.n, self.m)
 
 
-def _beta_embedding_equal(c1: CokernelElement, c2: CokernelElement) -> bool:
-    """Default embedding: the beta-side locally algebraic model sits in
-    the beta component only, so classes agree iff the alpha components
-    match and the beta difference is cellwise locally algebraic."""
+def cokernel_equal(c1: CokernelElement, c2: CokernelElement) -> bool:
+    """Equality of classes under the beta embedding: the beta-side locally
+    algebraic model sits in the beta component only, so classes agree iff
+    the alpha components match and the beta difference is cellwise locally
+    algebraic."""
+    if c1.params() != c2.params():
+        raise ParameterMismatch(
+            f"class parameters differ: {c1.params()} vs {c2.params()}"
+        )
     if not c1.F_alpha.agrees_with(c2.F_alpha):
         return False
     diff = c1.F_beta - c2.F_beta
@@ -450,21 +455,6 @@ def _beta_embedding_equal(c1: CokernelElement, c2: CokernelElement) -> bool:
         if is_member_pi_an(cell, c1.m, c1.chi.k).status is not Verdict.YES:
             return False
     return True
-
-
-EMBEDDINGS = {"beta": _beta_embedding_equal}
-
-
-def cokernel_equal(c1: CokernelElement, c2: CokernelElement, embedding: str = "beta") -> bool:
-    if c1.params() != c2.params():
-        raise ParameterMismatch(
-            f"class parameters differ: {c1.params()} vs {c2.params()}"
-        )
-    try:
-        strategy = EMBEDDINGS[embedding]
-    except KeyError:
-        raise ParameterError(f"unknown embedding strategy {embedding!r}") from None
-    return strategy(c1, c2)
 
 
 def witness_nonzero(

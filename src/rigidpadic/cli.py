@@ -232,8 +232,7 @@ def cmd_verify_bounds(cfg: RunConfig, args) -> int:
 def cmd_cokernel_eq(cfg: RunConfig, args) -> int:
     _, _, c1 = io.load(_read(args.first), "cokernel", cfg.ctx)
     _, _, c2 = io.load(_read(args.second), "cokernel", cfg.ctx)
-    equal = analytic.cokernel_equal(c1, c2, embedding=args.embedding)
-    _emit({"equal": equal, "embedding": args.embedding}, cfg)
+    _emit({"equal": analytic.cokernel_equal(c1, c2), "embedding": "beta"}, cfg)
     return EXIT_OK
 
 
@@ -333,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = add_parser("cokernel-eq", help="compare two cokernel classes")
     c.add_argument("first")
     c.add_argument("second")
-    c.add_argument("--embedding", default="beta", choices=sorted(analytic.EMBEDDINGS))
     c.set_defaults(run=cmd_cokernel_eq)
 
     c = add_parser("witness", help="construct a provably nonzero cokernel class")

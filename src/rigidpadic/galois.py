@@ -24,9 +24,13 @@ Classification of a parameter (delta1, delta2, scriptL):
     delta1/delta2 matches x^(-i) for some i >= 0 or |x| x^i for some
     i >= 1, and dimension 1 otherwise.
 
-Integrality and form-matching are bounded searches; when the decisive
-valuation pattern points beyond the configured bound, the verdict is
-INDETERMINATE rather than a guess.
+Neither question is a search.  An integral x agrees with an integer n to
+N - kappa digits only when n = x mod p^(N - kappa), so integrality scans
+that one residue class of [-bound, bound].  x^(-i) sends p to p^(-i) and
+|x| x^i sends it to p^(i-1), so v = val((delta1/delta2)(p)) leaves one
+index per family, i = -v or i = v + 1.  When the decisive index lies
+beyond the configured bound, the verdict is INDETERMINATE rather than a
+guess.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import ParameterError
-from .padic import INF, PadicContext, PadicNumber, padic_log
+from .padic import PadicContext, PadicNumber, padic_log
 from .verdict import Verdict
 
 SCRIPT_L_INF = "inf"
@@ -138,27 +142,29 @@ def weight(delta: ContinuousCharacter) -> PadicNumber:
 def nearest_integer(x: PadicNumber, bound: int) -> Tuple[Verdict, Optional[int]]:
     """Identify x with a rational integer in [-bound, bound].
 
-    YES with the integer when some candidate agrees at working slack;
-    NO when val(x) < 0 (visibly fractional); INDETERMINATE when x has
-    nonnegative valuation but no candidate in range matches, since the
-    data cannot exclude an integer beyond the search bound.
+    NO when val(x) < 0 (visibly fractional).  Otherwise x - n keeps
+    N - kappa digits exactly when n = x mod p^(N - kappa), so only that
+    residue class is scanned, in increasing order: YES with its first
+    exact match, else with its first n of largest valuation of x - n.
+    INDETERMINATE when the class misses [-bound, bound], since the data
+    cannot exclude an integer beyond the bound.
     """
     ctx = x.ctx
     if not x.is_zero and x.val < 0:
         return Verdict.NO, None
+    step = ctx.p ** (ctx.N - ctx.kappa)
     best: Optional[int] = None
     best_val = -1
-    for n in range(-bound, bound + 1):
+    for n in range((x.residue(ctx.N - ctx.kappa) + bound) % step - bound, bound + 1, step):
         d = x - ctx.from_int(n)
-        dv = INF if d.is_zero else d.val
-        if dv is INF:
+        if d.is_zero:
             return Verdict.YES, n
-        if dv > best_val:
-            best_val = dv
+        if d.val > best_val:
+            best_val = d.val
             best = n
-    if best is not None and best_val >= ctx.N - ctx.kappa:
-        return Verdict.YES, best
-    return Verdict.INDETERMINATE, None
+    if best is None:
+        return Verdict.INDETERMINATE, None
+    return Verdict.YES, best
 
 
 @dataclass(frozen=True)
@@ -235,24 +241,20 @@ def ext1_dimension(
 ) -> Ext1Result:
     """Dimension of the extension space of the ordered pair.
 
-    The quotient delta1/delta2 is compared against x^(-i) for
-    0 <= i <= bound and |x| x^i for 1 <= i <= bound.  The valuation of
-    the quotient's value at p determines the only index either family
-    could match at, so a pattern pointing beyond the bound is reported
+    The quotient q = delta1/delta2 can match x^(-i), 0 <= i <= bound, or
+    |x| x^i, 1 <= i <= bound.  These send p to p^(-i) and p^(i-1), so with
+    v = val(q(p)) only i = -v or i = v + 1 can match, and just those two
+    are tested.  A pattern pointing beyond the bound is reported
     INDETERMINATE instead of being classified.
     """
-    ctx = delta1.ctx
     q = delta1 / delta2
-    x = x_character(ctx)
-    absx = abs_x_character(ctx)
-    for i in range(0, bound + 1):
-        if q.agrees_with(x ** (-i)):
-            return Ext1Result(2, f"x^-{i}", Verdict.YES)
-    for i in range(1, bound + 1):
-        if q.agrees_with(absx * x ** i):
-            return Ext1Result(2, f"|x|x^{i}", Verdict.YES)
     v = q.value_at_p.val
-    if v is not INF and (-v > bound or v + 1 > bound):
+    x = x_character(q.ctx)
+    if 0 <= -v <= bound and q.agrees_with(x ** v):
+        return Ext1Result(2, f"x^-{-v}", Verdict.YES)
+    if 1 <= v + 1 <= bound and q.agrees_with(abs_x_character(q.ctx) * x ** (v + 1)):
+        return Ext1Result(2, f"|x|x^{v + 1}", Verdict.YES)
+    if -v > bound or v + 1 > bound:
         return Ext1Result(None, None, Verdict.INDETERMINATE)
     return Ext1Result(1, None, Verdict.YES)
 

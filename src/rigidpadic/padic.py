@@ -12,8 +12,8 @@ Valuations are normalised so that valp(p) = 1.
 Every binomial coefficient is read from one table of p-adic factorials
 (FactorialTable): v_p(n!), the p-free part of n! mod p**N and its inverse
 for n = 0 .. 2D, so binom(n, k) = n! / (k! (n - k)!) costs two products.
-Contexts with the same (p, N, D) share one table; it grows past 2D on
-demand, under a lock, and entries already present never change.
+Contexts with the same (p, N, D) share one table, built once; a binomial
+with n > 2D is refused.
 
 Every rounding of a (val, unit) pair in the library goes through three
 functions: _normalised, the one place that strips p from a residue;
@@ -32,7 +32,6 @@ shared freely between threads.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -95,34 +94,27 @@ def _int_valuation(n: int, p: int) -> int:
 
 
 class FactorialTable:
-    """v_p(n!), the p-free part of n! mod p**N and its inverse, n = 0 .. top.
-    The lists only grow, ``invs`` last: entry n is complete once n < len(invs)."""
+    """v_p(n!), the p-free part of n! mod p**N and its inverse, n = 0 .. top,
+    built once as tuples."""
 
-    __slots__ = ("p", "pN", "vals", "units", "invs", "_lock")
+    __slots__ = ("vals", "units", "invs")
 
     def __init__(self, p: int, N: int, top: int):
-        self.p, self.pN = p, p ** N
-        self.vals, self.units, self.invs = [0], [1], [1]
-        self._lock = threading.Lock()
-        self.extend(top)
-
-    def extend(self, top: int) -> None:
-        with self._lock:
-            p, pN = self.p, self.pN
-            v, u, parts = self.vals[-1], self.units[-1], []
-            for n in range(len(self.invs), top + 1):
-                while n % p == 0:
-                    n //= p
-                    v += 1
-                u = u * n % pN
-                self.vals.append(v)
-                self.units.append(u)
-                parts.append(n)
-            # one modular inverse, then 1/(n-1)! = n * (1/n!) downwards
-            invs = [pow(u, -1, pN)] if parts else []
-            for n in reversed(parts[1:]):
-                invs.append(invs[-1] * n % pN)
-            self.invs.extend(reversed(invs))
+        pN = p ** N
+        v, u, vals, units, parts = 0, 1, [0], [1], []
+        for n in range(1, top + 1):
+            while n % p == 0:
+                n //= p
+                v += 1
+            u = u * n % pN
+            vals.append(v)
+            units.append(u)
+            parts.append(n)
+        # one modular inverse, then 1/(n-1)! = n * (1/n!) downwards
+        invs = [pow(u, -1, pN)]
+        for n in reversed(parts):
+            invs.append(invs[-1] * n % pN)
+        self.vals, self.units, self.invs = tuple(vals), tuple(units), tuple(reversed(invs))
 
 
 #: one table per (p, N, 2D): contexts with the same (p, N, D) share it
@@ -394,9 +386,10 @@ def _pair_sum(ctx: PadicContext, vx, xu: int, vy, yu: int) -> Tuple[float, int]:
 
 
 def _times_binom(ctx: PadicContext, a: Tuple[float, int], n: int, k: int) -> Tuple[float, int]:
-    """The pair a times binom(n, k) from the factorial table, grown on demand
-    past 2D, with the combinatorial corners: binom(n, 0) = 1 for every n
-    (n = -1 too, the empty product), and binom(n, k) = 0 for k < 0 or k > n."""
+    """The pair a times binom(n, k) from the factorial table, with the
+    combinatorial corners: binom(n, 0) = 1 for every n (n = -1 too, the empty
+    product), and binom(n, k) = 0 for k < 0 or k > n.  Past the corners, n
+    must not exceed 2D, the top of the table."""
     v, u = a
     if k == 0 or not u:
         return a
@@ -404,7 +397,7 @@ def _times_binom(ctx: PadicContext, a: Tuple[float, int], n: int, k: int) -> Tup
         return _ZERO
     t = ctx.factorials
     if n >= len(t.invs):
-        t.extend(n)
+        raise ParameterError(f"binom({n}, {k}) needs n <= 2D = {len(t.invs) - 1}")
     return (v + t.vals[n] - t.vals[k] - t.vals[n - k],
             u * t.units[n] * t.invs[k] * t.invs[n - k] % ctx.pN)
 

@@ -718,11 +718,6 @@ class TestCokernel:
         with pytest.raises(ParameterMismatch):
             cokernel_equal(e2, e3)
 
-    def test_unknown_embedding_rejected(self, ctx):
-        elt, _ = self._witness(ctx, 2)
-        with pytest.raises(ParameterError):
-            cokernel_equal(elt, elt, embedding="gamma")
-
     def test_equivalence_on_random_triples(self, ctx):
         rng = random.Random(67)
         base, _ = self._witness(ctx, 3)

@@ -1,6 +1,7 @@
 """Continuous characters, trianguline parameter classification, and the
 filtered Frobenius module."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from rigidpadic.errors import ParameterError
 from rigidpadic.galois import (
     ContinuousCharacter,
+    Ext1Result,
     FilteredPhiModule,
     TriangulineParam,
     abs_x_character,
@@ -19,7 +21,7 @@ from rigidpadic.galois import (
     weight,
     x_character,
 )
-from rigidpadic.padic import PadicContext
+from rigidpadic.padic import INF, PadicContext, PadicNumber
 from rigidpadic.verdict import Verdict
 
 
@@ -227,6 +229,142 @@ class TestExt1Dimension:
         assert res.dimension is None
         wide = ext1_dimension(x ** -25, trivial, bound=30)
         assert wide.dimension == 2 and wide.matched_form == "x^-25"
+        # a match is answered before the bound rule: i = 0 matches at bound 0
+        # although the second family's index v + 1 = 1 lies beyond it
+        assert ext1_dimension(trivial, trivial, bound=0) == Ext1Result(2, "x^-0", Verdict.YES)
+
+
+def _scan_nearest_integer(x, bound):
+    """Reference: the full scan of [-bound, bound], kept as an oracle."""
+    ctx = x.ctx
+    if not x.is_zero and x.val < 0:
+        return Verdict.NO, None
+    best = None
+    best_val = -1
+    for n in range(-bound, bound + 1):
+        d = x - ctx.from_int(n)
+        dv = INF if d.is_zero else d.val
+        if dv is INF:
+            return Verdict.YES, n
+        if dv > best_val:
+            best_val = dv
+            best = n
+    if best is not None and best_val >= ctx.N - ctx.kappa:
+        return Verdict.YES, best
+    return Verdict.INDETERMINATE, None
+
+
+def _scan_ext1_dimension(delta1, delta2, bound=20):
+    """Reference: every index of both families up to the bound, kept as an
+    oracle."""
+    ctx = delta1.ctx
+    q = delta1 / delta2
+    x = x_character(ctx)
+    absx = abs_x_character(ctx)
+    for i in range(0, bound + 1):
+        if q.agrees_with(x ** (-i)):
+            return Ext1Result(2, f"x^-{i}", Verdict.YES)
+    for i in range(1, bound + 1):
+        if q.agrees_with(absx * x ** i):
+            return Ext1Result(2, f"|x|x^{i}", Verdict.YES)
+    v = q.value_at_p.val
+    if v is not INF and (-v > bound or v + 1 > bound):
+        return Ext1Result(None, None, Verdict.INDETERMINATE)
+    return Ext1Result(1, None, Verdict.YES)
+
+
+def _grid_contexts():
+    """p in {3, 5, 7}, N in {1, 2, 3, 6, 40}, kappa in {0, 1, N - 1} below N."""
+    for p in (3, 5, 7):
+        for N in (1, 2, 3, 6, 40):
+            for kappa in sorted({0, 1, N - 1} & set(range(N))):
+                yield PadicContext(p, N, 4, kappa=kappa)
+
+
+def _rand_unit(ctx, rng):
+    return rng.randrange(ctx.pN // ctx.p) * ctx.p + rng.randrange(1, ctx.p)
+
+
+def _rand_character(ctx, rng):
+    p = ctx.p
+    value = ctx.from_int(_rand_unit(ctx, rng)) * ctx.from_int(p) ** rng.randint(-3, 3)
+    return ContinuousCharacter(value, rng.randrange(p - 1), ctx.from_int(1 + p * rng.randrange(10 ** 6)))
+
+
+class TestClassificationMatchesTheScans:
+    """The index and residue-class rules give the answers of the full scans
+    whenever kappa < N."""
+
+    def test_nearest_integer(self):
+        rng = random.Random(2027)
+        for ctx in _grid_contexts():
+            p, N = ctx.p, ctx.N
+            xs = [ctx.zero()]
+            xs += [ctx.from_int(rng.randint(-60, 60)) for _ in range(4)]
+            for _ in range(6):
+                j = rng.randint(0, N + 2)
+                xs.append(ctx.from_int(rng.randint(-30, 30) + p ** j * rng.randint(-9, 9)))
+            for _ in range(6):
+                xs.append(PadicNumber(ctx, rng.randint(-1, N + 2), _rand_unit(ctx, rng)))
+            for x in xs:
+                for bound in (0, 1, rng.randint(2, 40)):
+                    assert nearest_integer(x, bound) == _scan_nearest_integer(x, bound), (
+                        ctx, x, bound)
+
+    def test_ext1_dimension(self):
+        rng = random.Random(2029)
+        for ctx in _grid_contexts():
+            x, absx = x_character(ctx), abs_x_character(ctx)
+            c = _rand_character(ctx, rng)
+            u = ContinuousCharacter.unramified(ctx, _rand_unit(ctx, rng))
+            quotients = [c]
+            for i in rng.sample(range(-25, 26), 4) + [0, 1, -1]:
+                quotients += [x ** i, absx * x ** i, x ** i * u]
+            for q in quotients:
+                for bound in (0, 1, rng.randint(2, 25)):
+                    want = _scan_ext1_dimension(q * c, c, bound)
+                    assert ext1_dimension(q * c, c, bound) == want, (ctx, q, bound)
+
+    def test_ext1_tests_at_most_two_indices(self, ctx, monkeypatch):
+        calls = []
+        agrees = ContinuousCharacter.agrees_with
+
+        def counted(self, other):
+            calls.append(other)
+            return agrees(self, other)
+
+        monkeypatch.setattr(ContinuousCharacter, "agrees_with", counted)
+        x, absx = x_character(ctx), abs_x_character(ctx)
+        trivial = ContinuousCharacter.trivial(ctx)
+        for q in (x ** -20, absx * x ** 20, x ** 3, x ** -7 * trivial, absx, x ** 40,
+                  ContinuousCharacter.unramified(ctx, 2)):
+            calls.clear()
+            ext1_dimension(q, trivial)
+            assert len(calls) <= 2, q
+
+    def test_nearest_integer_scans_one_residue_class(self, ctx, monkeypatch):
+        # at the default context the class step is 5^36, so at most one
+        # candidate of [-50, 50] is ever subtracted
+        calls = []
+        sub = PadicNumber.__sub__
+
+        def counted(self, other):
+            calls.append(other)
+            return sub(self, other)
+
+        monkeypatch.setattr(PadicNumber, "__sub__", counted)
+        for n in (7, -50, 50, 100, 7 + 5 ** 10):
+            calls.clear()
+            nearest_integer(ctx.from_int(n), 50)
+            assert len(calls) <= 1, n
+
+    def test_zero_digit_agreement_is_not_a_match(self):
+        # at kappa = N two nonzero values "agree" at zero digits, so the full
+        # scan matched x^3 with x^-1; the index rule tests only i = -3 and 4
+        ctx = PadicContext(5, 6, 8, kappa=6)
+        assert ctx.from_int(7).agrees_with(ctx.from_int(5))
+        trivial = ContinuousCharacter.trivial(ctx)
+        assert ext1_dimension(x_character(ctx) ** 3, trivial) == Ext1Result(1, None, Verdict.YES)
 
 
 class TestValidateCrystalline:

@@ -140,17 +140,16 @@ def _write(path: str, text: str) -> None:
 
 def cmd_classify(cfg: RunConfig, args) -> int:
     _, _, param = io.load(_read(args.param_file), "param", cfg.ctx)
-    star = galois.in_S_star(param)
     cris = galois.in_S_cris(param)
     ext = galois.ext1_dimension(param.delta1, param.delta2)
-    w_repr: object = star.w.to_string()
+    w_repr: object = cris.w.to_string()
     if cris.w_integer is not None:
         w_repr = cris.w_integer
     report = {
-        "S_star": star.is_member,
+        "S_star": cris.in_star,
         "S_cris": _verdict_json(cris.status),
         "S_cris_reason": cris.reason,
-        "u": star.u,
+        "u": cris.u,
         "w": w_repr,
         "ext1_dimension": ext.dimension,
         "ext1_matched_form": ext.matched_form,

@@ -204,27 +204,30 @@ class CrisResult:
     u: Optional[int]
     w_integer: Optional[int]
     reason: str
+    w: PadicNumber
 
 
 def in_S_cris(s: TriangulineParam, integer_bound: int = 50) -> CrisResult:
-    """Crystalline locus test: base conditions, integral weight gap
-    w >= 1, slope bound u < w, and the extension coordinate at infinity."""
+    """Crystalline locus test: base conditions, integral weight gap w >= 1,
+    slope bound u < w, and the extension coordinate at infinity.  The result
+    carries the base locus's membership, u and w, so one call answers both."""
     star = in_S_star(s)
+
+    def result(status: Verdict, w_int: Optional[int], reason: str) -> CrisResult:
+        return CrisResult(status, star.is_member, star.u, w_int, reason, star.w)
+
     if not star.is_member:
-        return CrisResult(Verdict.NO, False, star.u, None, "base valuation conditions fail")
+        return result(Verdict.NO, None, "base valuation conditions fail")
     if not s.script_l_is_inf:
-        return CrisResult(Verdict.NO, True, star.u, None, "extension coordinate is finite")
+        return result(Verdict.NO, None, "extension coordinate is finite")
     verdict, w_int = nearest_integer(star.w, integer_bound)
     if verdict is Verdict.INDETERMINATE:
-        return CrisResult(
-            Verdict.INDETERMINATE, True, star.u, None,
-            "weight gap not identifiable with an integer in range",
-        )
+        return result(verdict, None, "weight gap not identifiable with an integer in range")
     if w_int is None or w_int < 1:
-        return CrisResult(Verdict.NO, True, star.u, w_int, "weight gap is not an integer >= 1")
+        return result(Verdict.NO, w_int, "weight gap is not an integer >= 1")
     if not (star.u < w_int):
-        return CrisResult(Verdict.NO, True, star.u, w_int, "slope does not satisfy u < w")
-    return CrisResult(Verdict.YES, True, star.u, w_int, "crystalline conditions hold")
+        return result(Verdict.NO, w_int, "slope does not satisfy u < w")
+    return result(Verdict.YES, w_int, "crystalline conditions hold")
 
 
 @dataclass(frozen=True)

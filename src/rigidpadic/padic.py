@@ -448,12 +448,16 @@ def binom(ctx: PadicContext, n: int, k: int) -> PadicNumber:
 def padic_log(u: PadicNumber) -> PadicNumber:
     """Iwasawa logarithm of a 1-unit via the alternating series.
 
-        log u = sum_{n>=1} (-1)^{n+1} (u-1)^n / n,   valp(u-1) >= 1.
+        log u = sum_{n>=1} (-1)^{n+1} x^n / n,   x = u - 1 = p^j t, j >= 1.
 
-    The partial sum is accumulated as an exact Fraction of the canonical
-    integer representative of u - 1 and reduced once at the end, so the
-    divisions by n cost no digits.  The tail is cut when every omitted
-    term has valuation beyond the stored window val(u-1) + N.
+    The series is cut after the last n with n j - floor(log_p n) <= j + N + 1,
+    so every omitted term lies beyond the stored window, and the digits are
+    those of that exact partial sum x A / L, where L = lcm(1..n) and
+    A = sum_{k=1..n} (-1)^{k+1} x^{k-1} L/k.  For odd p the k-th term of A
+    has valuation v(L) + (k-1) j - v(k) > v(L) when k >= 2, so v(A) = v(L):
+    log u has valuation j and unit t (A/p^v(L)) (L/p^v(L))^-1 mod p^N, which
+    reads A only mod p^(v(L) + N).  So A is one Horner sum in that modulus,
+    with v(L) = floor(log_p n).
     """
     ctx = u.ctx
     t = u - ctx.one()
@@ -462,21 +466,21 @@ def padic_log(u: PadicNumber) -> PadicNumber:
     j = t.val
     if j < 1:
         raise DomainError(f"padic_log needs valp(u - 1) >= 1, got {j}")
-    rep = t.unit * ctx.p ** j  # exact integer representative of u - 1
-    target = ctx.N + j + 1
-    total = Fraction(0)
-    power = 1
-    n = 1
-    ilog = 0  # floor(log_p n), tracked exactly
+    p, target = ctx.p, ctx.N + j + 1
+    n, ilog = 1, 0  # the last kept index (the first term is always kept) and floor(log_p n)
     while True:
-        if ctx.p ** (ilog + 1) <= n:
-            ilog += 1
-        # n*j - ilog bounds the term valuation from below and is
+        up = ilog + 1 if p ** (ilog + 1) <= n + 1 else ilog
+        # (n+1)*j - up bounds the next term's valuation from below and is
         # non-decreasing in n for j >= 1, so the first crossing is final
-        if n > 1 and n * j - ilog > target:
+        if (n + 1) * j - up > target:
             break
-        power *= rep
-        term = Fraction(power, n)
-        total = total + term if n % 2 == 1 else total - term
-        n += 1
-    return ctx.from_fraction(total)
+        n, ilog = n + 1, up
+    L = math.lcm(*range(1, n + 1))
+    pv = p ** ilog  # the p-part of L
+    modulus = pv * ctx.pN
+    rep = t.unit * p ** j % modulus
+    acc = 0
+    for k in range(n, 0, -1):
+        acc = (acc * rep + (L // k if k % 2 else -(L // k))) % modulus
+    unit = t.unit * (acc // pv) * pow(L // pv, -1, ctx.pN)
+    return PadicNumber(ctx, j, unit)

@@ -515,22 +515,16 @@ def case_cokernel_equivalence(ctx: PadicContext, rng: random.Random) -> Optional
     )
     c3 = analytic.CokernelElement(chi, n, m, _rand_ga(ctx, rng, n, m), c1.F_beta)
     triple = (c1, c2, c3)
-    for c in triple:
-        if not analytic.cokernel_equal(c, c):
-            return "equality is not reflexive"
-    for a in triple:
-        for b in triple:
-            if analytic.cokernel_equal(a, b) != analytic.cokernel_equal(b, a):
-                return "equality is not symmetric"
-    for a in triple:
-        for b in triple:
-            for c in triple:
-                if (
-                    analytic.cokernel_equal(a, b)
-                    and analytic.cokernel_equal(b, c)
-                    and not analytic.cokernel_equal(a, c)
-                ):
-                    return "equality is not transitive"
+    # the relation on the 9 ordered pairs, evaluated once
+    eq = {(i, j): analytic.cokernel_equal(a, b)
+          for i, a in enumerate(triple) for j, b in enumerate(triple)}
+    idx = range(3)
+    if not all(eq[i, i] for i in idx):
+        return "equality is not reflexive"
+    if any(eq[i, j] != eq[j, i] for i in idx for j in idx):
+        return "equality is not symmetric"
+    if any(eq[i, j] and eq[j, k] and not eq[i, k] for i in idx for j in idx for k in idx):
+        return "equality is not transitive"
     return None
 
 

@@ -38,7 +38,13 @@ from rigidpadic.errors import (
 )
 from rigidpadic.functions import Leaf, PiecewiseFunction, StepFunction
 from rigidpadic.padic import INF, PadicContext, PadicNumber
-from rigidpadic.selftest import rand_chi, rand_iwahori, rand_refined_global, rand_series
+from rigidpadic.selftest import (
+    case_cokernel_equivalence,
+    rand_chi,
+    rand_iwahori,
+    rand_refined_global,
+    rand_series,
+)
 from rigidpadic.series import TateSeries
 from rigidpadic.verdict import Verdict
 from exact_image import valuation
@@ -743,6 +749,43 @@ class TestCokernel:
                 assert cokernel_equal(b, a)
             if cokernel_equal(a, b) and cokernel_equal(b, c):
                 assert cokernel_equal(a, c)
+
+
+def _ranked(relation):
+    """A stand-in for cokernel_equal: relation(rank(a), rank(b), a, b), each
+    element ranked by the order in which it is first seen."""
+    rank = {}
+
+    def equal(a, b):
+        for c in (a, b):
+            rank.setdefault(id(c), len(rank))
+        return relation(rank[id(a)], rank[id(b)], a, b)
+
+    return equal
+
+
+class TestCokernelEquivalenceCase:
+    """The selftest case still checks all three properties of cokernel_equal."""
+
+    @pytest.mark.parametrize("relation, detail", [
+        (lambda i, j, a, b: a is not b, "equality is not reflexive"),
+        (lambda i, j, a, b: i <= j, "equality is not symmetric"),
+        (lambda i, j, a, b: abs(i - j) <= 1, "equality is not transitive"),
+    ])
+    def test_each_broken_property_is_reported(self, ctx, monkeypatch, relation, detail):
+        monkeypatch.setattr(analytic, "cokernel_equal", _ranked(relation))
+        assert case_cokernel_equivalence(ctx, random.Random(5)) == detail
+
+    def test_one_call_per_ordered_pair(self, ctx, monkeypatch):
+        calls = []
+        equal = analytic.cokernel_equal
+        monkeypatch.setattr(analytic, "cokernel_equal",
+                            lambda a, b: calls.append((a, b)) or equal(a, b))
+        for seed in range(3):
+            calls.clear()
+            assert case_cokernel_equivalence(ctx, random.Random(seed)) is None
+            assert len(calls) == 9
+            assert len({(id(a), id(b)) for a, b in calls}) == 9
 
 
 class TestExpandAll:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from rigidpadic import io
+from rigidpadic import galois, io
 from rigidpadic.actions import I1, InductionCharacter, IwahoriElement
 from rigidpadic.cli import main
 from rigidpadic.functions import MAX_LEVEL, StepFunction
@@ -99,6 +99,16 @@ class TestClassify:
         )
         assert rows["S_star"] == "true"
 
+    @pytest.mark.parametrize("name", ["cris.param.json", "star-only.param.json"])
+    def test_one_star_evaluation(self, files, capsys, monkeypatch, name):
+        # the crystalline result carries S_star, u and w, so the base locus
+        # (two logarithms per character) is evaluated once per request
+        calls = []
+        star = galois.in_S_star
+        monkeypatch.setattr(galois, "in_S_star", lambda s: calls.append(s) or star(s))
+        code, out, _ = run(capsys, "classify", files[name])
+        assert code == 0 and json.loads(out)["S_star"] is True
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("value", [3, 0.5, [1], None, "abc"])
     def test_non_rational_script_l_is_usage_error(self, files, capsys, tmp_path, value):

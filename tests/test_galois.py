@@ -181,6 +181,19 @@ class TestCrystallineLocus:
         assert res.status is Verdict.NO
         assert res.w_integer == -1
 
+    def test_carries_the_star_weight_gap(self, ctx):
+        # the six classify rows the CI pins: both ext1 families, dimension 1
+        # and INDETERMINATE, in and out of the base locus
+        n, x, a = ctx.from_int, x_character(ctx), abs_x_character(ctx)
+        c, one = ContinuousCharacter(n(15), 2, n(31)), ContinuousCharacter.trivial(ctx)
+        rows = [(ContinuousCharacter(n(5), 1, n(36)), a), (x, a), (x ** -3 * c, c),
+                (a * x ** 2 * c, c), (x ** -25, one), (x ** 3, one)]
+        for d1, d2 in rows:
+            s = TriangulineParam(d1, d2)
+            cris, star = in_S_cris(s), in_S_star(s)
+            assert (cris.w.val, cris.w.unit) == (star.w.val, star.w.unit)
+            assert (cris.in_star, cris.u) == (star.is_member, star.u)
+
 
 class TestExt1Dimension:
     def test_table(self, ctx):

@@ -2,12 +2,14 @@
 
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigidpadic.padic as padic_mod
 from rigidpadic.errors import DivisionError, DomainError, ParameterError
 from rigidpadic.padic import (
     INF,
@@ -149,6 +151,8 @@ class TestLog:
             padic_log(ctx.from_int(2))
         with pytest.raises(DomainError):
             padic_log(ctx.from_int(5))
+        with pytest.raises(DomainError, match="got -1"):
+            padic_log(ctx.from_fraction(Fraction(1, 5)))  # not integral
 
     def test_log_square_doubles(self, ctx):
         u = ctx.from_int(1 + 5 * 13)
@@ -159,6 +163,66 @@ class TestLog:
         v = ctx.from_int(1 + 25 * 3)
         gap = padic_log(u * v) - padic_log(u) - padic_log(v)
         assert gap.is_zero or gap.val >= ctx.N - ctx.kappa
+
+
+def _fraction_log_pair(p: int, N: int, r: int):
+    """Reference logarithm of the 1-unit with residue r mod p**N: the exact
+    Fraction partial sum, cut by padic_log's stopping rule, with its
+    (val, unit) read from the rational itself (unit mod p**N).  Calls no
+    library code."""
+    if r == 1:
+        return INF, 0
+    val = _valp_int(r - 1, p)
+    rep = r - 1
+    target = N + val + 1
+    total = Fraction(0)
+    power = 1
+    n = 1
+    ilog = 0
+    while True:
+        if p ** (ilog + 1) <= n:
+            ilog += 1
+        if n > 1 and n * val - ilog > target:
+            break
+        power *= rep
+        term = Fraction(power, n)
+        total = total + term if n % 2 == 1 else total - term
+        n += 1
+    vn, vd = _valp_int(total.numerator, p), _valp_int(total.denominator, p)
+    un = total.numerator // p ** vn
+    ud = total.denominator // p ** vd
+    return vn - vd, un * pow(ud, -1, p ** N) % p ** N
+
+
+class TestLogOracle:
+    """padic_log against the exact Fraction partial sum, pair for pair."""
+
+    def test_pairs_match_the_fraction_sum(self):
+        rng = random.Random(20201)
+        cases = [(p, N, j) for p in (3, 5, 7, 101) for N in (1, 2, 3, 12, 40)
+                 for j in range(1, 7)]
+        cases += [(3, 200, 1), (5, 200, 1), (7, 200, 2), (5, 200, 3)]
+        # here n = 27 and n = 54 have valuation N + j - 1 (inside the window)
+        # though n*j passes the cut: floor(log_p n) is what keeps them
+        cases += [(3, 24, 1), (3, 51, 1)]
+        for p, N, j in cases:
+            ctx = PadicContext(p, N, 4, kappa=0)
+            for _ in range(3):
+                # r = 1 + p**j * t mod p**N with t a unit; r = 1 when j >= N
+                r = (1 + p ** j * (rng.randrange(p ** N) * p + rng.randrange(1, p))) % p ** N
+                got = padic_log(ctx.from_int(r))
+                assert (got.val, got.unit) == _fraction_log_pair(p, N, r), (p, N, r)
+
+    def test_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("padic_log built a Fraction")
+
+        ctx = PadicContext(3, 200, 4)
+        u = ctx.from_int(1 + 3 * 11)
+        want = padic_log(u)
+        monkeypatch.setattr(padic_mod, "Fraction", refuse)
+        assert padic_log(u) == want
+        assert padic_log(ctx.one()).is_zero
 
 
 def _valp_int(n: int, p: int) -> int:

@@ -62,7 +62,7 @@ from .functions import (
     is_member_pi_an,
     _re_expand,
 )
-from .padic import _ZERO, INF, PadicContext, PadicNumber, _times_binom, binom_val
+from .padic import _ZERO, INF, PadicContext, PadicNumber, _times_binom
 from .series import TateSeries, _negated
 from .verdict import Verdict
 
@@ -151,8 +151,9 @@ def _orbit_levels(f: TateSeries, m: int) -> Dict[str, List[float]]:
     exactly, so each level is a minimum over the nonzero a_l.  One pair of
     loops per nonzero a_l, with x = valp(a_l) + m l, lowers every entry that
     a_l reaches: dilation keeps a_l binom(l, q) on z^l and translation puts
-    it on z^(l-q); inv_torus keeps a_l binom(l+q-1, q) on z^l (binom(q-1, q)
-    = 0 drops a_0 for q >= 1) and mobius puts it on z^(l+q), so only q <= D - l."""
+    it on z^(l-q); inv_torus keeps a_l binom(l+q-1, q) on z^l and mobius puts
+    it on z^(l+q), so only q <= D - l.  Valuations are read from fv = v_p(n!)
+    inline, with binom(l-1, 0) = 1 and binom(q-1, q) = 0 for q >= 1."""
     _check_level(f, m)
     D = f.ctx.D
     fv = f.ctx.factorials.vals
@@ -162,11 +163,18 @@ def _orbit_levels(f: TateSeries, m: int) -> Dict[str, List[float]]:
             continue
         x = v + m * l
         for q in range(l + 1):
-            t = x + binom_val(fv, l, q)
+            t = x + fv[l] - fv[q] - fv[l - q]
             if t < dil[q]:
                 dil[q] = t
-        for q in range(D + 1):
-            t = x + binom_val(fv, l + q - 1, q)
+        if x < inv[0]:
+            inv[0] = x
+        if l <= D and x < mob[0]:
+            mob[0] = x
+        if not l:
+            continue
+        base = x - fv[l - 1]
+        for q in range(1, D + 1):
+            t = base + fv[l + q - 1] - fv[q]
             if t < inv[q]:
                 inv[q] = t
             if q <= D - l and t < mob[q]:

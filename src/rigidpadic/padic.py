@@ -16,14 +16,15 @@ Contexts with the same (p, N, D) share one table, built once; a binomial
 with n > 2D is refused.
 
 Every rounding of a (val, unit) pair in the library goes through three
-functions: _normalised, the one place that strips p from a residue;
+functions: _normalised, the one place that strips p from a residue (with
+one gcd, as FLINT's padic_t strips it with one fmpz_remove);
 _pair_sum, the sum rule of __add__ and __sub__ on flat pairs, which
 TateSeries.__add__ runs coefficientwise; and _times_binom, a pair times a
 binomial from the table.  Multiply, invert and pow stay PadicNumber methods:
 no pair code calls them, so a pair function would only wrap its method.
 Every comparison of stored digits (agrees_with, agrees_mod, compare_tracked,
 the gluing test) reads one rule, _agreement, with x - y rounded by _pair_sum
-exactly as __sub__ rounds it.
+exactly as __sub__ rounds it (identical pairs read an exact zero at once).
 
 All values are immutable and every operation is pure, so objects can be
 shared freely between threads.
@@ -32,6 +33,7 @@ shared freely between threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -119,14 +121,6 @@ class FactorialTable:
 
 #: one table per (p, N, 2D): contexts with the same (p, N, D) share it
 _factorial_table = lru_cache(maxsize=16)(FactorialTable)
-
-
-def binom_val(fv, n: int, k: int):
-    """valp(binom(n, k)) read from fv = FactorialTable.vals, n < len(fv), with
-    the corners of PadicContext.binom: 0 for k = 0 (n = -1 too), INF for k > n."""
-    if k == 0:
-        return 0
-    return INF if k > n else fv[n] - fv[k] - fv[n - k]
 
 
 class PadicContext:
@@ -356,16 +350,16 @@ class PadicNumber:
 
 def _normalised(ctx: PadicContext, val, raw: int) -> Tuple[float, int]:
     """The (val, unit) pair of p**val * raw at relative precision N: raw is
-    reduced modulo p**N, each factor of p moves into val, and zero reads
+    reduced modulo p**N, p**v = gcd(raw, p**N) moves into val in one step
+    (0 < raw < p**N, so v < N is the index of p**v in ppow), and zero reads
     (INF, 0).  The one place that strips p from a residue."""
     raw %= ctx.pN
     if not raw:
         return _ZERO
-    p = ctx.p
-    while not raw % p:
-        raw //= p
-        val += 1
-    return val, raw
+    if raw % ctx.p:
+        return val, raw
+    g = math.gcd(raw, ctx.pN)
+    return val + bisect_left(ctx.ppow, g), raw // g
 
 
 def _pair_sum(ctx: PadicContext, vx, xu: int, vy, yu: int) -> Tuple[float, int]:
@@ -407,7 +401,8 @@ def _agreement(ctx: PadicContext, xs: Sequence[Tuple[float, int]], xc: Sequence[
     """The agreement rule on coefficient lists: (val, unit) pairs xs, ys with
     absolute ceilings xc, yc; a missing pair reads zero, a missing ceiling
     +inf.  Two zeros agree.  Otherwise let dv be valp(x - y), read from
-    _pair_sum with y's unit negated as -yu, window the lesser ceiling and
+    _pair_sum with y's unit negated as -yu (identical pairs read +inf at once,
+    as _pair_sum would round them), window the lesser ceiling and
     threshold = scale + N - kappa, scale the lesser valuation, or
     0 when one side is zero (a stored zero carries no scale of its own): NO
     when dv < min(window, threshold), INDETERMINATE when window < threshold,
@@ -424,7 +419,7 @@ def _agreement(ctx: PadicContext, xs: Sequence[Tuple[float, int]], xc: Sequence[
         window = xc[v] if v < ncx else INF
         if v < ncy and yc[v] < window:
             window = yc[v]
-        dv = _pair_sum(ctx, vx, xu, vy, -yu)[0]
+        dv = INF if xu == yu and vx == vy else _pair_sum(ctx, vx, xu, vy, -yu)[0]
         if dv < window and dv < threshold:
             return Verdict.NO
         if window < threshold:
@@ -450,9 +445,10 @@ def padic_log(u: PadicNumber) -> PadicNumber:
 
         log u = sum_{n>=1} (-1)^{n+1} x^n / n,   x = u - 1 = p^j t, j >= 1.
 
-    The series is cut after the last n with n j - floor(log_p n) <= j + N + 1,
-    so every omitted term lies beyond the stored window, and the digits are
-    those of that exact partial sum x A / L, where L = lcm(1..n) and
+    The series is cut after the last n with n j - floor(log_p n) <= N + j - 1,
+    so every omitted term has valuation N + j or more, beyond the N stored
+    digits of log u (valuation j), and the digits are those of that exact
+    partial sum x A / L, where L = lcm(1..n) and
     A = sum_{k=1..n} (-1)^{k+1} x^{k-1} L/k.  For odd p the k-th term of A
     has valuation v(L) + (k-1) j - v(k) > v(L) when k >= 2, so v(A) = v(L):
     log u has valuation j and unit t (A/p^v(L)) (L/p^v(L))^-1 mod p^N, which
@@ -466,7 +462,7 @@ def padic_log(u: PadicNumber) -> PadicNumber:
     j = t.val
     if j < 1:
         raise DomainError(f"padic_log needs valp(u - 1) >= 1, got {j}")
-    p, target = ctx.p, ctx.N + j + 1
+    p, target = ctx.p, ctx.N + j - 1
     n, ilog = 1, 0  # the last kept index (the first term is always kept) and floor(log_p n)
     while True:
         up = ilog + 1 if p ** (ilog + 1) <= n + 1 else ilog

@@ -3,6 +3,7 @@ routes, and the cokernel model with its nonzero witness."""
 
 import functools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -250,26 +251,35 @@ def _random_series(ctx, rng, m, degree, lo, tail):
 
 
 def _level_cases(ctx, seed):
-    """Series at m = 0..3: degrees 0, 1, 3, 10 and D with zero coefficients,
-    valuations from 0 or -2, finite or infinite tails, and the zero series."""
+    """Series at m = 0..3: degrees 0, 1, 3, 10 and D (those up to D) with zero
+    coefficients, valuations from 0 or -2, finite or infinite tails, the zero
+    series, constants, and a_0 = 0 below nonzero coefficients."""
     rng = random.Random(seed)
     for m in range(4):
         yield TateSeries.zero(ctx, m)
         yield TateSeries(ctx, m, (), 0)
-        for degree in sorted({0, 1, 3, min(10, ctx.D), ctx.D}):
+        for degree in sorted({d for d in (0, 1, 3, 10, ctx.D) if d <= ctx.D}):
             for lo in (0, -2):
                 yield _random_series(ctx, rng, m, degree, lo, rng.choice([INF, lo]))
-        yield TateSeries(ctx, m, [1] + [0] * (ctx.D - 1) + [ctx.p ** 3], INF)
+        if ctx.D:
+            yield TateSeries(ctx, m, [1] + [0] * (ctx.D - 1) + [ctx.p ** 3], INF)
+        for c in (-7, Fraction(1, ctx.p ** 2)):
+            yield TateSeries.constant(ctx, m, c)
+            yield TateSeries(ctx, m, [c], -1)
+        for tail in (INF, 1):
+            yield TateSeries(ctx, m, [0, ctx.p ** 3, 2][: ctx.D + 1], tail)
 
 
 LEVEL_CONTEXTS = [PadicContext(3, 20, 16), PadicContext(5, 40, 64), PadicContext(7, 12, 10)]
+LOW_DEGREE_CONTEXTS = [PadicContext(p, 12, D) for D in (0, 1, 2) for p in (3, 5)]
 
 
 class TestOrbitLevels:
     """The integer valuation table equals the stored val_C of every
     materialised orbit component."""
 
-    @pytest.mark.parametrize("lctx", LEVEL_CONTEXTS, ids=lambda c: f"p{c.p}-D{c.D}")
+    @pytest.mark.parametrize("lctx", LEVEL_CONTEXTS + LOW_DEGREE_CONTEXTS,
+                             ids=lambda c: f"p{c.p}-D{c.D}")
     def test_table_equals_materialised(self, lctx):
         for f in _level_cases(lctx, lctx.p):
             table = _orbit_levels(f, f.m)

@@ -285,7 +285,9 @@ class WeylCellVector:
 
 def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], g: IwahoriElement,
                    e: int) -> List[Leaf]:
-    """The image of each leaf, in the given order; the caller builds the function."""
+    """The image of each leaf, in the given order; the caller builds the function.
+    A centre inverts a + b z0 modulo p**level only: v(c + d z0) >= level - N,
+    so its residue is the one that the inverse modulo p**N gives."""
     if not g.ctx.same(ctx):
         raise ParameterError("matrix and function belong to different contexts")
     p, N, pN = ctx.p, ctx.N, ctx.pN
@@ -300,7 +302,8 @@ def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], g: IwahoriElement,
             top = min(g.c.val, ctx.from_int(z0).val) + N
             if level > top:
                 raise PrecisionError(f"residue mod p^{level} exceeds stored precision p^{top}")
-        center = (c + d * z0) * (pow(a + b * z0, -1, pN) if b else inv_a) % p ** level
+        mod = p ** level
+        center = (c + d * z0) * (pow(a + b * z0, -1, mod) if b else inv_a) % mod
         q = d - b * center
         inv_q = pow(q, -1, pN) if b else inv_d
         # A = (a R - c - z0 q) / q, rounded once; cs are the pairs of S(A + z')

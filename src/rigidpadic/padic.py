@@ -10,14 +10,14 @@ the comparison slack kappa.
 Valuations are normalised so that valp(p) = 1.
 
 Every binomial coefficient is read from one table of p-adic factorials
-(FactorialTable): v_p(n!), the p-free part of n! mod p**N and its inverse
-for n = 0 .. 2D, so binom(n, k) = n! / (k! (n - k)!) costs two products.
-Contexts with the same (p, N, D) share one table, built once; a binomial
-with n > 2D is refused.
+(FactorialTable, which also keeps the kernel's outer rows): v_p(n!), the
+p-free part of n! mod p**N and its inverse for n = 0 .. 2D, so
+binom(n, k) = n! / (k! (n - k)!) costs two products.  Contexts with the same
+(p, N, D) share one table, built once; a binomial with n > 2D is refused.
 
 Every rounding of a (val, unit) pair in the library goes through three
-functions: _normalised, the one place that strips p from a residue (with
-one gcd, as FLINT's padic_t strips it with one fmpz_remove);
+functions: _normalised, the one place that strips p from a residue (one
+division, else one gcd, as FLINT's padic_t strips it with one fmpz_remove);
 _pair_sum, the sum rule of __add__ and __sub__ on flat pairs, which
 TateSeries.__add__ runs coefficientwise; and _times_binom, a pair times a
 binomial from the table.  Multiply, invert and pow stay PadicNumber methods:
@@ -97,9 +97,11 @@ def _int_valuation(n: int, p: int) -> int:
 
 class FactorialTable:
     """v_p(n!), the p-free part of n! mod p**N and its inverse, n = 0 .. top,
-    built once as tuples."""
+    built once as tuples, and the series kernel's outer rows 1/v! and n!:
+    rows (v, -v_p(v!), 1/unit(v!)), v = 0 .. top, and hrows (-n, v_p(n!),
+    unit(n!)), n = top .. 0."""
 
-    __slots__ = ("vals", "units", "invs")
+    __slots__ = ("vals", "units", "invs", "rows", "hrows")
 
     def __init__(self, p: int, N: int, top: int):
         pN = p ** N
@@ -117,6 +119,8 @@ class FactorialTable:
         for n in reversed(parts):
             invs.append(invs[-1] * n % pN)
         self.vals, self.units, self.invs = tuple(vals), tuple(units), tuple(reversed(invs))
+        self.rows = tuple(zip(range(top + 1), [-x for x in vals], self.invs))
+        self.hrows = tuple(zip(range(-top, 1), vals[::-1], units[::-1]))
 
 
 #: one table per (p, N, 2D): contexts with the same (p, N, D) share it
@@ -350,14 +354,18 @@ class PadicNumber:
 
 def _normalised(ctx: PadicContext, val, raw: int) -> Tuple[float, int]:
     """The (val, unit) pair of p**val * raw at relative precision N: raw is
-    reduced modulo p**N, p**v = gcd(raw, p**N) moves into val in one step
-    (0 < raw < p**N, so v < N is the index of p**v in ppow), and zero reads
-    (INF, 0).  The one place that strips p from a residue."""
+    reduced modulo p**N, a unit is kept, one factor p (the commonest strip)
+    is taken by one division, and otherwise p**v = gcd(raw, p**N) moves into
+    val in one step (0 < raw < p**N, so v < N is the index of p**v in ppow);
+    zero reads (INF, 0).  The one place that strips p from a residue."""
     raw %= ctx.pN
     if not raw:
         return _ZERO
     if raw % ctx.p:
         return val, raw
+    r = raw // ctx.p
+    if r % ctx.p:
+        return val + 1, r
     g = math.gcd(raw, ctx.pN)
     return val + bisect_left(ctx.ppow, g), raw // g
 

@@ -379,14 +379,17 @@ def _twisted_sums(ctx: PadicContext, m: int, coeffs: Sequence[Tuple[float, int]]
     by its pairs coeffs (no trailing zero) on the ball p**m Z_p:
 
         c_j = sum_{l <= j} a_l lam^l binom(e - l, j - l) (-mu)^(j - l).
+    The zero series gives no pair and its own tail bound, with no kernel
+    call.  The outer rows are read from the factorial table: rows[:e + 1]
+    for j <= e, the last D - e hrows for j > e, with a_l at e + 1 - l.
     """
     if not 0 <= e <= ctx.D:
         raise ParameterError(f"twist exponent must lie in [0, D={ctx.D}], got {e}")
-    pN, fac = ctx.pN, ctx.factorials
+    if not coeffs:
+        return [], tail_bound
+    pN, fac, (lam_v, lam_u), (mu_v, mu_u) = ctx.pN, ctx.factorials, lam, mu
     fvals, finvs = fac.vals, fac.invs
-    (lam_v, lam_u), (mu_v, mu_u) = lam, mu
     deg = len(coeffs) - 1
-    tail = min([v + m * l for l, (v, u) in enumerate(coeffs) if u] + [tail_bound])
     lam_l = _unit_powers(lam_u, deg + 1, pN)
     # j <= e: binom(e - l, q) = (e - l)! / (q! (e - j)!), q = j - l.  The
     # source (-mu)^q / q! is indexed from the top, l' = e - q and v = e - j,
@@ -397,20 +400,21 @@ def _twisted_sums(ctx: PadicContext, m: int, coeffs: Sequence[Tuple[float, int]]
            for q in range(e if mu_u else 0, 0, -1)] + [(e, 0, 1)]
     ker = [(v + l * lam_v + fvals[e - l], u * lam_l[l] * fac.units[e - l] % pN)
            for l, (v, u) in enumerate(coeffs[:e + 1])] + [_ZERO] * (e + 1 - len(coeffs))
-    outs = [(e - j, -fvals[e - j], finvs[e - j]) for j in range(e, -1, -1)]
-    low = _offset_sums(ctx, src, ker, outs)[0][::-1]
+    low = _offset_sums(ctx, src, ker, fac.rows[:e + 1])[0][::-1]
+    tail = INF if deg <= e and tail_bound is INF else min(
+        [v + m * l for l, (v, u) in enumerate(coeffs) if u] + [tail_bound])
     if deg <= e:
-        return low, INF if tail_bound is INF else tail
+        return low, tail
     # j > e: binom(e - l, q) = (-1)^q (j - e - 1)! / (q! (l - e - 1)!).  The
-    # source a_l lam^l / (l - e - 1)! is indexed from the top, l' = deg - l
-    # and v = deg - j, so that q = l' - v; mu^q / q! is the kernel and
-    # (j - e - 1)! the outer factor
-    src = [(deg - l, v + l * lam_v - fvals[l - e - 1], u * lam_l[l] * finvs[l - e - 1] % pN)
+    # source a_l lam^l / (l - e - 1)! sits at l' = e + 1 - l and c_j at
+    # v = -n, n = j - e - 1, so that q = l' - v; mu^q / q! is the kernel and
+    # the hrows row (-n, v_p(n!), unit(n!)) the outer factor n!
+    src = [(e + 1 - l, v + l * lam_v - fvals[l - e - 1], u * lam_l[l] * finvs[l - e - 1] % pN)
            for l, (v, u) in reversed(list(enumerate(coeffs))) if l > e and u]
     mu_q = _unit_powers(mu_u, ctx.D - e, pN)
     ker = [(0, 1)] + [(q * mu_v - fvals[q], mu_q[q] * finvs[q] % pN)
                       for q in range(1, ctx.D - e)]
-    outs = [(deg - j, fvals[j - e - 1], fac.units[j - e - 1]) for j in range(ctx.D, e, -1)]
+    outs = fac.hrows[len(fac.hrows) - (ctx.D - e):]
     return low + _offset_sums(ctx, src, ker, outs)[0][::-1], tail
 
 
@@ -421,16 +425,17 @@ def _taylor_shift(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]],
 
     Returns (b, floors): b[v] is the (val, unit) pair of _offset_sums and
     floors[v] the least valuation of the nonzero summands of b_v (+inf
-    when there are none).
+    when there are none).  A constant is its own shift, with no kernel call.
     """
-    pN, fac = ctx.pN, ctx.factorials
+    if len(coeffs) == 1:
+        return list(coeffs), [coeffs[0][0]]
+    pN, fac, (cv, cu) = ctx.pN, ctx.factorials, c
     fvals, finvs = fac.vals, fac.invs
-    cv, cu = c
     # binom(l, v) c^(l-v) = l! (c^k / k!) (1 / v!), k = l - v
     ck = [(k * cv - fvals[k], u * finvs[k] % pN)
           for k, u in enumerate(_unit_powers(cu, len(coeffs), pN))]
     src = [(l, v + fvals[l], u * fac.units[l] % pN) for l, (v, u) in enumerate(coeffs) if u]
-    return _offset_sums(ctx, src, ck, [(v, -fvals[v], finvs[v]) for v in range(len(coeffs))])
+    return _offset_sums(ctx, src, ck, fac.rows[:len(coeffs)])
 
 
 def _scaled(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]], c: Tuple[float, int],

@@ -682,6 +682,65 @@ class TestImageResidueNeedsStoredDigits:
         assert {(lf.center, lf.level) for lf in out.leaves} == want
 
 
+class TestCentreInverseModuloLevel:
+    """The image centre of a leaf (z0, h) inverts a + b z0 modulo p**h, not
+    p**N.  Its residue is the one that the inverse modulo p**N gives, also on
+    accepted leaves deeper than N, and an action with b != 0 makes one
+    inverse modulo p**N per leaf (the offset's q) besides those of a and d."""
+
+    @staticmethod
+    def _centres_by_inverse_mod_pn(g, leaves):
+        p, pN = g.ctx.p, g.ctx.pN
+        a, b, c, d = (v.unit * p ** v.val if v.unit else 0 for v in (g.a, g.b, g.c, g.d))
+        return [(c + d * lf.center) * pow(a + b * lf.center, -1, pN) % p ** lf.level
+                for lf in leaves]
+
+    def _assert_centres(self, g, f):
+        assert not g.b.is_zero
+        got = [lf.center for lf in actions._act_piecewise(f.ctx, f.leaves, g, 0)]
+        assert got == self._centres_by_inverse_mod_pn(g, f.leaves)
+
+    @pytest.mark.parametrize("ci", range(3), ids=["p5", "p3", "p7"])
+    def test_random_cosets(self, ci):
+        ctx = TestLeafwiseActionMeetsTheContract.CONTEXTS[ci]
+        rng = random.Random(40 + ci)
+        for max_level in (1, 2, 3):
+            f = StepFunction(ctx, [Leaf(c, h, TateSeries.constant(ctx, h, 1))
+                                   for c, h in _random_cosets(ctx, rng, max_level)])
+            for g in TestLeafwiseActionMeetsTheContract._matrices(ctx, rng, c_val=1):
+                if not g.b.is_zero:
+                    self._assert_centres(g, f)
+
+    @pytest.mark.parametrize("b", [5, 10, 3 * 125])
+    def test_leaves_deeper_than_n(self, b):
+        # N = 3 and v(c) = 2: a leaf at level 5 is accepted when its centre
+        # lies in 25 Z_p, and its residue needs the inverse modulo p**5
+        ctx = PadicContext(5, 3, 8, kappa=1)
+        cells = ([(r, 1) for r in range(1, 5)] + [(5 * r, 2) for r in range(1, 5)]
+                 + [(25 * r, 5) for r in range(125)])
+        f = StepFunction(ctx, [Leaf(c, h, TateSeries.constant(ctx, h, 1)) for c, h in cells])
+        g = IwahoriElement(ctx, 16, b, 25, 26, I1)
+        self._assert_centres(g, f)
+        assert len(act_smooth(g, f).leaves) == len(cells)
+
+    def test_one_inverse_modulo_pn_per_leaf(self, ctx, monkeypatch):
+        rng = random.Random(5)
+        f = _random_function(ctx, rng, 2, 2)
+        calls = []
+
+        def counted(*args):
+            if args[1:] == (-1, ctx.pN):
+                calls.append(args[0])
+            return pow(*args)
+
+        monkeypatch.setattr(actions, "pow", counted, raising=False)
+        for g, want in ((IwahoriElement(ctx, 16, 10, 35, 26, I1), 2 + len(f.leaves)),
+                        (IwahoriElement(ctx, 16, 0, 35, 26, I1), 2)):
+            calls.clear()
+            act(g, f, chi_for(ctx, 4))
+            assert len(calls) == want, g
+
+
 # -- act on one series ----------------------------------------------------------
 
 

@@ -906,7 +906,8 @@ class TestTwistedMobiusContract:
 
 class TestTwistedSumsSkipTheEmptyHalf:
     """For an exact S of degree <= e every c_j with j > e is zero, so
-    _twisted_sums runs the kernel once, for the j <= e half."""
+    _twisted_sums runs the kernel once, for the j <= e half; the zero series
+    runs it not at all."""
 
     def test_one_kernel_call_up_to_degree_e(self, ctx, monkeypatch):
         calls = []
@@ -918,10 +919,87 @@ class TestTwistedSumsSkipTheEmptyHalf:
         monkeypatch.setattr(series, "_offset_sums", counted)
         lam, mu = ctx.from_int(2), ctx.from_int(15)
         for coeffs, e, tail, want in (([3], 0, INF, 1), ([1, 5], 2, INF, 1),
-                                      ([1, 2, 3, 4], 3, INF, 1), ([], 2, INF, 1),
-                                      ([1, 5], 2, 4, 1), ([1, 2, 3, 4], 2, INF, 2)):
+                                      ([1, 2, 3, 4], 3, INF, 1), ([], 2, INF, 0),
+                                      ([], 2, 4, 0), ([1, 5], 2, 4, 1),
+                                      ([1, 2, 3, 4], 2, INF, 2)):
             f = TateSeries(ctx, 1, coeffs, tail)
             calls.clear()
             got = twisted_mobius(f, lam, mu, e)
             assert len(calls) == want, (coeffs, e)
             _assert_twisted(f, lam, mu, e, got)
+
+    def test_zero_series_returns_its_own_tail(self, ctx, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the zero series ran the kernel")
+
+        monkeypatch.setattr(series, "_offset_sums", refuse)
+        lam, mu = (0, 2), (1, 3)
+        for tail in (INF, 4, -3):
+            for e in (0, 2, ctx.D):
+                assert series._twisted_sums(ctx, 1, [], tail, lam, mu, e) == ([], tail)
+
+
+# -- the kernel's outer rows and its short inputs -------------------------------
+
+
+SMALL_D_CONTEXTS = [PadicContext(p, 12, D) for p in (3, 5, 7) for D in (0, 1, 2)]
+
+
+class TestOuterRowsFromTheTable:
+    """The outer rows of the Taylor shift and of both halves of
+    _twisted_sums are read from the context's FactorialTable.  They equal
+    the lists each call used to build, the high half's up to the shift of
+    every output index by deg - e - 1, which the kernel does not read (it
+    reads l - v = j - l and the order)."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("D", [0, 1, 2, 64])
+    def test_rows_equal_the_per_call_lists(self, p, D):
+        ctx = PadicContext(p, 12, D)
+        fac = ctx.factorials
+        fvals, finvs = fac.vals, fac.invs
+        assert len(fac.rows) == len(fac.hrows) == 2 * D + 1
+        for n in range(1, 2 * D + 2):
+            # the Taylor shift of n coefficients
+            assert list(fac.rows[:n]) == [(v, -fvals[v], finvs[v]) for v in range(n)]
+        for e in range(D + 1):
+            assert list(fac.rows[:e + 1]) == [(e - j, -fvals[e - j], finvs[e - j])
+                                              for j in range(e, -1, -1)]
+            high = fac.hrows[len(fac.hrows) - (D - e):]
+            # deg = D + 1 stands for the empty high half at e = D
+            for deg in range(e + 1, D + 2):
+                want = [(deg - j, fvals[j - e - 1], fac.units[j - e - 1])
+                        for j in range(D, e, -1)]
+                assert [(v + deg - e - 1, fv, fu) for v, fv, fu in high] == want, (e, deg)
+
+    @pytest.mark.parametrize("ci", range(len(SMALL_D_CONTEXTS)),
+                             ids=[f"p{c.p}-D{c.D}" for c in SMALL_D_CONTEXTS])
+    def test_twisted_mobius_at_the_ends_of_e(self, ci):
+        # e = 0 runs the high half on every a_l with l >= 1; e = D runs the
+        # low half alone on rows[:D + 1]
+        ctx = SMALL_D_CONTEXTS[ci]
+        rng = random.Random(ci)
+        for m in (0, 1, 2):
+            for degree in range(ctx.D + 1):
+                for _ in range(3):
+                    f = _kernel_series(ctx, rng, m, degree)
+                    lam = PadicNumber(ctx, rng.randint(-1, 1), _rand_unit(ctx, rng),
+                                      _checked=True)
+                    mu = PadicNumber(ctx, rng.randint(max(1, m), 3), _rand_unit(ctx, rng),
+                                     _checked=True)
+                    for e in {0, ctx.D}:
+                        _assert_twisted(f, lam, mu, e, twisted_mobius(f, lam, mu, e))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_one_pair_shift_is_the_kernel_run(self, p):
+        # the old set-up of _taylor_shift on one pair: source (0, v, u),
+        # ck[0] = (0, 1) and the outer row (0, 0, 1)
+        ctx = PadicContext(p, 6, 8)
+        rng = random.Random(p)
+        pairs = [(INF, 0)] + [(v, _rand_unit(ctx, rng)) for v in (-3, -1, 0, 2, 7)]
+        for v, u in pairs:
+            for cv in (0, 1, 4):
+                c = (cv, _rand_unit(ctx, rng))
+                src = [(0, v, u)] if u else []
+                want = _offset_sums(ctx, src, [(0, 1)], [(0, 0, 1)])
+                assert _taylor_shift(ctx, [(v, u)], c) == want, (v, u, c)

@@ -328,7 +328,9 @@ def orbit_membership(f: PiecewiseFunction, m: int) -> Verdict:
     uniform tail bound, and the candidate is then compared against every
     other in-ball leaf at three sample points per leaf with
     starvation-aware comparisons, each value trusted below its evaluation
-    ceiling.
+    ceiling.  It reads the fine leaves on purpose, also for a function made
+    by refine, which is_member_Can glues on its coarse partition: the two
+    routes stay independent.
     """
     if m < 0:
         raise ParameterError(f"ball level m must be >= 0, got {m}")

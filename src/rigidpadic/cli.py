@@ -279,7 +279,7 @@ def _global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     )
     parser.add_argument(
         "--slack", type=int, default=d(4), metavar="KAPPA",
-        help="comparison slack in digits (default 4)",
+        help="comparison slack in digits, below N (default 4)",
     )
     parser.add_argument("--seed", type=int, default=d(0), help="seed for randomized suites")
     parser.add_argument(

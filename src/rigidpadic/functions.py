@@ -17,6 +17,8 @@ to a single rigid analytic series (is_member_Can), to a constant
 Gluing is decided by re-expanding the leaves inside the ball around the
 common center 0, one at a time, and comparing each with the first at
 precision N - kappa; the test stops at the first leaf that disagrees.
+A function made by refine is glued on the partition it was refined from,
+so a refined global series is one covering leaf and needs no re-expansion.
 The comparisons are starvation-aware: each re-expanded coefficient
 carries an absolute reliability ceiling (its summands are only known
 modulo p**(val + N)), and a comparison that cannot be settled inside the
@@ -52,9 +54,15 @@ class Leaf(NamedTuple):
 
 
 class PiecewiseFunction:
-    """Finite coset partition of Z_p with one local series per coset."""
+    """Finite coset partition of Z_p with one local series per coset.
 
-    __slots__ = ("ctx", "leaves")
+    A function made by refine remembers the coarsest partition it was
+    refined from (private slot _coarse; None otherwise), and is_member_Can
+    glues on that partition: its verdict detail is the coarse partition's,
+    and its witness' tail bound can be sharper than the fine leaves give.
+    """
+
+    __slots__ = ("ctx", "leaves", "_coarse")
 
     def __init__(self, ctx: PadicContext, leaves: Iterable[Leaf]):
         lvs = sorted(leaves, key=lambda lf: (lf.level, lf.center))
@@ -74,6 +82,7 @@ class PiecewiseFunction:
         _check_partition(ctx, lvs)
         self.ctx = ctx
         self.leaves = tuple(lvs)
+        self._coarse = None
 
     # -- constructors ---------------------------------------------------
 
@@ -135,7 +144,9 @@ class PiecewiseFunction:
         """Split every leaf into cosets at the given common level.
 
         The local data is recentered exactly, so evaluation is unchanged;
-        a leaf already at the level is kept as it is.
+        a leaf already at the level is kept as it is.  The result has the
+        class (and weight) of self and keeps the coarsest partition of its
+        refine chain, on which is_member_Can glues.
         """
         if level < self.max_level():
             raise DomainError(
@@ -152,7 +163,13 @@ class PiecewiseFunction:
                 delta = r * step
                 shifted = lf.series.recenter(ctx.from_int(delta), level)
                 leaves.append(Leaf(lf.center + delta, level, shifted))
-        return PiecewiseFunction(ctx, leaves)
+        fine = self._with_leaves(leaves)
+        fine._coarse = self._coarse or self
+        return fine
+
+    def _with_leaves(self, leaves: Iterable[Leaf]) -> "PiecewiseFunction":
+        """A function of the same class (and weight) on the given leaves."""
+        return type(self)(self.ctx, leaves)
 
     def common_refinement(self, other: "PiecewiseFunction") -> Tuple["PiecewiseFunction", "PiecewiseFunction"]:
         """Both functions on the coarsest partition that refines both.
@@ -255,6 +272,9 @@ class LocallyAlgebraicFunction(PiecewiseFunction):
                     "locally algebraic leaves must be exact polynomials"
                 )
 
+    def _with_leaves(self, leaves: Iterable[Leaf]) -> "LocallyAlgebraicFunction":
+        return LocallyAlgebraicFunction(self.ctx, leaves, self.k)
+
 
 # -- membership tests ------------------------------------------------------
 
@@ -279,9 +299,16 @@ def is_member_Can(f: PiecewiseFunction, m: int) -> CanMembership:
     precision N - kappa; the first NO ends the test.  A comparison whose
     reliable window is too shallow to certify or refute agreement yields
     INDETERMINATE.  The detail names the first leaf that did not glue.
+    A function made by refine glues on the coarse partition it was refined
+    from, so a refined global series is one covering leaf.  The answer then
+    depends on how f was built, not only on its leaves: the detail is the
+    coarse partition's, and the witness' tail bound can be sharper than the
+    one re-expanded from the fine leaves (the status and the witness
+    coefficients were the same on every draw of the tests).
     """
     if m < 0:
         raise ParameterError(f"ball level m must be >= 0, got {m}")
+    f = f._coarse or f
     ctx = f.ctx
     cover = f.covering_leaf(m)
     if cover is not None:

@@ -51,13 +51,16 @@ def _malformed(what: str):
         raise ParameterError(f"bad {what}: {exc}") from exc
 
 
-def context_from_header(header: dict) -> PadicContext:
+def context_from_header(header: dict, kappa: Optional[int] = None) -> PadicContext:
+    """The header's context; a given kappa (the caller's run-time slack)
+    replaces the header's, which is then only type-checked."""
     with _malformed("context header"):
+        stored = _field(header, "kappa") if "kappa" in header else 4
         return PadicContext(
             p=_field(header, "p"),
             N=_field(header, "N"),
             D=_field(header, "D"),
-            kappa=_field(header, "kappa") if "kappa" in header else 4,
+            kappa=stored if kappa is None else kappa,
         )
 
 
@@ -307,7 +310,7 @@ def load(
         raise ParameterError(f"unknown kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise ParameterMismatch(f"expected a {expected_kind} file, found {kind}")
-    file_ctx = context_from_header(obj.get("context", {}))
+    file_ctx = context_from_header(obj.get("context", {}), None if ctx is None else ctx.kappa)
     if ctx is not None:
         if not ctx.same(file_ctx):
             raise ParameterMismatch(

@@ -132,7 +132,9 @@ class PadicContext:
 
     Two stored values are considered equal at precision when they share
     at least N - kappa relative digits; kappa is the budget that covers
-    the precision loss of composite operations (default 4 digits).
+    the precision loss of composite operations (default 4 digits).  It
+    must lie in [0, N): at kappa = N the rule would ask for zero digits,
+    and any two nonzero values would agree.
     ``ppow[d]`` is p**d for 0 <= d < N, and ``factorials`` is the
     FactorialTable for 0! .. (2D)! shared by every context with the same
     (p, N, D); every binomial coefficient is read from it.
@@ -150,8 +152,8 @@ class PadicContext:
             raise ParameterError(f"precision N must lie in [1, {MAX_PRECISION}], got {N}")
         if not 0 <= D <= MAX_DEGREE:
             raise ParameterError(f"truncation degree D must lie in [0, {MAX_DEGREE}], got {D}")
-        if not 0 <= kappa <= N:
-            raise ParameterError(f"slack kappa must lie in [0, N], got {kappa}")
+        if not 0 <= kappa < N:
+            raise ParameterError(f"slack kappa must lie in [0, N), got {kappa}")
         self.p = p
         self.N = N
         self.D = D

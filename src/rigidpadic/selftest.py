@@ -116,6 +116,12 @@ def rand_refined_global(
     return PiecewiseFunction.from_global_series(base).refine(level)
 
 
+def _full_route(f: PiecewiseFunction) -> PiecewiseFunction:
+    """The same leaves with no coarse partition, so that is_member_Can
+    re-expands every in-ball leaf of a refined function."""
+    return PiecewiseFunction(f.ctx, f.leaves)
+
+
 def rand_character(ctx: PadicContext, rng: random.Random) -> galois.ContinuousCharacter:
     value = rand_padic(ctx, rng, -3, 3, zero_weight=0.0)
     tame = rng.randrange(ctx.p - 1)
@@ -284,10 +290,11 @@ def case_functions_refine_eval(ctx: PadicContext, rng: random.Random) -> Optiona
 def case_functions_monotone(ctx: PadicContext, rng: random.Random) -> Optional[str]:
     m = rng.randint(1, 2)
     f = rand_refined_global(ctx, rng, m + rng.randint(0, 1))
-    low = is_member_Can(f, m).status
-    high = is_member_Can(f, m + 1).status
-    if low is Verdict.YES and high is not Verdict.YES:
-        return f"membership lost going from level {m} to {m + 1}"
+    for g in (f, _full_route(f)):
+        low = is_member_Can(g, m).status
+        high = is_member_Can(g, m + 1).status
+        if low is Verdict.YES and high is not Verdict.YES:
+            return f"membership lost going from level {m} to {m + 1}"
     return None
 
 
@@ -456,9 +463,10 @@ def case_orbit_tail_growth(ctx: PadicContext, rng: random.Random) -> Optional[st
 def case_analytic_monotone(ctx: PadicContext, rng: random.Random) -> Optional[str]:
     m = rng.randint(1, 2)
     f = rand_refined_global(ctx, rng, m + rng.randint(0, 1), max_deg=5)
-    if analytic.is_analytic_vector(f, m) is Verdict.YES:
-        if analytic.is_analytic_vector(f, m + 1) is not Verdict.YES:
-            return f"analyticity lost from level {m} to {m + 1}"
+    for g in (f, _full_route(f)):
+        if analytic.is_analytic_vector(g, m) is Verdict.YES:
+            if analytic.is_analytic_vector(g, m + 1) is not Verdict.YES:
+                return f"analyticity lost from level {m} to {m + 1}"
     return None
 
 
@@ -480,10 +488,11 @@ def case_analytic_two_routes(ctx: PadicContext, rng: random.Random) -> Optional[
     f = rand_refined_global(ctx, rng, m + 1, max_deg=5)
     if rng.random() < 0.5:
         f = _perturb_one_inball_leaf(ctx, rng, f, m)
-    a = analytic.is_analytic_vector(f, m)
     b = analytic.orbit_membership(f, m)
-    if a is not b:
-        return f"routes disagree: re-expansion {a}, orbit {b}"
+    for g in (f, _full_route(f)):
+        a = analytic.is_analytic_vector(g, m)
+        if a is not b:
+            return f"routes disagree: re-expansion {a}, orbit {b}"
     return None
 
 

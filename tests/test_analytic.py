@@ -559,8 +559,12 @@ class TestAnalyticMembership:
         cases.append(StepFunction.indicator_ball(ctx, 2))
         cases.append(_split_ball(ctx, 25, 3))
         for f in cases:
+            # the same leaves with no coarse partition take the re-expansion route
+            full = PiecewiseFunction(ctx, f.leaves)
             for m in (1, 2):
-                assert is_analytic_vector(f, m) is orbit_membership(f, m)
+                b = orbit_membership(f, m)
+                assert is_analytic_vector(f, m) is b
+                assert is_analytic_vector(full, m) is b
 
     def test_routes_agree_on_negative(self, ctx):
         f = _split_ball(ctx, 5, 2)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, report formats, and
 byte-stable output."""
 
+import hashlib
 import json
 import time
 
@@ -8,8 +9,10 @@ import pytest
 
 from rigidpadic import galois, io
 from rigidpadic.actions import I1, InductionCharacter, IwahoriElement
-from rigidpadic.cli import main
-from rigidpadic.functions import MAX_LEVEL, StepFunction
+from rigidpadic.analytic import is_analytic_vector
+from rigidpadic.cli import _verdict_json, main
+from rigidpadic.errors import ParameterError
+from rigidpadic.functions import MAX_LEVEL, PiecewiseFunction, StepFunction
 from rigidpadic.galois import TriangulineParam, abs_x_character, x_character
 from rigidpadic.galois import ContinuousCharacter
 from rigidpadic.padic import PadicContext
@@ -234,6 +237,29 @@ class TestAnalyticLevel:
         )
         assert code == 0
         assert len(json.loads(out)["verdicts"]) == 4
+
+    def test_golden_glue_files_and_the_coarse_route(self, capsys, tmp_path):
+        # the workflow's analytic-level pin, in process: a loaded file has no
+        # coarse partition, so the pin runs the full gluing path, and the
+        # in-memory refined functions (coarse route) must give its verdicts
+        ctx = PadicContext(p=3)
+        f = PiecewiseFunction.from_global_series(
+            TateSeries(ctx, 0, [1, 3, 9, 2, 5, 7], 30)).refine(4)
+        funcs = (f, f + StepFunction.indicator_ball(ctx, 2))
+        out = []
+        for i, g in enumerate(funcs):
+            path = tmp_path / f"glue{i}.json"
+            path.write_text(io.wrap("function", ctx, g), encoding="utf-8")
+            for fmt in ("json", "text"):
+                code, text, _ = run(capsys, "--p", "3", "--format", fmt,
+                                    "analytic-level", str(path))
+                assert code == 0
+                out.append(text)
+            verdicts = json.loads(out[-2])["verdicts"]
+            assert [{"m": m, "analytic": _verdict_json(is_analytic_vector(g, m))}
+                    for m in range(5)] == verdicts
+        digest = hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
+        assert digest == "bd862948970e1be35a8cc33e0afaa01cb0271533e0743e168226734dddd9859e"
 
     def test_negative_max_level_is_usage_error(self, files, capsys):
         code, out, err = run(
@@ -482,6 +508,27 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "truncation degree" in err
+
+    def test_slack_at_the_precision_is_usage_error(self, capsys):
+        # kappa = N would let any two nonzero values agree
+        code, out, err = run(capsys, "--precision", "6", "--slack", "6", "selftest")
+        assert code == 2
+        assert out == ""
+        assert "slack kappa" in err
+
+    def test_slack_flag_overrides_a_header_slack_at_the_precision(self, files, capsys, tmp_path):
+        # the run-time --slack replaces the header's kappa, which is then
+        # not range-checked; read with no context, the header is refused
+        text = open(files["square.series.json"], encoding="utf-8").read()
+        doc = json.loads(text)
+        doc["context"]["kappa"] = doc["context"]["N"]
+        path = tmp_path / "slack.series.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        want = run(capsys, "verify-bounds", files["square.series.json"], "-m", "1")
+        assert run(capsys, "verify-bounds", str(path), "-m", "1") == want
+        assert want[0] == 0
+        with pytest.raises(ParameterError, match="slack kappa"):
+            io.load(json.dumps(doc))
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as ei:

@@ -7,7 +7,10 @@ from math import comb
 
 import pytest
 
-from rigidpadic import functions
+from rigidpadic import functions, io
+from rigidpadic.actions import (I1, InductionCharacter, IwahoriElement, act,
+                                act_locally_algebraic, act_smooth)
+from rigidpadic.analytic import orbit_membership
 from rigidpadic.errors import ParameterError
 from rigidpadic.padic import _ZERO, INF, PadicContext, PadicNumber, _agreement, _pair_sum
 from rigidpadic.functions import (
@@ -23,6 +26,8 @@ from rigidpadic.functions import (
     is_member_pi_an,
     mahler_coefficients,
 )
+from rigidpadic.selftest import (_perturb_one_inball_leaf, rand_chi, rand_iwahori,
+                                 rand_refined_global)
 from rigidpadic.series import TateSeries
 from rigidpadic.verdict import Verdict
 
@@ -395,7 +400,7 @@ def _rand_ceilings(ctx, rng, coeffs):
     return out[: rng.randint(0, len(out))] if rng.random() < 0.2 else out
 
 
-ORACLE_CONTEXTS = [PadicContext(5, 40, 64), PadicContext(3, 4, 64),
+ORACLE_CONTEXTS = [PadicContext(5, 40, 64), PadicContext(3, 4, 64, kappa=3),
                    PadicContext(7, 6, 64), PadicContext(3, 2, 64, kappa=1)]
 
 
@@ -585,6 +590,134 @@ class TestGluingDifferential:
         assert seen == set(Verdict) if dctx.N <= 4 else seen >= {Verdict.YES, Verdict.NO}
 
 
+def _coarse_route_draw(ctx, rng, kind):
+    """A function of the given kind with no deeper leaf than level 2."""
+    level = rng.randint(1, 2)
+    g = rand_refined_global(ctx, rng, level, max_deg=5)
+    if kind == "perturbed":
+        g = _perturb_one_inball_leaf(ctx, rng, g, rng.randint(0, level - 1))
+    elif kind == "image":
+        g = act(rand_iwahori(ctx, rng, I1), g, rand_chi(ctx, rng))
+    return g
+
+
+class TestRefinedFunctionsGlueOnTheirCoarsePartition:
+    """refine keeps the coarsest partition of its chain, and is_member_Can
+    glues there; the same leaves as a fresh function run the full route."""
+
+    KINDS = ("refined", "perturbed", "image")
+
+    @staticmethod
+    def _count_re_expand(monkeypatch):
+        calls = []
+        real = functions._re_expand
+
+        def counted(ctx, lf, m):
+            calls.append(lf.center)
+            return real(ctx, lf, m)
+
+        monkeypatch.setattr(functions, "_re_expand", counted)
+        return calls
+
+    @pytest.mark.parametrize("dctx", [
+        PadicContext(3, 20, 24), PadicContext(5, 20, 24), PadicContext(7, 20, 24),
+        PadicContext(3, 4, 64, kappa=3), PadicContext(3, 2, 64, kappa=1),
+    ], ids=lambda c: f"p{c.p}-N{c.N}-kappa{c.kappa}")
+    def test_same_answer_as_the_full_route(self, dctx):
+        # same status and witness coefficients; the witness tail bound is
+        # the same for a refined global, and never weaker otherwise (the
+        # coarse leaves are not re-expanded from the deeper ones)
+        rng = random.Random(dctx.p * 1000 + dctx.N)
+        seen = set()
+        for i in range(20):
+            kind = self.KINDS[i % len(self.KINDS)]
+            g = _coarse_route_draw(dctx, rng, kind)
+            h = g.max_level() + rng.randint(1, 2)
+            fine = g.refine(h)
+            full = PiecewiseFunction(dctx, fine.leaves)
+            for m in range(h + 1):
+                got, want = is_member_Can(fine, m), is_member_Can(full, m)
+                assert got.status is want.status, (i, m)
+                seen.add(got.status)
+                if got.status is Verdict.YES:
+                    assert got.witness.m == want.witness.m == m
+                    assert got.witness.coeffs == want.witness.coeffs, (i, m)
+                    if kind == "refined":
+                        assert got.witness.tail_bound == want.witness.tail_bound, (i, m)
+                    else:
+                        assert got.witness.tail_bound >= want.witness.tail_bound, (i, m)
+        assert Verdict.NO in seen and Verdict.YES in seen
+
+    def test_refined_global_makes_no_re_expansion(self, ctx, monkeypatch):
+        calls = self._count_re_expand(monkeypatch)
+        f = PiecewiseFunction.from_global_series(TateSeries(ctx, 0, [1, 5, 7, 2], 30)).refine(2)
+        full = PiecewiseFunction(ctx, f.leaves)
+        for m in range(3):
+            res = is_member_Can(f, m)
+            assert res.status is Verdict.YES
+            assert res.detail == "single leaf covers the ball"
+            assert calls == []
+            want = is_member_Can(full, m)
+            assert want.status is Verdict.YES
+            assert want.witness.coeffs == res.witness.coeffs
+            # one re-expansion per in-ball leaf of the rebuilt copy
+            assert len(calls) == (ctx.p ** (2 - m) if m < 2 else 0)
+            calls.clear()
+
+    def test_chains_collapse_onto_the_first_partition(self, ctx, monkeypatch):
+        f = PiecewiseFunction.from_global_series(TateSeries(ctx, 0, [3, 1, 4], INF))
+        g = f.refine(2).refine(3)
+        assert g._coarse is f
+        calls = self._count_re_expand(monkeypatch)
+        assert is_member_Can(g, 1).detail == "single leaf covers the ball"
+        assert calls == []
+
+    def test_other_constructions_carry_no_coarse_partition(self, ctx):
+        f = PiecewiseFunction.from_global_series(TateSeries(ctx, 0, [3, 1, 4], INF)).refine(2)
+        step = StepFunction.indicator_ball(ctx, 1)
+        chi = InductionCharacter(ctx.from_int(5), ctx.from_int(10), 3)
+        g = IwahoriElement(ctx, 1, 5, 2, 1, I1)
+        _, _, loaded = io.load(io.wrap("function", ctx, f))
+        built = [loaded, f + step, f - step, -f, f.scale(3), act(g, f, chi),
+                 *f.common_refinement(step)]
+        assert f._coarse is not None
+        assert all(h._coarse is None for h in built)
+
+    def test_orbit_route_reads_every_fine_leaf(self, ctx, monkeypatch):
+        calls = []
+        real = TateSeries.evaluate_tracked
+
+        def counted(self, z):
+            calls.append(z)
+            return real(self, z)
+
+        monkeypatch.setattr(TateSeries, "evaluate_tracked", counted)
+        f = PiecewiseFunction.from_global_series(TateSeries(ctx, 0, [1, 5, 7, 2], 30)).refine(2)
+        assert orbit_membership(f, 0) is Verdict.YES
+        # three sample points on each non-source leaf, candidate and leaf
+        assert len(calls) == 2 * 3 * (len(f.leaves) - 1)
+
+
+class TestRefineKeepsTheClass:
+    def test_step_function_stays_a_step_function(self, ctx):
+        step = StepFunction.indicator_ball(ctx, 1)
+        fine = step.refine(2)
+        assert type(fine) is StepFunction
+        assert not is_member_C_m(fine, 0)
+        assert is_member_C_m(fine, 1)
+        g = IwahoriElement(ctx, 1, 5, 2, 1, I1)
+        assert act_smooth(g, fine).agrees_with(act_smooth(g, step))
+
+    def test_locally_algebraic_keeps_its_weight(self, ctx):
+        leaves = [Leaf(0, 0, TateSeries(ctx, 0, [2, 3], INF))]
+        f = LocallyAlgebraicFunction(ctx, leaves, 3)
+        fine = f.refine(1)
+        assert type(fine) is LocallyAlgebraicFunction and fine.k == 3
+        chi = InductionCharacter(ctx.from_int(5), ctx.from_int(10), 3)
+        g = IwahoriElement(ctx, 1, 5, 2, 1, I1)
+        assert act_locally_algebraic(g, fine, chi).agrees_with(act_locally_algebraic(g, f, chi))
+
+
 class TestMembershipSmooth:
     def test_constant_everywhere(self, ctx):
         f = StepFunction(
@@ -633,10 +766,12 @@ class TestMembershipLocallyAlgebraic:
             f = PiecewiseFunction.from_global_series(
                 TateSeries(ctx, 0, coeffs)
             ).refine(rng.randint(1, 2))
-            for m in (1, 2):
-                a = is_member_pi_an(f, m, k).status
-                if a is Verdict.YES:
-                    assert is_member_Can(f, m).status is Verdict.YES
+            # the same leaves with no coarse partition take the re-expansion route
+            for g in (f, PiecewiseFunction(ctx, f.leaves)):
+                for m in (1, 2):
+                    a = is_member_pi_an(g, m, k).status
+                    if a is Verdict.YES:
+                        assert is_member_Can(g, m).status is Verdict.YES
 
 
 class TestMahler:

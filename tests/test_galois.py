@@ -372,10 +372,14 @@ class TestClassificationMatchesTheScans:
             assert len(calls) <= 1, n
 
     def test_zero_digit_agreement_is_not_a_match(self):
-        # at kappa = N two nonzero values "agree" at zero digits, so the full
-        # scan matched x^3 with x^-1; the index rule tests only i = -3 and 4
-        ctx = PadicContext(5, 6, 8, kappa=6)
-        assert ctx.from_int(7).agrees_with(ctx.from_int(5))
+        # at kappa = N two nonzero values would "agree" at zero digits (the
+        # old full scan matched x^3 with x^-1 there), so the context is
+        # refused; at kappa = N - 1 they differ and the index rule tests
+        # only i = -3 and 4
+        with pytest.raises(ParameterError):
+            PadicContext(5, 6, 8, kappa=6)
+        ctx = PadicContext(5, 6, 8, kappa=5)
+        assert not ctx.from_int(7).agrees_with(ctx.from_int(5))
         trivial = ContinuousCharacter.trivial(ctx)
         assert ext1_dimension(x_character(ctx) ** 3, trivial) == Ext1Result(1, None, Verdict.YES)
 

@@ -365,7 +365,15 @@ class TestComparison:
             PadicContext(D=-1)
         with pytest.raises(ParameterError):
             PadicContext(D=MAX_DEGREE + 1)
-        assert PadicContext(p=3, N=4, D=MAX_DEGREE).D == MAX_DEGREE
+        assert PadicContext(p=3, N=4, D=MAX_DEGREE, kappa=3).D == MAX_DEGREE
+
+    def test_context_refuses_slack_at_or_past_precision(self):
+        # kappa = N would ask for zero agreeing digits
+        for N, kappa in ((6, 6), (6, 7), (1, 1), (40, -1)):
+            with pytest.raises(ParameterError, match="slack kappa"):
+                PadicContext(5, N, 8, kappa=kappa)
+        assert PadicContext(5, 6, 8, kappa=5).kappa == 5
+        assert PadicContext(5, 1, 8, kappa=0).kappa == 0
         with pytest.raises(ParameterError):
             PadicContext(p=10 ** 25 + 13)
 

@@ -593,7 +593,7 @@ class TestTaylorShiftKernel:
 
     CONTEXTS = [
         PadicContext(5, 40, 64),
-        PadicContext(3, 4, 64),
+        PadicContext(3, 4, 64, kappa=3),
         PadicContext(7, 6, 64),
         PadicContext(3, 2, 64, kappa=1),
     ]
@@ -645,7 +645,7 @@ class TestTaylorShiftKernel:
         # N = 4 with valuations spread over 20 digits: many summands lie N
         # or more digits above the running floor, or N or more below it
         rng = random.Random(degree)
-        ctx = PadicContext(3, 4, 64)
+        ctx = PadicContext(3, 4, 64, kappa=3)
         for m in (0, 1):
             self._check_all(_kernel_series(ctx, rng, m, degree, lo=-2, spread=20), rng)
 

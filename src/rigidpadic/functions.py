@@ -193,24 +193,28 @@ class PiecewiseFunction:
         return PiecewiseFunction(ctx, a), PiecewiseFunction(ctx, b)
 
     def __add__(self, other: "PiecewiseFunction") -> "PiecewiseFunction":
+        """The leafwise sum; it keeps the class (and weight) that both
+        operands share, and is a plain PiecewiseFunction otherwise."""
         a, b = self.common_refinement(other)
         leaves = [
             Leaf(la.center, la.level, la.series + lb.series)
             for la, lb in zip(a.leaves, b.leaves)
         ]
+        if type(self) is type(other) and getattr(self, "k", None) == getattr(other, "k", None):
+            return self._with_leaves(leaves)
         return PiecewiseFunction(self.ctx, leaves)
 
     def __neg__(self) -> "PiecewiseFunction":
-        return PiecewiseFunction(
-            self.ctx, [Leaf(lf.center, lf.level, -lf.series) for lf in self.leaves]
+        return self._with_leaves(
+            [Leaf(lf.center, lf.level, -lf.series) for lf in self.leaves]
         )
 
     def __sub__(self, other: "PiecewiseFunction") -> "PiecewiseFunction":
         return self + (-other)
 
     def scale(self, c: Coercible) -> "PiecewiseFunction":
-        return PiecewiseFunction(
-            self.ctx, [Leaf(lf.center, lf.level, lf.series.scale(c)) for lf in self.leaves]
+        return self._with_leaves(
+            [Leaf(lf.center, lf.level, lf.series.scale(c)) for lf in self.leaves]
         )
 
     def agrees_with(self, other: "PiecewiseFunction") -> bool:
@@ -336,16 +340,14 @@ def is_member_Can(f: PiecewiseFunction, m: int) -> CanMembership:
 
 
 def is_member_C_m(f: StepFunction, m: int) -> bool:
-    """Is the restriction of the step function to p**m Z_p one constant?"""
+    """Is the restriction of the step function to p**m Z_p one constant?
+    Its leaves are constants, so this is the gluing test of is_member_Can;
+    INDETERMINATE reads False."""
     if not isinstance(f, StepFunction):
         raise ParameterError("is_member_C_m expects a StepFunction")
     if m < 0:
         raise ParameterError(f"ball level m must be >= 0, got {m}")
-    cover = f.covering_leaf(m)
-    if cover is not None:
-        return True
-    consts = [lf.series.coeff(0) for lf in f.leaves_in_ball(m)]
-    return all(c.agrees_with(consts[0]) for c in consts[1:])
+    return is_member_Can(f, m).status is Verdict.YES
 
 
 def is_member_pi_an(f: PiecewiseFunction, m: int, k: int) -> CanMembership:

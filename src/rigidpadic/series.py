@@ -21,7 +21,7 @@ entries.  The substitutions kept here are translate f(z - y), raw_mobius
 f(z/(1 - x z)) and mobius_twist f(z/(1 - x z)) (1 - x z)^(k-2); each records
 a new tail certificate derived from the input's certificate and preserves
 val_C exactly (they are invertible isometries of the ball).  scale,
-scale_powers and the leafwise action's last step share one unit-scaling loop
+negation and the leafwise action's last step share one unit-scaling loop
 on (val, unit) pairs, _scaled: a_l -> a_l c ratio^l for a unit ratio, one
 unit product mod p**N per coefficient; it moves the tail bound by valp(c).
 
@@ -229,16 +229,13 @@ class TateSeries:
         return self + (-other)
 
     def scale(self, c: Coercible) -> "TateSeries":
+        """c f: a_l -> a_l c, and self itself for c = 1."""
         c = self.ctx.num(c)
         if c.is_zero:
             return TateSeries.zero(self.ctx, self.m)
-        return self.scale_powers(c, self.ctx.one())
-
-    def scale_powers(self, c: PadicNumber, ratio: PadicNumber) -> "TateSeries":
-        """c f(ratio z) for c != 0 and a unit ratio: a_l -> a_l c ratio^l."""
-        if c.val == ratio.val == 0 and c.unit == ratio.unit == 1:
+        if c.val == 0 and c.unit == 1:
             return self
-        cs = _scaled(self.ctx, self.pairs, (c.val, c.unit), (ratio.val, ratio.unit))
+        cs = _scaled(self.ctx, self.pairs, (c.val, c.unit), (0, 1))
         tb = INF if self.tail_bound is INF else self.tail_bound + c.val
         return TateSeries._from_pairs(self.ctx, self.m, cs, tb)
 

@@ -717,6 +717,24 @@ class TestRefineKeepsTheClass:
         g = IwahoriElement(ctx, 1, 5, 2, 1, I1)
         assert act_locally_algebraic(g, fine, chi).agrees_with(act_locally_algebraic(g, f, chi))
 
+    def test_scale_negation_and_sum_keep_a_step_function(self, ctx):
+        s = StepFunction.indicator_ball(ctx, 1)
+        for g in (s.scale(2), -s, s + s):
+            assert type(g) is StepFunction
+            assert not is_member_C_m(g, 0)
+            assert is_member_C_m(g, 1)
+        assert (s + s).agrees_with(s.scale(2))
+        assert is_member_C_m(s - s, 0)
+
+    def test_sum_keeps_the_weight_only_when_both_share_it(self, ctx):
+        f = LocallyAlgebraicFunction(ctx, [Leaf(0, 0, TateSeries(ctx, 0, [2, 3], INF))], 3)
+        for g in (f.scale(2), -f, f + f, f - f.refine(1)):
+            assert type(g) is LocallyAlgebraicFunction and g.k == 3
+        other = LocallyAlgebraicFunction(ctx, f.leaves, 4)
+        for g in (f + other, f + StepFunction.indicator_ball(ctx, 1),
+                  StepFunction.indicator_ball(ctx, 1) + PiecewiseFunction(ctx, f.leaves)):
+            assert type(g) is PiecewiseFunction
+
 
 class TestMembershipSmooth:
     def test_constant_everywhere(self, ctx):

@@ -430,16 +430,17 @@ class TestConstruction:
     def test_unit_scaling_returns_its_input(self, ctx):
         f = poly(ctx, 1, 3, 5, 7)
         assert f.scale(1) is f
-        assert f.scale_powers(ctx.one(), ctx.one()) is f
-        assert f.scale_powers(ctx.one(), ctx.from_int(2)) == TateSeries(
-            ctx, 1, [3, 10, 28], f.tail_bound)
+        # the ratio path of the leafwise action (b = 0): a_l -> a_l 2^l
+        assert (tuple(series._scaled(ctx, f.pairs, (0, 1), (0, 2)))
+                == TateSeries(ctx, 1, [3, 10, 28]).pairs)
 
     def test_variable_scaling_needs_a_unit_ratio(self, ctx):
         # ratio = 5 stores the unit 1, as ratio = 1 does
         f = poly(ctx, 1, 3, 5, 7)
+        five = ctx.from_int(5)
         for c in (ctx.one(), ctx.from_int(3)):
             with pytest.raises(DomainError, match="unit factor"):
-                f.scale_powers(c, ctx.from_int(5))
+                series._scaled(ctx, f.pairs, (c.val, c.unit), (five.val, five.unit))
 
 
 # -- the series kernel against exact sums -------------------------------------

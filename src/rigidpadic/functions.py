@@ -9,7 +9,9 @@ Sums and comparisons (+, -, agrees_with, agrees_mod) work on the coarsest
 common partition of the two operands: every coset of it is a leaf of one
 operand inside a leaf of the other.  Shared leaves are paired as they are,
 and the coarser leaf is recentered once onto each finer leaf inside it, so
-neither operand is refined to the deeper one's maximum level.
+neither operand is refined to the deeper one's maximum level.  refine and
+common_refinement build the set-up of each Taylor shift once per covering
+leaf (its source row) and once per offset (its power row), not per leaf.
 
 Membership tests answer whether the restriction of f to p**m Z_p glues
 to a single rigid analytic series (is_member_Can), to a constant
@@ -40,7 +42,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, ParameterError
 from .padic import INF, Coercible, PadicContext, PadicNumber, _agreement
-from .series import TateSeries, _taylor_shift
+from .series import TateSeries, _offset_sums, _shift_powers, _shift_source, _taylor_shift
 from .verdict import Verdict
 
 #: hard cap on leaf levels; partitions beyond this depth are pathological
@@ -143,27 +145,20 @@ class PiecewiseFunction:
     def refine(self, level: int) -> "PiecewiseFunction":
         """Split every leaf into cosets at the given common level.
 
-        The local data is recentered exactly, so evaluation is unchanged;
-        a leaf already at the level is kept as it is.  The result has the
-        class (and weight) of self and keeps the coarsest partition of its
+        The local data is recentered exactly (one source row per coarse
+        leaf, one power row per offset), so evaluation is unchanged; a leaf
+        already at the level is kept as it is.  The result has the class
+        (and weight) of self and keeps the coarsest partition of its
         refine chain, on which is_member_Can glues.
         """
         if level < self.max_level():
             raise DomainError(
                 f"refinement level {level} below max leaf level {self.max_level()}"
             )
-        ctx = self.ctx
-        leaves = []
-        for lf in self.leaves:
-            if lf.level == level:
-                leaves.append(lf)
-                continue
-            step = ctx.p ** lf.level
-            for r in range(ctx.p ** (level - lf.level)):
-                delta = r * step
-                shifted = lf.series.recenter(ctx.from_int(delta), level)
-                leaves.append(Leaf(lf.center + delta, level, shifted))
-        fine = self._with_leaves(leaves)
+        p = self.ctx.p
+        targets = [(lf, lf.center + r * p ** lf.level, level)
+                   for lf in self.leaves for r in range(p ** (level - lf.level))]
+        fine = self._with_leaves(_restrict(self.ctx, targets))
         fine._coarse = self._coarse or self
         return fine
 
@@ -177,19 +172,18 @@ class PiecewiseFunction:
         Each coset of the result is a leaf of one operand and lies inside
         a leaf of the other.  A leaf that both operands share is paired as
         it is; otherwise the coarser leaf is recentered once onto each
-        finer leaf inside it, at the finer leaf's level.
+        finer leaf inside it, at the finer leaf's level, with one source
+        row per covering leaf and one power row per offset.
         """
         if not self.ctx.same(other.ctx):
             raise ParameterError("functions belong to different contexts")
         ctx, p = self.ctx, self.ctx.p
-        a, b = [], []
         # equal cosets pair once: in the first pass only
-        for lf, cover in _covered(p, self.leaves, other.leaves, equal=True):
-            a.append(lf)
-            b.append(_restrict(ctx, cover, lf))
-        for lf, cover in _covered(p, other.leaves, self.leaves, equal=False):
-            a.append(_restrict(ctx, cover, lf))
-            b.append(lf)
+        mine = list(_covered(p, self.leaves, other.leaves, equal=True))
+        theirs = list(_covered(p, other.leaves, self.leaves, equal=False))
+        moved = _restrict(ctx, [(cover, lf.center, lf.level) for lf, cover in mine + theirs])
+        a = [lf for lf, _ in mine] + moved[len(mine):]
+        b = moved[:len(mine)] + [lf for lf, _ in theirs]
         return PiecewiseFunction(ctx, a), PiecewiseFunction(ctx, b)
 
     def __add__(self, other: "PiecewiseFunction") -> "PiecewiseFunction":
@@ -390,24 +384,24 @@ def _check_partition(ctx: PadicContext, leaves: Sequence[Leaf]) -> None:
     """Exact cover check: pairwise disjoint cosets of total measure 1.
 
     Leaves arrive sorted by (level, center).  The measure is summed in
-    units of p**-H, H the deepest level; a coset overlaps an earlier one
-    exactly when one of its ancestors (or itself) is already a leaf.
+    units of p**-H, H the deepest level (the leaf count on one level).  A
+    coset overlaps another exactly when its key (level, center) repeats or
+    a strict ancestor is a leaf, and on one level there is no ancestor.
     """
     if not leaves:
         raise ParameterError("a partition needs at least one leaf")
-    p = ctx.p
-    top = leaves[-1].level
-    if sum(p ** (top - lf.level) for lf in leaves) != p ** top:
+    p, top = ctx.p, leaves[-1].level
+    one_level = leaves[0].level == top
+    if (len(leaves) if one_level else sum(p ** (top - lf.level) for lf in leaves)) != p ** top:
         total = sum((Fraction(1, p ** lf.level) for lf in leaves), Fraction(0))
         raise ParameterError(f"leaf measures sum to {total}, expected 1")
-    moduli = [(h, p ** h) for h in sorted({lf.level for lf in leaves})]
-    seen = set()
-    for lf in leaves:
-        if any((h, lf.center % q) in seen for h, q in moduli if h <= lf.level):
-            break
-        seen.add((lf.level, lf.center))
-    else:
-        return
+    keys = {(lf.level, lf.center) for lf in leaves}
+    if len(keys) == len(leaves):
+        if one_level:
+            return
+        moduli = [(h, p ** h) for h in sorted({h for h, _ in keys})]
+        if not any((h, c % q) in keys for level, c in keys for h, q in moduli if h < level):
+            return
     # name the first overlapping pair in leaf order
     for i, a in enumerate(leaves):
         for b in leaves[i + 1 :]:
@@ -439,12 +433,31 @@ def _covered(
                 break
 
 
-def _restrict(ctx: PadicContext, cover: Leaf, lf: Leaf) -> Leaf:
-    """The covering leaf recentered onto the coset of lf inside it."""
-    if cover.level == lf.level:
-        return cover
-    delta = ctx.from_int(lf.center - cover.center)
-    return Leaf(lf.center, lf.level, cover.series.recenter(delta, lf.level))
+def _restrict(ctx: PadicContext, targets: Sequence[Tuple[Leaf, int, int]]) -> List[Leaf]:
+    """Each (cover, center, level) as the covering leaf on the coset center +
+    p**level Z_p inside it: the cover itself at its own level, else its series
+    recentered as TateSeries.recenter does, from one source row per cover
+    (keyed by its coset, unique among shifted covers) and one power row per
+    offset, as long as the longest shifted series.  As in _taylor_shift, a
+    constant or a zero offset needs no kernel call."""
+    n = max((len(cv.series.pairs) for cv, _, h in targets if cv.level < h), default=0)
+    rows, sources, powers, out = ctx.factorials.rows, {}, {}, []
+    for cover, center, level in targets:
+        if cover.level == level:
+            out.append(cover)
+            continue
+        s, pairs, delta = cover.series, cover.series.pairs, center - cover.center
+        if delta and len(pairs) != 1:
+            src = sources.get((cover.level, cover.center))
+            if src is None:
+                src = sources[cover.level, cover.center] = _shift_source(ctx, pairs)
+            ck = powers.get(delta)
+            if ck is None:
+                c = ctx.from_int(delta)
+                ck = powers[delta] = _shift_powers(ctx, (c.val, c.unit), n)
+            pairs = _offset_sums(ctx, src, ck, rows[:len(pairs)])[0]
+        out.append(Leaf(center, level, TateSeries._from_pairs(ctx, level, pairs, s.tail_bound)))
+    return out
 
 
 def _re_expand(

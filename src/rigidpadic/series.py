@@ -30,15 +30,15 @@ arXiv:1701.06794): a coefficient is stored capped-relative, p**val * unit
 with the unit known modulo p**N.  Every sum of products in series algebra is
 one operation at one absolute working precision, run on (val, unit) integer
 pairs by one kernel, _offset_sums, which rounds each output once through
-padic._normalised: the Taylor shift
-b_v = sum_{l>=v} a_l binom(l, v) c^(l-v) behind translate, recenter, the
-leafwise action and functions._re_expand, the sum of evaluate_tracked, the
+padic._normalised: the Taylor shift b_v = sum_{l>=v} a_l binom(l, v) c^(l-v)
+behind translate, recenter, the leafwise action, functions._re_expand and
+functions._restrict (which reuses the source row of _shift_source and the
+power row of _shift_powers across shifts), the sum of evaluate_tracked, the
 products of __mul__ and the two sums of _twisted_sums below.  A summand is a
 product of stored values, so it is known modulo p**(its valuation + N).  Let
 floor be the least summand valuation of a sum: the kernel adds the summands
 exactly modulo p**(floor + N), multiplies by the output's outer factor once
-and rounds once.
-So a stored sum is the exact sum of its summands reduced modulo
+and rounds once.  So a stored sum is the exact sum of its summands reduced modulo
 p**(floor + N), its unit has no nonzero digit at or above floor + N, and
 floor + N is the ceiling evaluate_tracked and functions._re_expand report.
 An exact sum does not depend on the order of its summands.  Binomials are
@@ -418,7 +418,8 @@ def _twisted_sums(ctx: PadicContext, m: int, coeffs: Sequence[Tuple[float, int]]
 def _taylor_shift(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]],
                   c: Tuple[float, int]) -> Tuple[List[Tuple[float, int]], List[float]]:
     """The Taylor shift b_v = sum_{l >= v} a_l binom(l, v) c^(l-v) for the
-    (val, unit) pairs coeffs of a_l and the pair c != 0.
+    (val, unit) pairs coeffs of a_l and the pair c != 0: _offset_sums on the
+    rows of _shift_source and _shift_powers.
 
     Returns (b, floors): b[v] is the (val, unit) pair of _offset_sums and
     floors[v] the least valuation of the nonzero summands of b_v (+inf
@@ -426,13 +427,24 @@ def _taylor_shift(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]],
     """
     if len(coeffs) == 1:
         return list(coeffs), [coeffs[0][0]]
+    # binom(l, v) c^(l-v) = l! (c^k / k!) (1 / v!), k = l - v: the source
+    # row depends only on the series, the power row only on the offset c
+    n = len(coeffs)
+    return _offset_sums(ctx, _shift_source(ctx, coeffs), _shift_powers(ctx, c, n),
+                        ctx.factorials.rows[:n])
+
+
+def _shift_source(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]]) -> List[tuple]:
+    """The source row of a Taylor shift: (l, a_l l!) for each nonzero a_l."""
+    pN, fac = ctx.pN, ctx.factorials
+    return [(l, v + fac.vals[l], u * fac.units[l] % pN) for l, (v, u) in enumerate(coeffs) if u]
+
+
+def _shift_powers(ctx: PadicContext, c: Tuple[float, int], n: int) -> List[Tuple[float, int]]:
+    """The power row of a Taylor shift by the pair c: c^k / k! for k < n."""
     pN, fac, (cv, cu) = ctx.pN, ctx.factorials, c
-    fvals, finvs = fac.vals, fac.invs
-    # binom(l, v) c^(l-v) = l! (c^k / k!) (1 / v!), k = l - v
-    ck = [(k * cv - fvals[k], u * finvs[k] % pN)
-          for k, u in enumerate(_unit_powers(cu, len(coeffs), pN))]
-    src = [(l, v + fvals[l], u * fac.units[l] % pN) for l, (v, u) in enumerate(coeffs) if u]
-    return _offset_sums(ctx, src, ck, fac.rows[:len(coeffs)])
+    return [(k * cv - fac.vals[k], u * fac.invs[k] % pN)
+            for k, u in enumerate(_unit_powers(cu, n, pN))]
 
 
 def _scaled(ctx: PadicContext, coeffs: Sequence[Tuple[float, int]], c: Tuple[float, int],

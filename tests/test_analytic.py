@@ -309,6 +309,27 @@ class TestOrbitLevels:
         with pytest.raises(InvariantViolation, match=r"candidate orbit tail bound failed at mobius\[3\]"):
             analytic._orbit_tail_guard(w, 1, "candidate")
 
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_tail_guard_adds_m_v_to_each_entry(self, ctx, monkeypatch, m):
+        # an entry at val_C(w) - m v passes and one below it fails, in every
+        # family and wherever it sits in the row
+        w = TateSeries(ctx, m, [5, 1, 7])
+        real = analytic._orbit_levels
+        for fam in FAMILIES:
+            for v in (0, 3, ctx.D):
+                for drop in (0, 1):
+                    def lowered(f, m, fam=fam, v=v, drop=drop):
+                        table = real(f, m)
+                        table[fam][v] = f.val_c() - m * v - drop
+                        return table
+
+                    monkeypatch.setattr(analytic, "_orbit_levels", lowered)
+                    if drop:
+                        with pytest.raises(InvariantViolation, match=rf"at {fam}\[{v}\]$"):
+                            analytic._orbit_tail_guard(w, m, "witness")
+                    else:
+                        analytic._orbit_tail_guard(w, m, "witness")
+
 
 def _binom(n, k):
     """binom(n, k) with the builders' corners: 1 for k = 0 (n = -1 too), 0 for k > n."""
@@ -763,6 +784,28 @@ class TestCokernel:
                 assert cokernel_equal(b, a)
             if cokernel_equal(a, b) and cokernel_equal(b, c):
                 assert cokernel_equal(a, c)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP direction 12: cokernel_equal reads the INDETERMINATE of "
+        "is_member_pi_an on the beta difference as False"))
+    def test_beta_cells_differing_by_5_pow_35_plus_z_on_25Z5_are_not_unequal(self, ctx):
+        # F_beta's identity cell is [r + 5**35 + 7, 1] (or the constant 7)
+        # on the level-3 leaves r + 125Z_5 inside 25Z_5 and 0 elsewhere, so
+        # the beta difference is 5**35 + z there: degree 1 = k - 2, the same
+        # class; each re-expansion cancels r against r * 1, which starves
+        chi = InductionCharacter(ctx.from_int(10), ctx.from_int(15), 3, strict=False)
+        zero = PiecewiseFunction.constant(ctx, 0)
+        F_alpha = GAElement(WeylCellVector(PiecewiseFunction.constant(ctx, 1), zero), 1, 2)
+
+        def cls(series_at):
+            leaves = [Leaf(r, 1, TateSeries.zero(ctx, 1)) for r in range(1, 5)]
+            leaves += [Leaf(r, 2, TateSeries.zero(ctx, 2)) for r in (5, 10, 15, 20)]
+            leaves += [Leaf(r, 3, TateSeries(ctx, 3, series_at(r))) for r in range(0, 125, 25)]
+            vector = WeylCellVector(PiecewiseFunction(ctx, leaves), zero)
+            return CokernelElement(chi, 1, 2, F_alpha, GAElement(vector, 1, 2))
+
+        c1, c2 = cls(lambda r: [r + 5 ** 35 + 7, 1]), cls(lambda r: [7])
+        assert cokernel_equal(c1, c2) is not False
 
 
 def _ranked(relation):

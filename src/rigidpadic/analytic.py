@@ -488,11 +488,7 @@ def witness_nonzero(
     admits no integral-valuation solution, so only the shape checks
     apply there and the small-slope flag is reported as stated.
     """
-    chi = InductionCharacter(alpha, beta, k, strict=False)
-    if k >= 3:
-        bad = chi.violations()
-        if bad:
-            raise ParameterError("; ".join(bad))
+    chi = InductionCharacter(alpha, beta, k, strict=k >= 3)
     one_cell = PiecewiseFunction.constant(ctx, 1)
     zero_cell = PiecewiseFunction.constant(ctx, 0)
     F_alpha = GAElement(WeylCellVector(one_cell, zero_cell), n, m)

@@ -3,7 +3,8 @@
 A PiecewiseFunction is a partition of Z_p into cosets center + p**h Z_p,
 each carrying a TateSeries in the recentered coordinate z' = z - center
 on the ball p**h Z_p.  Leaves are kept in canonical sorted order by
-(level, center) with centers reduced to [0, p**h).
+(level, center) with centers reduced to [0, p**h); one pass over them checks
+the partition, and one root-to-leaf walk per leaf finds an overlap.
 
 Sums and comparisons (+, -, agrees_with, agrees_mod) work on the coarsest
 common partition of the two operands: every coset of it is a leaf of one
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, ParameterError
@@ -67,24 +69,9 @@ class PiecewiseFunction:
     __slots__ = ("ctx", "leaves", "_coarse")
 
     def __init__(self, ctx: PadicContext, leaves: Iterable[Leaf]):
-        lvs = sorted(leaves, key=lambda lf: (lf.level, lf.center))
-        for lf in lvs:
-            if not (0 <= lf.level <= MAX_LEVEL):
-                raise ParameterError(f"leaf level {lf.level} outside [0, {MAX_LEVEL}]")
-            if not (0 <= lf.center < ctx.p ** lf.level):
-                raise ParameterError(
-                    f"leaf center {lf.center} not reduced mod p^{lf.level}"
-                )
-            if lf.series.m != lf.level:
-                raise ParameterError(
-                    f"leaf series level {lf.series.m} differs from coset level {lf.level}"
-                )
-            if not lf.series.ctx.same(ctx):
-                raise ParameterError("leaf series belongs to a different context")
-        _check_partition(ctx, lvs)
-        self.ctx = ctx
-        self.leaves = tuple(lvs)
-        self._coarse = None
+        self.leaves = tuple(sorted(leaves, key=attrgetter("level", "center")))
+        _check_partition(ctx, self.leaves)
+        self.ctx, self._coarse = ctx, None
 
     # -- constructors ---------------------------------------------------
 
@@ -126,7 +113,7 @@ class PiecewiseFunction:
         return f"{type(self).__name__}({len(self.leaves)} leaves, max level {self.max_level()})"
 
     def max_level(self) -> int:
-        return max(lf.level for lf in self.leaves)
+        return self.leaves[-1].level
 
     def leaf_at(self, z: PadicNumber) -> Leaf:
         """The unique leaf whose coset contains z."""
@@ -151,6 +138,8 @@ class PiecewiseFunction:
         (and weight) of self and keeps the coarsest partition of its
         refine chain, on which is_member_Can glues.
         """
+        if isinstance(level, bool) or not isinstance(level, int) or level > MAX_LEVEL:
+            raise ParameterError(f"refinement level {level!r} is not an integer <= {MAX_LEVEL}")
         if level < self.max_level():
             raise DomainError(
                 f"refinement level {level} below max leaf level {self.max_level()}"
@@ -225,11 +214,8 @@ class PiecewiseFunction:
     # -- ball bookkeeping --------------------------------------------------
 
     def covering_leaf(self, m: int) -> Optional[Leaf]:
-        """The leaf strictly containing p**m Z_p, if the partition has one."""
-        for lf in self.leaves:
-            if lf.level <= m and lf.center == 0:
-                return lf
-        return None
+        """The leaf containing p**m Z_p, if the partition has one."""
+        return next((lf for lf in self.leaves if lf.level <= m and lf.center == 0), None)
 
     def leaves_in_ball(self, m: int) -> List[Leaf]:
         pm = self.ctx.p ** m
@@ -339,8 +325,6 @@ def is_member_C_m(f: StepFunction, m: int) -> bool:
     INDETERMINATE reads False."""
     if not isinstance(f, StepFunction):
         raise ParameterError("is_member_C_m expects a StepFunction")
-    if m < 0:
-        raise ParameterError(f"ball level m must be >= 0, got {m}")
     return is_member_Can(f, m).status is Verdict.YES
 
 
@@ -381,56 +365,72 @@ def mahler_coefficients(f: PiecewiseFunction, count: int) -> List[PadicNumber]:
 
 
 def _check_partition(ctx: PadicContext, leaves: Sequence[Leaf]) -> None:
-    """Exact cover check: pairwise disjoint cosets of total measure 1.
-
-    Leaves arrive sorted by (level, center).  The measure is summed in
-    units of p**-H, H the deepest level (the leaf count on one level).  A
-    coset overlaps another exactly when its key (level, center) repeats or
-    a strict ancestor is a leaf, and on one level there is no ancestor.
-    """
+    """Exact cover check, its errors ranked: a bad leaf, a measure other than
+    1, overlapping cosets.  Leaves arrive sorted by (level, center).  One pass
+    checks each leaf (one p**h per level) and sums the measure in units of
+    p**-h.  On one level cosets overlap exactly when a center repeats; else
+    each leaf walks the levels up to its own (_ancestor) to the earliest leaf
+    it lies in, and the least pair of positions is the first overlap in order."""
+    p, h, q, units, moduli = ctx.p, None, 1, 0, []
+    for lf in leaves:
+        if lf.level != h:
+            if not (0 <= lf.level <= MAX_LEVEL):
+                raise ParameterError(f"leaf level {lf.level} outside [0, {MAX_LEVEL}]")
+            h, step = lf.level, p ** lf.level
+            units, q = units * step // q, step
+            moduli.append((h, q))
+        if not (0 <= lf.center < q):
+            raise ParameterError(f"leaf center {lf.center} not reduced mod p^{lf.level}")
+        if lf.series.m != lf.level:
+            raise ParameterError(
+                f"leaf series level {lf.series.m} differs from coset level {lf.level}"
+            )
+        if lf.series.ctx is not ctx and not lf.series.ctx.same(ctx):
+            raise ParameterError("leaf series belongs to a different context")
+        units += 1
     if not leaves:
         raise ParameterError("a partition needs at least one leaf")
-    p, top = ctx.p, leaves[-1].level
-    one_level = leaves[0].level == top
-    if (len(leaves) if one_level else sum(p ** (top - lf.level) for lf in leaves)) != p ** top:
+    if units != q:
         total = sum((Fraction(1, p ** lf.level) for lf in leaves), Fraction(0))
         raise ParameterError(f"leaf measures sum to {total}, expected 1")
-    keys = {(lf.level, lf.center) for lf in leaves}
-    if len(keys) == len(leaves):
-        if one_level:
-            return
-        moduli = [(h, p ** h) for h in sorted({h for h, _ in keys})]
-        if not any((h, c % q) in keys for level, c in keys for h, q in moduli if h < level):
-            return
-    # name the first overlapping pair in leaf order
-    for i, a in enumerate(leaves):
-        for b in leaves[i + 1 :]:
-            h = min(a.level, b.level)
-            if (a.center - b.center) % p ** h == 0:
-                raise ParameterError(
-                    f"cosets overlap: centers {a.center}@{a.level} and {b.center}@{b.level}"
-                )
+    if len(moduli) == 1 and len({lf.center for lf in leaves}) == len(leaves):
+        return
+    first, pairs = {}, []  # first: the position of each key not inside an earlier leaf
+    for j, lf in enumerate(leaves):
+        i = _ancestor(first, moduli, lf.center, lf.level)
+        if i is None:
+            first[lf.level, lf.center] = j
+        else:
+            pairs.append((i, j))
+    if pairs:
+        a, b = (leaves[x] for x in min(pairs))
+        raise ParameterError(
+            f"cosets overlap: centers {a.center}@{a.level} and {b.center}@{b.level}"
+        )
 
 
-def _covered(
-    p: int, leaves: Sequence[Leaf], others: Sequence[Leaf], equal: bool
-) -> Iterable[Tuple[Leaf, Leaf]]:
-    """Each leaf that lies inside a leaf of others, with that leaf.
+def _ancestor(index: dict, moduli: Sequence[Tuple[int, int]], center: int, top: int):
+    """The root-to-leaf walk: index's value at the first key (h, center mod
+    p**h) over the levels h <= top of moduli, in increasing order, or None."""
+    for h, q in moduli:
+        if h > top:
+            return None
+        hit = index.get((h, center % q))
+        if hit is not None:
+            return hit
+    return None
 
-    The covering leaf is looked up by (level, center) at each level of
-    others up to the leaf's own, or strictly below it when not equal.
-    """
+
+def _covered(p: int, leaves: Sequence[Leaf], others: Sequence[Leaf],
+             equal: bool) -> Iterable[Tuple[Leaf, Leaf]]:
+    """Each leaf that lies inside a leaf of others, with that leaf: the walk over
+    the levels of others up to the leaf's own, or strictly below when not equal."""
     index = {(lf.level, lf.center): lf for lf in others}
-    levels = sorted({lf.level for lf in others})
+    moduli = [(h, p ** h) for h in sorted({lf.level for lf in others})]
     for lf in leaves:
-        top = lf.level if equal else lf.level - 1
-        for h in levels:
-            if h > top:
-                break
-            cover = index.get((h, lf.center % p ** h))
-            if cover is not None:
-                yield lf, cover
-                break
+        cover = _ancestor(index, moduli, lf.center, lf.level if equal else lf.level - 1)
+        if cover is not None:
+            yield lf, cover
 
 
 def _restrict(ctx: PadicContext, targets: Sequence[Tuple[Leaf, int, int]]) -> List[Leaf]:

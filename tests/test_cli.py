@@ -2,6 +2,7 @@
 byte-stable output."""
 
 import json
+import pathlib
 import time
 
 import pytest
@@ -114,7 +115,7 @@ class TestClassify:
 
     @pytest.mark.parametrize("value", [3, 0.5, [1], None, "abc"])
     def test_non_rational_script_l_is_usage_error(self, files, capsys, tmp_path, value):
-        doc = json.loads(open(files["cris.param.json"], encoding="utf-8").read())
+        doc = json.loads(pathlib.Path(files["cris.param.json"]).read_text(encoding="utf-8"))
         doc["payload"]["scriptL"] = value
         path = tmp_path / "bad.param.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -311,7 +312,7 @@ class TestVerifyBounds:
 
     @pytest.mark.parametrize("kind", [[], {}], ids=["array", "object"])
     def test_non_string_kind_is_usage_error(self, files, capsys, tmp_path, kind):
-        doc = json.loads(open(files["square.series.json"], encoding="utf-8").read())
+        doc = json.loads(pathlib.Path(files["square.series.json"]).read_text(encoding="utf-8"))
         doc["kind"] = kind
         path = tmp_path / "bad.series.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -458,7 +459,7 @@ class TestExitCodes:
 
     def test_float_leaf_center_is_usage_error(self, files, capsys, tmp_path):
         # a float centre used to be truncated to an integer and accepted
-        text = open(files["indicator.function.json"], encoding="utf-8").read()
+        text = pathlib.Path(files["indicator.function.json"]).read_text(encoding="utf-8")
         bad = tmp_path / "float.function.json"
         bad.write_text(text.replace('"center": 1', '"center": 1.9'), encoding="utf-8")
         code, out, err = run(capsys, "analytic-level", str(bad))
@@ -492,7 +493,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5
 
     def test_huge_degree_in_file_header_is_usage_error(self, files, capsys, tmp_path):
-        doc = json.loads(open(files["square.series.json"], encoding="utf-8").read())
+        doc = json.loads(pathlib.Path(files["square.series.json"]).read_text(encoding="utf-8"))
         doc["context"]["D"] = 100000000
         path = tmp_path / "huge.series.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -511,7 +512,7 @@ class TestExitCodes:
     def test_slack_flag_overrides_a_header_slack_at_the_precision(self, files, capsys, tmp_path):
         # the run-time --slack replaces the header's kappa, which is then
         # not range-checked; read with no context, the header is refused
-        text = open(files["square.series.json"], encoding="utf-8").read()
+        text = pathlib.Path(files["square.series.json"]).read_text(encoding="utf-8")
         doc = json.loads(text)
         doc["context"]["kappa"] = doc["context"]["N"]
         path = tmp_path / "slack.series.json"

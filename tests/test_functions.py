@@ -85,6 +85,16 @@ class TestPartition:
             z = ctx.from_int(rng.randrange(0, 5 ** 8))
             assert f.evaluate(z).agrees_with(g.evaluate(z))
 
+    def test_refine_above_the_level_cap_is_refused_before_any_leaf(self, monkeypatch):
+        # refine lists p**(level - h) targets per leaf, 3**13 here, so the
+        # level is checked before any of them
+        ctx = PadicContext(3, 10, 8)
+        f = PiecewiseFunction.constant(ctx, 1)
+        monkeypatch.setattr(functions, "_restrict", lambda *a: pytest.fail("leaves built"))
+        for level in (MAX_LEVEL + 1, True, 2.0, "2", None):
+            with pytest.raises(ParameterError, match=f"refinement level {level!r} "):
+                f.refine(level)
+
     def test_refine_linear_shift_oracle(self, ctx):
         # z on Z_p splits into a + z' on each residue a
         f = PiecewiseFunction.from_global_series(TateSeries.monomial(ctx, 0, 1))
@@ -209,6 +219,110 @@ class TestPartitionCheck:
         ball6 = PiecewiseFunction.indicator_ball(ctx, 6).refine(6)
         assert not ball6.agrees_with(PiecewiseFunction.indicator_ball(ctx, 1).refine(6))
         assert time.perf_counter() - start < 5
+
+    def test_the_least_pair_is_named_not_the_first_met(self):
+        # the walk meets the duplicate 2@2 (positions 2 and 3) first, but 4@2
+        # lies in 1@1 (position 1), and the pairwise scan names 1@1 first
+        ctx = PadicContext(3, 10, 8)
+        leaves = self._leaves(ctx, (0, 1), (1, 1), (2, 2), (2, 2), (4, 2))
+        assert self._check(ctx, leaves) == "cosets overlap: centers 1@1 and 4@2"
+        # nested over three levels, with several duplicates: 0@1 holds 3@2
+        # and the 0@3 chain, 9@3 and 18@3 repeat, 1@1 and 6@2 are bare
+        leaves = self._leaves(ctx, (0, 1), (2, 1), (3, 2), (0, 3), (9, 3), (9, 3),
+                              (18, 3), (18, 3), (0, 3))
+        assert self._check(ctx, leaves) == "cosets overlap: centers 0@1 and 3@2"
+        # a chain without its root: 0@2 holds 0@3 (twice), 9@3 (twice) and
+        # 0@4, 27@4 and 54@4; 6@2 is covered by three of its nine children
+        leaves = self._leaves(ctx, (1, 1), (2, 1), (0, 2), (0, 3), (0, 3), (9, 3), (9, 3),
+                              (6, 4), (33, 4), (60, 4), (27, 4), (54, 4), (0, 4))
+        assert self._check(ctx, leaves) == "cosets overlap: centers 0@2 and 0@3"
+
+    def test_multi_edit_leaf_sets_match_the_pairwise_scan(self):
+        # random partitions of up to eight splits (into children, or into
+        # grandchildren, so that a leaf can hold no child), then up to three edits
+        # that keep the measure: a leaf is replaced by a copy of another leaf
+        # of its level, or by the ancestor at its level of a deeper leaf
+        rng = random.Random(7)
+        seen = set()
+        for p in (3, 5):
+            ctx = PadicContext(p, 10, 8)
+            for _ in range(150):
+                pairs = [(0, 0)]
+                for _ in range(rng.randint(1, 8)):
+                    c, h = pairs.pop(rng.randrange(len(pairs)))
+                    step = rng.choice((1, 1, 2))  # a split into grandchildren too
+                    pairs += [(c + r * p ** h, h + step) for r in range(p ** step)]
+                for _ in range(rng.randint(0, 3)):
+                    c, h = pairs.pop(rng.randrange(len(pairs)))
+                    same = [q for q in pairs if q[1] == h]
+                    deeper = [(d % p ** h, h) for d, g in pairs if g > h]
+                    pairs.append(rng.choice(same + deeper or [(c, h)]))
+                ordered = sorted(self._leaves(ctx, *pairs), key=lambda lf: (lf.level, lf.center))
+                got = self._check(ctx, ordered)
+                if got is None:
+                    seen.add("valid")
+                    continue
+                a, b = got.split()[3:6:2]
+                levels = int(a.split("@")[1]), int(b.split("@")[1])
+                seen.add("duplicate" if a == b else f"gap {min(levels[1] - levels[0], 2)}")
+                # the first leaf, in order, that lies in an earlier one
+                j = next(j for j, y in enumerate(ordered) if any(
+                    (x.center - y.center) % p ** x.level == 0 for x in ordered[:j]))
+                if b != f"{ordered[j].center}@{ordered[j].level}":
+                    seen.add("not the first met")
+        assert seen == {"valid", "duplicate", "gap 1", "gap 2", "not the first met"}
+
+    def test_errors_rank_leaf_then_measure_then_overlap(self):
+        ctx, other = PadicContext(3, 10, 8), PadicContext(3, 12, 8)
+        const = TateSeries.constant
+        bad = {  # sort key: (leaf, message)
+            (MAX_LEVEL + 1, 0): (Leaf(0, MAX_LEVEL + 1, const(ctx, 1, 1)),
+                                 f"leaf level {MAX_LEVEL + 1} outside [0, {MAX_LEVEL}]"),
+            (2, -1): (Leaf(-1, 2, const(ctx, 2, 1)), "leaf center -1 not reduced mod p^2"),
+            (2, 4): (Leaf(4, 2, const(ctx, 1, 1)),
+                     "leaf series level 1 differs from coset level 2"),
+            (2, 5): (Leaf(5, 2, const(other, 2, 1)), "leaf series belongs to a different context"),
+            (2, 10): (Leaf(10, 2, const(ctx, 2, 1)), "leaf center 10 not reduced mod p^2"),
+        }
+        base = self._leaves(ctx, (0, 1), (1, 1), (2, 1))
+        for key, (leaf, message) in bad.items():
+            # the measure is no longer 1, and 4@2 and 5@2 lie in 1@1 and 2@1
+            assert _partition_error(ctx, base + [leaf]) == message
+            for key2, (leaf2, message2) in bad.items():
+                if key2 != key:
+                    got = _partition_error(ctx, [leaf2] + base + [leaf])
+                    assert got == (message if key < key2 else message2)
+        # of the same measure as the leaf it replaces, beside a duplicate
+        dup = self._leaves(ctx, (1, 1), (1, 1))
+        assert (_partition_error(ctx, dup + [Leaf(0, 1, const(ctx, 0, 1))])
+                == "leaf series level 0 differs from coset level 1")
+        got = self._check(ctx, dup + self._leaves(ctx, (0, 1)))
+        assert got == "cosets overlap: centers 1@1 and 1@1"
+        # a measure error beats an overlap
+        leaves = self._leaves(ctx, (0, 1), (0, 1), (1, 1), (2, 2))
+        assert self._check(ctx, leaves) == "leaf measures sum to 10/9, expected 1"
+        assert self._check(ctx, []) == "a partition needs at least one leaf"
+
+    def test_a_late_overlap_is_refused_in_linear_time(self):
+        # the pairwise scan took 6-8 s on the first set (2-vCPU Xeon VM): it
+        # names the pair only after testing every earlier leaf against all later ones
+        ctx, n = PadicContext(3, 10, 8), 3 ** 8
+        one_level = self._leaves(ctx, *[(c, 8) for c in range(n - 1)], (n - 2, 8))
+        # 2@1 sorts first, and the deep leaves inside it last
+        deep = [c for c in range(n) if c % 3 != 2][:-3] + [n - 7, n - 4, n - 1]
+        coarse = self._leaves(ctx, (2, 1), *[(c, 8) for c in deep])
+        # 2184@7 sorts last of the 729 level-7 leaves 3c, and holds 2184@8
+        late = self._leaves(ctx, *[(3 * c, 7) for c in range(3 ** 6)],
+                            *[(c, 8) for c in range(n) if c % 3][:-3],
+                            *[(2184 + 3 ** 7 * r, 8) for r in range(3)])
+        cases = [(one_level, f"cosets overlap: centers {n - 2}@8 and {n - 2}@8"),
+                 (coarse, _pairwise_partition_error(ctx, coarse)),
+                 (late, "cosets overlap: centers 2184@7 and 2184@8")]
+        assert cases[1][1] == f"cosets overlap: centers 2@1 and {n - 7}@8"
+        for leaves, message in cases:
+            start = time.perf_counter()
+            assert _partition_error(ctx, leaves) == message
+            assert time.perf_counter() - start < 1
 
 
 class TestMembershipCan:

@@ -73,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Union
 
-from .errors import DomainError, InvariantViolation, ParameterError, PrecisionError
+from .errors import DomainError, InvariantViolation, ParameterError, PrecisionError, _int_param
 from .functions import (
     Leaf,
     LocallyAlgebraicFunction,
@@ -114,15 +114,13 @@ class InductionCharacter:
         which: str = "alpha",
         strict: bool = True,
     ):
-        if k < 2:
-            raise ParameterError(f"weight k must be >= 2, got {k}")
+        self.k = _int_param("weight k", k, 2)
         if which not in ("alpha", "beta"):
             raise ParameterError(f"which must be 'alpha' or 'beta', got {which!r}")
         if alpha.is_zero or beta.is_zero:
             raise ParameterError("eigenvalues must be nonzero")
         self.alpha = alpha
         self.beta = beta
-        self.k = k
         self.which = which
         if strict:
             bad = self.violations()
@@ -192,9 +190,7 @@ class IwahoriElement:
         self.b = ctx.num(b)
         self.c = ctx.num(c)
         self.d = ctx.num(d)
-        if level != I1 and (not isinstance(level, int) or isinstance(level, bool) or level < 1):
-            raise ParameterError(f"level must be 'I1' or an integer >= 1, got {level!r}")
-        self.level = level
+        self.level = level if level == I1 else _int_param("level other than 'I1'", level, 1)
         one = ctx.one()
         if level == I1:
             ok = (

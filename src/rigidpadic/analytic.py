@@ -56,6 +56,7 @@ from .errors import (
     InvariantViolation,
     ParameterError,
     ParameterMismatch,
+    _int_param,
 )
 from .functions import (
     PiecewiseFunction,
@@ -334,8 +335,7 @@ def orbit_membership(f: PiecewiseFunction, m: int) -> Verdict:
     by refine, which is_member_Can glues on its coarse partition: the two
     routes stay independent.
     """
-    if m < 0:
-        raise ParameterError(f"ball level m must be >= 0, got {m}")
+    _int_param("ball level m", m, 0)
     ctx = f.ctx
     cover = f.covering_leaf(m)
     if cover is not None:
@@ -385,9 +385,7 @@ class GAElement:
     __slots__ = ("vector", "n", "m", "certificates")
 
     def __init__(self, vector: WeylCellVector, n: int, m: int):
-        if n < 1:
-            raise ParameterError(f"congruence level n must be >= 1, got {n}")
-        if m <= n:
+        if _int_param("congruence level n", n, 1) >= _int_param("test level m", m):
             raise DomainError(f"test level m = {m} must exceed n = {n}")
         self.vector = vector
         self.n = n
@@ -436,13 +434,12 @@ class CokernelElement:
         F_alpha: GAElement,
         F_beta: GAElement,
     ):
+        self.n, self.m = _int_param("congruence level n", n, 1), _int_param("test level m", m)
         if (F_alpha.n, F_alpha.m) != (n, m) or (F_beta.n, F_beta.m) != (n, m):
             raise ParameterMismatch("component levels differ from the class levels")
         if not F_alpha.ctx.same(F_beta.ctx):
             raise ParameterMismatch("components belong to different contexts")
         self.chi = chi
-        self.n = n
-        self.m = m
         self.F_alpha = F_alpha
         self.F_beta = F_beta
 
@@ -488,7 +485,7 @@ def witness_nonzero(
     admits no integral-valuation solution, so only the shape checks
     apply there and the small-slope flag is reported as stated.
     """
-    chi = InductionCharacter(alpha, beta, k, strict=k >= 3)
+    chi = InductionCharacter(alpha, beta, k, strict=k != 2)
     one_cell = PiecewiseFunction.constant(ctx, 1)
     zero_cell = PiecewiseFunction.constant(ctx, 0)
     F_alpha = GAElement(WeylCellVector(one_cell, zero_cell), n, m)

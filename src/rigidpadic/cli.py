@@ -33,6 +33,7 @@ from .errors import (
     ParameterMismatch,
     PrecisionError,
     RigidPadicError,
+    _int_param,
 )
 from .functions import MAX_LEVEL, PiecewiseFunction
 from .padic import INF, PadicContext
@@ -187,8 +188,8 @@ def cmd_act(cfg: RunConfig, args) -> int:
 
 
 def cmd_analytic_level(cfg: RunConfig, args) -> int:
-    if args.max_level is not None and not 0 <= args.max_level <= MAX_LEVEL:
-        raise ParameterError(f"--max-level must be in [0, {MAX_LEVEL}], got {args.max_level}")
+    if args.max_level is not None:
+        _int_param("--max-level", args.max_level, 0, MAX_LEVEL)
     kind, _, f = io.load(_read(args.function_file), None, cfg.ctx)
     if kind == "series":
         f = PiecewiseFunction.from_global_series(f)
@@ -251,8 +252,8 @@ def cmd_witness(cfg: RunConfig, args) -> int:
 
 
 def cmd_selftest(cfg: RunConfig, args) -> int:
-    if args.count is not None and args.count < 1:
-        raise ParameterError(f"--count must be >= 1, got {args.count}")
+    if args.count is not None:
+        _int_param("--count", args.count, 1)
     report = selftest.run_selftest(
         cfg.ctx, seed=cfg.seed, count_override=args.count, only=args.only
     )

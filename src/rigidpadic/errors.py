@@ -23,7 +23,8 @@ class DivisionError(RigidPadicError, ZeroDivisionError):
 
 
 class ParameterError(RigidPadicError, ValueError):
-    """Structurally invalid parameter: bad prime, weight < 2, level < 0, ..."""
+    """Structurally invalid parameter: bad prime, weight < 2, level < 0, a
+    bool, float or string where an integer level, weight or count belongs."""
 
 
 class ParameterMismatch(RigidPadicError):
@@ -48,3 +49,18 @@ class BoundViolation(InvariantViolation):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def _int_param(name: str, value, lo=None, hi=None) -> int:
+    """The one rule for an integer parameter: value is returned when it is an
+    int, not a bool, in [lo, hi] (None leaves that end open), and is otherwise
+    refused as "{name} must be an integer[ >= lo | <= hi | in [lo, hi]], got
+    {value!r}"."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and (lo is None or value >= lo) and (hi is None or value <= hi)):
+        return value
+    if lo is None:
+        span = "" if hi is None else f" <= {hi}"
+    else:
+        span = f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise ParameterError(f"{name} must be an integer{span}, got {value!r}")

@@ -42,7 +42,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DomainError, InvariantViolation, ParameterError
+from .errors import DomainError, InvariantViolation, ParameterError, _int_param
 from .padic import INF, Coercible, PadicContext, PadicNumber, _agreement
 from .series import TateSeries, _offset_sums, _shift_powers, _shift_source, _taylor_shift
 from .verdict import Verdict
@@ -69,7 +69,11 @@ class PiecewiseFunction:
     __slots__ = ("ctx", "leaves", "_coarse")
 
     def __init__(self, ctx: PadicContext, leaves: Iterable[Leaf]):
-        self.leaves = tuple(sorted(leaves, key=attrgetter("level", "center")))
+        self.leaves = tuple(leaves)
+        try:
+            self.leaves = tuple(sorted(self.leaves, key=attrgetter("level", "center")))
+        except TypeError:  # a str or None level or center: the check names it
+            pass
         _check_partition(ctx, self.leaves)
         self.ctx, self._coarse = ctx, None
 
@@ -89,8 +93,7 @@ class PiecewiseFunction:
     @classmethod
     def indicator_ball(cls, ctx: PadicContext, h: int) -> "StepFunction":
         """1 on p**h Z_p, 0 elsewhere, partitioned along the coset tree."""
-        if h < 0 or h > MAX_LEVEL:
-            raise ParameterError(f"ball level {h} outside [0, {MAX_LEVEL}]")
+        _int_param("ball level", h, 0, MAX_LEVEL)
         leaves = [Leaf(0, h, TateSeries.constant(ctx, h, 1))]
         for j in range(1, h + 1):
             for r in range(1, ctx.p):
@@ -138,9 +141,7 @@ class PiecewiseFunction:
         (and weight) of self and keeps the coarsest partition of its
         refine chain, on which is_member_Can glues.
         """
-        if isinstance(level, bool) or not isinstance(level, int) or level > MAX_LEVEL:
-            raise ParameterError(f"refinement level {level!r} is not an integer <= {MAX_LEVEL}")
-        if level < self.max_level():
+        if _int_param("refinement level", level, hi=MAX_LEVEL) < self.max_level():
             raise DomainError(
                 f"refinement level {level} below max leaf level {self.max_level()}"
             )
@@ -242,10 +243,8 @@ class LocallyAlgebraicFunction(PiecewiseFunction):
     __slots__ = ("k",)
 
     def __init__(self, ctx: PadicContext, leaves: Iterable[Leaf], k: int):
-        if k < 2:
-            raise ParameterError(f"weight k must be >= 2, got {k}")
+        self.k = _int_param("weight k", k, 2)
         super().__init__(ctx, leaves)
-        self.k = k
         for lf in self.leaves:
             if lf.series.degree > k - 2:
                 raise ParameterError(
@@ -290,8 +289,7 @@ def is_member_Can(f: PiecewiseFunction, m: int) -> CanMembership:
     one re-expanded from the fine leaves (the status and the witness
     coefficients were the same on every draw of the tests).
     """
-    if m < 0:
-        raise ParameterError(f"ball level m must be >= 0, got {m}")
+    _int_param("ball level m", m, 0)
     f = f._coarse or f
     ctx = f.ctx
     cover = f.covering_leaf(m)
@@ -331,8 +329,7 @@ def is_member_C_m(f: StepFunction, m: int) -> bool:
 def is_member_pi_an(f: PiecewiseFunction, m: int, k: int) -> CanMembership:
     """Locally algebraic model test: leafwise degree <= k - 2 everywhere
     and the restriction to p**m Z_p glues to one such polynomial."""
-    if k < 2:
-        raise ParameterError(f"weight k must be >= 2, got {k}")
+    _int_param("weight k", k, 2)
     for lf in f.leaves:
         if lf.series.degree > k - 2:
             return CanMembership(
@@ -351,8 +348,7 @@ def mahler_coefficients(f: PiecewiseFunction, count: int) -> List[PadicNumber]:
     coefficient algebra; f(j) = sum_n c_n binom(j, n) reconstructs the
     sampled values exactly.
     """
-    if count < 1 or count > f.ctx.D + 1:
-        raise ParameterError(f"count must lie in [1, D+1], got {count}")
+    _int_param("count", count, 1, f.ctx.D + 1)
     row = [f.evaluate(f.ctx.from_int(j)) for j in range(count)]
     out = [row[0]]
     for _ in range(count - 1):
@@ -370,17 +366,20 @@ def _check_partition(ctx: PadicContext, leaves: Sequence[Leaf]) -> None:
     checks each leaf (one p**h per level) and sums the measure in units of
     p**-h.  On one level cosets overlap exactly when a center repeats; else
     each leaf walks the levels up to its own (_ancestor) to the earliest leaf
-    it lies in, and the least pair of positions is the first overlap in order."""
+    it lies in, and the least pair of positions is the first overlap in order.
+    A level is checked when it is not the very object checked last (True == 1),
+    and a center only when the cheap test fails, never twice per leaf."""
     p, h, q, units, moduli = ctx.p, None, 1, 0, []
     for lf in leaves:
-        if lf.level != h:
-            if not (0 <= lf.level <= MAX_LEVEL):
-                raise ParameterError(f"leaf level {lf.level} outside [0, {MAX_LEVEL}]")
-            h, step = lf.level, p ** lf.level
-            units, q = units * step // q, step
-            moduli.append((h, q))
-        if not (0 <= lf.center < q):
-            raise ParameterError(f"leaf center {lf.center} not reduced mod p^{lf.level}")
+        if lf.level is not h:
+            level = _int_param("leaf level", lf.level, 0, MAX_LEVEL)
+            if level != h:
+                h, step = level, p ** level
+                units, q = units * step // q, step
+                moduli.append((h, q))
+        if type(lf.center) is not int or not 0 <= lf.center < q:
+            if not 0 <= _int_param("leaf center", lf.center) < q:
+                raise ParameterError(f"leaf center {lf.center} not reduced mod p^{lf.level}")
         if lf.series.m != lf.level:
             raise ParameterError(
                 f"leaf series level {lf.series.m} differs from coset level {lf.level}"

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import ParameterError
+from .errors import ParameterError, _int_param
 from .padic import PadicContext, PadicNumber, padic_log
 from .verdict import Verdict
 
@@ -60,7 +60,7 @@ class ContinuousCharacter:
             raise ParameterError("wild value must be congruent to 1 mod p")
         self.ctx = ctx
         self.value_at_p = value_at_p
-        self.tame_exponent = tame_exponent % (ctx.p - 1)
+        self.tame_exponent = _int_param("tame exponent", tame_exponent) % (ctx.p - 1)
         self.wild_value = wild_value
 
     @classmethod
@@ -211,6 +211,7 @@ def in_S_cris(s: TriangulineParam, integer_bound: int = 50) -> CrisResult:
     """Crystalline locus test: base conditions, integral weight gap w >= 1,
     slope bound u < w, and the extension coordinate at infinity.  The result
     carries the base locus's membership, u and w, so one call answers both."""
+    _int_param("integer bound", integer_bound, 0)
     star = in_S_star(s)
 
     def result(status: Verdict, w_int: Optional[int], reason: str) -> CrisResult:
@@ -281,14 +282,12 @@ class FilteredPhiModule:
     __slots__ = ("ctx", "alpha", "beta", "k")
 
     def __init__(self, alpha: PadicNumber, beta: PadicNumber, k: int):
-        if k < 2:
-            raise ParameterError(f"weight k must be >= 2, got {k}")
+        self.k = _int_param("weight k", k, 2)
         if alpha.is_zero or beta.is_zero:
             raise ParameterError("Frobenius eigenvalues must be nonzero")
         self.ctx = alpha.ctx
         self.alpha = alpha
         self.beta = beta
-        self.k = k
 
     def fil_dimension(self, i: int) -> Tuple[int, Tuple[str, ...]]:
         if i <= -(self.k - 1):

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from .actions import InductionCharacter, IwahoriElement, I1, WeylCellVector
 from .analytic import CokernelElement, GAElement
-from .errors import ParameterError, ParameterMismatch
+from .errors import ParameterError, ParameterMismatch, _int_param
 from .functions import Leaf, PiecewiseFunction
 from .galois import SCRIPT_L_INF, ContinuousCharacter, TriangulineParam
 from .padic import INF, PadicContext, PadicNumber
@@ -35,10 +35,11 @@ def _field(obj: dict, key: str, kind: type = int):
     """obj[key], which must be a JSON integer (not a bool) or, with
     kind=list, a JSON array."""
     value = obj[key]
-    if isinstance(value, kind) and not isinstance(value, bool):
+    if kind is int:
+        return _int_param(repr(key), value)
+    if isinstance(value, list):
         return value
-    what = "an integer" if kind is int else "an array"
-    raise ParameterError(f"{key!r} must be {what}, got {value!r}")
+    raise ParameterError(f"{key!r} must be an array, got {value!r}")
 
 
 @contextmanager
@@ -82,11 +83,7 @@ def _encode_tail(t) -> object:
 
 
 def _decode_tail(t):
-    if t == "inf":
-        return INF
-    if isinstance(t, int) and not isinstance(t, bool):
-        return t
-    raise ParameterError(f"bad tail bound {t!r}")
+    return INF if t == "inf" else _int_param("tail bound", t)
 
 
 # -- series and functions ------------------------------------------------------

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Sequence, Tuple, Union
 
-from .errors import DivisionError, DomainError, ParameterError, PrecisionError
+from .errors import DivisionError, DomainError, ParameterError, PrecisionError, _int_param
 from .verdict import Verdict
 
 INF = math.inf
@@ -143,17 +143,12 @@ class PadicContext:
     __slots__ = ("p", "N", "D", "kappa", "pN", "ppow", "factorials")
 
     def __init__(self, p: int = 5, N: int = 40, D: int = 64, kappa: int = 4):
-        for name, x in (("p", p), ("N", N), ("D", D), ("kappa", kappa)):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ParameterError(f"{name} must be an integer, got {x!r}")
+        _int_param("p", p)
         if not _is_prime(p) or p == 2:
             raise ParameterError(f"p must be an odd prime, got {p}")
-        if not 1 <= N <= MAX_PRECISION:
-            raise ParameterError(f"precision N must lie in [1, {MAX_PRECISION}], got {N}")
-        if not 0 <= D <= MAX_DEGREE:
-            raise ParameterError(f"truncation degree D must lie in [0, {MAX_DEGREE}], got {D}")
-        if not 0 <= kappa < N:
-            raise ParameterError(f"slack kappa must lie in [0, N), got {kappa}")
+        _int_param("precision N", N, 1, MAX_PRECISION)
+        _int_param("truncation degree D", D, 0, MAX_DEGREE)
+        _int_param("slack kappa", kappa, 0, N - 1)
         self.p = p
         self.N = N
         self.D = D
@@ -243,10 +238,6 @@ class PadicNumber:
     def is_zero(self) -> bool:
         return self.val is INF or self.val == INF
 
-    @property
-    def is_unit(self) -> bool:
-        return self.val == 0
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
@@ -333,8 +324,8 @@ class PadicNumber:
 
     def residue(self, level: int) -> int:
         """Canonical residue in [0, p**level) of an integral element."""
-        if level < 0:
-            raise ParameterError(f"level must be >= 0, got {level}")
+        if type(level) is not int or level < 0:  # leaf_at calls this once per leaf
+            _int_param("level", level, 0)
         if self.is_zero:
             return 0
         if self.val < 0:

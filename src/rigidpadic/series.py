@@ -73,7 +73,7 @@ from __future__ import annotations
 from itertools import accumulate, zip_longest
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _int_param
 from .padic import (_ZERO, INF, Coercible, PadicContext, PadicNumber, _agreement,
                     _normalised, _pair_sum)
 from .verdict import Verdict
@@ -89,8 +89,7 @@ class TateSeries:
         coeffs: Sequence[Coercible] = (),
         tail_bound=INF,
     ):
-        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-            raise ParameterError(f"ball level m must be an integer >= 0, got {m}")
+        _int_param("ball level m", m, 0)
         pairs = [(c.val, c.unit) if c.unit else _ZERO for c in map(ctx.num, coeffs)]
         if len(pairs) > ctx.D + 1:
             raise ParameterError(
@@ -131,9 +130,7 @@ class TateSeries:
 
     @classmethod
     def monomial(cls, ctx: PadicContext, m: int, degree: int, c: Coercible = 1) -> "TateSeries":
-        if degree < 0 or degree > ctx.D:
-            raise ParameterError(f"monomial degree {degree} outside [0, {ctx.D}]")
-        return cls(ctx, m, (0,) * degree + (c,))
+        return cls(ctx, m, (0,) * _int_param("monomial degree", degree, 0, ctx.D) + (c,))
 
     @property
     def degree(self) -> int:
@@ -297,14 +294,11 @@ class TateSeries:
     def mobius_twist(self, x: Coercible, k: int) -> "TateSeries":
         """Unipotent action f(z) -> f(z / (1 - x z)) * (1 - x z)^(k - 2).
 
-        Needs valp(x) >= max(1, m) and weight k >= 2.
+        Needs valp(x) >= max(1, m) and a weight k in [2, D + 2].
         """
         ctx = self.ctx
         x = ctx.num(x)
-        if k < 2:
-            raise ParameterError(f"weight k must be >= 2, got {k}")
-        if k - 2 > ctx.D:
-            raise ParameterError(f"weight k={k} needs twist degree k-2 <= D={ctx.D}")
+        _int_param("weight k", k, 2, ctx.D + 2)
         if x.is_zero:
             return self
         if x.val < max(1, self.m):
@@ -380,8 +374,7 @@ def _twisted_sums(ctx: PadicContext, m: int, coeffs: Sequence[Tuple[float, int]]
     call.  The outer rows are read from the factorial table: rows[:e + 1]
     for j <= e, the last D - e hrows for j > e, with a_l at e + 1 - l.
     """
-    if not 0 <= e <= ctx.D:
-        raise ParameterError(f"twist exponent must lie in [0, D={ctx.D}], got {e}")
+    _int_param("twist exponent", e, 0, ctx.D)
     if not coeffs:
         return [], tail_bound
     pN, fac, (lam_v, lam_u), (mu_v, mu_u) = ctx.pN, ctx.factorials, lam, mu

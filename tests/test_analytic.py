@@ -652,6 +652,37 @@ class TestActionImagesStayAnalytic:
         assert is_analytic_vector(image, m) is not Verdict.NO
 
 
+def _bump_at_the_samples():
+    """1 + 2z + 3z^2 refined to level 2 at p = 5, N = 20, D = 24, with
+    25 z'(z' - 25)(z' - 50) added to the leaf at centre 5 (z' = z - 5): the
+    bump vanishes at 5, 30 and 55, the orbit route's three sample points."""
+    ctx = PadicContext(5, 20, 24)
+    f = PiecewiseFunction.from_global_series(TateSeries(ctx, 0, [1, 2, 3])).refine(2)
+    bump = TateSeries(ctx, 2, [0, 31250, -1875, 25])
+    leaves = [Leaf(lf.center, lf.level, lf.series + bump) if lf.center == 5 else lf
+              for lf in f.leaves]
+    return ctx, PiecewiseFunction(ctx, leaves)
+
+
+class TestOrbitRouteSamples:
+    """The orbit route compares leaves at three sample points each, so a
+    difference that vanishes there is not seen (ROADMAP direction 15)."""
+
+    def test_input_is_not_analytic_on_5Z5(self):
+        ctx, g = _bump_at_the_samples()
+        for x, same in ((5, True), (30, True), (55, True), (10, True), (80, False)):
+            assert g.evaluate(x).agrees_with(ctx.from_int(1 + 2 * x + 3 * x * x)) is same
+        # g is the global polynomial on 10 + 25Z_5 but not at 80 in 5 + 25Z_5
+        assert is_analytic_vector(g, 1) is Verdict.NO
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP direction 15: orbit_membership samples each leaf at three "
+        "points, where this bump vanishes, and answers a wrong YES"))
+    def test_orbit_route_does_not_answer_yes(self):
+        _, g = _bump_at_the_samples()
+        assert orbit_membership(g, 1) is not Verdict.YES
+
+
 class TestGAElement:
     def test_certification_required(self, ctx):
         # 1 on 25+125Z_p inside 25Z_p: no single series on that level-2

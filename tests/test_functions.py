@@ -92,7 +92,7 @@ class TestPartition:
         f = PiecewiseFunction.constant(ctx, 1)
         monkeypatch.setattr(functions, "_restrict", lambda *a: pytest.fail("leaves built"))
         for level in (MAX_LEVEL + 1, True, 2.0, "2", None):
-            with pytest.raises(ParameterError, match=f"refinement level {level!r} "):
+            with pytest.raises(ParameterError, match=f"refinement level must be an integer <= {MAX_LEVEL}, got {level!r}"):
                 f.refine(level)
 
     def test_refine_linear_shift_oracle(self, ctx):
@@ -276,8 +276,9 @@ class TestPartitionCheck:
         ctx, other = PadicContext(3, 10, 8), PadicContext(3, 12, 8)
         const = TateSeries.constant
         bad = {  # sort key: (leaf, message)
-            (MAX_LEVEL + 1, 0): (Leaf(0, MAX_LEVEL + 1, const(ctx, 1, 1)),
-                                 f"leaf level {MAX_LEVEL + 1} outside [0, {MAX_LEVEL}]"),
+            (MAX_LEVEL + 1, 0): (
+                Leaf(0, MAX_LEVEL + 1, const(ctx, 1, 1)),
+                f"leaf level must be an integer in [0, {MAX_LEVEL}], got {MAX_LEVEL + 1}"),
             (2, -1): (Leaf(-1, 2, const(ctx, 2, 1)), "leaf center -1 not reduced mod p^2"),
             (2, 4): (Leaf(4, 2, const(ctx, 1, 1)),
                      "leaf series level 1 differs from coset level 2"),
@@ -906,7 +907,7 @@ class TestMembershipSmooth:
             is_member_C_m(f, 1)
 
     def test_negative_level_refused(self, ctx):
-        with pytest.raises(ParameterError, match="must be >= 0"):
+        with pytest.raises(ParameterError, match="must be an integer >= 0, got -1"):
             is_member_C_m(StepFunction.indicator_ball(ctx, 2), -1)
 
 

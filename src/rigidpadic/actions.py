@@ -41,19 +41,22 @@ at or above val_C - h j + N.  The stored entries fix R modulo
 p**(min(valp(c), valp(z0)) + N), also where their digits read 1 or 0: a
 leaf at a level above that is refused with a PrecisionError.
 
-The image is cut at z^D once, by the twisted sums, after the shift.  A route
-that shifts the cut image drops the coefficients g_l, l > D, whose share of
-z^j lies only (l - deg S)(valp(b) + h) digits above val_C - h j: fewer than
-N for short S near D, so such a route can miss the contract below.  Here
-every summand of the shift of S and of the twisted sum for z^j has
-valuation >= val_C - h j (S(A + .) keeps the Banach valuation of S and
-(mu p**h)^q is integral).  Each rounding, of A, B, mu and q^e, errs N digits
-above its value, each sum is exact modulo p**(its least summand valuation +
-N) (the precision model of series.py) and unit scalings round nothing.  So
-coefficient j agrees with the exact image under g's own entries modulo
-p**(val_C - h j + N - kappa) (the precision contract; tests/test_actions.py
-checks it against the exact image of tests/exact_image.py, computed from
-Fractions outside the library).
+The image is cut once, by the twisted sums, after the shift: the tail
+certificate covers every coefficient past the stored ones.  The stored ones
+end at z^D, or earlier where every summand of every further coefficient
+lies at or above max(val_C, 0) + N, inside the contract below at every
+j >= 0.  A route that shifts an image cut at z^D drops the coefficients
+g_l, l > D, whose share of z^j lies only (l - deg S)(valp(b) + h) digits
+above val_C - h j: fewer than N for short S near D, so such a route can
+miss the contract below.  Here every summand of the shift of S and of the
+twisted sum for z^j has valuation >= val_C - h j (S(A + .) keeps the Banach
+valuation of S and (mu p**h)^q is integral).  Each rounding, of A, B, mu
+and q^e, errs N digits above its value, each sum is exact modulo
+p**(its least summand valuation + N) (the precision model of series.py)
+and unit scalings round nothing.  So coefficient j agrees with the exact
+image under g's own entries modulo p**(val_C - h j + N - kappa) (the
+precision contract; tests/test_actions.py checks it against the exact image
+of tests/exact_image.py, computed from Fractions outside the library).
 
 A TateSeries at level m is the one leaf (0, m): act admits it only for g
 in G(m) (I(1) at m = 0), so R = 0.  The one-parameter matrices

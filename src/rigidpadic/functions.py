@@ -216,9 +216,13 @@ class PiecewiseFunction:
 
     def covering_leaf(self, m: int) -> Optional[Leaf]:
         """The leaf containing p**m Z_p, if the partition has one."""
+        if type(m) is not int or m < 0:
+            _int_param("ball level m", m, 0)
         return next((lf for lf in self.leaves if lf.level <= m and lf.center == 0), None)
 
     def leaves_in_ball(self, m: int) -> List[Leaf]:
+        if type(m) is not int or m < 0:
+            _int_param("ball level m", m, 0)
         pm = self.ctx.p ** m
         return [lf for lf in self.leaves if lf.level >= m and lf.center % pm == 0]
 

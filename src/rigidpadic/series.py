@@ -4,10 +4,11 @@ A TateSeries holds coefficients a_0 .. a_deg (deg <= D) of a function
 
     f(z) = sum_l a_l z^l,   z in p**m Z_p,
 
-together with a tail certificate: every omitted coefficient with index
-l > D satisfies valp(a_l) + m*l >= tail_bound.  A finite tail_bound
-records honest ignorance about truncated data; +inf asserts that the
-series is exactly the stored polynomial.
+together with a tail certificate, which covers every coefficient past the
+stored ones: valp(a_l) + m*l >= tail_bound for l > deg.  The stored ones
+end at z^D at the latest, and earlier for an image of the twisted sums
+below.  A finite tail_bound records honest ignorance about truncated data;
++inf asserts that the series is exactly the stored polynomial.
 
 The Banach valuation on the ball is
 
@@ -65,7 +66,12 @@ once, where the product of the untwisted substitution and the twist rounds
 two sums for deg S > e >= 1.  Every summand of c_j has valuation
 >= val_C - m j, so c_j agrees with the exact image modulo
 p**(val_C - m j + N), inside N - kappa (tests/test_series.py checks it
-against the exact image of tests/exact_image.py).
+against the exact image of tests/exact_image.py).  For valp(mu) >= 1 the
+least summand valuation of c_j, j > e, has a lower bound that rises with j,
+and c_j is not made once that bound reaches max(val_C, 0) + N: such a c_j
+has no digit below the stored precision of any value the image takes on
+its ball, and the tail certificate covers every coefficient past the
+stored ones.
 """
 
 from __future__ import annotations
@@ -94,6 +100,8 @@ class TateSeries:
         if len(pairs) > ctx.D + 1:
             raise ParameterError(
                 f"series of degree {len(pairs) - 1} exceeds truncation degree D={ctx.D}")
+        if tail_bound != INF:
+            _int_param("tail bound", tail_bound)
         self._store(ctx, m, pairs, tail_bound)
 
     @classmethod
@@ -356,8 +364,8 @@ class TateSeries:
 
 def twisted_mobius(f: TateSeries, lam: PadicNumber, mu: PadicNumber, e: int) -> TateSeries:
     """S(lam z / (1 - mu z)) (1 - mu z)^e on f's ball, for S = f, lam != 0
-    and 0 <= e <= D, truncated at z^D with the tail bound of the module
-    docstring: _twisted_sums on f's pairs."""
+    and 0 <= e <= D: _twisted_sums on f's pairs, whose tail certificate
+    covers every coefficient past the stored ones."""
     cs, tail = _twisted_sums(f.ctx, f.m, f.pairs, f.tail_bound,
                              (lam.val, lam.unit), (mu.val, mu.unit), e)
     return TateSeries._from_pairs(f.ctx, f.m, cs, tail)
@@ -372,7 +380,12 @@ def _twisted_sums(ctx: PadicContext, m: int, coeffs: Sequence[Tuple[float, int]]
         c_j = sum_{l <= j} a_l lam^l binom(e - l, j - l) (-mu)^(j - l).
     The zero series gives no pair and its own tail bound, with no kernel
     call.  The outer rows are read from the factorial table: rows[:e + 1]
-    for j <= e, the last D - e hrows for j > e, with a_l at e + 1 - l.
+    for j <= e, the last top - e hrows for e < j <= top, with a_l at
+    e + 1 - l.  top is D, or for valp(mu) >= 1 the last j whose summand
+    bound lo + j valp(mu) lies below max(val_C, 0) + N, where
+    lo = min_l (valp(a_l lam^l / (l - e - 1)!) - l valp(mu)).  Each c_j past
+    top has every summand at or above max(val_C, 0) + N, and the tail
+    certificate covers every coefficient past the stored ones.
     """
     _int_param("twist exponent", e, 0, ctx.D)
     if not coeffs:
@@ -401,10 +414,20 @@ def _twisted_sums(ctx: PadicContext, m: int, coeffs: Sequence[Tuple[float, int]]
     # the hrows row (-n, v_p(n!), unit(n!)) the outer factor n!
     src = [(e + 1 - l, v + l * lam_v - fvals[l - e - 1], u * lam_l[l] * finvs[l - e - 1] % pN)
            for l, (v, u) in reversed(list(enumerate(coeffs))) if l > e and u]
-    mu_q = _unit_powers(mu_u, ctx.D - e, pN)
+    # with w_l the valuation of source row l, a summand of c_j lies at
+    # w_l + q v(mu) + v_p(n!) - v_p(q!) >= lo + j v(mu), since n >= q; the
+    # bound rises with j for v(mu) >= 1, and past top it is max(val_C, 0) + N
+    # or more
+    top = ctx.D
+    if src and mu_u and mu_v > 0:
+        lo = min(w - (e + 1 - lp) * mu_v for lp, w, _ in src)
+        top = min(top, -((lo - max(tail, 0) - ctx.N) // mu_v) - 1)
+    if top <= e:
+        return low, tail
+    mu_q = _unit_powers(mu_u, top - e, pN)
     ker = [(0, 1)] + [(q * mu_v - fvals[q], mu_q[q] * finvs[q] % pN)
-                      for q in range(1, ctx.D - e)]
-    outs = fac.hrows[len(fac.hrows) - (ctx.D - e):]
+                      for q in range(1, top - e)]
+    outs = fac.hrows[len(fac.hrows) - (top - e):]
     return low + _offset_sums(ctx, src, ker, outs)[0][::-1], tail
 
 

@@ -851,7 +851,7 @@ class TestActionOutputPinned:
     e > 0, and zero shifts (the identity, and diagonal matrices on the leaf
     at 0)."""
 
-    DIGEST = "73a3676c031c421c360c6883cd84ac510293dcf0378e80bcb8de8670ad11a09e"
+    DIGEST = "1c3dd3bed2239aa789ec0cded2905cbc49011674bdf9fd07de28fef787c08768"
 
     @staticmethod
     def _rows(out):

@@ -86,6 +86,8 @@ ROWS = [
         lambda c: c.kappa, 0, 9),
     Row("residue level", lambda v, _: CTX.from_int(7).residue(v), 2, lambda r: r, 0),
     Row("series level m", lambda v, _: TateSeries(CTX, v, [1]), 1, lambda s: s.m, 0),
+    Row("series tail bound", lambda v, _: TateSeries(CTX, 0, [1, 3], v), 4,
+        lambda s: s.tail_bound),
     Row("monomial degree", lambda v, _: TateSeries.monomial(CTX, 0, v), 2,
         lambda s: s.degree, 0, CTX.D),
     Row("mobius_twist weight k", lambda v, _: TateSeries(CTX, 1, [1, 1]).mobius_twist(3, v),
@@ -104,6 +106,8 @@ ROWS = [
     Row("leaf center", lambda v, _: PiecewiseFunction(
         CTX, [Leaf(c, 1, TateSeries.constant(CTX, 1, 1)) for c in (0, v, 2)]), 1,
         lambda f: f.leaves[1].center, 1, 1),
+    Row("covering_leaf ball level m", lambda v, _: ONE.covering_leaf(v), 1, None, 0),
+    Row("leaves_in_ball ball level m", lambda v, _: ONE.leaves_in_ball(v), 1, None, 0),
     Row("locally algebraic weight k", lambda v, _: LocallyAlgebraicFunction(
         CTX, [Leaf(0, 0, TateSeries.constant(CTX, 0, 1))], v), 3, lambda f: f.k, 2),
     Row("is_member_Can m", lambda v, _: is_member_Can(ONE, v), 1, lambda r: r.witness.m, 0),

@@ -97,6 +97,9 @@ ROWS = [
     # the orbit builders at full degree
     ("selftest-D512", None, _selftest("--degree", "512"), 0,
      "154fa423928193ce14bf3eed2fb14122d90d6222e5a5be83c895fe5e41843c21"),
+    # D = MAX_DEGREE: the twisted sums past the stored precision
+    ("selftest-D1000", None, _selftest("--degree", "1000"), 0,
+     "60ed90155e0c098376f358ef15c17b294294931aa342e953bcea59d08c55eff5"),
     # the agreement rule's rounding corners
     ("selftest-N20-D24", None, _selftest("--precision", "20", "--degree", "24"), 0,
      "a14f2d73ecbddbda554dfd52803a273f7711103d75790f25829cea3f82e555d5"),
@@ -125,7 +128,7 @@ ROWS = [
      "bd862948970e1be35a8cc33e0afaa01cb0271533e0743e168226734dddd9859e"),
     ("act", act_files,
      [["act", "actg.json", f"act{i}.json", f"actchi{k}.json"] for i in range(3) for k in (2, 4)], 0,
-     "6a6a23a2dea993ff896e53e398e731a5492cd2b2a30a818bb811363f2a09b71d"),
+     "96ac94c65eac136e1c484bdcfca318a867cd69c3f04c58be0f9cd05917badf93"),
 ]
 
 

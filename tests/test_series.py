@@ -123,12 +123,21 @@ class TestMobiusTwist:
         assert g.coeff(1) == ctx.from_int(-5)
 
     def test_weight_two_geometric_oracle(self, ctx):
-        # z / (1 - 5 z) = sum 5**q z**(q+1)
-        f = TateSeries.monomial(ctx, 1, 1)
-        g = f.mobius_twist(ctx.from_int(5), 2)
-        assert g.coeff(0).is_zero
-        for j in range(1, ctx.D + 1):
-            assert g.coeff(j) == ctx.from_int(5 ** (j - 1))
+        # 5**v z / (1 - 5 z) = sum 5**(v + j - 1) z**j on 5 Z_5, val_C = v + 1.
+        # c_j is stored exactly while v + j - 1 < max(val_C, 0) + N: up to
+        # j = 41 for v = 0, where every c_j meets the bound lo + j of
+        # _twisted_sums, and up to j = 42 for v = -2, where val_C + N would
+        # stop at j = 41.  The tail certificate covers the c_j past it
+        for v, stored in ((0, 41), (-2, 42)):
+            f = TateSeries(ctx, 1, [0, Fraction(5) ** v])
+            g = f.mobius_twist(ctx.from_int(5), 2)
+            assert g.degree == stored
+            assert g.coeff(0).is_zero
+            for j in range(1, stored + 1):
+                assert g.coeff(j) == ctx.from_fraction(Fraction(5) ** (v + j - 1))
+            cut = max(f.val_c(), 0) + ctx.N
+            assert all(v + j - 1 >= cut for j in range(stored + 1, ctx.D + 1))
+            assert g.tail_bound == f.val_c() == v + 1
 
     def test_weight_guard(self, ctx):
         f = TateSeries.monomial(ctx, 1, 1)
@@ -510,7 +519,16 @@ def _twisted_terms(f, lam, mu, e):
 
 
 def _assert_twisted(f, lam, mu, e, got):
-    _assert_exact(f.ctx, got.coeffs, _twisted_terms(f, lam, mu, e))
+    """got stores the exact sums up to its degree.  Past it, each c_j up to
+    D either rounds to zero as an exact sum or has every summand at or above
+    max(val_C, 0) + N, where the tail certificate covers it."""
+    ctx = f.ctx
+    sums = _twisted_terms(f, lam, mu, e)
+    _assert_exact(ctx, got.coeffs, sums[:got.degree + 1])
+    cut = max(f.val_c(), 0) + ctx.N
+    for terms in sums[got.degree + 1:]:
+        assert _exact_sum(ctx, terms)[0] == (INF, 0) or all(
+            _wval(t.numerator, ctx.p) - _wval(t.denominator, ctx.p) >= cut for t in terms if t)
     assert got.m == f.m
     assert got.tail_bound == (INF if f.tail_bound is INF and f.degree <= e else f.val_c())
 

@@ -44,9 +44,10 @@ space at the test level.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import count
-from operator import add
+from operator import add, sub
 from typing import Dict, List, Optional, Tuple
 
 from .actions import InductionCharacter, WeylCellVector
@@ -85,6 +86,8 @@ class OrbitExpansion:
 
 
 def _check_level(f: TateSeries, m: int) -> None:
+    if type(m) is not int or m < 0:
+        _int_param("ball level m", m, 0)
     if f.m != m:
         raise DomainError(f"series lives at level {f.m}, expansion requested at {m}")
 
@@ -151,42 +154,64 @@ def _orbit_levels(f: TateSeries, m: int) -> Dict[str, List[float]]:
     """[c.stored_val_c() for c in expand_all(f, m)[family].components] for
     each family, from integers: every stored component coefficient is one
     product +-a_l binom(n, j), and capped-relative products add valuations
-    exactly, so each level is a minimum over the nonzero a_l.  One pair of
-    loops per nonzero a_l, with x = valp(a_l) + m l, lowers every entry that
-    a_l reaches: dilation keeps a_l binom(l, q) on z^l and translation puts
-    it on z^(l-q); inv_torus keeps a_l binom(l+q-1, q) on z^l and mobius puts
-    it on z^(l+q), so only q <= D - l.  Valuations are read from fv = v_p(n!)
-    inline, with binom(l-1, 0) = 1 and binom(q-1, q) = 0 for q >= 1."""
+    exactly, so each level is a minimum over the nonzero a_l, with
+    x_l = valp(a_l) + m l.  Dilation keeps a_l binom(l, q) on z^l and
+    translation puts it on z^(l-q); inv_torus keeps a_l binom(l+q-1, q) on
+    z^l and mobius puts it on z^(l+q), so only q <= D - l.  Valuations are
+    read from fv = v_p(n!), with binom(l-1, 0) = 1 and binom(q-1, q) = 0 for
+    q >= 1.  Only rows that can lower an entry are read:
+
+    dilation   entry q starts from x_q (binom(q, q) = 1) and scans the rows
+               l > q by increasing x.  A binomial valuation is >= 0, so row
+               l gives at least x_l there, and the scan stops at the first
+               x at or above its best so far: no later row can go lower.
+    inv_torus, row l >= 1 gives base_l + v_p((l+q-1)!) - v_p(q!) at q >= 1,
+    mobius     with base_l = x_l - v_p((l-1)!).  v_p(n!) never decreases in
+               n, so a row whose base is not below an earlier row's base
+               is nowhere below that row, also on its shorter mobius range
+               q <= D - l, and is skipped (a zero row has base inf).  The
+               kept rows meet by min, each on its own range.
+
+    Dilation and translation are finite exactly on q <= deg f, mobius on
+    q <= D - l_1 (l_1 the first l >= 1 with a_l != 0), and every other slot
+    is INF itself."""
     _check_level(f, m)
     D = f.ctx.D
     fv = f.ctx.factorials.vals
-    dil, inv, mob = [INF] * (D + 1), [INF] * (D + 1), [INF] * (D + 1)
-    for l, (v, u) in enumerate(f.pairs):
-        if not u:
-            continue
-        x = v + m * l
-        for q in range(l + 1):
+    xs = [v + m * l if u else INF for l, (v, u) in enumerate(f.pairs)]
+    dil, later = [INF] * len(xs), []
+    for q in range(len(xs) - 1, -1, -1):
+        best = xs[q]
+        for x, l in later:  # the nonzero rows l > q, by increasing x
+            if x >= best:
+                break
             t = x + fv[l] - fv[q] - fv[l - q]
-            if t < dil[q]:
-                dil[q] = t
-        if x < inv[0]:
-            inv[0] = x
-        if l <= D and x < mob[0]:
-            mob[0] = x
-        if not l:
-            continue
-        base = x - fv[l - 1]
-        for q in range(1, D + 1):
-            t = base + fv[l + q - 1] - fv[q]
-            if t < inv[q]:
-                inv[q] = t
-            if q <= D - l and t < mob[q]:
-                mob[q] = t
+            if t < best:
+                best = t
+        dil[q] = best
+        if xs[q] is not INF:
+            insort(later, (xs[q], q))
+    kept, low = [], INF
+    for l in range(1, len(xs)):
+        base = xs[l] - fv[l - 1]
+        if base < low:
+            low = base
+            kept.append((l, base))
+    fq = fv[1:D + 1]
+    tail, acc = [INF] * D, None
+    for (l, base), end in zip(kept, [l for l, _ in kept[1:]] + [D]):
+        row = [base + a - b for a, b in zip(fv[l:l + D], fq)]
+        acc = row if acc is None else list(map(min, acc, row))
+        # the rows up to this one are all that reach q in (D - end, D - l]
+        tail[D - end:D - l] = acc[D - end:D - l]
+    reach = D - kept[0][0] if kept else 0
+    x0 = min(xs, default=INF)
+    pad = [INF] * (D + 1 - len(xs))
     return {
-        "translation": [c if c is INF else c - m * q for q, c in enumerate(dil)],
-        "mobius": [c if c is INF else c + m * q for q, c in enumerate(mob)],
-        "dilation": dil,
-        "inv_torus": inv,
+        "translation": list(map(sub, dil, count(0, m))) + pad,
+        "mobius": [x0] + list(map(add, tail[:reach], count(m, m))) + tail[reach:],
+        "dilation": dil + pad,
+        "inv_torus": [x0] + (tail if acc is None else acc),
     }
 
 
@@ -283,7 +308,7 @@ def bound_report(f: TateSeries, m: int, tamper: Optional[Tuple[str, int]] = None
         fam, idx = tamper
         if fam not in FAMILIES:
             raise ParameterError(f"unknown orbit family {fam!r}")
-        if idx not in span:
+        if _int_param("tamper index", idx) not in span:
             raise ParameterError(f"tamper index {idx} outside [0, {len(span)}) for {fam}")
         margin = _margin(lhs[fam][idx], rhs[fam][idx])
         if margin is INF:

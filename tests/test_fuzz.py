@@ -11,7 +11,14 @@ import pytest
 
 from rigidpadic import cli, io
 from rigidpadic.actions import InductionCharacter, IwahoriElement, WeylCellVector
-from rigidpadic.analytic import CokernelElement, GAElement, orbit_membership, witness_nonzero
+from rigidpadic.analytic import (
+    CokernelElement,
+    GAElement,
+    bound_report,
+    expand_all,
+    orbit_membership,
+    witness_nonzero,
+)
 from rigidpadic.errors import ParameterError
 from rigidpadic.functions import (
     MAX_LEVEL,
@@ -120,6 +127,12 @@ ROWS = [
     Row("Iwahori level", lambda v, _: IwahoriElement(CTX, 1, 0, 0, 1, v), 1,
         lambda g: g.level, 1),
     Row("orbit_membership m", lambda v, _: orbit_membership(ONE, v), 1, None, 0),
+    Row("bound_report ball level m", lambda v, _: bound_report(
+        TateSeries(CTX, 1, [1, 2, 3]), v), 1, lambda r: r.m, 0),
+    Row("expand_all ball level m", lambda v, _: expand_all(TateSeries(CTX, 1, [1, 2, 3]), v),
+        1, lambda e: e["mobius"].components[1].m, 0),
+    Row("tamper index", lambda v, _: bound_report(
+        TateSeries(CTX, 1, [1, 3]), 1, ("mobius", v)), 3, None, 0, CTX.D),
     Row("GAElement n", lambda v, _: GAElement.zero(CTX, v, 3), 1, lambda e: e.n, 1),
     # m <= n answers DomainError, so the lower end is open
     Row("GAElement m", lambda v, _: GAElement.zero(CTX, 1, v), 2, lambda e: e.m),

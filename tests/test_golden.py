@@ -31,6 +31,14 @@ def series_file(d):
     _put(d, "series.json", "series", ctx, TateSeries(ctx, 1, [3, 5, 0, 7, 25], 0))
 
 
+def multi_row_series_file(d):
+    """A level-0 series whose valuation table keeps the inv_torus and mobius
+    rows l = 1, 2, 3 and 6 (bases 4, 2, 0 and -1)."""
+    ctx = PadicContext()
+    _put(d, "series0.json", "series", ctx,
+         TateSeries(ctx, 0, [1, 5 ** 4, 5 ** 2, 1, 0, 3, 7], 0))
+
+
 def _param_files(d, prefix, ctx, rows):
     for i, (d1, d2) in enumerate(rows):
         _put(d, f"{prefix}{i}.json", "param", ctx, TriangulineParam(d1, d2))
@@ -114,6 +122,11 @@ ROWS = [
      "3dd21e304e188aed4643c8f187ea3ffdff510b0fa87f427f94a3a9b5ab377ae9"),
     ("verify-bounds-csv", series_file, _bounds("--format", "csv"), 0,
      "19eb976f59cf5d3ae6e23c02171b005add614308af0ecec57ec42c366e0e16c7"),
+    # several rows of the valuation table lower entries
+    ("verify-bounds-m0", multi_row_series_file,
+     [["--format", fmt, "verify-bounds", "series0.json", "-m", "0"]
+      for fmt in ("json", "text", "csv")], 0,
+     "ceeb6db6f5a41b382e088a918ff6135fda2b7c3c16a07865450c39f2122bf92a"),
     ("verify-bounds-tamper", series_file,
      [_bounds()[0] + ["--tamper", "mobius:3"]], 1,
      "153630a0c1a175d1d40c0221b3abbf37b95be4cbdb15594287d4001e033935d4"),

@@ -19,8 +19,7 @@ import csv
 import functools
 import io as _stringio
 import sys
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import analytic, galois, io, selftest
 from .actions import act
@@ -36,7 +35,7 @@ from .errors import (
     _int_param,
 )
 from .functions import MAX_LEVEL, PiecewiseFunction
-from .padic import INF, PadicContext
+from .padic import PadicContext
 from .series import TateSeries
 from .verdict import Verdict
 
@@ -47,17 +46,10 @@ EXIT_DOMAIN = 3
 EXIT_MISMATCH = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    ctx: PadicContext
-    seed: int
-    fmt: str
-
-
 # -- report rendering ----------------------------------------------------------
 
 
-def _flatten(prefix: str, value, out: List[str]) -> None:
+def _flatten(prefix: str, value, out: List[Tuple[str, object]]) -> None:
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}{key}." if prefix else f"{key}.", value[key], out)
@@ -73,16 +65,20 @@ def _flatten(prefix: str, value, out: List[str]) -> None:
         value = "false"
     elif value is None:
         value = "null"
-    out.append(f"{prefix[:-1]}: {value}")
+    out.append((prefix[:-1], value))
+
+
+def _pairs(report: dict) -> List[Tuple[str, object]]:
+    pairs: List[Tuple[str, object]] = []
+    _flatten("", report, pairs)
+    return pairs
 
 
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return io.dumps_canonical(report)
     if fmt == "text":
-        lines: List[str] = []
-        _flatten("", report, lines)
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key}: {value}\n" for key, value in _pairs(report))
     if fmt == "csv":
         rows = None
         for key in ("entries", "suites"):
@@ -94,22 +90,17 @@ def render(report: dict, fmt: str) -> str:
             fields = sorted({k for row in rows for k in row})
             writer = csv.DictWriter(buf, fieldnames=fields, restval="")
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
         else:
             writer = csv.writer(buf)
-            lines = []
-            _flatten("", report, lines)
             writer.writerow(["key", "value"])
-            for line in lines:
-                key, _, val = line.partition(": ")
-                writer.writerow([key, val])
+            writer.writerows(_pairs(report))
         return buf.getvalue()
     raise ParameterError(f"unknown format {fmt!r}")
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
-    sys.stdout.write(render(report, cfg.fmt))
+def _emit(report: dict, args) -> None:
+    sys.stdout.write(render(report, args.format))
 
 
 def _verdict_json(v: Verdict):
@@ -128,7 +119,11 @@ def _read(path: str) -> str:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: Optional[str], text: str) -> None:
+    """text to the file at path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -139,24 +134,21 @@ def _write(path: str, text: str) -> None:
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_classify(cfg: RunConfig, args) -> int:
-    _, _, param = io.load(_read(args.param_file), "param", cfg.ctx)
+def cmd_classify(ctx: PadicContext, args) -> int:
+    _, _, param = io.load(_read(args.param_file), "param", ctx)
     cris = galois.in_S_cris(param)
     ext = galois.ext1_dimension(param.delta1, param.delta2)
-    w_repr: object = cris.w.to_string()
-    if cris.w_integer is not None:
-        w_repr = cris.w_integer
     report = {
         "S_star": cris.in_star,
         "S_cris": _verdict_json(cris.status),
         "S_cris_reason": cris.reason,
         "u": cris.u,
-        "w": w_repr,
+        "w": cris.w.to_string() if cris.w_integer is None else cris.w_integer,
         "ext1_dimension": ext.dimension,
         "ext1_matched_form": ext.matched_form,
         "ext1_status": _verdict_json(ext.status),
     }
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -164,33 +156,25 @@ def _function_val_c(f: PiecewiseFunction):
     return min(lf.series.val_c() for lf in f.leaves)
 
 
-def cmd_act(cfg: RunConfig, args) -> int:
-    _, _, g = io.load(_read(args.matrix_file), "matrix", cfg.ctx)
-    kind, _, f = io.load(_read(args.function_file), None, cfg.ctx)
+def cmd_act(ctx: PadicContext, args) -> int:
+    _, _, g = io.load(_read(args.matrix_file), "matrix", ctx)
+    kind, _, f = io.load(_read(args.function_file), None, ctx)
     if kind not in ("series", "function"):
         raise ParameterMismatch(f"act expects a series or function file, found {kind}")
-    _, _, chi = io.load(_read(args.character_file), "induction", cfg.ctx)
+    _, _, chi = io.load(_read(args.character_file), "induction", ctx)
     before = f.val_c() if isinstance(f, TateSeries) else _function_val_c(f)
     out = act(g, f, chi)
     after = out.val_c() if isinstance(out, TateSeries) else _function_val_c(out)
-
-    def fmt_v(v):
-        return "inf" if v is INF else str(v)
-
-    print(f"val_C before: {fmt_v(before)}", file=sys.stderr)
-    print(f"val_C after:  {fmt_v(after)}", file=sys.stderr)
-    text = io.wrap(kind, cfg.ctx, out)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    print(f"val_C before: {before}", file=sys.stderr)
+    print(f"val_C after:  {after}", file=sys.stderr)
+    _write(args.out, io.wrap(kind, ctx, out))
     return EXIT_OK
 
 
-def cmd_analytic_level(cfg: RunConfig, args) -> int:
+def cmd_analytic_level(ctx: PadicContext, args) -> int:
     if args.max_level is not None:
         _int_param("--max-level", args.max_level, 0, MAX_LEVEL)
-    kind, _, f = io.load(_read(args.function_file), None, cfg.ctx)
+    kind, _, f = io.load(_read(args.function_file), None, ctx)
     if kind == "series":
         f = PiecewiseFunction.from_global_series(f)
     elif kind != "function":
@@ -204,12 +188,12 @@ def cmd_analytic_level(cfg: RunConfig, args) -> int:
         if v is Verdict.YES and min_level is None:
             min_level = m
     report = {"min_level": min_level, "verdicts": verdicts}
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_OK
 
 
-def cmd_verify_bounds(cfg: RunConfig, args) -> int:
-    _, _, f = io.load(_read(args.series_file), "series", cfg.ctx)
+def cmd_verify_bounds(ctx: PadicContext, args) -> int:
+    _, _, f = io.load(_read(args.series_file), "series", ctx)
     tamper = None
     if args.tamper:
         fam, _, idx = args.tamper.partition(":")
@@ -222,42 +206,37 @@ def cmd_verify_bounds(cfg: RunConfig, args) -> int:
         report = analytic.verify_bounds(f, args.m, tamper=tamper)
     except BoundViolation as exc:
         if exc.report is not None:
-            _emit(exc.report.to_dict(), cfg)
+            _emit(exc.report.to_dict(), args)
         print(f"bound violation: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    _emit(report.to_dict(), cfg)
+    _emit(report.to_dict(), args)
     return EXIT_OK
 
 
-def cmd_cokernel_eq(cfg: RunConfig, args) -> int:
-    _, _, c1 = io.load(_read(args.first), "cokernel", cfg.ctx)
-    _, _, c2 = io.load(_read(args.second), "cokernel", cfg.ctx)
-    _emit({"equal": analytic.cokernel_equal(c1, c2), "embedding": "beta"}, cfg)
+def cmd_cokernel_eq(ctx: PadicContext, args) -> int:
+    _, _, c1 = io.load(_read(args.first), "cokernel", ctx)
+    _, _, c2 = io.load(_read(args.second), "cokernel", ctx)
+    _emit({"equal": analytic.cokernel_equal(c1, c2), "embedding": "beta"}, args)
     return EXIT_OK
 
 
-def cmd_witness(cfg: RunConfig, args) -> int:
-    ctx = cfg.ctx
+def cmd_witness(ctx: PadicContext, args) -> int:
     elem, proof = analytic.witness_nonzero(
         ctx, ctx.num(args.alpha), ctx.num(args.beta), args.k, args.n, args.m
     )
     for key in sorted(proof):
         print(f"{key}: {proof[key]}", file=sys.stderr)
-    text = io.wrap("cokernel", ctx, elem)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, io.wrap("cokernel", ctx, elem))
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig, args) -> int:
+def cmd_selftest(ctx: PadicContext, args) -> int:
     if args.count is not None:
         _int_param("--count", args.count, 1)
     report = selftest.run_selftest(
-        cfg.ctx, seed=cfg.seed, count_override=args.count, only=args.only
+        ctx, seed=args.seed, count_override=args.count, only=args.only
     )
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_OK if report["ok"] else EXIT_FAILURE
 
 
@@ -361,17 +340,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         ctx = PadicContext(p=args.p, N=args.precision, D=args.degree, kappa=args.slack)
-        cfg = RunConfig(ctx, args.seed, args.format)
-        return args.run(cfg, args)
+        return args.run(ctx, args)
     except ParameterMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (DomainError, DivisionError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except BoundViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -207,11 +207,14 @@ class CrisResult:
     w: PadicNumber
 
 
-def in_S_cris(s: TriangulineParam, integer_bound: int = 50) -> CrisResult:
+#: the weight gap w is identified with an integer n only for |n| <= this
+INTEGER_BOUND = 50
+
+
+def in_S_cris(s: TriangulineParam) -> CrisResult:
     """Crystalline locus test: base conditions, integral weight gap w >= 1,
     slope bound u < w, and the extension coordinate at infinity.  The result
     carries the base locus's membership, u and w, so one call answers both."""
-    _int_param("integer bound", integer_bound, 0)
     star = in_S_star(s)
 
     def result(status: Verdict, w_int: Optional[int], reason: str) -> CrisResult:
@@ -221,7 +224,7 @@ def in_S_cris(s: TriangulineParam, integer_bound: int = 50) -> CrisResult:
         return result(Verdict.NO, None, "base valuation conditions fail")
     if not s.script_l_is_inf:
         return result(Verdict.NO, None, "extension coordinate is finite")
-    verdict, w_int = nearest_integer(star.w, integer_bound)
+    verdict, w_int = nearest_integer(star.w, INTEGER_BOUND)
     if verdict is Verdict.INDETERMINATE:
         return result(verdict, None, "weight gap not identifiable with an integer in range")
     if w_int is None or w_int < 1:

@@ -256,34 +256,24 @@ def decode_cokernel(ctx: PadicContext, obj: dict) -> CokernelElement:
 
 # -- envelopes -----------------------------------------------------------------
 
-_ENCODERS = {
-    "series": encode_series,
-    "function": encode_function,
-    "matrix": encode_matrix,
-    "character": encode_character,
-    "induction": encode_induction,
-    "param": encode_param,
-    "weyl": encode_weyl,
-    "cokernel": encode_cokernel,
-}
-
-_DECODERS = {
-    "series": decode_series,
-    "function": decode_function,
-    "matrix": decode_matrix,
-    "character": decode_character,
-    "induction": decode_induction,
-    "param": decode_param,
-    "weyl": decode_weyl,
-    "cokernel": decode_cokernel,
+#: kind -> (encoder, decoder)
+_CODECS = {
+    "series": (encode_series, decode_series),
+    "function": (encode_function, decode_function),
+    "matrix": (encode_matrix, decode_matrix),
+    "character": (encode_character, decode_character),
+    "induction": (encode_induction, decode_induction),
+    "param": (encode_param, decode_param),
+    "weyl": (encode_weyl, decode_weyl),
+    "cokernel": (encode_cokernel, decode_cokernel),
 }
 
 
 def wrap(kind: str, ctx: PadicContext, value) -> str:
-    if kind not in _ENCODERS:
+    if kind not in _CODECS:
         raise ParameterError(f"unknown kind {kind!r}")
     return dumps_canonical(
-        {"context": context_header(ctx), "kind": kind, "payload": _ENCODERS[kind](value)}
+        {"context": context_header(ctx), "kind": kind, "payload": _CODECS[kind][0](value)}
     )
 
 
@@ -303,7 +293,7 @@ def load(
     if not isinstance(obj, dict) or "kind" not in obj or "payload" not in obj:
         raise ParameterError("missing envelope fields (context, kind, payload)")
     kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _DECODERS:
+    if not isinstance(kind, str) or kind not in _CODECS:
         raise ParameterError(f"unknown kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise ParameterMismatch(f"expected a {expected_kind} file, found {kind}")
@@ -315,5 +305,5 @@ def load(
                 f"differs from the requested one (p={ctx.p}, N={ctx.N}, D={ctx.D})"
             )
         file_ctx = ctx
-    value = _DECODERS[kind](file_ctx, obj["payload"])
+    value = _CODECS[kind][1](file_ctx, obj["payload"])
     return kind, file_ctx, value

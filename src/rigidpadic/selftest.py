@@ -36,7 +36,7 @@ from .functions import (
     is_member_pi_an,
     mahler_coefficients,
 )
-from .padic import INF, PadicContext, PadicNumber, padic_log
+from .padic import PadicContext, PadicNumber, padic_log
 from .series import TateSeries, twisted_mobius
 from .verdict import Verdict
 
@@ -141,24 +141,16 @@ def rand_chi(ctx: PadicContext, rng: random.Random, k: Optional[int] = None) -> 
 # -- suite bodies --------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return "inf" if x is INF else str(x)
-
-
 def case_padic_valuation(ctx: PadicContext, rng: random.Random) -> Optional[str]:
+    # a zero's val is INF, so sums, min and < read it as +infinity
     x = rand_padic(ctx, rng)
     y = rand_padic(ctx, rng)
-    prod = x * y
-    want = INF if (x.is_zero or y.is_zero) else x.val + y.val
-    got = INF if prod.is_zero else prod.val
+    got, want = (x * y).val, x.val + y.val
     if got != want:
-        return f"valp(x*y) = {_fmt(got)}, expected {_fmt(want)}"
-    s = x + y
-    vx = INF if x.is_zero else x.val
-    vy = INF if y.is_zero else y.val
-    vs = INF if s.is_zero else s.val
+        return f"valp(x*y) = {got}, expected {want}"
+    vx, vy, vs = x.val, y.val, (x + y).val
     if vs < min(vx, vy):
-        return f"valp(x+y) = {_fmt(vs)} below min({_fmt(vx)}, {_fmt(vy)})"
+        return f"valp(x+y) = {vs} below min({vx}, {vy})"
     if vx != vy and vs != min(vx, vy):
         return "strict minimum not attained by the sum"
     return None
@@ -218,7 +210,7 @@ def case_series_isometry(ctx: PadicContext, rng: random.Random) -> Optional[str]
     for name, g in _generator_matrices(ctx, y, x, s, t, m).items():
         out = act(g, f, chi)
         if out.val_c() != before:
-            return f"{name} moved val_C from {_fmt(before)} to {_fmt(out.val_c())}"
+            return f"{name} moved val_C from {before} to {out.val_c()}"
     return None
 
 
@@ -245,15 +237,11 @@ def case_series_subadditive(ctx: PadicContext, rng: random.Random) -> Optional[s
     m = rng.randint(0, 2)
     f = rand_series(ctx, rng, m)
     g = rand_series(ctx, rng, m)
-    if (f * g).val_c() < _inf_add(f.val_c(), g.val_c()):
+    if (f * g).val_c() < f.val_c() + g.val_c():
         return "val_C(f*g) below val_C(f) + val_C(g)"
     if (f + g).val_c() < min(f.val_c(), g.val_c()):
         return "val_C(f+g) below min of the parts"
     return None
-
-
-def _inf_add(a, b):
-    return INF if (a is INF or b is INF) else a + b
 
 
 def case_series_recenter(ctx: PadicContext, rng: random.Random) -> Optional[str]:
@@ -383,13 +371,8 @@ def case_actions_factorize(ctx: PadicContext, rng: random.Random) -> Optional[st
     diag = IwahoriElement(ctx, g.a, ctx.zero(), ctx.zero(), t, I1)
     upper = IwahoriElement(ctx, ctx.one(), x, ctx.zero(), ctx.one(), I1)
     back = lower @ diag @ upper
-    for name, got, want in (
-        ("a", back.a, g.a),
-        ("b", back.b, g.b),
-        ("c", back.c, g.c),
-        ("d", back.d, g.d),
-    ):
-        if not got.agrees_with(want):
+    for name in "abcd":
+        if not getattr(back, name).agrees_with(getattr(g, name)):
             return f"factorization round-trip differs in entry {name}"
     return None
 
@@ -445,15 +428,14 @@ def case_orbit_bounds(ctx: PadicContext, rng: random.Random) -> Optional[str]:
 def case_orbit_tail_growth(ctx: PadicContext, rng: random.Random) -> Optional[str]:
     m = rng.randint(1, 3)
     f = rand_series(ctx, rng, m)
-    floor = min(f.val_c(), f.tail_bound)
+    floor = f.val_c()
     for fam, exp in analytic.expand_all(f, m).items():
         last_finite = -1
         for v, comp in enumerate(exp.components):
-            c = comp.stored_val_c()
-            lhs = INF if c is INF else c + m * v
+            lhs = comp.stored_val_c() + m * v
             if lhs < floor:
                 return f"{fam}[{v}] breaks the uniform tail bound"
-            if lhs is not INF and lhs < floor + 10:
+            if lhs < floor + 10:
                 last_finite = v
         if fam in ("translation", "dilation") and last_finite > f.degree:
             return f"{fam} keeps low-valuation terms beyond the stored degree"
@@ -507,21 +489,21 @@ def _poly_member(ctx: PadicContext, rng: random.Random, k: int) -> PiecewiseFunc
     return PiecewiseFunction.from_global_series(TateSeries.monomial(ctx, 0, deg, c))
 
 
+def _beta_shifted(c: analytic.CokernelElement, shift: PiecewiseFunction):
+    """c with shift added to the identity cell of its beta side."""
+    beta = c.F_beta.vector
+    return analytic.CokernelElement(
+        c.chi, c.n, c.m, c.F_alpha,
+        analytic.GAElement(WeylCellVector(beta.identity + shift, beta.w0), c.n, c.m),
+    )
+
+
 def case_cokernel_equivalence(ctx: PadicContext, rng: random.Random) -> Optional[str]:
     n, m = 1, 2
     k = rng.randint(2, 4)
     chi = rand_chi(ctx, rng, k)
     c1 = analytic.CokernelElement(chi, n, m, _rand_ga(ctx, rng, n, m), _rand_ga(ctx, rng, n, m))
-    shift = _poly_member(ctx, rng, k)
-    c2 = analytic.CokernelElement(
-        chi, n, m, c1.F_alpha,
-        analytic.GAElement(
-            WeylCellVector(
-                c1.F_beta.vector.identity + shift, c1.F_beta.vector.w0
-            ),
-            n, m,
-        ),
-    )
+    c2 = _beta_shifted(c1, _poly_member(ctx, rng, k))
     c3 = analytic.CokernelElement(chi, n, m, _rand_ga(ctx, rng, n, m), c1.F_beta)
     triple = (c1, c2, c3)
     # the relation on the 9 ordered pairs, evaluated once
@@ -542,21 +524,11 @@ def case_cokernel_embedding(ctx: PadicContext, rng: random.Random) -> Optional[s
     k = rng.randint(2, 4)
     chi = rand_chi(ctx, rng, k)
     c1 = analytic.CokernelElement(chi, n, m, _rand_ga(ctx, rng, n, m), _rand_ga(ctx, rng, n, m))
-
-    def with_beta_shift(shift: PiecewiseFunction) -> analytic.CokernelElement:
-        return analytic.CokernelElement(
-            chi, n, m, c1.F_alpha,
-            analytic.GAElement(
-                WeylCellVector(c1.F_beta.vector.identity + shift, c1.F_beta.vector.w0),
-                n, m,
-            ),
-        )
-
-    good = with_beta_shift(_poly_member(ctx, rng, k))
+    good = _beta_shifted(c1, _poly_member(ctx, rng, k))
     if not analytic.cokernel_equal(c1, good):
         return "adding a member of the embedded space changed the class"
     bad_series = TateSeries.monomial(ctx, 0, k - 1)
-    bad = with_beta_shift(PiecewiseFunction.from_global_series(bad_series))
+    bad = _beta_shifted(c1, PiecewiseFunction.from_global_series(bad_series))
     if analytic.cokernel_equal(c1, bad):
         return "adding a non-member to the beta side kept the class"
     return None
@@ -629,22 +601,15 @@ def case_galois_filtration(ctx: PadicContext, rng: random.Random) -> Optional[st
 def case_io_roundtrip(ctx: PadicContext, rng: random.Random) -> Optional[str]:
     from . import io
 
-    f = rand_series(ctx, rng, rng.randint(0, 2))
-    kind, _, back = io.load(io.wrap("series", ctx, f), "series")
-    if back != f:
-        return "series round-trip changed the value"
-    g = rand_iwahori(ctx, rng, rng.choice([I1, 1]))
-    kind, _, back = io.load(io.wrap("matrix", ctx, g), "matrix")
-    if back != g:
-        return "matrix round-trip changed the value"
-    fn = rand_refined_global(ctx, rng, 1, max_deg=4)
-    kind, _, back = io.load(io.wrap("function", ctx, fn), "function")
-    if back != fn:
-        return "function round-trip changed the value"
-    chi = rand_character(ctx, rng)
-    kind, _, back = io.load(io.wrap("character", ctx, chi), "character")
-    if back != chi:
-        return "character round-trip changed the value"
+    values = (
+        ("series", rand_series(ctx, rng, rng.randint(0, 2))),
+        ("matrix", rand_iwahori(ctx, rng, rng.choice([I1, 1]))),
+        ("function", rand_refined_global(ctx, rng, 1, max_deg=4)),
+        ("character", rand_character(ctx, rng)),
+    )
+    for kind, value in values:
+        if io.load(io.wrap(kind, ctx, value), kind)[2] != value:
+            return f"{kind} round-trip changed the value"
     return None
 
 
@@ -693,7 +658,6 @@ def run_selftest(
         known = ", ".join(name for name, _, _ in SUITES)
         raise ParameterError(f"suite filter {only!r} matches no suite; known suites: {known}")
     suites = []
-    all_ok = True
     for name, default_count, fn in chosen:
         count = count_override if count_override is not None else default_count
         failed = 0
@@ -708,9 +672,7 @@ def run_selftest(
                 failed += 1
                 if first_failure is None:
                     first_failure = {"case": i, "detail": detail}
-        ok = failed == 0
-        all_ok = all_ok and ok
-        entry = {"name": name, "cases": count, "failed": failed, "ok": ok}
+        entry = {"name": name, "cases": count, "failed": failed, "ok": failed == 0}
         if first_failure is not None:
             entry["first_failure"] = first_failure
         suites.append(entry)
@@ -724,5 +686,5 @@ def run_selftest(
             "count_override": count_override,
         },
         "suites": suites,
-        "ok": all_ok,
+        "ok": all(entry["ok"] for entry in suites),
     }

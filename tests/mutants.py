@@ -9,6 +9,11 @@ pytest's summary line, and exits 1 when a row survives, or when a row cannot
 run (its text is missing, or pytest ends with neither a pass nor a test
 failure).
 
+A row may name a known survivor: `known` gives the ROADMAP direction that
+will kill it.  Such a row prints known when it survives and does not fail
+the run; when it is killed, the run fails, as a strict xfail does, so that
+its marker is dropped.
+
     python tests/mutants.py             # every row
     python tests/mutants.py -k orbit    # the rows whose name contains "orbit"
 
@@ -24,7 +29,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,9 +40,12 @@ class Mutant(NamedTuple):
     original: str
     replacement: str
     tests: Tuple[str, ...]
+    known: Optional[str] = None
 
 
 ANALYTIC = "src/rigidpadic/analytic.py"
+FUNCTIONS = "src/rigidpadic/functions.py"
+PADIC = "src/rigidpadic/padic.py"
 TABLE = "tests/test_analytic.py::TestOrbitLevels::test_table_equals_materialised"
 GUARD = "tests/test_analytic.py::TestOrbitLevels::test_tail_guard"
 
@@ -55,6 +63,28 @@ MUTANTS = [
     Mutant("_orbit_tail_guard returns early", ANALYTIC,
            "    base = w.val_c()\n", "    return\n    base = w.val_c()\n",
            (GUARD + "_reads_the_table", GUARD + "_adds_m_v_to_each_entry")),
+    Mutant("_agreement threshold one digit higher", PADIC,
+           "threshold = (vx if vx < vy else vy) + gap",
+           "threshold = (vx if vx < vy else vy) + gap + 1",
+           ("tests/test_padic.py", "tests/test_functions.py", "tests/test_series.py")),
+    Mutant("_agreement threshold one digit lower", PADIC,
+           "threshold = (vx if vx < vy else vy) + gap",
+           "threshold = (vx if vx < vy else vy) + gap - 1",
+           ("tests/test_padic.py", "tests/test_functions.py", "tests/test_series.py")),
+    Mutant("is_member_Can skips the last in-ball leaf", FUNCTIONS,
+           "for lf in inball[1:]:", "for lf in inball[1:-1]:",
+           ("tests/test_functions.py", "tests/test_analytic.py")),
+    Mutant("_check_partition ignores its overlap walk", FUNCTIONS,
+           "    if pairs:\n", "    if pairs and False:\n", ("tests/test_functions.py",)),
+    Mutant("cokernel_equal with alpha unchecked", ANALYTIC,
+           "    if not c1.F_alpha.agrees_with(c2.F_alpha):\n        return False\n", "",
+           ("tests/test_analytic.py", "tests/test_acceptance.py")),
+    Mutant("_normalised one-division strip off by one digit", PADIC,
+           "        return val + 1, r\n", "        return val + 2, r\n", ("tests/test_padic.py",)),
+    Mutant("orbit_membership samples one point per leaf", ANALYTIC,
+           "for j in range(3):", "for j in range(1):",
+           ("tests/test_analytic.py", "tests/test_acceptance.py", "tests/test_golden.py"),
+           known="direction 15"),
 ]
 
 
@@ -91,7 +121,11 @@ def main(argv=None) -> int:
             continue
         t0 = time.perf_counter()
         outcome, summary = run(mutant)
-        bad += outcome != "killed"
+        if mutant.known:
+            summary += f" (known survivor, {mutant.known})"
+            if outcome == "survived":
+                outcome = "known"
+        bad += outcome != ("known" if mutant.known else "killed")
         print(f"{outcome:8} {mutant.name}: {summary} [{time.perf_counter() - t0:.1f}s]",
               flush=True)
     return 1 if bad else 0

@@ -7,11 +7,19 @@ import time
 
 import pytest
 
-from rigidpadic import galois, io
+from rigidpadic import galois, io, selftest
 from rigidpadic.actions import I1, InductionCharacter, IwahoriElement
 from rigidpadic.analytic import is_analytic_vector
 from rigidpadic.cli import _verdict_json, main
-from rigidpadic.errors import ParameterError
+from rigidpadic.errors import (
+    DivisionError,
+    DomainError,
+    InvariantViolation,
+    ParameterError,
+    ParameterMismatch,
+    PrecisionError,
+    RigidPadicError,
+)
 from rigidpadic.functions import MAX_LEVEL, PiecewiseFunction, StepFunction
 from rigidpadic.galois import TriangulineParam, abs_x_character, x_character
 from rigidpadic.galois import ContinuousCharacter
@@ -375,6 +383,14 @@ class TestWitnessAndCokernelEq:
         assert code == 0
         assert json.loads(out)["equal"] is True
 
+    def test_witness_without_out_writes_the_file_bytes_to_stdout(self, capsys, tmp_path):
+        target = tmp_path / "w.json"
+        flags = ("witness", "--alpha", "10", "--beta", "15", "--k", "3")
+        code, out, err = run(capsys, *flags)
+        assert code == 0
+        assert run(capsys, *flags, "--out", str(target)) == (0, "", err)
+        assert target.read_text(encoding="utf-8") == out
+
     def test_witness_slope_violation_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "witness", "--alpha", "5", "--beta", "25", "--k", "3"
@@ -523,6 +539,24 @@ class TestExitCodes:
         with pytest.raises(ParameterError, match="slack kappa"):
             io.load(json.dumps(doc))
 
+    @pytest.mark.parametrize("error, want, prefix", [
+        (ParameterMismatch, 4, "error: "),
+        (DomainError, 3, "error: "),
+        (DivisionError, 3, "error: "),
+        (PrecisionError, 3, "error: "),
+        (ParameterError, 2, "error: "),
+        (InvariantViolation, 1, "internal invariant failed: "),
+        (RigidPadicError, 1, "error: "),
+    ])
+    def test_library_error_maps_to_its_exit_code(
+            self, files, capsys, monkeypatch, error, want, prefix):
+        def fail(_param):
+            raise error("planted")
+
+        monkeypatch.setattr(galois, "in_S_cris", fail)
+        got = run(capsys, "classify", files["cris.param.json"])
+        assert got == (want, "", prefix + "planted\n")
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["frobnicate"])
@@ -574,7 +608,39 @@ class TestGlobalFlags:
                                  "kappa": 4, "p": 5, "seed": 0}
 
 
+def _scripted(details):
+    """A case function that returns the given details in turn."""
+    it = iter(details)
+    return lambda _ctx, _rng: next(it)
+
+
+def _raises(_ctx, _rng):
+    raise RigidPadicError("bad")
+
+
+def _planted_suites():
+    return [("fake/pass", 1, _scripted([None])),
+            ("fake/boom", 3, _scripted(["boom", None, "boom"])),
+            ("fake/raise", 1, _raises)]
+
+
 class TestSelftest:
+    def test_failing_suites_are_reported(self, ctx, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "SUITES", _planted_suites())
+        report = selftest.run_selftest(ctx)
+        assert report["suites"] == [
+            {"name": "fake/pass", "cases": 1, "failed": 0, "ok": True},
+            {"name": "fake/boom", "cases": 3, "failed": 2, "ok": False,
+             "first_failure": {"case": 0, "detail": "boom"}},
+            {"name": "fake/raise", "cases": 1, "failed": 1, "ok": False,
+             "first_failure": {"case": 0, "detail": "unexpected error: bad"}},
+        ]
+        assert report["ok"] is False
+        monkeypatch.setattr(selftest, "SUITES", _planted_suites())
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert json.loads(out) == report
+
     def test_single_case_smoke(self, capsys):
         code, out, _ = run(capsys, "selftest", "--count", "1")
         assert code == 0

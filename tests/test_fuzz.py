@@ -1,16 +1,24 @@
 """One integer rule for every integer parameter of the public constructors
 and deciders: a bool, a float, a string, None or a value past a finite end
 is refused with ParameterError (never a TypeError, never stored), and a
-valid int is accepted and stored as an int."""
+valid int is accepted and stored as an int.
 
+The malformed-file probe at the end feeds every JSON path of one file of
+each kind, replaced by ill-typed or extreme values or deleted, to the
+command that reads it: each ends in a documented exit code."""
+
+import contextlib
+import copy
+import io as _text
 import json
+import random
 from argparse import Namespace
 from typing import Callable, NamedTuple, Optional
 
 import pytest
 
-from rigidpadic import cli, io
-from rigidpadic.actions import InductionCharacter, IwahoriElement, WeylCellVector
+from rigidpadic import cli, io, selftest
+from rigidpadic.actions import I1, InductionCharacter, IwahoriElement, WeylCellVector
 from rigidpadic.analytic import (
     CokernelElement,
     GAElement,
@@ -19,7 +27,7 @@ from rigidpadic.analytic import (
     orbit_membership,
     witness_nonzero,
 )
-from rigidpadic.errors import ParameterError
+from rigidpadic.errors import ParameterError, RigidPadicError
 from rigidpadic.functions import (
     MAX_LEVEL,
     Leaf,
@@ -34,16 +42,13 @@ from rigidpadic.galois import (
     ContinuousCharacter,
     FilteredPhiModule,
     TriangulineParam,
-    abs_x_character,
-    in_S_cris,
-    x_character,
 )
 from rigidpadic.padic import MAX_DEGREE, MAX_PRECISION, PadicContext
 from rigidpadic.series import TateSeries, twisted_mobius
 
 CTX = PadicContext(3, 10, 8)
 ONE = PiecewiseFunction.constant(CTX, 1)
-CFG = cli.RunConfig(CTX, 11, "json")
+ARGS = {"seed": 11, "format": "json"}
 
 
 class Row(NamedTuple):
@@ -81,7 +86,8 @@ def _analytic_level(value, tmp_path):
     path = tmp_path / "indicator.json"
     path.write_text(io.wrap("function", CTX, StepFunction.indicator_ball(CTX, 1)),
                     encoding="utf-8")
-    return cli.cmd_analytic_level(CFG, Namespace(function_file=str(path), max_level=value))
+    return cli.cmd_analytic_level(CTX, Namespace(**ARGS, function_file=str(path),
+                                                 max_level=value))
 
 
 ROWS = [
@@ -142,14 +148,12 @@ ROWS = [
         CTX.from_int(3), CTX.from_int(9), v), 3, lambda d: d.k, 2),
     Row("tame exponent", lambda v, _: ContinuousCharacter(CTX.one(), v, CTX.one()), 1,
         lambda c: c.tame_exponent),
-    Row("in_S_cris integer bound", lambda v, _: in_S_cris(
-        TriangulineParam(x_character(CTX), abs_x_character(CTX)), v), 50, None, 0),
     Row("file integer field", lambda v, _: _loaded_series("m", v), 1, lambda s: s.m, 0),
     Row("file tail bound", lambda v, _: _loaded_series("tail_bound", v), 4,
         lambda s: s.tail_bound),
     Row("--max-level", _analytic_level, 1, None, 0, MAX_LEVEL, optional=True),
-    Row("--count", lambda v, _: cli.cmd_selftest(CFG, Namespace(count=v, only="padic/log")),
-        1, None, 1, optional=True),
+    Row("--count", lambda v, _: cli.cmd_selftest(
+        CTX, Namespace(**ARGS, count=v, only="padic/log")), 1, None, 1, optional=True),
 ]
 
 NON_INTEGERS = (True, False, 1.0, 2.5, "1", None)
@@ -175,3 +179,125 @@ def test_valid_int_is_accepted_and_stored_as_int(row, tmp_path):
     out = row.build(row.valid, tmp_path)
     if row.read is not None:
         assert type(row.read(out)) is int
+
+
+# -- malformed files ------------------------------------------------------------
+
+PROBE_VALUES = (None, True, False, 0, -1, 1, 10 ** 30, 1.5, 1e308, "", "x", "1/0", "5/25",
+                [], {}, [[]], 2 ** 64)
+DELETED = object()
+
+
+def _sample_documents():
+    """One envelope of each kind at the command's default context, drawn from
+    the selftest generators, as parsed JSON."""
+    ctx = PadicContext()
+    rng = random.Random(2020)
+    chi = selftest.rand_chi(ctx, rng)
+    values = {
+        "series": selftest.rand_series(ctx, rng, 1, max_deg=4),
+        "function": selftest.rand_refined_global(ctx, rng, 1, max_deg=3),
+        "matrix": selftest.rand_iwahori(ctx, rng, I1),
+        "character": selftest.rand_character(ctx, rng),
+        "induction": chi,
+        "param": TriangulineParam(selftest.rand_character(ctx, rng),
+                                  selftest.rand_character(ctx, rng)),
+        "weyl": WeylCellVector(selftest.rand_refined_global(ctx, rng, 1, max_deg=2),
+                               selftest.rand_refined_global(ctx, rng, 1, max_deg=2)),
+        "cokernel": CokernelElement(chi, 1, 2, selftest._rand_ga(ctx, rng, 1, 2),
+                                    selftest._rand_ga(ctx, rng, 1, 2)),
+    }
+    return ctx, {kind: json.loads(io.wrap(kind, ctx, v)) for kind, v in values.items()}
+
+
+def _json_paths(node, path=()):
+    """Every path into node, the root included; lists are cut at 4 items."""
+    yield path
+    if isinstance(node, dict):
+        for key in node:
+            yield from _json_paths(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node[:4]):
+            yield from _json_paths(item, path + (i,))
+
+
+def _mutants(doc):
+    """(label, text) for doc with each path replaced by each probe value, and
+    with each path below the root deleted."""
+    for path in _json_paths(doc):
+        for value in PROBE_VALUES + (() if path == () else (DELETED,)):
+            if path == ():
+                yield f"/ = {value!r}", json.dumps(value)
+                continue
+            out = copy.deepcopy(doc)
+            parent = out
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETED:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            label = "/".join(map(str, path))
+            yield f"{label} {'deleted' if value is DELETED else f'= {value!r}'}", json.dumps(out)
+
+
+def probe_requests(directory):
+    """(kind, label, argv, text) for every mutant file of every kind: argv is
+    the command that reads the file, written to directory, or None for the
+    kinds that no command reads, which go through io.load(text, kind, ctx)."""
+    ctx, docs = _sample_documents()
+    good = {}
+    for kind, doc in docs.items():
+        good[kind] = str(directory / f"good-{kind}.json")
+        with open(good[kind], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    bad = str(directory / "bad.json")
+    commands = {
+        "series": ["verify-bounds", bad, "-m", str(docs["series"]["payload"]["m"])],
+        "function": ["analytic-level", bad],
+        "param": ["classify", bad],
+        "matrix": ["act", bad, good["function"], good["induction"]],
+        "induction": ["act", good["matrix"], good["function"], bad],
+        "cokernel": ["cokernel-eq", bad, good["cokernel"]],
+    }
+    for kind, doc in docs.items():
+        argv = commands.get(kind)
+        for label, text in _mutants(doc):
+            if argv is not None:
+                with open(bad, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            yield kind, label, argv, text
+
+
+def run_probe_request(ctx, kind, argv, text):
+    """(exit code, stdout, stderr) of one request; io.load's refusal reads
+    exit code 2 with the error on stderr, its success exit code 0."""
+    out, err = _text.StringIO(), _text.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if argv is not None:
+            code = cli.main(argv)
+        else:
+            try:
+                io.load(text, kind, ctx)
+                code = 0
+            except RigidPadicError as exc:
+                print(f"error: {exc}", file=err)
+                code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_malformed_files_end_in_a_documented_exit(tmp_path):
+    ctx = PadicContext()
+    problems = []
+    for kind, label, argv, text in probe_requests(tmp_path):
+        try:
+            code, _, err = run_probe_request(ctx, kind, argv, text)
+        except Exception as exc:  # noqa: BLE001 -- any escape is the finding
+            problems.append(f"{kind} {label}: {type(exc).__name__}: {exc}")
+            continue
+        lines = err.splitlines()
+        if code not in range(5):
+            problems.append(f"{kind} {label}: exit code {code}")
+        elif code >= 2 and (len(lines) != 1 or not lines[0].startswith("error: ")):
+            problems.append(f"{kind} {label}: exit code {code} with stderr {err!r}")
+    assert not problems, "\n".join(problems[:20])

@@ -181,6 +181,19 @@ class TestCrystallineLocus:
         assert res.status is Verdict.NO
         assert res.w_integer == -1
 
+    @pytest.mark.parametrize("exponent, status, w_integer", [
+        (60, Verdict.INDETERMINATE, None), (50, Verdict.YES, 50)])
+    def test_weight_gap_beyond_the_integer_bound_is_indeterminate(
+            self, ctx, exponent, status, w_integer):
+        # the weight gap is log(6^e)/log(1 + p) = e, and only integers of
+        # absolute value <= INTEGER_BOUND = 50 are tried
+        d1 = ContinuousCharacter(ctx.from_int(5), 0, ctx.from_int(6) ** exponent)
+        d2 = ContinuousCharacter(ctx.from_int(5).invert(), 0, ctx.one())
+        res = in_S_cris(TriangulineParam(d1, d2))
+        assert res.status is status and res.w_integer == w_integer
+        if status is Verdict.INDETERMINATE:
+            assert res.reason == "weight gap not identifiable with an integer in range"
+
     def test_carries_the_star_weight_gap(self, ctx):
         # the six classify rows the CI pins: both ext1 families, dimension 1
         # and INDETERMINATE, in and out of the base locus

@@ -83,7 +83,7 @@ from .functions import (
     PiecewiseFunction,
     StepFunction,
 )
-from .padic import Coercible, PadicContext, PadicNumber
+from .padic import Coercible, PadicContext, PadicNumber, _same_context
 from .series import TateSeries, _scaled, _taylor_shift, _twisted_sums
 
 I1 = "I1"
@@ -120,6 +120,7 @@ class InductionCharacter:
         self.k = _int_param("weight k", k, 2)
         if which not in ("alpha", "beta"):
             raise ParameterError(f"which must be 'alpha' or 'beta', got {which!r}")
+        _same_context("eigenvalues", alpha.ctx, beta.ctx)
         if alpha.is_zero or beta.is_zero:
             raise ParameterError("eigenvalues must be nonzero")
         self.alpha = alpha
@@ -145,6 +146,10 @@ class InductionCharacter:
                 f"valp(alpha) + valp(beta) = {va + vb} differs from k - 1 = {self.k - 1}"
             )
         return out
+
+    @property
+    def ctx(self) -> PadicContext:
+        return self.alpha.ctx
 
     @property
     def small_slope(self) -> bool:
@@ -223,8 +228,7 @@ class IwahoriElement:
         return self.a * self.d - self.b * self.c
 
     def __matmul__(self, other: "IwahoriElement") -> "IwahoriElement":
-        if not self.ctx.same(other.ctx):
-            raise ParameterError("matrices belong to different contexts")
+        _same_context("matrices", self.ctx, other.ctx)
         if self.level == I1 or other.level == I1:
             lvl: Union[str, int] = I1
         else:
@@ -271,8 +275,7 @@ class WeylCellVector:
     w0: PiecewiseFunction
 
     def __post_init__(self):
-        if not self.identity.ctx.same(self.w0.ctx):
-            raise ParameterError("cells belong to different contexts")
+        _same_context("cells", self.identity.ctx, self.w0.ctx)
 
     @property
     def ctx(self) -> PadicContext:
@@ -287,8 +290,7 @@ def _act_piecewise(ctx: PadicContext, leaves: Iterable[Leaf], g: IwahoriElement,
     """The image of each leaf, in the given order; the caller builds the function.
     A centre inverts a + b z0 modulo p**level only: v(c + d z0) >= level - N,
     so its residue is the one that the inverse modulo p**N gives."""
-    if not g.ctx.same(ctx):
-        raise ParameterError("matrix and function belong to different contexts")
+    _same_context("matrix and function", ctx, g.ctx)
     p, N, pN = ctx.p, ctx.N, ctx.pN
     a, b, c, d = (v.unit * p ** v.val if v.unit else 0 for v in (g.a, g.b, g.c, g.d))
     det = a * d - b * c
@@ -334,7 +336,8 @@ def act(g: IwahoriElement, f, chi: InductionCharacter):
 
     For a level-m series (m >= 1) the matrix must lie in G(m) so that
     the substitution keeps the series' ball p**m Z_p; level-0 series and
-    piecewise functions accept all of I(1).
+    piecewise functions accept all of I(1).  g and f must share a context;
+    chi gives only its weight k, so its context is not checked.
     """
     k = chi.k
     if isinstance(f, TateSeries):

@@ -66,7 +66,7 @@ from .functions import (
     is_member_pi_an,
     _re_expand,
 )
-from .padic import _ZERO, INF, PadicContext, PadicNumber, _times_binom
+from .padic import _ZERO, INF, PadicContext, PadicNumber, _same_context, _times_binom
 from .series import TateSeries, _negated
 from .verdict import Verdict
 
@@ -462,8 +462,7 @@ class CokernelElement:
         self.n, self.m = _int_param("congruence level n", n, 1), _int_param("test level m", m)
         if (F_alpha.n, F_alpha.m) != (n, m) or (F_beta.n, F_beta.m) != (n, m):
             raise ParameterMismatch("component levels differ from the class levels")
-        if not F_alpha.ctx.same(F_beta.ctx):
-            raise ParameterMismatch("components belong to different contexts")
+        _same_context("character and components", F_alpha.ctx, F_beta.ctx, chi.ctx)
         self.chi = chi
         self.F_alpha = F_alpha
         self.F_beta = F_beta

@@ -24,11 +24,15 @@ class DivisionError(RigidPadicError, ZeroDivisionError):
 
 class ParameterError(RigidPadicError, ValueError):
     """Structurally invalid parameter: bad prime, weight < 2, level < 0, a
-    bool, float or string where an integer level, weight or count belongs."""
+    bool, float or string where an integer level, weight or count belongs,
+    or in-memory values of two contexts combined (the one context rule,
+    padic._same_context)."""
 
 
 class ParameterMismatch(RigidPadicError):
-    """Objects built from incompatible parameter sets were combined."""
+    """An input file or class parameters that disagree: a file of another
+    kind or context than requested, or cokernel classes (or a class and its
+    components) whose parameters or levels differ."""
 
 
 class PrecisionError(RigidPadicError):

@@ -43,7 +43,7 @@ from operator import attrgetter
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, ParameterError, _int_param
-from .padic import INF, Coercible, PadicContext, PadicNumber, _agreement
+from .padic import INF, Coercible, PadicContext, PadicNumber, _agreement, _same_context
 from .series import TateSeries, _offset_sums, _shift_powers, _shift_source, _taylor_shift
 from .verdict import Verdict
 
@@ -165,9 +165,8 @@ class PiecewiseFunction:
         finer leaf inside it, at the finer leaf's level, with one source
         row per covering leaf and one power row per offset.
         """
-        if not self.ctx.same(other.ctx):
-            raise ParameterError("functions belong to different contexts")
-        ctx, p = self.ctx, self.ctx.p
+        ctx = _same_context("functions", self.ctx, other.ctx)
+        p = ctx.p
         # equal cosets pair once: in the first pass only
         mine = list(_covered(p, self.leaves, other.leaves, equal=True))
         theirs = list(_covered(p, other.leaves, self.leaves, equal=False))
@@ -388,8 +387,8 @@ def _check_partition(ctx: PadicContext, leaves: Sequence[Leaf]) -> None:
             raise ParameterError(
                 f"leaf series level {lf.series.m} differs from coset level {lf.level}"
             )
-        if lf.series.ctx is not ctx and not lf.series.ctx.same(ctx):
-            raise ParameterError("leaf series belongs to a different context")
+        if lf.series.ctx is not ctx:
+            _same_context("leaf series and function", ctx, lf.series.ctx)
         units += 1
     if not leaves:
         raise ParameterError("a partition needs at least one leaf")
@@ -499,6 +498,5 @@ def compare_tracked(ctx: PadicContext, x: PadicNumber, x_ceiling: float,
     N - kappa relative digits, NO when a difference is visible inside the
     mutual reliable window, INDETERMINATE when the window is too shallow.
     Refuses an x or y of another context than ctx."""
-    if not (ctx.same(x.ctx) and ctx.same(y.ctx)):
-        raise ParameterError("values belong to different contexts")
+    _same_context("values", ctx, x.ctx, y.ctx)
     return _agreement(ctx, [(x.val, x.unit)], [x_ceiling], [(y.val, y.unit)], [y_ceiling])

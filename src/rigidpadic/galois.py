@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import ParameterError, _int_param
-from .padic import PadicContext, PadicNumber, padic_log
+from .padic import PadicContext, PadicNumber, _same_context, padic_log
 from .verdict import Verdict
 
 SCRIPT_L_INF = "inf"
@@ -49,9 +49,7 @@ class ContinuousCharacter:
     __slots__ = ("ctx", "value_at_p", "tame_exponent", "wild_value")
 
     def __init__(self, value_at_p: PadicNumber, tame_exponent: int, wild_value: PadicNumber):
-        ctx = value_at_p.ctx
-        if not wild_value.ctx.same(ctx):
-            raise ParameterError("character components use different contexts")
+        ctx = _same_context("character components", value_at_p.ctx, wild_value.ctx)
         if value_at_p.is_zero:
             raise ParameterError("character value at p must be nonzero")
         if wild_value.is_zero or wild_value.val != 0:
@@ -173,6 +171,9 @@ class TriangulineParam:
     delta2: ContinuousCharacter
     scriptL: object = SCRIPT_L_INF
 
+    def __post_init__(self):
+        _same_context("characters", self.delta1.ctx, self.delta2.ctx)
+
     @property
     def ctx(self) -> PadicContext:
         return self.delta1.ctx
@@ -286,9 +287,9 @@ class FilteredPhiModule:
 
     def __init__(self, alpha: PadicNumber, beta: PadicNumber, k: int):
         self.k = _int_param("weight k", k, 2)
+        self.ctx = _same_context("Frobenius eigenvalues", alpha.ctx, beta.ctx)
         if alpha.is_zero or beta.is_zero:
             raise ParameterError("Frobenius eigenvalues must be nonzero")
-        self.ctx = alpha.ctx
         self.alpha = alpha
         self.beta = beta
 

@@ -19,7 +19,7 @@ from .analytic import CokernelElement, GAElement
 from .errors import ParameterError, ParameterMismatch, _int_param
 from .functions import Leaf, PiecewiseFunction
 from .galois import SCRIPT_L_INF, ContinuousCharacter, TriangulineParam
-from .padic import INF, PadicContext, PadicNumber
+from .padic import INF, PadicContext, PadicNumber, _same_context
 from .series import TateSeries
 
 
@@ -272,6 +272,7 @@ _CODECS = {
 def wrap(kind: str, ctx: PadicContext, value) -> str:
     if kind not in _CODECS:
         raise ParameterError(f"unknown kind {kind!r}")
+    _same_context("value and header", ctx, value.ctx)
     return dumps_canonical(
         {"context": context_header(ctx), "kind": kind, "payload": _CODECS[kind][0](value)}
     )

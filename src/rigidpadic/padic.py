@@ -25,6 +25,8 @@ no pair code calls them, so a pair function would only wrap its method.
 Every comparison of stored digits (agrees_with, agrees_mod, compare_tracked,
 the gluing test) reads one rule, _agreement, with x - y rounded by _pair_sum
 exactly as __sub__ rounds it (identical pairs read an exact zero at once).
+Every check that two values share a context, in this module and the others,
+reads one rule, _same_context, which compares (p, N, D) and not kappa.
 
 All values are immutable and every operation is pure, so objects can be
 shared freely between threads.
@@ -199,8 +201,8 @@ class PadicContext:
     def num(self, x: Coercible) -> "PadicNumber":
         """Coerce an int, Fraction, decimal/rational string or PadicNumber."""
         if isinstance(x, PadicNumber):
-            if x.ctx is not self and not self.same(x.ctx):
-                raise ParameterError("value belongs to a different context")
+            if x.ctx is not self:
+                _same_context("values", self, x.ctx)
             return x
         if isinstance(x, bool):
             raise ParameterError("refusing to coerce a bool to Q_p")
@@ -220,6 +222,17 @@ class PadicContext:
         """binom(n, k) reduced into the context, read from the factorial table
         with the corners of _times_binom."""
         return PadicNumber(self, *_times_binom(self, (0, 1), n, k), _checked=True)
+
+
+def _same_context(what: str, ctx: PadicContext, *others: PadicContext) -> PadicContext:
+    """The one context rule: ctx is returned when every other context is ctx
+    or agrees with it on (p, N, D) (PadicContext.same: kappa, a run-time slack,
+    is not compared), and is otherwise refused as "{what} belong to different
+    contexts".  Hot callers test `is` inline and call the rule only when it fails."""
+    for other in others:
+        if other is not ctx and not ctx.same(other):
+            raise ParameterError(f"{what} belong to different contexts")
+    return ctx
 
 
 class PadicNumber:
@@ -242,8 +255,8 @@ class PadicNumber:
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
         ctx = self.ctx
-        if other.ctx is not ctx and not ctx.same(other.ctx):
-            raise ParameterError("values belong to different contexts")
+        if other.ctx is not ctx:
+            _same_context("values", ctx, other.ctx)
         return PadicNumber(ctx, *_pair_sum(ctx, self.val, self.unit, other.val, other.unit),
                            _checked=True)
 
@@ -256,8 +269,8 @@ class PadicNumber:
         return self + (-other)
 
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
-        if other.ctx is not self.ctx and not self.ctx.same(other.ctx):
-            raise ParameterError("values belong to different contexts")
+        if other.ctx is not self.ctx:
+            _same_context("values", self.ctx, other.ctx)
         if self.is_zero or other.is_zero:
             return self.ctx.zero()
         return PadicNumber(self.ctx, self.val + other.val,
@@ -302,9 +315,8 @@ class PadicNumber:
         """Equality at precision: the agreement rule with no ceilings, so
         x - y must vanish to min(val) + N - kappa, or to absolute depth
         N - kappa when one side is zero.  Refuses a value of another context."""
-        if not self.ctx.same(other.ctx):
-            raise ParameterError("values belong to different contexts")
-        return _agreement(self.ctx, [(self.val, self.unit)], (),
+        ctx = _same_context("values", self.ctx, other.ctx)
+        return _agreement(ctx, [(self.val, self.unit)], (),
                           [(other.val, other.unit)], ()) is Verdict.YES
 
     # -- conversions ----------------------------------------------------

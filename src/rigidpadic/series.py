@@ -81,7 +81,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DomainError, ParameterError, _int_param
 from .padic import (_ZERO, INF, Coercible, PadicContext, PadicNumber, _agreement,
-                    _normalised, _pair_sum)
+                    _normalised, _pair_sum, _same_context)
 from .verdict import Verdict
 
 
@@ -265,8 +265,7 @@ class TateSeries:
 
     def _level_matches(self, other: "TateSeries") -> bool:
         """Whether other lies on self's ball level; refuses another context."""
-        if not self.ctx.same(other.ctx):
-            raise ParameterError("series belong to different contexts")
+        _same_context("series", self.ctx, other.ctx)
         return self.m == other.m
 
     def _match(self, other: "TateSeries") -> None:

@@ -18,7 +18,7 @@ its marker is dropped.
     python tests/mutants.py -k orbit    # the rows whose name contains "orbit"
 
 A survivor is a finding for the tests: a row is never weakened or deleted
-to make the table pass.
+to make the table pass.  The tier1 workflow runs every row on Python 3.11.
 """
 
 import argparse
@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
     known: Optional[str] = None
 
 
+ACTIONS = "src/rigidpadic/actions.py"
 ANALYTIC = "src/rigidpadic/analytic.py"
 FUNCTIONS = "src/rigidpadic/functions.py"
 PADIC = "src/rigidpadic/padic.py"
@@ -85,6 +86,21 @@ MUTANTS = [
            "for j in range(3):", "for j in range(1):",
            ("tests/test_analytic.py", "tests/test_acceptance.py", "tests/test_golden.py"),
            known="direction 15"),
+    Mutant("_re_expand keeps the leaf's tail bound", FUNCTIONS,
+           "    if tail is not INF:\n", "    if False:\n",
+           ("tests/test_functions.py", "tests/test_analytic.py")),
+    Mutant("_re_expand without ceilings", FUNCTIONS,
+           "return pairs, [f + N for f in floors], tail", "return pairs, [], tail",
+           ("tests/test_functions.py", "tests/test_analytic.py")),
+    Mutant("_pair_sum drops a side one digit early", PADIC,
+           "    if d >= ctx.N:\n", "    if d >= ctx.N - 1:\n",
+           ("tests/test_padic.py", "tests/test_series.py")),
+    Mutant("_act_piecewise centre inverse modulo p^(level - 1)", ACTIONS,
+           "(pow(a + b * z0, -1, mod) if b else inv_a)",
+           "(pow(a + b * z0, -1, max(mod // p, 1)) if b else inv_a)", ("tests/test_actions.py",)),
+    Mutant("_same_context accepts every pair", PADIC,
+           "        if other is not ctx and not ctx.same(other):\n", "        if False:\n",
+           ("tests/test_fuzz.py", "tests/test_padic.py")),
 ]
 
 

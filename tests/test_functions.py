@@ -282,7 +282,8 @@ class TestPartitionCheck:
             (2, -1): (Leaf(-1, 2, const(ctx, 2, 1)), "leaf center -1 not reduced mod p^2"),
             (2, 4): (Leaf(4, 2, const(ctx, 1, 1)),
                      "leaf series level 1 differs from coset level 2"),
-            (2, 5): (Leaf(5, 2, const(other, 2, 1)), "leaf series belongs to a different context"),
+            (2, 5): (Leaf(5, 2, const(other, 2, 1)),
+                     "leaf series and function belong to different contexts"),
             (2, 10): (Leaf(10, 2, const(ctx, 2, 1)), "leaf center 10 not reduced mod p^2"),
         }
         base = self._leaves(ctx, (0, 1), (1, 1), (2, 1))

@@ -3,6 +3,13 @@ and deciders: a bool, a float, a string, None or a value past a finite end
 is refused with ParameterError (never a TypeError, never stored), and a
 valid int is accepted and stored as an int.
 
+One context rule for every place that combines two values: a value whose
+(p, N, D) differs is refused with ParameterError ("... belong to different
+contexts"), and a value that differs only in the slack kappa is accepted.
+
+A table of refusals pins the class and message of each library refusal
+that no other test reaches.
+
 The malformed-file probe at the end feeds every JSON path of one file of
 each kind, replaced by ill-typed or extreme values or deleted, to the
 command that reads it: each ends in a documented exit code."""
@@ -18,7 +25,15 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 
 from rigidpadic import cli, io, selftest
-from rigidpadic.actions import I1, InductionCharacter, IwahoriElement, WeylCellVector
+from rigidpadic.actions import (
+    I1,
+    InductionCharacter,
+    IwahoriElement,
+    WeylCellVector,
+    act,
+    act_cell,
+    act_smooth,
+)
 from rigidpadic.analytic import (
     CokernelElement,
     GAElement,
@@ -27,13 +42,21 @@ from rigidpadic.analytic import (
     orbit_membership,
     witness_nonzero,
 )
-from rigidpadic.errors import ParameterError, RigidPadicError
+from rigidpadic.errors import (
+    DivisionError,
+    DomainError,
+    ParameterError,
+    ParameterMismatch,
+    PrecisionError,
+    RigidPadicError,
+)
 from rigidpadic.functions import (
     MAX_LEVEL,
     Leaf,
     LocallyAlgebraicFunction,
     PiecewiseFunction,
     StepFunction,
+    compare_tracked,
     is_member_Can,
     is_member_pi_an,
     mahler_coefficients,
@@ -42,8 +65,10 @@ from rigidpadic.galois import (
     ContinuousCharacter,
     FilteredPhiModule,
     TriangulineParam,
+    abs_x_character,
+    x_character,
 )
-from rigidpadic.padic import MAX_DEGREE, MAX_PRECISION, PadicContext
+from rigidpadic.padic import INF, MAX_DEGREE, MAX_PRECISION, PadicContext
 from rigidpadic.series import TateSeries, twisted_mobius
 
 CTX = PadicContext(3, 10, 8)
@@ -71,9 +96,12 @@ def _cells():
     return GAElement(WeylCellVector(ONE, zero), 1, 2), GAElement.zero(CTX, 1, 2)
 
 
+def _chi(c):
+    return InductionCharacter(c.from_int(c.p), c.from_int(2 * c.p), 3)
+
+
 def _cokernel(n, m):
-    chi = InductionCharacter(CTX.from_int(3), CTX.from_int(6), 3)
-    return CokernelElement(chi, n, m, *_cells())
+    return CokernelElement(_chi(CTX), n, m, *_cells())
 
 
 def _loaded_series(key, value):
@@ -179,6 +207,143 @@ def test_valid_int_is_accepted_and_stored_as_int(row, tmp_path):
     out = row.build(row.valid, tmp_path)
     if row.read is not None:
         assert type(row.read(out)) is int
+
+
+# -- one context rule -----------------------------------------------------------
+
+HOME = PadicContext()
+#: another (p, N, D): each row mixes a value of it into a value of HOME
+AWAY = PadicContext(7, 20, 16)
+#: HOME but for the slack kappa, which the rule does not compare
+LOOSE = PadicContext(kappa=0)
+
+
+def _identity(c):
+    return IwahoriElement(c, 1, 0, 0, 1)
+
+
+def _ga_zero(c):
+    return GAElement.zero(c, 1, 2)
+
+
+#: kind -> one value of that kind in a given context
+KINDS = {
+    "series": lambda c: TateSeries(c, 1, [1, 3], 4),
+    "function": lambda c: StepFunction.indicator_ball(c, 1),
+    "matrix": _identity,
+    "character": x_character,
+    "induction": _chi,
+    "param": lambda c: TriangulineParam(x_character(c), abs_x_character(c)),
+    "weyl": lambda c: WeylCellVector(PiecewiseFunction.constant(c, 1),
+                                     PiecewiseFunction.constant(c, 0)),
+    "cokernel": lambda c: CokernelElement(_chi(c), 1, 2, _ga_zero(c), _ga_zero(c)),
+}
+
+#: (name, mix): mix(other) combines values of HOME with one value of other
+CONTEXT_ROWS = [
+    ("num", lambda o: HOME.num(o.from_int(3))),
+    ("+", lambda o: HOME.from_int(3) + o.from_int(2)),
+    ("*", lambda o: HOME.from_int(3) * o.from_int(2)),
+    ("agrees_with", lambda o: HOME.from_int(3).agrees_with(o.from_int(3))),
+    ("series +", lambda o: TateSeries(HOME, 1, [1, 2]) + TateSeries(o, 1, [1])),
+    ("function +", lambda o: (PiecewiseFunction.constant(HOME, 1)
+                              + PiecewiseFunction.constant(o, 2))),
+    ("leaf series", lambda o: PiecewiseFunction(
+        HOME, [Leaf(0, 0, TateSeries.constant(o, 0, 1))])),
+    ("compare_tracked", lambda o: compare_tracked(HOME, HOME.one(), INF, o.one(), INF)),
+    ("matrix @", lambda o: _identity(HOME) @ _identity(o)),
+    ("cells", lambda o: WeylCellVector(PiecewiseFunction.constant(HOME, 1),
+                                       PiecewiseFunction.constant(o, 0))),
+    ("act", lambda o: act(_identity(HOME), TateSeries(o, 0, [1, 2]), _chi(HOME))),
+    ("cokernel components", lambda o: CokernelElement(
+        _chi(HOME), 1, 2, _ga_zero(HOME), _ga_zero(o))),
+    ("character components", lambda o: ContinuousCharacter(HOME.one(), 0, o.one())),
+    ("induction eigenvalues", lambda o: InductionCharacter(
+        HOME.from_int(5), o.from_int(10), 3, strict=False)),
+    ("filtered module eigenvalues", lambda o: FilteredPhiModule(
+        HOME.from_int(5), o.from_int(25), 3)),
+    ("trianguline characters", lambda o: TriangulineParam(
+        x_character(HOME), abs_x_character(o))),
+    ("cokernel character", lambda o: CokernelElement(
+        _chi(o), 1, 2, _ga_zero(HOME), _ga_zero(HOME))),
+] + [(f"io.wrap {kind}", lambda o, kind=kind: io.wrap(kind, HOME, KINDS[kind](o)))
+     for kind in KINDS]
+
+MIXES = [pytest.param(mix, id=name) for name, mix in CONTEXT_ROWS]
+
+
+@pytest.mark.parametrize("mix", MIXES)
+def test_another_context_is_refused(mix):
+    with pytest.raises(ParameterError, match="belong to different contexts"):
+        mix(AWAY)
+
+
+@pytest.mark.parametrize("mix", MIXES)
+def test_a_kappa_only_difference_is_accepted(mix):
+    mix(LOOSE)
+
+
+@pytest.mark.parametrize("kind, header, value", [
+    pytest.param("param", HOME, KINDS["param"](AWAY), id="7-adic param, default header"),
+    pytest.param("series", AWAY, TateSeries(HOME, 0, [1, 5]), id="5-adic series, 7-adic header"),
+])
+def test_a_value_is_not_written_under_another_header(kind, header, value):
+    """Both used to be written: the parameter's file was then refused on load
+    (its wild values are not 1 mod 5), and the series loaded as 1 + 5z over
+    Q_7, whose z-coefficient is a unit."""
+    with pytest.raises(ParameterError, match="value and header belong to different contexts"):
+        io.wrap(kind, header, value)
+
+
+# -- refusals that no other test reaches ---------------------------------------
+
+#: an I(1) matrix whose lower-left entry is a unit: its w0-conjugate leaves I(1)
+UNIT_LOWER_LEFT = IwahoriElement(CTX, 1, 0, 1, 1)
+
+#: (name, run, error class, message)
+REFUSALS = [
+    ("conjugate_by_w0 of a unit lower-left entry", UNIT_LOWER_LEFT.conjugate_by_w0,
+     DomainError, "w0-conjugate leaves I(1): lower-left entry is a unit"),
+    ("act_cell prefixes the w0 cell", lambda: act_cell(
+        UNIT_LOWER_LEFT, WeylCellVector(ONE, ONE), _chi(CTX)),
+     DomainError, "w0 cell: w0-conjugate leaves I(1): lower-left entry is a unit"),
+    ("act on an int", lambda: act(_identity(CTX), 3, _chi(CTX)),
+     ParameterError, "cannot act on int"),
+    ("act_smooth on a non-step function", lambda: act_smooth(_identity(CTX), ONE),
+     ParameterError, "act_smooth expects a StepFunction"),
+    ("refine below the max leaf level", lambda: ONE.refine(1).refine(0),
+     DomainError, "refinement level 0 below max leaf level 1"),
+    ("locally algebraic truncated leaf", lambda: LocallyAlgebraicFunction(
+        CTX, [Leaf(0, 0, TateSeries(CTX, 0, [1], 4))], 3),
+     ParameterError, "locally algebraic leaves must be exact polynomials"),
+    ("cokernel levels", lambda: CokernelElement(_chi(CTX), 1, 3, *_cells()),
+     ParameterMismatch, "component levels differ from the class levels"),
+    ("num of a bool", lambda: CTX.num(True), ParameterError, "refusing to coerce a bool to Q_p"),
+    ("num of a float", lambda: CTX.num(1.5), ParameterError, "cannot coerce float to Q_p"),
+    ("zero ** -1", lambda: CTX.zero() ** -1, DivisionError, "negative power of zero"),
+    ("residue of 1/5", lambda: HOME.num("1/5").residue(1),
+     DomainError, "residue of a non-integral element"),
+    ("residue past N", lambda: HOME.from_int(5).residue(42),
+     PrecisionError, "residue mod p^42 exceeds stored precision p^41"),
+    ("render xml", lambda: cli.render({}, "xml"), ParameterError, "unknown format 'xml'"),
+]
+
+
+@pytest.mark.parametrize("run, error, message", [
+    pytest.param(run, error, message, id=name) for name, run, error, message in REFUSALS
+])
+def test_refusal_has_its_class_and_message(run, error, message):
+    with pytest.raises(RigidPadicError) as info:
+        run()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_analytic_level_of_a_matrix_file_exits_4(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(io.wrap("matrix", HOME, _identity(HOME)), encoding="utf-8")
+    assert cli.main(["analytic-level", str(path)]) == 4
+    assert capsys.readouterr() == ("", "error: expected a function or series file, "
+                                       "found matrix\n")
 
 
 # -- malformed files ------------------------------------------------------------

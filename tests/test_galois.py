@@ -42,7 +42,8 @@ class TestCharacterConstruction:
         # checked before the wild value is compared with 1, so the
         # character's own message wins over the scalar one
         wild = PadicContext(5, 20, 16).from_int(6)
-        with pytest.raises(ParameterError, match="character components use different contexts"):
+        with pytest.raises(ParameterError,
+                           match="character components belong to different contexts"):
             ContinuousCharacter(ctx.from_int(5), 1, wild)
 
     def test_distinguished_characters(self, ctx):

@@ -318,6 +318,15 @@ class TestNormalised:
                         assert got == _strip_loop(ctx, val, raw), (p, N, val, raw)
                         assert (got[0] is INF) == (raw % ctx.pN == 0)
 
+    def test_pair_sum_keeps_a_summand_to_the_last_stored_digit(self):
+        # 3 * 5**d lands on the unit of 2 while d < N, and is dropped from d = N on
+        ctx = PadicContext(5, 6, 4)
+        for d in range(1, 9):
+            x, y = ctx.from_int(2), ctx.from_int(3 * 5 ** d)
+            want = (0, (2 + 3 * 5 ** d) % ctx.pN)
+            assert ((x + y).val, (x + y).unit) == want, d
+            assert ((y + x).val, (y + x).unit) == want, d
+
     def test_agreement_skips_the_subtraction_of_identical_pairs(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("identical pairs were subtracted")
